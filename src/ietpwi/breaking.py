@@ -13,6 +13,7 @@ invariant curve of an adapted planar piecewise isometry.
 from __future__ import annotations
 
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi, tau
@@ -208,15 +209,26 @@ def breaking_offsets(curve: PLCurve, phi: float,
     one_minus = 1.0 - rot
     g_left = curve.evaluate(intervals.y)
     g_right = curve.evaluate(intervals.y + intervals.delta)
-    r = intervals.count
-    upper = np.empty(r, dtype=complex)
-    lower = np.empty(r, dtype=complex)
-    upper[0] = g_left[0] * one_minus
-    lower[0] = upper[0] - g_right[0] * one_minus
-    for k in range(1, r):
-        upper[k] = g_left[k] * one_minus + lower[k - 1]
-        lower[k] = upper[k] - g_right[k] * one_minus
-    return upper, lower
+    # upper[k] = lower[k-1] + g_left[k]*(1-rot), lower[k] = upper[k] - g_right[k]*(1-rot):
+    # one running sum over the interleaved steps, added in the same order
+    steps = np.empty(2 * intervals.count, dtype=complex)
+    steps[0::2] = _scalar_product(g_left, one_minus)
+    steps[1::2] = -_scalar_product(g_right, one_minus)
+    sums = np.cumsum(steps)
+    return sums[0::2], sums[1::2]
+
+
+def _scalar_product(z: np.ndarray, w: complex) -> np.ndarray:
+    """``z * w`` rounded exactly as the scalar complex product rounds it.
+
+    numpy's vectorized complex multiply can differ from the scalar product
+    in the last ulp; separately rounded real multiplies and adds reproduce
+    the scalar product, so the offsets match the one-term-at-a-time recursion.
+    """
+    out = np.empty(len(z), dtype=complex)
+    out.real = z.real * w.real - z.imag * w.imag
+    out.imag = z.real * w.imag + z.imag * w.real
+    return out
 
 
 def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLCurve:
@@ -282,8 +294,6 @@ def breaking_intervals(trace: InductionTrace, n: int, budget: int = 10**7) -> In
     ups = iet0.upsilon_num
     top = iet0.perm.top
 
-    from bisect import bisect_right
-
     lefts = []
     a = total_next
     steps = 0
@@ -299,16 +309,35 @@ def breaking_intervals(trace: InductionTrace, n: int, budget: int = 10**7) -> In
         if a >= 0 and a + delta_num <= total_next:
             break
     lefts.sort()
-    # every piece is inside or disjoint from each removed zone above level n
-    for m in range(1, n + 1):
-        lo, hi = trace.states[m].total_num, trace.states[m - 1].total_num
-        for a in lefts:
-            overlap = min(a + delta_num, hi) - max(a, lo)
-            if 0 < overlap < delta_num:
+    _check_removed_zones(lefts, delta_num,
+                         [(trace.states[m].total_num, trace.states[m - 1].total_num)
+                          for m in range(1, n + 1)])
+    # int / int is correctly rounded, so this equals float(Fraction(a, den))
+    y = np.array([a / den for a in lefts])
+    return IntervalSeq(y, delta_num / den, tuple(lefts), delta_num, den)
+
+
+def _check_removed_zones(lefts: Sequence[int], width: int,
+                         zones: Sequence[tuple[int, int]]) -> None:
+    """Every piece ``[a, a + width)`` lies inside or outside each zone ``[lo, hi)``.
+
+    ``lefts`` must be sorted with pieces pairwise disjoint.  A piece that
+    partly overlaps a zone contains ``lo`` or ``hi`` in its interior, and only
+    the last piece starting below an edge can contain it, so each edge needs
+    one bisection and one overlap test.
+    """
+    for a, b in zip(lefts, lefts[1:]):
+        if b - a < width:
+            raise AssertionError("orbit pieces overlap")
+    for lo, hi in zones:
+        for edge in (lo, hi):
+            k = bisect_left(lefts, edge) - 1
+            if k < 0:
+                continue
+            a = lefts[k]
+            overlap = min(a + width, hi) - max(a, lo)
+            if 0 < overlap < width:
                 raise AssertionError("orbit piece straddles a removed zone")
-    y = np.array([float(Fraction(a, den)) for a in lefts])
-    return IntervalSeq(y, float(Fraction(delta_num, den)),
-                       tuple(lefts), delta_num, den)
 
 
 @dataclass

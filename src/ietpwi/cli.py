@@ -2,32 +2,22 @@
 
 Every command accepts ``--config FILE`` (JSON) with individual flags taking
 precedence, honors ``--seed`` for bit-reproducible output and ``--json``
-for machine-readable results.  ``IETPWI_THREADS`` caps worker parallelism
-for any internally parallel stage (the current pipeline is sequential, so
-the value is validated and recorded but does not change results).
+for machine-readable results.  Malformed input ends in a typed error and
+exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from math import tau
 from typing import Optional, Sequence
 
 from . import breaking, catalog, pwi as pwi_mod, rauzy, spectral, verify
-from .errors import IetPwiError
+from .errors import IetPwiError, InvalidInput
 from .iet import IETState, Lengths, Permutation, build_iet
-
-
-def max_threads() -> int:
-    """Parallelism cap from the environment; at least 1."""
-    try:
-        return max(1, int(os.environ.get("IETPWI_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -65,6 +55,10 @@ class RunConfig:
             cfg.theta = [float(p) for p in args.theta.split(",")]
         if getattr(args, "json_output", False):
             cfg.json_output = True
+        for key, flag in (("levels", "--steps"), ("deep_levels", "--deep-levels")):
+            value = getattr(cfg, key)
+            if value is not None and (not isinstance(value, int) or value < 0):
+                raise InvalidInput(f"{flag} must be a nonnegative integer, got {value!r}")
         return cfg
 
     def build(self) -> IETState:
@@ -286,7 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--out", help="output path")
         p.add_argument("--json", dest="json_output", action="store_true",
                        help="machine-readable output only")
-        p.add_argument("--catalog", dest="use_catalog", action="store_true",
+        p.add_argument("--catalog", dest="use_catalog", action="store_true", default=None,
                        help="use the built-in self-inducing 4-symbol exchange")
 
     handlers = {
@@ -303,9 +297,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         common(sub.add_parser(name))
 
     args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return handlers[args.command](cfg)
+        return handlers[args.command](RunConfig.from_args(args))
     except IetPwiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,10 @@ class IetPwiError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidInput(IetPwiError, ValueError):
+    """A permutation, length vector or option is malformed or out of range."""
+
+
 class NonPositiveLength(IetPwiError):
     """A subinterval length is zero or negative."""
 

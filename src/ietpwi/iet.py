@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import NonPositiveLength, OutOfDomain
+from .errors import InvalidInput, NonPositiveLength, OutOfDomain
 
 #: relative tolerance for endpoint-orbit coincidence in the finite
 #: distinct-orbit check; distances below ``TOL_IDOC_REL * |lambda|``
@@ -53,9 +53,9 @@ class Permutation:
     def __post_init__(self) -> None:
         d = len(self.top)
         if d < 2:
-            raise ValueError("need at least 2 symbols")
+            raise InvalidInput("need at least 2 symbols")
         if sorted(self.top) != list(range(d)) or sorted(self.bottom) != list(range(d)):
-            raise ValueError("rows must each be a permutation of 0..d-1")
+            raise InvalidInput("rows must each be a permutation of 0..d-1")
 
     @property
     def d(self) -> int:
@@ -86,12 +86,15 @@ class Permutation:
     def from_monodromy(cls, values: Union[str, Sequence[int]]) -> "Permutation":
         """Build with identity top row from 1-based targets, e.g. ``"4 3 2 1"``."""
         if isinstance(values, str):
-            parts = values.replace(",", " ").split()
-            values = [int(p) for p in parts]
+            try:
+                values = [int(p) for p in values.replace(",", " ").split()]
+            except ValueError:
+                raise InvalidInput(
+                    f"monodromy entries must be integers: {values!r}") from None
         values = list(values)
         d = len(values)
         if sorted(values) != list(range(1, d + 1)):
-            raise ValueError("monodromy must be a permutation of 1..d")
+            raise InvalidInput(f"monodromy must be a permutation of 1..d, got {values}")
         top = tuple(range(d))
         bottom = [0] * d
         for j, v in enumerate(values):
@@ -112,20 +115,27 @@ class Permutation:
         """Accept the ``{"d","pi0","pi1"}`` schema or a monodromy one-liner."""
         if isinstance(data, str):
             stripped = data.strip()
-            if stripped.startswith("{"):
-                data = json.loads(stripped)
-            else:
+            if not stripped.startswith("{"):
                 return cls.from_monodromy(stripped)
-        d = int(data["d"])
-        pi0 = list(data["pi0"])
-        pi1 = list(data["pi1"])
+        try:
+            if isinstance(data, str):
+                data = json.loads(data)
+            d = int(data["d"])
+            pi0 = list(data["pi0"])
+            pi1 = list(data["pi1"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(
+                f"malformed permutation: {type(exc).__name__}: {exc}") from None
         if len(pi0) != d or len(pi1) != d:
-            raise ValueError("pi0/pi1 must have d entries")
+            raise InvalidInput("pi0/pi1 must have d entries")
         top = [0] * d
         bottom = [0] * d
-        for s in range(d):
-            top[pi0[s] - 1] = s
-            bottom[pi1[s] - 1] = s
+        try:
+            for s in range(d):
+                top[pi0[s] - 1] = s
+                bottom[pi1[s] - 1] = s
+        except (IndexError, TypeError):
+            raise InvalidInput("pi0/pi1 must hold positions 1..d") from None
         return cls(tuple(top), tuple(bottom))
 
 
@@ -145,9 +155,11 @@ def is_irreducible(perm: Permutation) -> bool:
 # ---------------------------------------------------------------------------
 
 def _as_fraction(value: LengthLike) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(value)  # exact: floats are dyadic rationals
-    return Fraction(value)
+    # exact for floats too: they are dyadic rationals
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+        raise InvalidInput(f"invalid length {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -163,7 +175,7 @@ class Lengths:
 
     def __post_init__(self) -> None:
         if self.denominator <= 0:
-            raise ValueError("denominator must be positive")
+            raise InvalidInput("denominator must be positive")
         if any(n <= 0 for n in self.numerators):
             raise NonPositiveLength(f"lengths must be positive, got {self.values()}")
 
@@ -268,7 +280,7 @@ class IETState:
 def build_iet(perm: Permutation, lengths: Lengths) -> IETState:
     """Derive translations and endpoint grids for the exchange ``(lengths, perm)``."""
     if lengths.d != perm.d:
-        raise ValueError("lengths and permutation have different sizes")
+        raise InvalidInput("lengths and permutation have different sizes")
     omega = omega_matrix(perm)
     nums = lengths.numerators
     den = lengths.denominator

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from fractions import Fraction
 from math import pi, sin, tau
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from ietpwi.breaking import (
     IntervalSeq,
     PLCurve,
+    _check_removed_zones,
     angle_to_symmetric,
     breaking_intervals,
     breaking_offsets,
@@ -37,8 +40,8 @@ def random_unit_speed_curve(rng, length=None, pieces=6):
     return PLCurve(ell, x, np.array(z))
 
 
-def random_intervals(rng, ell):
-    r = int(rng.integers(1, 8))
+def random_intervals(rng, ell, r=None):
+    r = int(rng.integers(1, 8)) if r is None else r
     delta = float(rng.uniform(0.005, 0.5)) * ell / (2 * r)
     slack = ell - r * delta
     gaps = rng.dirichlet(np.ones(r + 1)) * slack
@@ -102,6 +105,36 @@ def test_operator_preserves_class_and_bound_randomized():
         assert out.length == curve.length
 
 
+def sequential_offsets(curve, phi, intervals):
+    """Reference for ``breaking_offsets``: the recursion one term at a time."""
+    rot = complex(np.cos(phi), np.sin(phi))
+    one_minus = 1.0 - rot
+    g_left = curve.evaluate(intervals.y)
+    g_right = curve.evaluate(intervals.y + intervals.delta)
+    r = intervals.count
+    upper = np.empty(r, dtype=complex)
+    lower = np.empty(r, dtype=complex)
+    upper[0] = g_left[0] * one_minus
+    lower[0] = upper[0] - g_right[0] * one_minus
+    for k in range(1, r):
+        upper[k] = g_left[k] * one_minus + lower[k - 1]
+        lower[k] = upper[k] - g_right[k] * one_minus
+    return upper, lower
+
+
+@pytest.mark.parametrize("count", [None, 2000, 5000])
+def test_offsets_bit_identical_to_sequential_recursion(count):
+    rng = np.random.default_rng(7 if count is None else count)
+    for _ in range(100 if count is None else 5):
+        curve = random_unit_speed_curve(rng, pieces=int(rng.integers(2, 40)))
+        phi = float(rng.uniform(-pi, pi))
+        intervals = random_intervals(rng, curve.length, count)
+        upper, lower = breaking_offsets(curve, phi, intervals)
+        ref_upper, ref_lower = sequential_offsets(curve, phi, intervals)
+        assert np.array_equal(upper, ref_upper)
+        assert np.array_equal(lower, ref_lower)
+
+
 def test_operator_rejects_bad_inputs():
     c = PLCurve.identity(1.0)
     with pytest.raises(IntervalOutOfRange):
@@ -134,6 +167,58 @@ def test_intervals_match_float_orbit_oracle(golden_iet):
         if point >= 0 and point + delta <= lo + 1e-12:
             break
     np.testing.assert_allclose(np.sort(np.array(pieces)), intervals.y, atol=1e-9)
+
+
+def bruteforce_intervals(trace, n):
+    """Reference for ``breaking_intervals``: exact orbit, every zone against every piece."""
+    iet0 = trace.initial
+    lo_n, hi_n = trace.states[n].total_num, trace.states[n - 1].total_num
+    width = hi_n - lo_n
+    lefts = [lo_n]
+    while True:
+        j = bisect_right(iet0.e0_num, lefts[-1]) - 1
+        a = lefts[-1] + iet0.upsilon_num[iet0.perm.top[j]]
+        if a >= 0 and a + width <= lo_n:
+            break
+        lefts.append(a)
+    lefts.sort()
+    for m in range(1, n + 1):
+        lo, hi = trace.states[m].total_num, trace.states[m - 1].total_num
+        for a in lefts:
+            assert not 0 < min(a + width, hi) - max(a, lo) < width
+    return tuple(lefts), width, iet0.denominator
+
+
+def test_intervals_match_bruteforce_oracle(reference_trace):
+    for n in range(1, 41):
+        intervals = breaking_intervals(reference_trace, n)
+        lefts, width, den = bruteforce_intervals(reference_trace, n)
+        assert intervals.y_num == lefts
+        assert intervals.delta_num == width
+        assert intervals.denominator == den
+        assert np.array_equal(intervals.y, [float(Fraction(a, den)) for a in lefts])
+        assert intervals.delta == float(Fraction(width, den))
+
+
+def test_removed_zone_check_fires_on_straddles():
+    zone = [(10, 20)]
+    for lefts, width in (([5], 10),         # across lo
+                         ([15], 10),        # across hi
+                         ([8], 15),         # contains the whole zone
+                         ([0, 18, 40], 3),  # one bad piece among good ones
+                         ([9], 2),          # narrow pieces across each edge
+                         ([19], 2)):
+        with pytest.raises(AssertionError, match="straddles"):
+            _check_removed_zones(lefts, width, zone)
+    for lefts, width in (([10], 5),             # a == lo
+                         ([15], 5),             # a + width == hi
+                         ([10], 10),            # the zone itself
+                         ([2, 7, 20, 25], 3),   # touching from both sides
+                         ([0, 10, 13, 17], 3),  # inside, touching each other
+                         ([], 4)):
+        _check_removed_zones(lefts, width, zone)
+    with pytest.raises(AssertionError, match="overlap"):
+        _check_removed_zones([0, 2], 3, zone)
 
 
 def test_intervals_count_equals_cocycle_row_sum(reference, reference_trace):

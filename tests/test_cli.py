@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from ietpwi.cli import main
 
@@ -160,6 +161,39 @@ def test_config_file_and_flag_override(tmp_path):
     proc = run_cli(["--config", str(config), "induct", "--steps", "2"], tmp_path)
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["induct", "--perm", "2 1", "--lambda", "0.5,abc"],
+    ["induct", "--perm", "2 2", "--lambda", "0.5,0.5"],
+    ["induct", "--perm", "2 1", "--lambda", "0.5,0.3,0.2"],
+    ["curve", "--catalog", "--steps", "-1"],
+    ["verify", "--catalog", "--deep-levels", "-1"],
+])
+def test_malformed_input_exits_2(tmp_path, args):
+    proc = run_cli(args, tmp_path)
+    assert proc.returncode == 2
+    assert "InvalidInput" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_depth_must_be_nonnegative_integer(tmp_path):
+    config = tmp_path / "run.json"
+    for levels in (-1, "3"):
+        config.write_text(json.dumps({"levels": levels}))
+        proc = run_cli(["--config", str(config), "induct"], tmp_path)
+        assert proc.returncode == 2
+        assert "InvalidInput" in proc.stderr
+
+
+def test_config_use_catalog_kept(tmp_path, reference):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"use_catalog": True}))
+    proc = run_cli(["--config", str(config), "induct", "--steps", "1"], tmp_path)
+    assert proc.returncode == 0
+    record = json.loads(proc.stdout)
+    assert record["lambda"] == reference.iet.lengths.values().tolist()
 
 
 def test_main_entry_direct(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ietpwi.errors import NonPositiveLength, OutOfDomain
+from ietpwi.errors import InvalidInput, NonPositiveLength, OutOfDomain
 from ietpwi.iet import (
     Lengths,
     Permutation,
@@ -51,6 +51,22 @@ def test_nonpositive_length_rejected():
         Lengths.from_values([0.5, 0.0])
     with pytest.raises(NonPositiveLength):
         Lengths.from_values([0.5, -0.1])
+
+
+@pytest.mark.parametrize("parse", [
+    lambda: Permutation.from_json("2 2"),
+    lambda: Permutation.from_json("2 x"),
+    lambda: Permutation.from_json('{"d": 2, "pi0": [1, 2]}'),
+    lambda: Permutation.from_json('{"d": 2, "pi0": [1, 2], "pi1": [2, 5]}'),
+    lambda: Permutation.from_json('{"d": 2, "pi0": [1, 2'),
+    lambda: Lengths.from_values(["0.5", "abc"]),
+    lambda: Lengths.from_values(["1/0", "0.5"]),
+    lambda: build_iet_from("2 1", [0.5, 0.3, 0.2]),
+])
+def test_malformed_input_is_typed(parse):
+    with pytest.raises(InvalidInput) as info:
+        parse()
+    assert isinstance(info.value, ValueError)
 
 
 def test_apply_hand_values():
