@@ -13,7 +13,7 @@ invariant curve of an adapted planar piecewise isometry.
 from __future__ import annotations
 
 import io
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi, tau
@@ -21,13 +21,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DomainMismatch,
-    IntervalOutOfRange,
-    NonUnitSpeed,
-    OutOfDomain,
-)
+from .errors import DomainMismatch, IntervalOutOfRange, NonUnitSpeed, OutOfDomain
+from .iet import piece_orbit
 from .rauzy import InductionTrace, torus_distance_to_zero, torus_project
 
 #: per-segment absolute tolerance for the unit-speed invariant
@@ -285,29 +280,10 @@ def breaking_intervals(trace: InductionTrace, n: int, budget: int = 10**7) -> In
     """
     if n < 1 or n > trace.n_steps:
         raise ValueError(f"level {n} outside 1..{trace.n_steps}")
-    iet0 = trace.initial
-    den = iet0.denominator
-    total_prev = trace.states[n - 1].total_num
+    den = trace.initial.denominator
     total_next = trace.states[n].total_num
-    delta_num = total_prev - total_next
-    grid = iet0.e0_num
-    ups = iet0.upsilon_num
-    top = iet0.perm.top
-
-    lefts = []
-    a = total_next
-    steps = 0
-    while True:
-        lefts.append(a)
-        if steps > budget:
-            raise BudgetExceeded(f"interval orbit exceeded {budget} steps")
-        j = bisect_right(grid, a) - 1
-        if a + delta_num > grid[j + 1]:
-            raise AssertionError("removed piece straddles a continuity boundary")
-        a = a + ups[top[j]]
-        steps += 1
-        if a >= 0 and a + delta_num <= total_next:
-            break
+    delta_num = trace.states[n - 1].total_num - total_next
+    lefts = piece_orbit(trace.initial, total_next, delta_num, total_next, budget)
     lefts.sort()
     _check_removed_zones(lefts, delta_num,
                          [(trace.states[m].total_num, trace.states[m - 1].total_num)

@@ -19,7 +19,8 @@ from math import gcd
 import numpy as np
 
 from .iet import IETState, Lengths, Permutation, build_iet
-from .rauzy import IntMatrix, _combinatorial_step, elementary_update, identity_matrix
+from .rauzy import (IntMatrix, _combinatorial_step, det_exact, elementary_update,
+                    identity_matrix)
 
 #: type word of the closed loop at monodromy (4 3 2 1) whose Perron vector
 #: has length ratios (0.4277, 0.3383, 0.1196, 0.1144)
@@ -79,8 +80,6 @@ def _transpose(matrix: IntMatrix) -> IntMatrix:
 
 def _integer_inverse(matrix: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix via the adjugate."""
-    from .rauzy import det_exact
-
     d = len(matrix)
     det = det_exact(matrix)
     if det not in (1, -1):

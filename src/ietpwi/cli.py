@@ -9,10 +9,11 @@ exit code 2.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass, field
-from math import tau
+from math import pi, tau
 from typing import Optional, Sequence
 
 from . import breaking, catalog, pwi as pwi_mod, rauzy, spectral, verify
@@ -40,10 +41,9 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as handle:
-                for key, value in json.load(handle).items():
-                    if hasattr(cfg, key):
-                        setattr(cfg, key, value)
+            for key, value in _read_config(args.config).items():
+                if hasattr(cfg, key):
+                    setattr(cfg, key, value)
         for key in ("perm", "levels", "zorich_steps", "delta", "seed",
                     "deep_levels", "out", "use_catalog"):
             value = getattr(args, key, None)
@@ -52,13 +52,19 @@ class RunConfig:
         if getattr(args, "lengths", None):
             cfg.lengths = [part for part in args.lengths.split(",")]
         if getattr(args, "theta", None):
-            cfg.theta = [float(p) for p in args.theta.split(",")]
+            try:
+                cfg.theta = [float(p) for p in args.theta.split(",")]
+            except ValueError:
+                raise InvalidInput(f"--theta entries must be numbers: {args.theta!r}") from None
         if getattr(args, "json_output", False):
             cfg.json_output = True
-        for key, flag in (("levels", "--steps"), ("deep_levels", "--deep-levels")):
+        for key, flag, low in (("levels", "--steps", 0), ("deep_levels", "--deep-levels", 0),
+                               ("zorich_steps", "--zorich-steps", 1)):
             value = getattr(cfg, key)
-            if value is not None and (not isinstance(value, int) or value < 0):
-                raise InvalidInput(f"{flag} must be a nonnegative integer, got {value!r}")
+            if value is not None and (not isinstance(value, int) or value < low):
+                raise InvalidInput(f"{flag} must be an integer >= {low}, got {value!r}")
+        if not isinstance(cfg.delta, (int, float)) or not 0 < cfg.delta < pi:
+            raise InvalidInput(f"--delta must lie in (0, pi), got {cfg.delta!r}")
         return cfg
 
     def build(self) -> IETState:
@@ -66,6 +72,20 @@ class RunConfig:
             return catalog.symmetric4_self_inducing().iet
         return build_iet(Permutation.from_json(self.perm),
                          Lengths.from_values(self.lengths))
+
+
+def _read_config(path: str) -> dict:
+    """The JSON object held by the config file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read config file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise InvalidInput(f"config file {path!r} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidInput(f"config file {path!r} must hold a JSON object")
+    return data
 
 
 def _emit(cfg: RunConfig, text: str, payload: Optional[dict] = None) -> None:
@@ -89,8 +109,6 @@ def _write(path: Optional[str], default_name: str, content: str) -> str:
 def cmd_induct(cfg: RunConfig) -> int:
     iet = cfg.build()
     trace = rauzy.rauzy_iterate(iet, cfg.levels)
-    import io
-
     buf = io.StringIO()
     trace.to_jsonl(buf)
     if cfg.out:
@@ -169,7 +187,8 @@ def _resolve_theta(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace):
     """Rotation vector from config, or sampled with the halving policy.
 
     Starting at the configured radius, the radius is halved until the deep
-    curve of the sampled vector passes the exact injectivity test.
+    curve of the sampled vector passes the injectivity test (double-precision
+    orientation, 1e-14 relative collinearity tolerance).
     """
     if cfg.theta is not None:
         return list(cfg.theta), {"source": "config"}

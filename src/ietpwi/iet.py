@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInput, NonPositiveLength, OutOfDomain
+from .errors import BudgetExceeded, InvalidInput, NonPositiveLength, OutOfDomain
 
 #: relative tolerance for endpoint-orbit coincidence in the finite
 #: distinct-orbit check; distances below ``TOL_IDOC_REL * |lambda|``
@@ -203,9 +203,6 @@ class Lengths:
     def total(self) -> float:
         return float(Fraction(self.total_numerator(), self.denominator))
 
-    def fraction(self, symbol: int) -> Fraction:
-        return Fraction(self.numerators[symbol], self.denominator)
-
     def to_json(self) -> dict:
         return {"lambda": [f"{n}/{self.denominator}" for n in self.numerators]}
 
@@ -268,10 +265,6 @@ class IETState:
     @property
     def denominator(self) -> int:
         return self.lengths.denominator
-
-    def left_endpoint_num(self, symbol: int) -> int:
-        """Exact numerator of the left endpoint of the symbol's subinterval."""
-        return self.e0_num[self.perm.position0(symbol)]
 
     def to_json(self) -> dict:
         return {**self.perm.to_json(), **self.lengths.to_json()}
@@ -337,22 +330,41 @@ def apply_array(iet: IETState, x: np.ndarray) -> np.ndarray:
     return x + iet.upsilon[symbols]
 
 
-def symbol_at_exact(iet: IETState, x_num: int, scale: int = 1) -> int:
-    """Exact atom lookup for a point given as ``x_num / (scale * denominator)``."""
-    if scale == 1:
-        grid = iet.e0_num
-    else:
-        grid = tuple(scale * e for e in iet.e0_num)
+def symbol_at_exact(iet: IETState, x_num: int) -> int:
+    """Exact atom lookup for a point given as ``x_num / denominator``."""
+    grid = iet.e0_num
     if x_num < 0 or x_num >= grid[-1]:
         raise OutOfDomain(f"numerator {x_num} outside [0, {grid[-1]})")
-    j = bisect_right(grid, x_num) - 1
-    return iet.perm.top[j]
+    return iet.perm.top[bisect_right(grid, x_num) - 1]
 
 
-def apply_exact(iet: IETState, x_num: int, scale: int = 1) -> int:
+def apply_exact(iet: IETState, x_num: int) -> int:
     """Exact integer evaluation of the exchange on numerators."""
-    symbol = symbol_at_exact(iet, x_num, scale)
-    return x_num + scale * iet.upsilon_num[symbol]
+    return x_num + iet.upsilon_num[symbol_at_exact(iet, x_num)]
+
+
+def piece_orbit(iet: IETState, a: int, width: int, bound: int,
+                budget: int = 10**7) -> list[int]:
+    """Left ends of the piece ``[a, a + width)`` and its images before the return.
+
+    The piece is translated rigidly on exact numerators until an image lies
+    in ``[0, bound)``; that image is not listed.  Every listed piece must lie
+    in one continuity interval, and at most ``budget`` images are taken.
+    """
+    grid = iet.e0_num
+    ups = iet.upsilon_num
+    top = iet.perm.top
+    lefts = []
+    while True:
+        lefts.append(a)
+        if len(lefts) > budget:
+            raise BudgetExceeded(f"piece orbit exceeded {budget} steps")
+        j = bisect_right(grid, a) - 1
+        if a + width > grid[j + 1]:
+            raise AssertionError("piece straddles a continuity boundary")
+        a += ups[top[j]]
+        if a + width <= bound:
+            return lefts
 
 
 def check_idoc_depth(iet: IETState, n_max: int) -> bool:

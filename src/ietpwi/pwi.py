@@ -19,15 +19,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .breaking import PLCurve, ThetaSeq
-from .errors import (
-    AtomMissesCurve,
-    AtomsOverlap,
-    BudgetExceeded,
-    LevelMismatch,
-    UnclassifiablePoint,
-)
-from .iet import IETState, apply as iet_apply, apply_exact, symbol_at_exact
-from .rauzy import InductionTrace
+from .errors import AtomMissesCurve, AtomsOverlap, LevelMismatch, UnclassifiablePoint
+from .iet import IETState, apply as iet_apply
+from .rauzy import InductionTrace, return_word, torus_project
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +75,7 @@ def map_distance(s: PlanarIsometry, t: PlanarIsometry,
 
 @dataclass
 class EndpointImages:
-    """Curve values on one level's endpoint grids plus the chained corners.
+    """Curve values on one level's top-row endpoint grid plus the chained corners.
 
     ``xi[j]`` is where the right endpoint of the ``j``-th rearranged piece
     must land for the rearranged pieces to join into a continuous curve;
@@ -93,9 +87,7 @@ class EndpointImages:
     state: IETState
     theta_m: np.ndarray
     grid0: np.ndarray
-    grid1: np.ndarray
     gamma0: np.ndarray
-    gamma1: np.ndarray
     xi: np.ndarray
 
 
@@ -112,9 +104,7 @@ def endpoint_images(curve: PLCurve, trace: InductionTrace, m: int,
     theta_m = np.asarray(theta_m, dtype=float)
     d = state.d
     grid0 = state.endpoints0
-    grid1 = state.endpoints1
     gamma0 = curve.evaluate(grid0)
-    gamma1 = curve.evaluate(grid1)
     xi = np.empty(d + 1, dtype=complex)
     xi[d] = gamma0[d]
     for j in range(d - 1, -1, -1):
@@ -122,7 +112,7 @@ def endpoint_images(curve: PLCurve, trace: InductionTrace, m: int,
         hat = state.perm.position0(symbol) + 1
         xi[j] = np.exp(1j * theta_m[symbol]) * (gamma0[hat - 1] - gamma0[hat]) + xi[j + 1]
     return EndpointImages(n if n is not None else m, m, state, theta_m,
-                          grid0, grid1, gamma0, gamma1, xi)
+                          grid0, gamma0, xi)
 
 
 def hat_maps(images: EndpointImages) -> list[PlanarIsometry]:
@@ -283,9 +273,6 @@ class AdaptedPWI:
     def d(self) -> int:
         return len(self.maps)
 
-    def map_for(self, symbol: int) -> PlanarIsometry:
-        return self.maps[symbol]
-
     def classify(self, z: complex) -> int:
         if isinstance(self.atoms, CurveParameterAtoms):
             slot = self.atoms.classify(z)
@@ -351,29 +338,6 @@ def adapted_pwi(curve_limit: PLCurve, iet: IETState,
 # induced family and orbits
 # ---------------------------------------------------------------------------
 
-def return_word(trace: InductionTrace, n: int, symbol: int,
-                budget: int = 10**7) -> list[int]:
-    """Atom itinerary of the level-``n`` subinterval until its first return.
-
-    Iterates the exact midpoint of the subinterval under the original
-    exchange; the word length equals the corresponding row sum of the exact
-    cocycle product.
-    """
-    iet0 = trace.initial
-    deep = trace.states[n]
-    j = deep.perm.position0(symbol)
-    x = deep.e0_num[j] + deep.e0_num[j + 1]  # doubled midpoint
-    word = []
-    total2 = 2 * deep.total_num
-    while True:
-        word.append(symbol_at_exact(iet0, x, scale=2))
-        if len(word) > budget:
-            raise BudgetExceeded(f"return word exceeded {budget} letters")
-        x = apply_exact(iet0, x, scale=2)
-        if x < total2:
-            return word
-
-
 def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int,
                 budget: int = 10**7) -> AdaptedPWI:
     """First-return family on the level-``n`` subinterval's curve piece.
@@ -386,8 +350,6 @@ def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int,
         return pwi
     if n > trace.n_steps:
         raise LevelMismatch(f"trace holds {trace.n_steps} levels, need {n}")
-    from .rauzy import torus_project
-
     deep = trace.states[n]
     maps = []
     for symbol in range(pwi.d):

@@ -16,7 +16,6 @@ precision integer value of pi so that huge products lose no accuracy.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -25,8 +24,9 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetExceeded, RauzyUndefined, Reducible
-from .iet import IETState, Lengths, Permutation, build_iet, is_irreducible
+from .errors import RauzyUndefined, Reducible
+from .iet import (IETState, Lengths, Permutation, build_iet, is_irreducible, piece_orbit,
+                  symbol_at_exact)
 
 #: relative tie tolerance: induction aborts when the two candidate lengths
 #: agree to within ``TOL_TIE_REL`` times the current total length
@@ -48,14 +48,6 @@ def elementary_update(matrix: IntMatrix, loser: int, winner: int) -> IntMatrix:
     rows = [list(r) for r in matrix]
     rows[loser] = [a + b for a, b in zip(rows[loser], rows[winner])]
     return tuple(tuple(r) for r in rows)
-
-
-def matmul_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    d = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
 
 
 def det_exact(matrix: IntMatrix) -> int:
@@ -110,12 +102,24 @@ def _tied(num_a: int, num_b: int, total_num: int) -> bool:
     return abs(num_a - num_b) * 10**12 <= total_num
 
 
+def _combinatorial_step(perm: Permutation, type_eps: int) -> Permutation:
+    """Permutation update of the given type, independent of lengths."""
+    top, bottom = perm.top, perm.bottom
+    beta0, beta1 = top[-1], bottom[-1]
+    if type_eps == 0:
+        new_bottom = list(bottom[:-1])
+        new_bottom.insert(new_bottom.index(beta0) + 1, beta1)
+        return Permutation(top, tuple(new_bottom))
+    new_top = list(top[:-1])
+    new_top.insert(new_top.index(beta1) + 1, beta0)
+    return Permutation(tuple(new_top), bottom)
+
+
 def rauzy_step(iet: IETState) -> tuple[IETState, InductionStep]:
     """One induction step; raises when the final subintervals tie."""
     if not is_irreducible(iet.perm):
         raise Reducible(f"monodromy {iet.perm.monodromy()} is reducible")
-    top, bottom = iet.perm.top, iet.perm.bottom
-    beta0, beta1 = top[-1], bottom[-1]
+    beta0, beta1 = iet.perm.top[-1], iet.perm.bottom[-1]
     nums = list(iet.lengths.numerators)
     if _tied(nums[beta0], nums[beta1], iet.total_num):
         raise RauzyUndefined(
@@ -123,16 +127,11 @@ def rauzy_step(iet: IETState) -> tuple[IETState, InductionStep]:
         )
     if nums[beta0] > nums[beta1]:
         type_eps, winner, loser = 0, beta0, beta1
-        new_bottom = list(bottom[:-1])
-        new_bottom.insert(new_bottom.index(beta0) + 1, beta1)
-        new_perm = Permutation(top, tuple(new_bottom))
     else:
         type_eps, winner, loser = 1, beta1, beta0
-        new_top = list(top[:-1])
-        new_top.insert(new_top.index(beta1) + 1, beta0)
-        new_perm = Permutation(tuple(new_top), bottom)
     nums[winner] -= nums[loser]
-    new_state = build_iet(new_perm, Lengths(tuple(nums), iet.lengths.denominator))
+    new_state = build_iet(_combinatorial_step(iet.perm, type_eps),
+                          Lengths(tuple(nums), iet.lengths.denominator))
     return new_state, InductionStep(type_eps, winner, loser)
 
 
@@ -168,12 +167,6 @@ class InductionTrace:
     def d(self) -> int:
         return self.initial.d
 
-    def state(self, n: int) -> IETState:
-        return self.states[n]
-
-    def cocycle_float(self, n: int) -> np.ndarray:
-        return matrix_to_float(self.cocycle[n])
-
     def image_last_symbol(self, n: int) -> int:
         """Final symbol of the level-``n`` bottom row (rightmost image piece)."""
         return self.states[n].perm.bottom[-1]
@@ -188,16 +181,6 @@ class InductionTrace:
         for length in self.zorich_lengths:
             sums.append(sums[-1] + length)
         return sums
-
-    def zorich_factor(self, k: int) -> IntMatrix:
-        """Exact matrix of the ``k``-th completed block (0-based)."""
-        sums = self.acceleration_partial_sums()
-        start, stop = sums[k], sums[k + 1]
-        block = identity_matrix(self.d)
-        for i in range(start, stop):
-            step = self.steps[i]
-            block = elementary_update(block, step.loser, step.winner)
-        return block
 
     def to_jsonl(self, stream: IO[str]) -> None:
         """One record per step: type, winner, loser, length snapshot, factor."""
@@ -279,60 +262,43 @@ def zorich_iterate(iet: IETState, m: int) -> InductionTrace:
 
 
 # ---------------------------------------------------------------------------
-# visit-count oracle
+# first-return words and the visit-count oracle
 # ---------------------------------------------------------------------------
+
+def return_word(trace: InductionTrace, n: int, symbol: int,
+                budget: int = 10**7) -> list[int]:
+    """Atom itinerary of the level-``n`` subinterval until its first return.
+
+    Follows the subinterval's exact left end under the original exchange;
+    the word length equals the corresponding row sum of the exact cocycle
+    product.
+    """
+    iet0 = trace.initial
+    deep = trace.states[n]
+    left = deep.e0_num[deep.perm.position0(symbol)]
+    lefts = piece_orbit(iet0, left, deep.lengths.numerators[symbol],
+                        deep.total_num, budget)
+    return [symbol_at_exact(iet0, a) for a in lefts]
+
 
 def visit_counts_bruteforce(iet: IETState, n: int, budget: int = 10**7) -> IntMatrix:
     """Count subinterval visits of each level-``n`` piece by direct orbits.
 
-    For each symbol the midpoint of its level-``n`` subinterval is iterated
-    (exact integer arithmetic, numerators doubled to keep midpoints integral)
-    under the original exchange until it returns to the shortened interval;
-    entry ``[a][b]`` counts the visits of the level-``n`` piece ``a`` to the
-    original piece ``b``.  Independent of the matrix product path.
+    Entry ``[a][b]`` counts the letters ``b`` in the return word of the
+    level-``n`` piece ``a``: its visits to the original piece ``b`` before
+    it returns to the shortened interval.  Independent of the matrix
+    product path.
     """
     trace = rauzy_iterate(iet, n)
     if trace.error is not None:
         raise RauzyUndefined(f"induction undefined before step {n}")
-    deep = trace.states[n]
-    d = iet.d
-    grid2 = tuple(2 * e for e in iet.e0_num)
-    ups2 = tuple(2 * u for u in iet.upsilon_num)
-    top = iet.perm.top
-    total2_deep = 2 * deep.total_num
-    counts = [[0] * d for _ in range(d)]
-    spent = 0
-    for a in range(d):
-        j = deep.perm.position0(a)
-        x = deep.e0_num[j] + deep.e0_num[j + 1]  # doubled midpoint
-        while True:
-            symbol = top[bisect_right(grid2, x) - 1]
-            counts[a][symbol] += 1
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(f"visit counting exceeded {budget} steps")
-            x += ups2[symbol]
-            if x < total2_deep:
-                break
-    return tuple(tuple(row) for row in counts)
+    words = [return_word(trace, n, a, budget) for a in range(iet.d)]
+    return tuple(tuple(word.count(b) for b in range(iet.d)) for word in words)
 
 
 # ---------------------------------------------------------------------------
 # Rauzy classes
 # ---------------------------------------------------------------------------
-
-def _combinatorial_step(perm: Permutation, type_eps: int) -> Permutation:
-    """Permutation update of the given type, independent of lengths."""
-    top, bottom = perm.top, perm.bottom
-    beta0, beta1 = top[-1], bottom[-1]
-    if type_eps == 0:
-        new_bottom = list(bottom[:-1])
-        new_bottom.insert(new_bottom.index(beta0) + 1, beta1)
-        return Permutation(top, tuple(new_bottom))
-    new_top = list(top[:-1])
-    new_top.insert(new_top.index(beta1) + 1, beta0)
-    return Permutation(tuple(new_top), bottom)
-
 
 @dataclass
 class RauzyGraph:

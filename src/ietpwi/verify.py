@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import atan, pi
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .breaking import PLCurve, ThetaSeq, sup_distance
-from .iet import IETState, apply_array
-from .pwi import AdaptedPWI, endpoint_images, hat_maps, inductive_maps, map_distance
+from .iet import IETState, apply_array, apply_exact
+from .pwi import (AdaptedPWI, PlanarIsometry, endpoint_images, hat_maps,
+                  inductive_maps, map_distance)
 from .rauzy import InductionTrace
 
 #: normalized residual above which a curve piece counts as neither a line
@@ -108,6 +110,18 @@ def _sample_parameters(iet: IETState, grid: int, extra: Optional[np.ndarray]) ->
     return xs
 
 
+def _apply_by_atom(maps: Sequence[PlanarIsometry], state: IETState,
+                   xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Apply to each point ``zs[i]`` the map of the atom holding parameter ``xs[i]``."""
+    slots = np.clip(np.searchsorted(state.endpoints0, xs, side="right") - 1, 0, state.d - 1)
+    out = np.empty_like(zs)
+    for j in range(state.d):
+        sel = slots == j
+        if np.any(sel):
+            out[sel] = maps[state.perm.top[j]](zs[sel])
+    return out
+
+
 def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState,
                      samples: int = 10_000) -> float:
     """Supremum conjugacy defect of the curve between the exchange and the maps.
@@ -120,12 +134,7 @@ def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState,
     fx = apply_array(iet, xs)
     gz = curve.evaluate(xs)
     gfx = curve.evaluate(fx)
-    out = np.empty_like(gz)
-    slots = np.clip(np.searchsorted(iet.endpoints0, xs, side="right") - 1, 0, iet.d - 1)
-    for j in range(iet.d):
-        sel = slots == j
-        if np.any(sel):
-            out[sel] = pwi.maps[iet.perm.top[j]](gz[sel])
+    out = _apply_by_atom(pwi.maps, iet, xs, gz)
     return float(np.max(np.abs(out - gfx)))
 
 
@@ -170,13 +179,7 @@ def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve],
                 xs, fx = xs[keep], fx[keep]
                 gz = curve.evaluate(xs)
                 gfx = curve.evaluate(fx)
-                slots = np.clip(np.searchsorted(state.endpoints0, xs, side="right") - 1,
-                                0, state.d - 1)
-                vals = np.empty_like(gz)
-                for j in range(state.d):
-                    sel = slots == j
-                    if np.any(sel):
-                        vals[sel] = inductive[state.perm.top[j]](gz[sel])
+                vals = _apply_by_atom(inductive, state, xs, gz)
                 defect = float(np.max(np.abs(vals - gfx)))
             report.add("quasi_embedding", defect, tol_scale * (1 + n), n=n, m=m)
     return report
@@ -281,11 +284,15 @@ def _pairs_from_cells(px: np.ndarray, py: np.ndarray, cell: float) -> np.ndarray
 
 
 def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Exact segment-pair self-intersection test over the polyline.
+    """Segment-pair self-intersection test over the polyline.
 
-    Non-adjacent segments may not meet at all; adjacent segments may share
-    only their common vertex (a fold-back onto the previous segment counts
-    as an intersection).  Returns the first offending segment pair.
+    A double-precision orientation test, not an exact one: float cross
+    products decide the side, and a contact counts as collinear when its
+    cross product is at most ``1e-14`` times the product of the two segment
+    lengths.  Non-adjacent segments may not meet at all; adjacent segments
+    may share only their common vertex (a fold-back onto the previous
+    segment counts as an intersection).  Returns the first offending
+    segment pair.
     """
     p = curve.z[:-1]
     q = curve.z[1:]
@@ -343,9 +350,6 @@ def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
 
 def discontinuity_orbit(iet: IETState, depth: int) -> np.ndarray:
     """Forward orbit parameters of the interior discontinuities up to ``depth``."""
-    from .iet import apply_exact
-    from fractions import Fraction
-
     points = set()
     for e in iet.e0_num[1:-1]:
         x = e

@@ -169,6 +169,11 @@ def test_config_file_and_flag_override(tmp_path):
     ["induct", "--perm", "2 1", "--lambda", "0.5,0.3,0.2"],
     ["curve", "--catalog", "--steps", "-1"],
     ["verify", "--catalog", "--deep-levels", "-1"],
+    ["curve", "--catalog", "--theta", "1,abc"],
+    ["verify", "--catalog", "--delta", "0"],
+    ["sample-theta", "--catalog", "--delta", "3.2"],
+    ["lyapunov", "--catalog", "--zorich-steps", "0"],
+    ["lyapunov", "--catalog", "--zorich-steps", "-3"],
 ])
 def test_malformed_input_exits_2(tmp_path, args):
     proc = run_cli(args, tmp_path)
@@ -180,11 +185,21 @@ def test_malformed_input_exits_2(tmp_path, args):
 
 def test_config_depth_must_be_nonnegative_integer(tmp_path):
     config = tmp_path / "run.json"
-    for levels in (-1, "3"):
-        config.write_text(json.dumps({"levels": levels}))
+    contents = [json.dumps({"levels": -1}), json.dumps({"levels": "3"}),
+                json.dumps({"delta": 4.0}), json.dumps({"zorich_steps": 0}),
+                "{not json", json.dumps([["perm", "2 1"]])]
+    for text in contents:
+        config.write_text(text)
         proc = run_cli(["--config", str(config), "induct"], tmp_path)
         assert proc.returncode == 2
         assert "InvalidInput" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+    proc = run_cli(["--config", "missing.json", "induct"], tmp_path)
+    assert proc.returncode == 2
+    assert "InvalidInput" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_config_use_catalog_kept(tmp_path, reference):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ietpwi.errors import InvalidInput, NonPositiveLength, OutOfDomain
+from ietpwi.errors import BudgetExceeded, InvalidInput, NonPositiveLength, OutOfDomain
 from ietpwi.iet import (
     Lengths,
     Permutation,
@@ -21,6 +21,7 @@ from ietpwi.iet import (
     is_irreducible,
     omega_matrix,
     parse_iet_json,
+    piece_orbit,
 )
 
 
@@ -162,3 +163,22 @@ def test_monodromy_inverse():
     inv = perm.monodromy_inverse()
     for j in range(1, 4):
         assert inv[tilde[j - 1] - 1] == j
+
+
+def test_piece_orbit_rotation_by_two_fifths():
+    # lengths 3/5, 2/5 on "2 1": rotation by 2/5, numerators over 5
+    iet = build_iet_from("2 1", ["3/5", "2/5"])
+    assert iet.e0_num == (0, 3, 5)
+    assert piece_orbit(iet, 0, 1, 1) == [0, 2, 4, 1, 3]
+    assert piece_orbit(iet, 0, 1, 1, budget=5) == [0, 2, 4, 1, 3]
+    with pytest.raises(BudgetExceeded):
+        piece_orbit(iet, 0, 1, 1, budget=4)
+
+
+def test_piece_orbit_rejects_straddling_piece():
+    iet = build_iet_from("2 1", ["3/5", "2/5"])
+    with pytest.raises(AssertionError, match="straddles"):
+        piece_orbit(iet, 2, 2, 5)
+    # [0, 2) is fine, but its image [2, 4) straddles the boundary at 3
+    with pytest.raises(AssertionError, match="straddles"):
+        piece_orbit(iet, 0, 2, 1)
