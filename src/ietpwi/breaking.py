@@ -21,7 +21,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainMismatch, IntervalOutOfRange, NonUnitSpeed, OutOfDomain
+from .errors import (DomainMismatch, IntervalOutOfRange, InvalidInput, NonUnitSpeed,
+                     OutOfDomain)
 from .iet import piece_orbit
 from .rauzy import InductionTrace, torus_distance_to_zero, torus_project
 
@@ -347,11 +348,15 @@ def theta_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> Theta
     """Push ``theta`` through the exact cocycle products, reduced mod ``2*pi``.
 
     ``theta`` may carry exact rational coordinates; they are consumed
-    exactly, so deep levels lose no precision to the reduction.
+    exactly, so deep levels lose no precision to the reduction.  It must
+    have one coordinate per symbol, else ``InvalidInput`` is raised.
     """
     if depth > trace.n_steps:
         raise ValueError(f"trace holds {trace.n_steps} steps, need {depth}")
     theta0 = np.array([float(t) for t in theta])
+    if len(theta0) != trace.initial.d:
+        raise InvalidInput(f"rotation vector has {len(theta0)} entries, "
+                           f"the exchange has {trace.initial.d} symbols")
     entries = [torus_project(trace.cocycle[n], theta) for n in range(depth + 1)]
     image_last = [trace.image_last_symbol(n) for n in range(depth)]
     return ThetaSeq(theta0, entries, image_last)

@@ -26,6 +26,9 @@ from .rauzy import (IntMatrix, _combinatorial_step, det_exact, elementary_update
 #: has length ratios (0.4277, 0.3383, 0.1196, 0.1144)
 SYMMETRIC4_LOOP = (1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)
 
+#: bits the weak-stable iteration keeps beyond the precision it is asked for
+GUARD_BITS = 128
+
 
 @dataclass(frozen=True)
 class SelfInducingIET:
@@ -118,15 +121,17 @@ def perron_vector(matrix: IntMatrix, iterations: int = 260) -> tuple[Fraction, .
     return tuple(Fraction(v, total) for v in vec)
 
 
-def _weak_stable_vector(matrix: IntMatrix, strong_int: tuple[int, ...],
+def _weak_stable_vector(matrix: IntMatrix, strong_int: tuple[int, ...], precision: int,
                         iterations: int = 160) -> tuple[Fraction, ...]:
     """Second most contracted eigendirection by deflated inverse iteration.
 
     The dominant direction of the inverse is the strong one; its component
     is removed with the dual left eigenvector (dominant direction of the
     inverse transpose), after which the iteration converges to the weak
-    contracting eigendirection.  Everything runs on integers; per-step gcd
-    reduction keeps the entries from compounding.
+    contracting eigendirection.  The iterate is a fixed-point integer
+    vector: after each step it is shifted right so that its largest entry
+    has at most ``precision + GUARD_BITS`` bits, which bounds the entries
+    however large the deflation factor ``ds`` is.
     """
     inv = _integer_inverse(matrix)
     inv_t = _transpose(inv)
@@ -138,7 +143,10 @@ def _weak_stable_vector(matrix: IntMatrix, strong_int: tuple[int, ...],
     for _ in range(iterations):
         vec = _mat_vec(inv, vec)
         dw = sum(a * b for a, b in zip(dual, vec))
-        vec = _reduce_int_vector(tuple(ds * w - dw * s for w, s in zip(vec, strong_int)))
+        vec = tuple(ds * w - dw * s for w, s in zip(vec, strong_int))
+        excess = max(abs(v) for v in vec).bit_length() - precision - GUARD_BITS
+        if excess > 0:
+            vec = tuple(v >> excess for v in vec)
     scale = max(abs(v) for v in vec)
     return tuple(Fraction(v, scale) for v in vec)
 
@@ -167,5 +175,5 @@ def symmetric4_self_inducing(bits: int = 400) -> SelfInducingIET:
     )
     scale = max(abs(v) for v in strong_int)
     strong = _quantize(tuple(Fraction(v, scale) for v in strong_int), 2 * bits)
-    weak = _quantize(_weak_stable_vector(loop, strong_int), 2 * bits)
+    weak = _quantize(_weak_stable_vector(loop, strong_int, 2 * bits), 2 * bits)
     return SelfInducingIET(iet, SYMMETRIC4_LOOP, loop, expansion, strong, weak)

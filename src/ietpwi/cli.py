@@ -59,12 +59,24 @@ class RunConfig:
         if getattr(args, "json_output", False):
             cfg.json_output = True
         for key, flag, low in (("levels", "--steps", 0), ("deep_levels", "--deep-levels", 0),
-                               ("zorich_steps", "--zorich-steps", 1)):
+                               ("zorich_steps", "--zorich-steps", 1), ("seed", "--seed", 0)):
             value = getattr(cfg, key)
-            if value is not None and (not isinstance(value, int) or value < low):
+            if value is not None and (not _is_instance(value, int) or value < low):
                 raise InvalidInput(f"{flag} must be an integer >= {low}, got {value!r}")
-        if not isinstance(cfg.delta, (int, float)) or not 0 < cfg.delta < pi:
+        if not _is_instance(cfg.delta, (int, float)) or not 0 < cfg.delta < pi:
             raise InvalidInput(f"--delta must lie in (0, pi), got {cfg.delta!r}")
+        if not isinstance(cfg.perm, (str, dict)):
+            raise InvalidInput(f"perm must be a monodromy string or a JSON object, "
+                               f"got {cfg.perm!r}")
+        if not _is_list_of(cfg.lengths, (int, float, str)):
+            raise InvalidInput(f"lengths must be a list of numbers or fractions, "
+                               f"got {cfg.lengths!r}")
+        if cfg.theta is not None and not _is_list_of(cfg.theta, (int, float)):
+            raise InvalidInput(f"theta must be a list of numbers, got {cfg.theta!r}")
+        if not isinstance(cfg.use_catalog, bool):
+            raise InvalidInput(f"use_catalog must be true or false, got {cfg.use_catalog!r}")
+        if cfg.out is not None and not isinstance(cfg.out, str):
+            raise InvalidInput(f"out must be a path, got {cfg.out!r}")
         return cfg
 
     def build(self) -> IETState:
@@ -72,6 +84,16 @@ class RunConfig:
             return catalog.symmetric4_self_inducing().iet
         return build_iet(Permutation.from_json(self.perm),
                          Lengths.from_values(self.lengths))
+
+
+def _is_instance(value, types) -> bool:
+    """``isinstance``, except that a bool (a JSON ``true``) is not a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _is_list_of(value, types) -> bool:
+    """Whether ``value`` is a list of ``types`` instances, bools excluded."""
+    return isinstance(value, list) and all(_is_instance(v, types) for v in value)
 
 
 def _read_config(path: str) -> dict:

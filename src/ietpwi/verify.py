@@ -255,32 +255,97 @@ def convergence_report(curves: Sequence[PLCurve], theta_seq: ThetaSeq,
 # injectivity
 # ---------------------------------------------------------------------------
 
-def _pairs_from_cells(px: np.ndarray, py: np.ndarray, cell: float) -> np.ndarray:
-    """Candidate index pairs whose midpoints share a cell neighborhood."""
+#: pairs tested per block of the narrow phase, which bounds its temporaries
+NARROW_BLOCK = 1 << 14
+
+#: the forward neighbour cells ``(dx, dy)`` of the broad phase, in scan order
+NEIGHBOURS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _cell_keys(px: np.ndarray, py: np.ndarray, cell: float) -> tuple[np.ndarray, int]:
+    """Integer key of the grid cell of each point, and the key step of one column.
+
+    Columns are shifted to start at 0 and rows to start at 1, and ``width``
+    is two more than the last row; cell ``(cx, cy)`` then has key
+    ``cx * width + cy``, and for ``|dy| <= 1`` its neighbour
+    ``(cx + dx, cy + dy)`` has key ``key + dx * width + dy``, which no other
+    cell has.  The points are segment midpoints and the cell is the longest
+    segment, so each axis spans at most ``len(px)`` cells and the keys
+    cannot overflow.
+    """
     ix = np.floor(px / cell).astype(np.int64)
     iy = np.floor(py / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(zip(ix.tolist(), iy.tolist())):
-        buckets.setdefault(key, []).append(i)
-    pairs = []
-    for (cx, cy), members in buckets.items():
-        neighborhood = list(members)
-        for dx in (0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy <= 0:
-                    continue
-                other = buckets.get((cx + dx, cy + dy))
-                if other:
-                    for i in members:
-                        for j in other:
-                            pairs.append((i, j))
-        k = len(members)
-        for a in range(k):
-            for b in range(a + 1, k):
-                pairs.append((members[a], members[b]))
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.array(pairs, dtype=np.int64)
+    iy -= iy.min() - 1
+    width = int(iy.max()) + 2
+    return (ix - ix.min()) * width + iy, width
+
+
+def _expand(order: np.ndarray, counts: np.ndarray,
+            first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(order[p], order[first[p] + k])`` for each ``p`` and ``k < counts[p]``."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts) + first[rows]
+    return order[rows], order[cols]
+
+
+def _pairs_from_cells(key: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate index pairs ``(i, j)`` whose points share a cell neighbourhood.
+
+    ``i < j`` within one cell; otherwise ``j`` lies in a ``NEIGHBOURS`` cell
+    of ``i``'s, so every nearby pair appears exactly once.
+    """
+    order = np.argsort(key, kind="stable")
+    cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    slot = np.repeat(np.arange(len(cells)), count)      # cell of each sorted position
+    pos = np.arange(len(key))
+    parts = [_expand(order, start[slot] + count[slot] - pos - 1, pos + 1)]
+    for dx, dy in NEIGHBOURS:
+        target = cells + (dx * width + dy)
+        found = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+        counts = np.where(cells[found] == target, count[found], 0)
+        parts.append(_expand(order, counts[slot], start[found][slot]))
+    return np.concatenate([i for i, _ in parts]), np.concatenate([j for _, j in parts])
+
+
+def _scan_first(i: np.ndarray, j: np.ndarray, key: np.ndarray, width: int) -> int:
+    """Position of the pair that a cell-by-cell scan meets first.
+
+    The scan takes the cells by their smallest member; within a cell, the
+    pairs with each ``NEIGHBOURS`` cell in turn and then its own pairs; and
+    within each of those, the pairs by member index (this cell's first).
+    """
+    cells, lowest = np.unique(key, return_index=True)
+    owner = lowest[np.searchsorted(cells, key[i])]
+    step = key[j] - key[i]
+    # the steps 1, width-1, width, width+1 follow NEIGHBOURS; own pairs last
+    group = np.where(step == 0, width + 2, step)
+    return int(np.lexsort((j, i, group, owner))[0])
+
+
+def _segments_meet(p: np.ndarray, q: np.ndarray, lengths: np.ndarray,
+                   i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Whether segment ``i[k]`` crosses or touches segment ``j[k]``, for each ``k``.
+
+    Segment ``s`` runs from ``p[s]`` to ``q[s]`` and has length ``lengths[s]``.
+    """
+    a0, a1, b0, b1 = p[i], q[i], p[j], q[j]
+    ea, eb = a1 - a0, b1 - b0
+    la, lb = lengths[i], lengths[j]
+
+    def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return u.real * v.imag - u.imag * v.real
+
+    # each endpoint of one segment, relative to the start of the other
+    ends = ((ea, la, b0 - a0), (ea, la, b1 - a0), (eb, lb, a0 - b0), (eb, lb, a1 - b0))
+    d1, d2, d3, d4 = (cross(edge, rel) for edge, _, rel in ends)
+    meet = (d1 * d2 < 0) & (d3 * d4 < 0)
+    # touching or collinear contacts: an endpoint of one lies on the other
+    scale = la * lb + 1e-300
+    for dd, (edge, length, rel) in zip((d1, d2, d3, d4), ends):
+        on_line = np.flatnonzero(np.abs(dd) <= 1e-14 * scale)
+        t = np.real(rel[on_line] * np.conj(edge[on_line]))
+        meet[on_line] |= (t >= 0) & (t <= length[on_line] ** 2)
+    return meet
 
 
 def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -291,57 +356,40 @@ def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
     cross product is at most ``1e-14`` times the product of the two segment
     lengths.  Non-adjacent segments may not meet at all; adjacent segments
     may share only their common vertex (a fold-back onto the previous
-    segment counts as an intersection).  Returns the first offending
-    segment pair.
+    segment counts as an intersection).
+
+    The broad phase is array-only: segment midpoints are bucketed in a grid
+    whose cell is the longest segment, and only pairs in the same or a
+    neighbouring cell are tested, in blocks of ``NARROW_BLOCK`` pairs.  The
+    returned witness is the first fold-back, else the offending pair that
+    the cell-by-cell scan of ``_scan_first`` meets first.
     """
     p = curve.z[:-1]
     q = curve.z[1:]
-    n = len(p)
-    if n >= 2:
-        t = q - p
-        dots = np.real(t[1:] * np.conj(t[:-1]))
-        norms = np.abs(t[1:]) * np.abs(t[:-1])
-        folded = (norms > 0) & (dots / np.where(norms > 0, norms, 1.0) < -1 + 1e-12)
-        if np.any(folded):
-            i = int(np.argmax(folded))
-            return False, (i, i + 1)
-    else:
+    if len(p) < 2:
         return True, None
-    lengths = np.abs(q - p)
+    t = q - p
+    lengths = np.abs(t)
+    dots = np.real(t[1:] * np.conj(t[:-1]))
+    norms = lengths[1:] * lengths[:-1]
+    folded = (norms > 0) & (dots / np.where(norms > 0, norms, 1.0) < -1 + 1e-12)
+    if np.any(folded):
+        i = int(np.argmax(folded))
+        return False, (i, i + 1)
     cell = max(float(np.max(lengths)), 1e-12)
     mid = (p + q) / 2.0
-    pairs = _pairs_from_cells(mid.real, mid.imag, cell)
-    if len(pairs) == 0:
+    key, width = _cell_keys(mid.real, mid.imag, cell)
+    first, second = _pairs_from_cells(key, width)
+    apart = np.abs(first - second) > 1
+    first, second = first[apart], second[apart]
+    hits = [lo + np.flatnonzero(_segments_meet(p, q, lengths, first[lo:lo + NARROW_BLOCK],
+                                               second[lo:lo + NARROW_BLOCK]))
+            for lo in range(0, len(first), NARROW_BLOCK)]
+    bad = np.concatenate([np.empty(0, dtype=np.int64), *hits])
+    if len(bad) == 0:
         return True, None
-    adjacent = np.abs(pairs[:, 0] - pairs[:, 1]) <= 1
-    pairs = pairs[~adjacent]
-    if len(pairs) == 0:
-        return True, None
-    a0, a1 = p[pairs[:, 0]], q[pairs[:, 0]]
-    b0, b1 = p[pairs[:, 1]], q[pairs[:, 1]]
-
-    def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return u.real * v.imag - u.imag * v.real
-
-    d1 = cross(a1 - a0, b0 - a0)
-    d2 = cross(a1 - a0, b1 - a0)
-    d3 = cross(b1 - b0, a0 - b0)
-    d4 = cross(b1 - b0, a1 - b0)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    # touching or collinear contacts: an endpoint of one lies on the other
-    scale = np.abs(a1 - a0) * np.abs(b1 - b0) + 1e-300
-    graze = np.zeros(len(pairs), dtype=bool)
-    for dd, seg_start, seg_end, pt in ((d1, a0, a1, b0), (d2, a0, a1, b1),
-                                       (d3, b0, b1, a0), (d4, b0, b1, a1)):
-        on_line = np.abs(dd) <= 1e-14 * scale
-        t = np.real((pt - seg_start) * np.conj(seg_end - seg_start))
-        inside = (t >= 0) & (t <= np.abs(seg_end - seg_start) ** 2)
-        graze |= on_line & inside
-    bad = proper | graze
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        return False, (int(pairs[k, 0]), int(pairs[k, 1]))
-    return True, None
+    k = bad[_scan_first(first[bad], second[bad], key, width)]
+    return False, (int(first[k]), int(second[k]))
 
 
 # ---------------------------------------------------------------------------

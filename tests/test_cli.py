@@ -174,6 +174,9 @@ def test_config_file_and_flag_override(tmp_path):
     ["sample-theta", "--catalog", "--delta", "3.2"],
     ["lyapunov", "--catalog", "--zorich-steps", "0"],
     ["lyapunov", "--catalog", "--zorich-steps", "-3"],
+    ["curve", "--catalog", "--theta", "1,2", "--steps", "3"],
+    ["verify", "--catalog", "--theta", "0,0,0,0,0", "--steps", "2"],
+    ["sample-theta", "--catalog", "--seed", "-1"],
 ])
 def test_malformed_input_exits_2(tmp_path, args):
     proc = run_cli(args, tmp_path)
@@ -200,6 +203,29 @@ def test_config_depth_must_be_nonnegative_integer(tmp_path):
     assert "InvalidInput" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("values", [
+    {"lengths": 5},
+    {"lengths": ["0.5", [0.5]]},
+    {"seed": "x", "use_catalog": True},
+    {"seed": 1.5},
+    {"perm": 5},
+    {"theta": "0,0,0,0"},
+    {"theta": [0, None, 0, 0]},
+    {"use_catalog": "yes"},
+    {"out": 3},
+])
+def test_config_values_are_type_checked(tmp_path, values):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values))
+    for command in (["sample-theta"], ["curve", "--steps", "2"]):
+        proc = run_cli(["--config", str(config), *command], tmp_path)
+        assert proc.returncode == 2
+        assert "InvalidInput" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == [config]
 
 
 def test_config_use_catalog_kept(tmp_path, reference):

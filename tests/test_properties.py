@@ -1,4 +1,5 @@
-"""Property tests: the first-return orbits against the exact cocycle.
+"""Property tests: the first-return orbits against the exact cocycle, and
+the JSON round trips of the exchange data.
 
 Random irreducible exchanges on 2 to 6 symbols with exact integer lengths,
 followed for up to 12 induction levels.  Runs are derandomized, so every
@@ -6,6 +7,9 @@ run draws the same examples.
 """
 
 from __future__ import annotations
+
+import json
+from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -59,3 +63,32 @@ def test_breaking_interval_count_is_return_time_of_last_top_symbol(run):
     for n in range(1, depth + 1):
         beta0 = trace.states[n - 1].perm.top[-1]
         assert breaking_intervals(trace, n).count == sum(trace.cocycle[n - 1][beta0])
+
+
+@st.composite
+def permutations(draw):
+    """Any pair of orderings of 2 to 8 symbols, reducible ones included."""
+    d = draw(st.integers(2, 8))
+    symbols = list(range(d))
+    return Permutation(tuple(draw(st.permutations(symbols))),
+                       tuple(draw(st.permutations(symbols))))
+
+
+@PROPERTY
+@given(permutations())
+def test_permutation_json_round_trip(perm):
+    data = perm.to_json()
+    assert Permutation.from_json(data) == perm
+    assert Permutation.from_json(json.dumps(data)) == perm
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 2**70), min_size=2, max_size=8),
+       st.integers(1, 2**70))
+def test_lengths_json_round_trip(nums, denominator):
+    lengths = Lengths(tuple(nums), denominator)
+    back = Lengths.from_json(json.loads(json.dumps(lengths.to_json())))
+    # the values survive exactly; the shared denominator comes back reduced
+    assert [Fraction(n, back.denominator) for n in back.numerators] == \
+        [Fraction(n, denominator) for n in nums]
+    assert Lengths.from_json(back.to_json()) == back

@@ -7,10 +7,13 @@ from math import tau
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietpwi.breaking import PLCurve, breaking_sequence, theta_sequence
 from ietpwi.pwi import adapted_pwi
 from ietpwi.verify import (
+    _cell_keys,
+    _pairs_from_cells,
     VerificationReport,
     convergence_report,
     discontinuity_orbit,
@@ -29,6 +32,104 @@ def make_polyline(points):
     for a, b in zip(pts[:-1], pts[1:]):
         x.append(x[-1] + abs(b - a))
     return PLCurve(x[-1], np.array(x[:-1]), np.array(pts))
+
+
+def _pairs_oracle(px, py, cell):
+    """Candidate pairs of the dict-of-cells scan, in the scan's order."""
+    ix = np.floor(px / cell).astype(np.int64)
+    iy = np.floor(py / cell).astype(np.int64)
+    buckets = {}
+    for i, key in enumerate(zip(ix.tolist(), iy.tolist())):
+        buckets.setdefault(key, []).append(i)
+    pairs = []
+    for (cx, cy), members in buckets.items():
+        for dx in (0, 1):
+            for dy in (-1, 0, 1):
+                if dx == 0 and dy <= 0:
+                    continue
+                other = buckets.get((cx + dx, cy + dy))
+                if other:
+                    for i in members:
+                        for j in other:
+                            pairs.append((i, j))
+        k = len(members)
+        for a in range(k):
+            for b in range(a + 1, k):
+                pairs.append((members[a], members[b]))
+    if not pairs:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.array(pairs, dtype=np.int64)
+
+
+def _injectivity_oracle(curve):
+    """The pure-Python reference of ``injectivity``: one pass over all pairs."""
+    p = curve.z[:-1]
+    q = curve.z[1:]
+    n = len(p)
+    if n >= 2:
+        t = q - p
+        dots = np.real(t[1:] * np.conj(t[:-1]))
+        norms = np.abs(t[1:]) * np.abs(t[:-1])
+        folded = (norms > 0) & (dots / np.where(norms > 0, norms, 1.0) < -1 + 1e-12)
+        if np.any(folded):
+            i = int(np.argmax(folded))
+            return False, (i, i + 1)
+    else:
+        return True, None
+    lengths = np.abs(q - p)
+    cell = max(float(np.max(lengths)), 1e-12)
+    mid = (p + q) / 2.0
+    pairs = _pairs_oracle(mid.real, mid.imag, cell)
+    if len(pairs) == 0:
+        return True, None
+    adjacent = np.abs(pairs[:, 0] - pairs[:, 1]) <= 1
+    pairs = pairs[~adjacent]
+    if len(pairs) == 0:
+        return True, None
+    a0, a1 = p[pairs[:, 0]], q[pairs[:, 0]]
+    b0, b1 = p[pairs[:, 1]], q[pairs[:, 1]]
+
+    def cross(u, v):
+        return u.real * v.imag - u.imag * v.real
+
+    d1 = cross(a1 - a0, b0 - a0)
+    d2 = cross(a1 - a0, b1 - a0)
+    d3 = cross(b1 - b0, a0 - b0)
+    d4 = cross(b1 - b0, a1 - b0)
+    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    scale = np.abs(a1 - a0) * np.abs(b1 - b0) + 1e-300
+    graze = np.zeros(len(pairs), dtype=bool)
+    for dd, seg_start, seg_end, pt in ((d1, a0, a1, b0), (d2, a0, a1, b1),
+                                       (d3, b0, b1, a0), (d4, b0, b1, a1)):
+        on_line = np.abs(dd) <= 1e-14 * scale
+        t = np.real((pt - seg_start) * np.conj(seg_end - seg_start))
+        inside = (t >= 0) & (t <= np.abs(seg_end - seg_start) ** 2)
+        graze |= on_line & inside
+    bad = proper | graze
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        return False, (int(pairs[k, 0]), int(pairs[k, 1]))
+    return True, None
+
+
+def _sorted_pairs(first, second):
+    order = np.lexsort((second, first))
+    return np.stack([first[order], second[order]], axis=1)
+
+
+# vertices on a small lattice give exact crossings, folds, touching
+# endpoints and collinear overlaps; a far first vertex makes one long
+# segment and so one coarse grid with crowded cells
+_LATTICE = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+_FREE = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+
+
+@st.composite
+def polylines(draw):
+    points = draw(st.lists(st.one_of(_LATTICE, _FREE), min_size=2, max_size=40))
+    if draw(st.booleans()):
+        points.insert(0, complex(draw(st.integers(8, 40)), 0))
+    return make_polyline([draw(st.sampled_from([1.0, 0.37, 1e3])) * p for p in points])
 
 
 def test_report_determinism(reference_trace, reference_curves, reference_theta_seq):
@@ -149,6 +250,34 @@ def test_injectivity_detects_fold_back():
     curve = make_polyline([0, 1, 0.25])
     ok, witness = injectivity(curve)
     assert not ok and witness == (0, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(polylines())
+def test_injectivity_matches_oracle_on_polylines(curve):
+    assert injectivity(curve) == _injectivity_oracle(curve)
+
+
+def test_injectivity_witness_is_first_in_scan_order():
+    # segment 0 has a cell of its own; segments 1-3 share the cell below it,
+    # whose scan pairs its members with segment 0 before pairing them with
+    # each other, so the bad pair (2, 0) is reported before (1, 3)
+    curve = make_polyline([-2, 1j, -1 - 2j, -2 + 1j, 1 - 2j])
+    assert injectivity(curve) == _injectivity_oracle(curve) == (False, (2, 0))
+
+
+@pytest.mark.parametrize("depth", [25, 45])
+def test_candidate_pairs_match_oracle_on_catalog_curves(reference_curves, depth):
+    curve = reference_curves[depth]
+    p, q = curve.z[:-1], curve.z[1:]
+    mid = (p + q) / 2.0
+    cell = float(np.max(np.abs(q - p)))
+    first, second = _pairs_from_cells(*_cell_keys(mid.real, mid.imag, cell))
+    oracle = _pairs_oracle(mid.real, mid.imag, cell)
+    assert len(first) == len(oracle) > curve.n_segments
+    assert np.array_equal(_sorted_pairs(first, second),
+                          _sorted_pairs(oracle[:, 0], oracle[:, 1]))
+    assert injectivity(curve) == _injectivity_oracle(curve) == (True, None)
 
 
 def test_nontriviality_identity_is_trivial():
