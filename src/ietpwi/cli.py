@@ -26,7 +26,10 @@ class RunConfig:
     """Everything needed to reproduce a run."""
 
     perm: str = "4 3 2 1"
-    lengths: list = field(default_factory=lambda: [0.43, 0.34, 0.12, 0.11])
+    # the catalog exchange's lengths rounded to double: rounder decimals such
+    # as 0.43, 0.34, 0.12, 0.11 lie near a rational exchange and tie early
+    lengths: list = field(default_factory=lambda: [
+        0.42766821540768707, 0.3382612127177164, 0.11964992384533628, 0.1144206480292602])
     theta: Optional[list] = None
     levels: int = 12
     zorich_steps: int = 1000

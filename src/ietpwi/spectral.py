@@ -4,9 +4,13 @@ admissible rotation vectors.
 
 Long runs use double precision with the length vector renormalized to unit
 total, since any fixed-precision representation supports only finitely many
-exact induction steps.  The cocycle is handled in coordinates of the
-invariant subspace (spanned by the antisymmetric pairing matrix's columns),
-which the elementary factors map onto the corresponding subspace of the next
+exact induction steps.  The induction advances by Zorich blocks (maximal
+runs of Rauzy steps of one type): within a block the winner is fixed and its
+losers cycle, so the full cycles are one division and one rank-one update
+of the carried frame, and only the last partial cycle runs step by step
+(Zorich 1996).  The cocycle is handled in coordinates of the invariant
+subspace (spanned by the antisymmetric pairing matrix's columns), which the
+elementary factors map onto the corresponding subspace of the next
 permutation; projecting at every re-orthonormalization keeps rounding noise
 from leaking into the transverse zero modes.
 """
@@ -91,7 +95,7 @@ def h_pi_basis(perm: Permutation) -> InvariantSubspace:
 # ---------------------------------------------------------------------------
 
 class _FloatInduction:
-    """Renormalized double-precision induction for long spectral runs."""
+    """Renormalized double-precision induction, one Zorich block at a time."""
 
     def __init__(self, iet: IETState):
         if not is_irreducible(iet.perm):
@@ -100,117 +104,83 @@ class _FloatInduction:
         self.lam = [float(v) / total for v in iet.lengths.values()]
         self.top = list(iet.perm.top)
         self.bottom = list(iet.perm.bottom)
-        self.d = iet.d
-        self.steps_done = 0
 
-    def permutation(self) -> Permutation:
-        return Permutation(tuple(self.top), tuple(self.bottom))
+    def block(self) -> tuple[int, int, list[int], list[int]]:
+        """One maximal same-type block; returns (length, winner, losers, counts).
 
-    def step(self) -> tuple[int, int, int]:
-        """One induction step; returns (type, winner, loser)."""
-        lam, top, bottom = self.lam, self.top, self.bottom
-        beta0, beta1 = top[-1], bottom[-1]
-        a, b = lam[beta0], lam[beta1]
-        if abs(a - b) <= 1e-12 * sum(lam):
-            raise RauzyUndefined("final subintervals tie in double precision")
-        remainder = a - b if a > b else b - a
-        if remainder == max(a, b):
-            # the loser is below one ulp of the winner: the subtraction no
-            # longer makes progress and the orbit is numerically spent
-            raise RauzyUndefined("loser length below double-precision resolution")
-        # permutation move inlined in place: a shared helper cost ~4% on lyapunov_spectrum
-        if a > b:
-            type_eps, winner, loser = 0, beta0, beta1
-            bottom.pop()
-            bottom.insert(bottom.index(beta0) + 1, beta1)
-        else:
-            type_eps, winner, loser = 1, beta1, beta0
-            top.pop()
-            top.insert(top.index(beta1) + 1, beta0)
-        lam[winner] = remainder
-        self.steps_done += 1
-        if self.steps_done % 64 == 0:
-            total = sum(lam)
-            for i in range(self.d):
-                lam[i] /= total
-        return type_eps, winner, loser
-
-    def block_two_symbols(self) -> tuple[int, int, int]:
-        """One maximal same-type block on two symbols by a single division.
-
-        On two symbols the compared pair is fixed within a block, so the
-        block is a continued-fraction digit; returns (digit, winner, loser).
+        The winner is fixed within the block, and its losers are the symbols
+        after it in the other row, which cycle.  Each full cycle subtracts
+        their total from the winner and restores the row, so all but the
+        last full cycle are one division; the rest runs stepwise, where
+        each step tests for a tie (within 1e-12 of the sum) and for a loser
+        below the winner's resolution.  ``counts[i]`` is how often
+        ``losers[i]`` lost; ``length`` is the block's number of Rauzy steps.
+        The lengths are renormalized to unit sum afterwards.
         """
-        lam = self.lam
-        beta0, beta1 = self.top[-1], self.bottom[-1]
-        a, b = lam[beta0], lam[beta1]
-        winner, loser = (beta0, beta1) if a > b else (beta1, beta0)
-        big, small = max(a, b), min(a, b)
-        if small <= 1e-300 * big:
-            raise RauzyUndefined("loser length below double-precision resolution")
-        digit = int(big // small)
-        remainder = big - digit * small
-        if remainder <= 1e-12 * (big + small) or digit > 10**15:
-            raise RauzyUndefined("final subintervals tie in double precision")
-        lam[winner] = remainder
-        self.steps_done += digit
+        lam, top, bottom = self.lam, self.top, self.bottom
+        top_wins = lam[top[-1]] > lam[bottom[-1]]
+        winner, row = (top[-1], bottom) if top_wins else (bottom[-1], top)
+        start = row.index(winner) + 1
+        losers = row[start:]
+        cycle = sum(lam[s] for s in losers)
+        if not lam[winner] <= 1e15 * cycle:
+            raise RauzyUndefined("Zorich block above 1e15 cycles in double precision")
+        cycles = max(int(lam[winner] // cycle) - 1, 0)
+        lam[winner] -= cycles * cycle
+        count = dict.fromkeys(losers, cycles)
+        length = cycles * len(losers)
+        while True:
+            loser = row[-1]
+            w, b = lam[winner], lam[loser]
+            if abs(w - b) <= 1e-12 * sum(lam):
+                raise RauzyUndefined("final subintervals tie in double precision")
+            if w - b == w:
+                # the loser is below one ulp of the winner: the subtraction no
+                # longer makes progress and the orbit is numerically spent
+                raise RauzyUndefined("loser length below double-precision resolution")
+            lam[winner] = w - b
+            row.pop()
+            row.insert(start, loser)
+            count[loser] += 1
+            length += 1
+            if (lam[top[-1]] > lam[bottom[-1]]) != top_wins:
+                break
         total = sum(lam)
-        lam[0] /= total
-        lam[1] /= total
-        return digit, winner, loser
-
-
-def _subspace_basis_cache() -> Callable[[Permutation], np.ndarray]:
-    cache: dict[tuple, np.ndarray] = {}
-
-    def get(perm: Permutation) -> np.ndarray:
-        key = (perm.top, perm.bottom)
-        if key not in cache:
-            cache[key] = h_pi_basis(perm).basis
-        return cache[key]
-
-    return get
+        self.lam = [v / total for v in lam]
+        return length, winner, losers, [count[s] for s in losers]
 
 
 def _drive_blocks(iet: IETState, m: int,
-                  on_block: Callable[[np.ndarray, Permutation, int], None]) -> int:
-    """Run ``m`` acceleration blocks, reporting each block's restricted matrix.
+                  on_block: Callable[[np.ndarray, Permutation, int], None]) -> None:
+    """Run ``m`` Zorich blocks, reporting each block's restricted matrix.
 
-    ``on_block(matrix, perm_end, length)`` receives the block's cocycle
-    matrix expressed from the invariant-subspace coordinates at the block
-    start to those at the block end.  A block ends after a step whose
-    successor would have the other type (maximal same-type runs).
+    A block is a maximal run of Rauzy steps of one type, taken by one
+    division (``_FloatInduction.block``).  Its cocycle adds ``counts[i]``
+    times the winner's row to the row of ``losers[i]``: a rank-one update
+    of the carried frame.  ``on_block(matrix, perm_end, length)`` receives
+    that matrix expressed from the invariant-subspace coordinates at the
+    block start to those at the block end, the permutation at the block end
+    and the block's number of Rauzy steps.
     """
-    basis_of = _subspace_basis_cache()
+    states: dict[tuple, tuple[Permutation, np.ndarray]] = {}
+
+    def state_of(top: list[int], bottom: list[int]) -> tuple[Permutation, np.ndarray]:
+        key = (tuple(top), tuple(bottom))
+        if key not in states:
+            perm = Permutation(*key)
+            states[key] = (perm, h_pi_basis(perm).basis)
+        return states[key]
+
     driver = _FloatInduction(iet)
-    carried = basis_of(driver.permutation()).copy()  # d x 2g block image
-    if iet.d == 2:
-        # two-symbol blocks are continued-fraction digits; one division each
-        perm = driver.permutation()
-        q = basis_of(perm)
-        for _ in range(m):
-            digit, winner, loser = driver.block_two_symbols()
-            carried = q.copy()
-            carried[loser, :] += digit * carried[winner, :]
-            on_block(q.T @ carried, perm, digit)
-        return driver.steps_done
-    block_len = 0
-    blocks_done = 0
-    while blocks_done < m:
-        type_eps, winner, loser = driver.step()
-        carried[loser, :] += carried[winner, :]
-        block_len += 1
-        lam = driver.lam
-        beta0, beta1 = driver.top[-1], driver.bottom[-1]
-        next_type = 0 if lam[beta0] > lam[beta1] else 1
-        if next_type != type_eps:
-            perm_end = driver.permutation()
-            q_end = basis_of(perm_end)
-            on_block(q_end.T @ carried, perm_end, block_len)
-            blocks_done += 1
-            carried = q_end.copy()
-            block_len = 0
-    return driver.steps_done
+    q = state_of(driver.top, driver.bottom)[1]
+    for _ in range(m):
+        length, winner, losers, counts = driver.block()
+        carried = q.copy()  # d x 2g block image
+        row = q[winner]
+        for loser, count in zip(losers, counts):
+            carried[loser] += count * row
+        perm_end, q = state_of(driver.top, driver.bottom)
+        on_block(q.T @ carried, perm_end, length)
 
 
 # ---------------------------------------------------------------------------
@@ -234,30 +204,25 @@ def lyapunov_spectrum(iet: IETState, m: int, batches: int = 20) -> LyapunovEstim
     """Average log growth of a re-orthonormalized frame over ``m`` blocks.
 
     The frame is re-orthonormalized after every block (the factors within a
-    block share a type and are applied one row operation at a time); the
+    block share a winner and are applied as one rank-one update); the
     sorted diagonal logs average to the growth rates, and batch means over
     contiguous block ranges give the error bars.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     dim = 2 * genus(iet.perm)
-    logs = np.zeros(dim)
     batch_sums = np.zeros((batches, dim))
-    frame_holder = {"q": None}
-    count = {"k": 0}
+    frame = None
+    k = 0
 
     def on_block(matrix: np.ndarray, perm_end: Permutation, length: int) -> None:
-        q = frame_holder["q"]
-        image = matrix if q is None else matrix @ q
-        q_new, r = np.linalg.qr(image)
-        frame_holder["q"] = q_new
-        step_logs = np.log(np.abs(np.diag(r)))
-        logs[:] += step_logs
-        batch_sums[min(count["k"] * batches // m, batches - 1)] += step_logs
-        count["k"] += 1
+        nonlocal frame, k
+        frame, r = np.linalg.qr(matrix if frame is None else matrix @ frame)
+        batch_sums[k * batches // m] += np.log(np.abs(r.diagonal()))
+        k += 1
 
     _drive_blocks(iet, m, on_block)
-    exponents = logs / m
+    exponents = batch_sums.sum(axis=0) / m
     order = np.argsort(-exponents)
     per_batch = batch_sums * (batches / m)
     errors = np.std(per_batch[:, order], axis=0, ddof=1) / np.sqrt(batches)
@@ -294,8 +259,7 @@ def stable_subspace(iet: IETState, m: int, g: Optional[int] = None,
     dim = 2 * genus(iet.perm)
     if g is not None and g != dim // 2:
         raise ValueError(f"subspace dimension {g} does not match genus {dim // 2}")
-    basis_of = _subspace_basis_cache()
-    q0 = basis_of(iet.perm)
+    q0 = h_pi_basis(iet.perm).basis
 
     state = {
         "P": np.eye(dim),

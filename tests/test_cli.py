@@ -10,24 +10,25 @@ import sys
 import numpy as np
 import pytest
 
-from ietpwi.cli import main
+from ietpwi.cli import RunConfig, main
 
 from conftest import SRC_DIR
 
 
-def run_cli(args, tmp_path):
+def run_cli(args, tmp_path, timeout=None):
     """Run ``python -m ietpwi.cli`` in ``tmp_path`` on the checkout's source.
 
     The child's ``PYTHONPATH`` starts with the absolute ``SRC_DIR``: the
     working directory is ``tmp_path``, where a relative ``PYTHONPATH=src``
-    no longer resolves, and ``ietpwi`` may not be installed at all.
+    no longer resolves, and ``ietpwi`` may not be installed at all.  A run
+    longer than ``timeout`` seconds fails the test.
     """
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ietpwi.cli", *args],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=timeout)
     return proc
 
 
@@ -151,6 +152,41 @@ def test_verify_sampled_passes(tmp_path):
     names = {c["check"] for c in checks}
     assert {"map_agreement", "quasi_embedding", "increment_bound",
             "injectivity", "summability", "embedding_defect"} <= names
+
+
+def test_verify_without_catalog_ends(tmp_path):
+    # four-digit lengths that tie at step 47 up to float noise: the float
+    # frame used to take one same-type block of about 3.6e9 single steps
+    proc = run_cli(["verify", "--perm", "4 3 2 1",
+                    "--lambda", "0.4317,0.3389,0.1213,0.1081", "--steps", "8"],
+                   tmp_path, timeout=60)
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_default_lengths_are_the_catalog_lengths(reference):
+    assert RunConfig().lengths == [float(v) for v in reference.iet.lengths.values()]
+
+
+@pytest.mark.parametrize("command", ["sample-theta", "lyapunov", "curve"])
+def test_commands_run_with_defaults(tmp_path, command):
+    proc = run_cli([command], tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("perm, lengths", [
+    ("2 1", "1,1e-300"),
+    ("4 3 2 1", "0.25,0.25,0.25,0.25"),
+    # the first block would take about 1.7e15 cycles
+    ("4 3 2 1", "1,2e-16,2e-16,2e-16"),
+])
+def test_degenerate_lengths_exit_2(tmp_path, perm, lengths):
+    proc = run_cli(["lyapunov", "--perm", perm, "--lambda", lengths], tmp_path,
+                   timeout=60)
+    assert proc.returncode == 2
+    assert "RauzyUndefined" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_file_and_flag_override(tmp_path):

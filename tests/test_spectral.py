@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-from math import tau
+from collections import Counter
+from math import sqrt, tau
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ietpwi.errors import ExhaustedResamples, Reducible
-from ietpwi.iet import Lengths, Permutation, build_iet
+from ietpwi.errors import ExhaustedResamples, RauzyUndefined, Reducible
+from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.rauzy import matrix_to_float, rauzy_class, rauzy_iterate
 from ietpwi.spectral import (
+    _FloatInduction,
     genus,
     h_pi_basis,
     lyapunov_spectrum,
@@ -49,6 +52,139 @@ def test_h_pi_basis_orthonormal_spans_omega():
     omega = omega_matrix(perm).astype(float)
     residual = omega - sub.basis @ (sub.basis.T @ omega)
     assert np.max(np.abs(residual)) < 1e-12
+
+
+#: steps after which the stepwise oracle gives up on a block
+ORACLE_BUDGET = 10**6
+
+
+def stepwise_block(lam, top, bottom):
+    """Oracle: one block of the float induction, one Rauzy step at a time.
+
+    Each step tests for a tie (within 1e-12 of the sum) and for a loser
+    below the winner's resolution, raising ``RauzyUndefined``, then
+    subtracts and moves the loser in ``top``/``bottom``; the lengths are
+    renormalized every 64 steps, and the block ends after a step whose
+    successor has the other type.  Returns ``(length, winner, loser counts,
+    unit-sum lengths)``, or None after ``ORACLE_BUDGET`` steps.
+    """
+    lam = list(lam)
+    counts = Counter()
+    while True:
+        beta0, beta1 = top[-1], bottom[-1]
+        a, b = lam[beta0], lam[beta1]
+        if abs(a - b) <= 1e-12 * sum(lam):
+            raise RauzyUndefined("final subintervals tie in double precision")
+        remainder = abs(a - b)
+        if remainder == max(a, b):
+            raise RauzyUndefined("loser length below double-precision resolution")
+        if a > b:
+            type_eps, winner, loser = 0, beta0, beta1
+            bottom.pop()
+            bottom.insert(bottom.index(beta0) + 1, beta1)
+        else:
+            type_eps, winner, loser = 1, beta1, beta0
+            top.pop()
+            top.insert(top.index(beta1) + 1, beta0)
+        lam[winner] = remainder
+        counts[loser] += 1
+        steps = sum(counts.values())
+        if steps % 64 == 0:
+            lam = [v / sum(lam) for v in lam]
+        if steps > ORACLE_BUDGET:
+            return None
+        if (0 if lam[top[-1]] > lam[bottom[-1]] else 1) != type_eps:
+            total = sum(lam)
+            return steps, winner, dict(counts), [v / total for v in lam]
+
+
+def _outcome(run):
+    """``run()``, or the ``RauzyUndefined`` it raises."""
+    try:
+        return run()
+    except RauzyUndefined as exc:
+        return exc
+
+
+def assert_blocks_match_oracle(iet, n):
+    """Each of the first ``n`` division blocks against the stepwise oracle
+    started from the same lengths and permutation; returns the blocks.
+
+    Where the two differ in the last bit at an exact tie, one side ends its
+    block and the other raises; the side that ended must raise on its next
+    block.
+    """
+    driver = _FloatInduction(iet)
+    blocks = []
+    for _ in range(n):
+        top, bottom, lam = list(driver.top), list(driver.bottom), list(driver.lam)
+        expected = _outcome(lambda: stepwise_block(lam, top, bottom))
+        got = _outcome(driver.block)
+        if isinstance(got, RauzyUndefined) or isinstance(expected, RauzyUndefined):
+            if not isinstance(got, RauzyUndefined):
+                with pytest.raises(RauzyUndefined, match="tie"):
+                    driver.block()
+            elif expected is not None and not isinstance(expected, RauzyUndefined):
+                with pytest.raises(RauzyUndefined, match="tie"):
+                    stepwise_block(expected[3], top, bottom)
+            break
+        length, winner, losers, counts = got
+        if expected is None:
+            assert length > ORACLE_BUDGET
+            break
+        got = (length, winner, {s: c for s, c in zip(losers, counts) if c})
+        assert got == expected[:3]
+        assert (driver.top, driver.bottom) == (top, bottom)
+        # the oracle rounds once per step at the scale of the unit-sum start
+        # lengths, and renormalizing by the mass left scales that up
+        left = 1.0 - sum(c * lam[s] for s, c in got[2].items())
+        np.testing.assert_allclose(driver.lam, expected[3], rtol=1e-9,
+                                   atol=1e-15 * length / left)
+        blocks.append(got)
+    return blocks
+
+
+@st.composite
+def float_exchanges(draw):
+    """An irreducible exchange on 2 to 6 symbols with random float lengths."""
+    d = draw(st.integers(2, 6))
+    perm = Permutation.from_monodromy(draw(st.permutations(range(1, d + 1))))
+    assume(is_irreducible(perm))
+    values = draw(st.lists(st.floats(1e-3, 1.0), min_size=d, max_size=d))
+    return build_iet(perm, Lengths.from_values(values))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(float_exchanges())
+def test_division_blocks_match_stepwise_oracle(iet):
+    assert_blocks_match_oracle(iet, 30)
+
+
+@pytest.mark.parametrize("mono, values, first", [
+    # winner 1 against the cycle 0.1 + 0.0707: four cycles by division, then
+    # one more cycle and one step stepwise, ending before the loser 0.1
+    ("3 2 1", [1.0, 0.1, 0.05 * sqrt(2)], (11, 0, {1: 5, 2: 6})),
+    ("4 3 2 1", [0.9, 0.01, 0.02, 0.03 * sqrt(2)], (36, 0, {1: 12, 2: 12, 3: 12})),
+    ("5 4 3 2 1", [0.9, 0.01, 0.02, 0.03 * sqrt(2), 0.05 * sqrt(3)],
+     (21, 0, {1: 5, 2: 5, 3: 5, 4: 6})),
+])
+def test_division_takes_full_cycles(mono, values, first):
+    iet = build_iet(Permutation.from_monodromy(mono), Lengths.from_values(values))
+    blocks = assert_blocks_match_oracle(iet, 30)
+    assert len(blocks) == 30
+    assert blocks[0] == first
+
+
+def test_division_exact_multiple_backs_off_to_the_tie():
+    # the winner 3/4 is exactly three cycles of 3/16 + 1/16: the last step of
+    # the third cycle ties, which only the stepwise tail can see
+    iet = build_iet(Permutation.from_monodromy("3 2 1"),
+                    Lengths.from_values(["3/4", "3/16", "1/16"]))
+    driver = _FloatInduction(iet)
+    with pytest.raises(RauzyUndefined, match="tie"):
+        stepwise_block(driver.lam, driver.top[:], driver.bottom[:])
+    with pytest.raises(RauzyUndefined, match="tie"):
+        driver.block()
 
 
 def test_lyapunov_two_symbols_symmetric(golden_iet):
