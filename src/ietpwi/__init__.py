@@ -55,6 +55,7 @@ from .breaking import (
     breaking_intervals,
     breaking_operator,
     breaking_sequence,
+    curve_levels,
     sup_distance,
     theta_sequence,
 )

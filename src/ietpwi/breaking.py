@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import pi, tau
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -270,21 +270,21 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
 # interval families and angle sequences along a renormalization trace
 # ---------------------------------------------------------------------------
 
-def breaking_intervals(trace: InductionTrace, n: int, budget: int = 10**7) -> IntervalSeq:
+def breaking_intervals(trace: InductionTrace, n: int) -> IntervalSeq:
     """Forward orbit of the level-``n`` removed piece until its first return.
 
     The removed piece is the right part of the level ``n-1`` interval; its
     images under the original exchange are translated rigidly (each lies in
     one continuity piece) and are collected until the piece re-enters the
     level-``n`` interval, then sorted by position.  Runs on exact integer
-    numerators; the step count is bounded by ``budget``.
+    numerators.  A level outside ``1..trace.n_steps`` raises ``InvalidInput``.
     """
     if n < 1 or n > trace.n_steps:
-        raise ValueError(f"level {n} outside 1..{trace.n_steps}")
+        raise InvalidInput(f"level {n} outside 1..{trace.n_steps}")
     den = trace.initial.denominator
     total_next = trace.states[n].total_num
     delta_num = trace.states[n - 1].total_num - total_next
-    lefts = piece_orbit(trace.initial, total_next, delta_num, total_next, budget)
+    lefts = piece_orbit(trace.initial, total_next, delta_num, total_next)
     lefts.sort()
     _check_removed_zones(lefts, delta_num,
                          [(trace.states[m].total_num, trace.states[m - 1].total_num)
@@ -321,9 +321,8 @@ def _check_removed_zones(lefts: Sequence[int], width: int,
 class ThetaSeq:
     """Torus rotation coordinates pushed through the renormalization cocycle."""
 
-    theta0: np.ndarray
     entries: list[np.ndarray]
-    image_last: list[int] = field(default_factory=list)
+    image_last: list[int]
 
     @property
     def depth(self) -> int:
@@ -348,27 +347,36 @@ def theta_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> Theta
     """Push ``theta`` through the exact cocycle products, reduced mod ``2*pi``.
 
     ``theta`` may carry exact rational coordinates; they are consumed
-    exactly, so deep levels lose no precision to the reduction.  It must
-    have one coordinate per symbol, else ``InvalidInput`` is raised.
+    exactly, so deep levels lose no precision to the reduction.  A wrong
+    number of coordinates, or a depth outside the trace, raises ``InvalidInput``.
     """
-    if depth > trace.n_steps:
-        raise ValueError(f"trace holds {trace.n_steps} steps, need {depth}")
-    theta0 = np.array([float(t) for t in theta])
-    if len(theta0) != trace.initial.d:
-        raise InvalidInput(f"rotation vector has {len(theta0)} entries, "
+    if not 0 <= depth <= trace.n_steps:
+        raise InvalidInput(f"trace holds {trace.n_steps} steps, need {depth}")
+    if len(theta) != trace.initial.d:
+        raise InvalidInput(f"rotation vector has {len(theta)} entries, "
                            f"the exchange has {trace.initial.d} symbols")
     entries = [torus_project(trace.cocycle[n], theta) for n in range(depth + 1)]
     image_last = [trace.image_last_symbol(n) for n in range(depth)]
-    return ThetaSeq(theta0, entries, image_last)
+    return ThetaSeq(entries, image_last)
 
 
-def breaking_sequence(trace: InductionTrace, theta: ThetaLike, depth: int,
-                      budget: int = 10**7) -> list[PLCurve]:
+def curve_levels(trace: InductionTrace, seq: ThetaSeq, curves: Sequence[PLCurve],
+                 depth: int) -> Iterator[PLCurve]:
+    """Continue ``curves`` (levels ``0..k``), yielding the curves of levels ``k+1..depth``.
+
+    Each is the one before it with its level's rotation, at the angle ``seq``
+    holds.  ``curves`` is read when iteration starts, so the caller may
+    extend it with what this yields.
+    """
+    curve = curves[-1]
+    for n in range(len(curves), depth + 1):
+        intervals = breaking_intervals(trace, n)
+        curve = breaking_operator(curve, seq.breaking_angle(n - 1), intervals)
+        yield curve
+
+
+def breaking_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> list[PLCurve]:
     """The curve sequence: identity parametrization, then one rotation per level."""
-    seq = theta_sequence(trace, theta, depth)
     curves = [PLCurve.identity(trace.initial.total)]
-    for n in range(1, depth + 1):
-        intervals = breaking_intervals(trace, n, budget=budget)
-        phi = seq.breaking_angle(n - 1)
-        curves.append(breaking_operator(curves[-1], phi, intervals))
+    curves.extend(curve_levels(trace, theta_sequence(trace, theta, depth), curves, depth))
     return curves

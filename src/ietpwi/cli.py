@@ -185,7 +185,7 @@ def cmd_lyapunov(cfg: RunConfig) -> int:
     return 0
 
 
-def _stable_frame(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace):
+def _stable_frame(cfg: RunConfig, iet: IETState):
     if cfg.use_catalog:
         return catalog.symmetric4_self_inducing().stable_frame_exact()
     return spectral.stable_subspace(iet, max(40, cfg.zorich_steps)).frame
@@ -194,7 +194,7 @@ def _stable_frame(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace):
 def cmd_sample_theta(cfg: RunConfig) -> int:
     iet = cfg.build()
     trace = rauzy.rauzy_iterate(iet, max(cfg.levels, 40))
-    frame = _stable_frame(cfg, iet, trace)
+    frame = _stable_frame(cfg, iet)
     sample = spectral.sample_theta(frame, cfg.delta, cfg.seed,
                                    upsilon=iet.upsilon, trace=trace)
     payload = {
@@ -213,11 +213,12 @@ def _resolve_theta(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace):
 
     Starting at the configured radius, the radius is halved until the deep
     curve of the sampled vector passes the injectivity test (double-precision
-    orientation, 1e-14 relative collinearity tolerance).
+    orientation, 1e-14 relative collinearity tolerance).  Returns the vector, its
+    origin and its curves of levels 0 to the sampling depth (0 alone if configured).
     """
     if cfg.theta is not None:
-        return list(cfg.theta), {"source": "config"}
-    frame = _stable_frame(cfg, iet, trace)
+        return list(cfg.theta), {"source": "config"}, [breaking.PLCurve.identity(iet.total)]
+    frame = _stable_frame(cfg, iet)
     delta = cfg.delta
     depth = cfg.deep_levels or max(cfg.levels, 25)
     for _ in range(10):
@@ -227,23 +228,31 @@ def _resolve_theta(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace):
         injective, witness = verify.injectivity(curves[-1])
         if injective:
             return sample.v, {"source": "sampled", "delta": delta,
-                              "attempts": sample.attempts}
+                              "attempts": sample.attempts}, curves
         delta /= 2.0
     raise IetPwiError("no injective sample found by the halving policy")
+
+
+def _curve_at(trace: rauzy.InductionTrace, theta, curves: list, depth: int) -> breaking.PLCurve:
+    """The level-``depth`` curve of ``theta``, read from ``curves`` or continued from them."""
+    if depth >= len(curves):
+        seq = breaking.theta_sequence(trace, theta, depth)
+        curves = curves + list(breaking.curve_levels(trace, seq, curves, depth))
+    return curves[depth]
 
 
 def cmd_curve(cfg: RunConfig) -> int:
     iet = cfg.build()
     depth = cfg.levels
     trace = rauzy.rauzy_iterate(iet, max(depth, 40))
-    theta, origin = _resolve_theta(cfg, iet, trace)
-    curves = breaking.breaking_sequence(trace, theta, depth)
+    theta, origin, curves = _resolve_theta(cfg, iet, trace)
+    curve = _curve_at(trace, theta, curves, depth)
     base = cfg.out or "curve"
-    svg_path = _write(None, f"{base}_level{depth}.svg", curves[-1].to_svg())
-    csv_path = _write(None, f"{base}_level{depth}.csv", curves[-1].to_csv())
-    payload = {"svg": svg_path, "csv": csv_path, "segments": curves[-1].n_segments,
+    svg_path = _write(None, f"{base}_level{depth}.svg", curve.to_svg())
+    csv_path = _write(None, f"{base}_level{depth}.csv", curve.to_csv())
+    payload = {"svg": svg_path, "csv": csv_path, "segments": curve.n_segments,
                "theta_source": origin}
-    _emit(cfg, f"wrote {svg_path} and {csv_path} ({curves[-1].n_segments} segments)",
+    _emit(cfg, f"wrote {svg_path} and {csv_path} ({curve.n_segments} segments)",
           payload)
     return 0
 
@@ -252,11 +261,11 @@ def cmd_pwi(cfg: RunConfig) -> int:
     iet = cfg.build()
     depth = cfg.deep_levels or max(cfg.levels, 25)
     trace = rauzy.rauzy_iterate(iet, max(depth, 40))
-    theta, origin = _resolve_theta(cfg, iet, trace)
-    curves = breaking.breaking_sequence(trace, theta, depth)
+    theta, origin, curves = _resolve_theta(cfg, iet, trace)
+    curve = _curve_at(trace, theta, curves, depth)
     theta_float = [float(t) % tau for t in theta]
-    adapted = pwi_mod.adapted_pwi(curves[-1], iet, theta_float)
-    start = complex(curves[-1].evaluate(iet.total / 3.0))
+    adapted = pwi_mod.adapted_pwi(curve, iet, theta_float)
+    start = complex(curve.evaluate(iet.total / 3.0))
     orbit, itinerary = pwi_mod.iterate(adapted, start, cfg.levels * 10)
     csv_path = _write(cfg.out, "orbit.csv", pwi_mod.orbit_to_csv(orbit, itinerary))
     payload = {"orbit_csv": csv_path, "pwi": adapted.to_json(), "theta_source": origin}
@@ -269,9 +278,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     trace = rauzy.rauzy_iterate(iet, max(cfg.deep_levels or 0, 200))
     deep = min(cfg.deep_levels or max(2 * cfg.levels, 45), trace.n_steps)
     depth = min(cfg.levels, deep)
-    theta, origin = _resolve_theta(cfg, iet, trace)
-    curves = breaking.breaking_sequence(trace, theta, deep)
-    seq = breaking.theta_sequence(trace, theta, deep)
+    theta, origin, curves = _resolve_theta(cfg, iet, trace)
+    seq = breaking.theta_sequence(trace, theta, trace.n_steps)
+    curves.extend(breaking.curve_levels(trace, seq, curves, deep))
 
     report = verify.quasi_embedding_suite(trace, curves, seq, depth, seed=cfg.seed)
     conv = verify.convergence_report(curves, seq, trace)
@@ -281,7 +290,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     report.add("injectivity", 0.0 if injective else 1.0, 0.5,
                meta={"witness": list(witness) if witness else None})
 
-    summ = spectral.summability_check(trace, theta, trace.n_steps)
+    summ = spectral.summability_check(seq)
     # pass on the strict flag or on genuine decay down to the noise horizon
     decay_ok = summ.decays or (summ.horizon >= 15 and summ.ratio_to_initial <= 0.05)
     report.add("summability", 0.0 if decay_ok else 1.0, 0.5,

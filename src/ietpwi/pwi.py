@@ -183,7 +183,6 @@ class CurveParameterAtoms:
 
     curve: PLCurve
     boundaries: np.ndarray
-    ambiguity_tol: float = 1e-9
 
     def nearest_parameter(self, z: complex) -> tuple[float, float]:
         """Parameter and distance of the closest curve point."""
@@ -338,8 +337,7 @@ def adapted_pwi(curve_limit: PLCurve, iet: IETState,
 # induced family and orbits
 # ---------------------------------------------------------------------------
 
-def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int,
-                budget: int = 10**7) -> AdaptedPWI:
+def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int) -> AdaptedPWI:
     """First-return family on the level-``n`` subinterval's curve piece.
 
     Each induced map composes the original per-symbol maps along the atom
@@ -353,7 +351,7 @@ def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int,
     deep = trace.states[n]
     maps = []
     for symbol in range(pwi.d):
-        word = return_word(trace, n, symbol, budget)
+        word = return_word(trace, n, symbol)
         composed = pwi.maps[word[0]]
         for letter in word[1:]:
             composed = pwi.maps[letter].compose(composed)

@@ -265,8 +265,7 @@ def zorich_iterate(iet: IETState, m: int) -> InductionTrace:
 # first-return words and the visit-count oracle
 # ---------------------------------------------------------------------------
 
-def return_word(trace: InductionTrace, n: int, symbol: int,
-                budget: int = 10**7) -> list[int]:
+def return_word(trace: InductionTrace, n: int, symbol: int) -> list[int]:
     """Atom itinerary of the level-``n`` subinterval until its first return.
 
     Follows the subinterval's exact left end under the original exchange;
@@ -276,12 +275,11 @@ def return_word(trace: InductionTrace, n: int, symbol: int,
     iet0 = trace.initial
     deep = trace.states[n]
     left = deep.e0_num[deep.perm.position0(symbol)]
-    lefts = piece_orbit(iet0, left, deep.lengths.numerators[symbol],
-                        deep.total_num, budget)
+    lefts = piece_orbit(iet0, left, deep.lengths.numerators[symbol], deep.total_num)
     return [symbol_at_exact(iet0, a) for a in lefts]
 
 
-def visit_counts_bruteforce(iet: IETState, n: int, budget: int = 10**7) -> IntMatrix:
+def visit_counts_bruteforce(iet: IETState, n: int) -> IntMatrix:
     """Count subinterval visits of each level-``n`` piece by direct orbits.
 
     Entry ``[a][b]`` counts the letters ``b`` in the return word of the
@@ -292,7 +290,7 @@ def visit_counts_bruteforce(iet: IETState, n: int, budget: int = 10**7) -> IntMa
     trace = rauzy_iterate(iet, n)
     if trace.error is not None:
         raise RauzyUndefined(f"induction undefined before step {n}")
-    words = [return_word(trace, n, a, budget) for a in range(iet.d)]
+    words = [return_word(trace, n, a) for a in range(iet.d)]
     return tuple(tuple(word.count(b) for b in range(iet.d)) for word in words)
 
 

@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .breaking import theta_sequence
-from .errors import ExhaustedResamples, InsufficientGap, RauzyUndefined, Reducible
+from .breaking import ThetaSeq
+from .errors import ExhaustedResamples, InsufficientGap, InvalidInput, RauzyUndefined, Reducible
 from .iet import IETState, Permutation, is_irreducible, omega_matrix
 from .rauzy import InductionTrace, torus_distance_to_zero, torus_project
 
@@ -35,6 +35,15 @@ TOL_STRONG_STABLE_ANGLE = 1e-8
 
 #: resample when some pushed rotation vector is this close to zero
 TOL_ZERO_PREIMAGE = 1e-12
+
+#: levels whose pushed rotation vectors a sample must keep away from zero
+N_CHECK = 40
+#: draws before sampling gives up
+MAX_ATTEMPTS = 100
+#: most batches of contiguous blocks behind the Lyapunov error bars
+BATCHES = 20
+#: least singular-value gap that isolates the contracting subspace
+MIN_GAP = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +91,8 @@ def genus(perm: Permutation) -> int:
 
 def h_pi_basis(perm: Permutation) -> InvariantSubspace:
     """Orthonormal column-space basis via singular vectors, exact rank."""
-    if not is_irreducible(perm):
-        raise Reducible(f"monodromy {perm.monodromy()} is reducible")
-    omega = omega_matrix(perm).astype(float)
-    rank = _exact_rank(omega_matrix(perm))
-    u, _, _ = np.linalg.svd(omega)
+    rank = 2 * genus(perm)
+    u, _, _ = np.linalg.svd(omega_matrix(perm).astype(float))
     return InvariantSubspace(u[:, :rank].copy(), rank)
 
 
@@ -200,16 +206,18 @@ class LyapunovEstimate:
         return np.abs(self.exponents + self.exponents[::-1])
 
 
-def lyapunov_spectrum(iet: IETState, m: int, batches: int = 20) -> LyapunovEstimate:
+def lyapunov_spectrum(iet: IETState, m: int) -> LyapunovEstimate:
     """Average log growth of a re-orthonormalized frame over ``m`` blocks.
 
     The frame is re-orthonormalized after every block (the factors within a
     block share a winner and are applied as one rank-one update); the
-    sorted diagonal logs average to the growth rates, and batch means over
-    contiguous block ranges give the error bars.
+    sorted diagonal logs average to the growth rates, and the means of
+    ``min(BATCHES, m)`` batches of contiguous blocks give the error bars, so
+    fewer than 2 blocks, which have no spread, raise ``InvalidInput``.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if m < 2:
+        raise InvalidInput(f"need at least 2 blocks for error bars, got {m}")
+    batches = min(BATCHES, m)
     dim = 2 * genus(iet.perm)
     batch_sums = np.zeros((batches, dim))
     frame = None
@@ -244,66 +252,51 @@ class StableFrame:
     log_singular_values: np.ndarray
 
 
-def stable_subspace(iet: IETState, m: int, g: Optional[int] = None,
-                    min_gap: float = 10.0) -> StableFrame:
+def stable_subspace(iet: IETState, m: int) -> StableFrame:
     """Right-singular bottom subspace of the accumulated restricted product.
 
     The product is renormalized to unit Frobenius norm every block with the
     scale tracked in log form; accumulation stops once the ``g``-th singular
-    value falls under the double-precision floor of the leading one, since
-    beyond that the contracting directions are rounding noise.  The reported
-    frame is expressed back in the ambient coordinates at the starting
-    permutation.
+    value (``g`` the genus) falls under the double-precision floor of the
+    leading one, since beyond that the contracting directions are rounding
+    noise.  The reported frame is expressed back in the ambient coordinates
+    at the starting permutation.
     """
-    g_val = g if g is not None else genus(iet.perm)
-    dim = 2 * genus(iet.perm)
-    if g is not None and g != dim // 2:
-        raise ValueError(f"subspace dimension {g} does not match genus {dim // 2}")
+    g = genus(iet.perm)
     q0 = h_pi_basis(iet.perm).basis
-
-    state = {
-        "P": np.eye(dim),
-        "logscale": 0.0,
-        "window": 0,
-        "stopped": False,
-        "V": None,
-        "V_prev": None,
-        "logs": None,
-        "gap": np.inf,
-    }
+    product, logscale, window, stopped = np.eye(2 * g), 0.0, 0, False
+    bottom = previous = logs = None
+    gap = np.inf
 
     def on_block(matrix: np.ndarray, perm_end: Permutation, length: int) -> None:
-        if state["stopped"]:
+        nonlocal product, logscale, window, stopped, bottom, previous, logs, gap
+        if stopped:
             return
-        P = matrix @ state["P"]
-        norm = np.linalg.norm(P)
-        state["P"] = P / norm
-        state["logscale"] += np.log(norm)
-        state["window"] += 1
-        u, s, vt = np.linalg.svd(state["P"])
+        product = matrix @ product
+        norm = np.linalg.norm(product)
+        product = product / norm
+        logscale += np.log(norm)
+        window += 1
+        _, s, vt = np.linalg.svd(product)
         # past this floor the bottom right-singular subspace is rounding
         # noise; stopping here roughly balances truncation and roundoff
-        if s[g_val - 1] / s[0] < 1e-11:
-            state["stopped"] = True
+        if s[g - 1] / s[0] < 1e-11:
+            stopped = True
             return
-        state["V_prev"] = state["V"]
-        state["V"] = vt[dim - g_val:, :].T
-        state["logs"] = np.log(s) + state["logscale"]
-        state["gap"] = s[g_val - 1] / s[g_val]
+        previous, bottom = bottom, vt[g:, :].T
+        logs = np.log(s) + logscale
+        gap = s[g - 1] / s[g]
 
     _drive_blocks(iet, m, on_block)
-    if state["V"] is None:
+    if bottom is None:
         raise InsufficientGap("no usable window accumulated")
-    if state["gap"] < min_gap:
-        raise InsufficientGap(
-            f"singular-value gap {state['gap']:.2f} below {min_gap}")
+    if gap < MIN_GAP:
+        raise InsufficientGap(f"singular-value gap {gap:.2f} below {MIN_GAP}")
     drift = 0.0
-    if state["V_prev"] is not None:
-        overlap = state["V_prev"].T @ state["V"]
-        sv = np.linalg.svd(overlap, compute_uv=False)
+    if previous is not None:
+        sv = np.linalg.svd(previous.T @ bottom, compute_uv=False)
         drift = float(np.arccos(np.clip(sv[-1], 0.0, 1.0)))
-    return StableFrame(q0 @ state["V"], float(state["gap"]), state["window"],
-                       drift, state["logs"])
+    return StableFrame(q0 @ bottom, float(gap), window, drift, logs)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +325,7 @@ def _frame_columns(frame: FrameLike) -> list[list]:
 
 def sample_theta(frame: FrameLike, delta: float, seed: int, *,
                  upsilon: Sequence[float],
-                 trace: Optional[InductionTrace] = None,
-                 n_check: int = 40,
-                 weights: Optional[Sequence[float]] = None,
-                 max_attempts: int = 100) -> ThetaSample:
+                 trace: Optional[InductionTrace] = None) -> ThetaSample:
     """Draw a rotation vector from the ball of radius ``delta``.
 
     The candidate is a random combination of the frame columns scaled to a
@@ -353,10 +343,8 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
     ups = np.asarray([float(u) for u in upsilon], dtype=float)
     ups_unit = ups / np.linalg.norm(ups)
     report = {"strong_stable_hits": 0, "zero_preimage_hits": 0}
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         coeff = rng.standard_normal(g)
-        if weights is not None:
-            coeff = coeff * np.asarray(weights, dtype=float)
         radius = delta * rng.uniform(0.1, 1.0)
         vec_f = np.zeros(len(columns[0]))
         for c, col in zip(coeff, columns):
@@ -371,27 +359,20 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
             report["strong_stable_hits"] += 1
             continue
         scale = radius / norm
-        exact = any(isinstance(col[0], Fraction) for col in columns)
-        if exact:
+        if any(isinstance(col[0], Fraction) for col in columns):
             v = [sum(Fraction(float(c)) * Fraction(col[i]) for c, col in zip(coeff, columns))
                  * Fraction(float(scale)) for i in range(len(columns[0]))]
         else:
             v = [float(x * scale) for x in vec_f]
         theta = np.array([float(x) % tau for x in v])
-        if trace is not None:
-            depth = min(n_check, trace.n_steps)
-            hit = False
-            for level in range(1, depth + 1):
-                pushed = torus_project(trace.cocycle[level], v)
-                if torus_distance_to_zero(pushed) < TOL_ZERO_PREIMAGE:
-                    hit = True
-                    break
-            if hit:
-                report["zero_preimage_hits"] += 1
-                continue
+        levels = range(1, min(N_CHECK, trace.n_steps) + 1) if trace is not None else ()
+        if any(torus_distance_to_zero(torus_project(trace.cocycle[n], v)) < TOL_ZERO_PREIMAGE
+               for n in levels):
+            report["zero_preimage_hits"] += 1
+            continue
         return ThetaSample(list(v), theta, delta, attempt, report)
     raise ExhaustedResamples(
-        f"no admissible rotation vector in {max_attempts} draws: {report}")
+        f"no admissible rotation vector in {MAX_ATTEMPTS} draws: {report}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +400,14 @@ class SummabilityReport:
         return self.total / first if first > 0 else 0.0
 
 
-def summability_check(trace: InductionTrace, theta, depth: int) -> SummabilityReport:
-    """Partial sums of distances-to-zero up to the float-noise horizon.
+def summability_check(seq: ThetaSeq) -> SummabilityReport:
+    """Distances to zero of the pushed rotation vectors ``seq``, and their decay.
 
-    The horizon is the first index attaining the minimum distance; the decay
-    verdict looks only at levels up to the horizon: the last quarter must
-    hold under 5% of the window's mass and the final term must drop under
-    1e-6.
+    The float-noise horizon is the first level attaining the minimum
+    distance; the decay verdict looks only at levels up to the horizon: the
+    last quarter must hold under 5% of the window's mass and the final term
+    must drop under 1e-6.
     """
-    seq = theta_sequence(trace, theta, min(depth, trace.n_steps))
     dists = seq.distances()
     total = float(np.sum(dists))
     if total == 0.0:

@@ -31,6 +31,15 @@ TOL_NONTRIVIAL = 1e-3
 #: half-width of the excluded neighborhoods around discontinuity parameters
 EXCLUSION_RADIUS = 1e-10
 
+#: uniform grid points of the embedding defect, besides the curve breakpoints
+EMBEDDING_SAMPLES = 10_000
+#: random plane points on which the quasi-embedding suite compares two maps
+Z_SAMPLES = 32
+#: uniform samples per curve piece of the non-triviality fits
+PIECE_SAMPLES = 512
+#: uniform grid points of the isometry defect, besides the curve breakpoints
+ISOMETRY_SAMPLES = 1024
+
 
 def _jsonify(value):
     """Plain-Python view of numpy scalars/arrays for the report schema."""
@@ -122,15 +131,14 @@ def _apply_by_atom(maps: Sequence[PlanarIsometry], state: IETState,
     return out
 
 
-def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState,
-                     samples: int = 10_000) -> float:
+def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState) -> float:
     """Supremum conjugacy defect of the curve between the exchange and the maps.
 
     Evaluated on a uniform parameter grid plus every curve breakpoint,
     excluding small neighborhoods of the discontinuity parameters; atoms are
     resolved by curve parameter, which is exact on the curve.
     """
-    xs = _sample_parameters(iet, samples, curve.x)
+    xs = _sample_parameters(iet, EMBEDDING_SAMPLES, curve.x)
     fx = apply_array(iet, xs)
     gz = curve.evaluate(xs)
     gfx = curve.evaluate(fx)
@@ -142,10 +150,8 @@ def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState,
 # quasi-embedding suite
 # ---------------------------------------------------------------------------
 
-def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve],
-                          theta_seq: ThetaSeq, depth: int,
-                          seed: int = 0, z_samples: int = 32,
-                          tol_scale: float = 1e-9) -> VerificationReport:
+def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], theta_seq: ThetaSeq,
+                          depth: int, seed: int = 0, tol_scale: float = 1e-9) -> VerificationReport:
     """Map agreement and conjugacy defects for every level pair.
 
     For levels ``m <= n <= depth`` the inductively built family must equal
@@ -157,7 +163,7 @@ def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve],
     rng = np.random.default_rng(seed)
     report = VerificationReport()
     box = max(1.0, trace.initial.total)
-    zs = rng.uniform(-box, box, z_samples) + 1j * rng.uniform(-box, box, z_samples)
+    zs = rng.uniform(-box, box, Z_SAMPLES) + 1j * rng.uniform(-box, box, Z_SAMPLES)
     for n in range(depth + 1):
         curve = curves[n]
         total_n = trace.states[n].total
@@ -438,8 +444,7 @@ def _circle_residual(pts: np.ndarray) -> float:
     return float(np.sqrt(np.mean((dist - radius) ** 2)))
 
 
-def nontriviality(curve: PLCurve, cut_params: Sequence[float],
-                  tol: float = TOL_NONTRIVIAL, samples_per_piece: int = 512) -> VerificationReport:
+def nontriviality(curve: PLCurve, cut_params: Sequence[float]) -> VerificationReport:
     """Classify the curve pieces between cuts as line-like, arc-like or neither.
 
     Each piece is sampled uniformly in parameter (uniform in arc length by
@@ -462,7 +467,7 @@ def nontriviality(curve: PLCurve, cut_params: Sequence[float],
         if len(inner) + 2 < 4:
             degenerate += 1
             continue
-        params = np.union1d(np.linspace(lo, hi, samples_per_piece), inner)
+        params = np.union1d(np.linspace(lo, hi, PIECE_SAMPLES), inner)
         pts = curve.evaluate(params)
         arc = hi - lo
         line_res = _line_residual(pts) / arc
@@ -471,7 +476,7 @@ def nontriviality(curve: PLCurve, cut_params: Sequence[float],
         if score > best:
             best = score
             best_piece = (float(lo), float(hi), line_res, circle_res)
-    meta = {"pieces": pieces, "degenerate": degenerate, "threshold": tol,
+    meta = {"pieces": pieces, "degenerate": degenerate, "threshold": TOL_NONTRIVIAL,
             "threshold_is_reporting_convention": True,
             "best_min_residual": best}
     if best_piece is not None:
@@ -479,7 +484,7 @@ def nontriviality(curve: PLCurve, cut_params: Sequence[float],
                            "line_residual": best_piece[2],
                            "circle_residual": best_piece[3]}
     # defect = margin still missing below the threshold (0 when non-trivial)
-    report.add("nontrivial", max(0.0, tol - best), 0.0, meta=meta)
+    report.add("nontrivial", max(0.0, TOL_NONTRIVIAL - best), 0.0, meta=meta)
     return report
 
 
@@ -491,11 +496,11 @@ def is_nontrivial(report: VerificationReport) -> bool:
 # isometric parametrization
 # ---------------------------------------------------------------------------
 
-def isometry_defect(curve: PLCurve, samples: int = 1024) -> float:
+def isometry_defect(curve: PLCurve) -> float:
     """Supremum of |arc length up to x minus x| over sampled parameters."""
     cum = curve.cumulative_arc_length()
     bounds = curve.segment_bounds()
-    xs = np.union1d(np.linspace(0.0, curve.length, samples), bounds)
+    xs = np.union1d(np.linspace(0.0, curve.length, ISOMETRY_SAMPLES), bounds)
     idx = np.clip(np.searchsorted(curve.x, xs, side="right") - 1, 0, curve.n_segments - 1)
     partial = cum[idx] + np.abs(curve.evaluate(xs) - curve.z[idx])
     return float(np.max(np.abs(partial - xs)))

@@ -205,7 +205,7 @@ def test_criterion_5_convergence_and_summability():
     curves = breaking_sequence(trace, sample.v, depth)
     seq = theta_sequence(trace, sample.v, depth)
     total = reference.iet.total
-    report = summability_check(trace, sample.v, 420)
+    report = summability_check(theta_sequence(trace, sample.v, 420))
     horizon_checked = min(depth, report.horizon)
     bound_ok = True
     for n in range(horizon_checked):
@@ -281,7 +281,7 @@ def test_criterion_8_figure_reproduction(pipeline):
     pwi = adapted_pwi(curves[-1], reference.iet, theta_float)
     defect = embedding_defect(curves[-1], pwi, reference.iet)
 
-    summ = summability_check(trace, sample.v, 420)
+    summ = summability_check(theta_sequence(trace, sample.v, 420))
     decay_ok = summ.horizon >= 15 and summ.ratio_to_initial < 1e-3
 
     ok = (lengths_ok and injective25 and nontrivial25 and defect <= 1e-6
@@ -331,7 +331,7 @@ def test_criterion_10_negative_controls():
     failures = 0
     for _ in range(20):
         theta = rng.uniform(0, tau, 4)
-        summ = summability_check(trace, theta, 100)
+        summ = summability_check(theta_sequence(trace, theta, 100))
         summable = summ.decays or (summ.horizon >= 15
                                    and summ.ratio_to_initial <= 0.05)
         curves = breaking_sequence(trace, theta, 18)

@@ -18,10 +18,11 @@ from ietpwi.breaking import (
     breaking_offsets,
     breaking_operator,
     breaking_sequence,
+    curve_levels,
     sup_distance,
     theta_sequence,
 )
-from ietpwi.errors import DomainMismatch, IntervalOutOfRange, NonUnitSpeed
+from ietpwi.errors import DomainMismatch, IntervalOutOfRange, InvalidInput, NonUnitSpeed
 from ietpwi.iet import apply_array
 from ietpwi.rauzy import rauzy_iterate
 
@@ -257,6 +258,29 @@ def test_breaking_sequence_depth_zero(reference_trace):
     curves = breaking_sequence(reference_trace, [0.1] * 4, 0)
     assert len(curves) == 1
     assert curves[0].n_segments == 1
+
+
+def test_curve_levels_continue_a_prefix(reference_trace, reference_sample, reference_curves):
+    # a prefix continued along a deeper push gives the same curves, bit for bit
+    seq = theta_sequence(reference_trace, reference_sample.v, 60)
+    for start in (1, 7, 45):
+        curves = breaking_sequence(reference_trace, reference_sample.v, start - 1)
+        curves.extend(curve_levels(reference_trace, seq, curves, 45))
+        assert len(curves) == 46
+        for got, want in zip(curves, reference_curves):
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
+    assert list(curve_levels(reference_trace, seq, reference_curves[:10], 9)) == []
+
+
+def test_levels_beyond_the_trace_are_invalid_input(reference_trace):
+    depth = reference_trace.n_steps
+    with pytest.raises(InvalidInput, match="trace holds"):
+        theta_sequence(reference_trace, [0.1] * 4, depth + 1)
+    with pytest.raises(InvalidInput, match="trace holds"):
+        theta_sequence(reference_trace, [0.1] * 4, -1)
+    for level in (0, depth + 1):
+        with pytest.raises(InvalidInput, match="outside"):
+            breaking_intervals(reference_trace, level)
 
 
 def test_breaking_sequence_per_level_bound(reference_trace, reference_curves,

@@ -213,6 +213,9 @@ def test_config_file_and_flag_override(tmp_path):
     ["curve", "--catalog", "--theta", "1,2", "--steps", "3"],
     ["verify", "--catalog", "--theta", "0,0,0,0,0", "--steps", "2"],
     ["sample-theta", "--catalog", "--seed", "-1"],
+    ["verify", "--catalog", "--steps", "300"],
+    ["curve", "--catalog", "--steps", "5", "--deep-levels", "100"],
+    ["lyapunov", "--catalog", "--zorich-steps", "1"],
 ])
 def test_malformed_input_exits_2(tmp_path, args):
     proc = run_cli(args, tmp_path)

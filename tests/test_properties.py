@@ -1,5 +1,6 @@
-"""Property tests: the first-return orbits against the exact cocycle, and
-the JSON round trips of the exchange data.
+"""Property tests: the first-return orbits and the lengths against the exact
+cocycle, the rotation operator along random traces, and the JSON round trips
+of the exchange data.
 
 Random irreducible exchanges on 2 to 6 symbols with exact integer lengths,
 followed for up to 12 induction levels.  Runs are derandomized, so every
@@ -10,10 +11,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import pi, sin
 
 from hypothesis import assume, given, settings, strategies as st
 
-from ietpwi.breaking import breaking_intervals
+from ietpwi.breaking import (TOL_UNIT_SPEED, breaking_intervals, breaking_sequence,
+                             sup_distance, theta_sequence)
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.rauzy import rauzy_iterate, return_word, visit_counts_bruteforce
 
@@ -63,6 +66,34 @@ def test_breaking_interval_count_is_return_time_of_last_top_symbol(run):
     for n in range(1, depth + 1):
         beta0 = trace.states[n - 1].perm.top[-1]
         assert breaking_intervals(trace, n).count == sum(trace.cocycle[n - 1][beta0])
+
+
+@PROPERTY
+@given(induction_runs())
+def test_length_identity_is_exact_on_numerators(run):
+    # lengths_0 = B_n^T lengths_n, over one shared denominator at every level
+    iet, trace, depth = run
+    for n in range(depth + 1):
+        state = trace.states[n]
+        assert state.lengths.denominator == iet.lengths.denominator
+        pushed = tuple(sum(row[b] * num for row, num in zip(trace.cocycle[n],
+                                                            state.lengths.numerators))
+                       for b in range(iet.d))
+        assert pushed == iet.lengths.numerators
+
+
+@PROPERTY
+@given(induction_runs(), st.lists(st.floats(-pi, pi), min_size=6, max_size=6))
+def test_rotation_operator_keeps_unit_speed_and_increment_bound(run, angles):
+    iet, trace, depth = run
+    theta = angles[:iet.d]
+    curves = breaking_sequence(trace, theta, depth)
+    seq = theta_sequence(trace, theta, depth)
+    for n, curve in enumerate(curves):
+        assert curve.unit_speed_defect() <= TOL_UNIT_SPEED
+        if n:
+            bound = 4 * iet.total * abs(sin(seq.breaking_angle(n - 1) / 2))
+            assert sup_distance(curve, curves[n - 1]) <= bound + 1e-12
 
 
 @st.composite

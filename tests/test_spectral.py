@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ietpwi.errors import ExhaustedResamples, RauzyUndefined, Reducible
+from ietpwi.breaking import theta_sequence
+from ietpwi.errors import ExhaustedResamples, InvalidInput, RauzyUndefined, Reducible
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.rauzy import matrix_to_float, rauzy_class, rauzy_iterate
 from ietpwi.spectral import (
+    _drive_blocks,
     _FloatInduction,
     genus,
     h_pi_basis,
@@ -224,6 +226,41 @@ def test_lyapunov_matches_singular_value_slope(golden_iet):
     assert abs(slope - est.exponents[0]) <= 0.05 * est.exponents[0]
 
 
+@pytest.mark.parametrize("m", [2, 5, 19, 20, 47])
+def test_lyapunov_error_bars_are_batch_standard_errors(reference, m):
+    # per-block log growths of a re-orthonormalized frame, then the standard
+    # error of min(20, m) contiguous batches, each batch's sum taken over the
+    # nominal batch length m / batches: one block per batch below 20 blocks,
+    # so no batch is empty
+    logs = []
+    frame = None
+
+    def on_block(matrix, perm_end, length):
+        nonlocal frame
+        frame, r = np.linalg.qr(matrix if frame is None else matrix @ frame)
+        logs.append(np.log(np.abs(r.diagonal())))
+
+    _drive_blocks(reference.iet, m, on_block)
+    logs = np.array(logs)
+    batches = min(20, m)
+    means = np.array([logs[[k for k in range(m) if k * batches // m == b]].sum(axis=0)
+                      for b in range(batches)]) * batches / m
+    order = np.argsort(-logs.mean(axis=0))
+    est = lyapunov_spectrum(reference.iet, m)
+    np.testing.assert_allclose(est.exponents, logs.mean(axis=0)[order], rtol=1e-12)
+    np.testing.assert_allclose(est.errors, np.std(means[:, order], axis=0, ddof=1)
+                               / np.sqrt(batches), rtol=1e-9)
+    if m == 5:
+        np.testing.assert_allclose(est.errors, np.std(logs[:, order], axis=0, ddof=1)
+                                   / np.sqrt(5), rtol=1e-12)
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_lyapunov_needs_two_blocks(reference, m):
+    with pytest.raises(InvalidInput, match="at least 2 blocks"):
+        lyapunov_spectrum(reference.iet, m)
+
+
 def test_stable_direction_two_symbols_is_translation_vector(golden_iet):
     frame = stable_subspace(golden_iet, 60)
     unit = golden_iet.upsilon / np.linalg.norm(golden_iet.upsilon)
@@ -307,12 +344,12 @@ def test_sample_theta_delta_scaling_degenerates(reference, reference_trace):
 
 
 def test_summability_zero_theta(reference_trace):
-    report = summability_check(reference_trace, [0.0] * 4, 60)
+    report = summability_check(theta_sequence(reference_trace, [0.0] * 4, 60))
     assert report.total == 0.0 and report.decays
 
 
 def test_summability_exact_sample_decays(reference_trace, reference_sample):
-    report = summability_check(reference_trace, reference_sample.v, 420)
+    report = summability_check(theta_sequence(reference_trace, reference_sample.v, 420))
     assert report.decays
     assert report.horizon >= 15
     assert report.final_term < 1e-6
@@ -324,7 +361,7 @@ def test_summability_random_theta_fails(reference_trace):
     failures = 0
     for _ in range(5):
         theta = rng.uniform(0, tau, 4)
-        report = summability_check(reference_trace, theta, 80)
+        report = summability_check(theta_sequence(reference_trace, theta, 80))
         if not report.decays:
             failures += 1
     assert failures >= 4
@@ -333,7 +370,7 @@ def test_summability_random_theta_fails(reference_trace):
 def test_summability_respects_float_noise_horizon(reference_trace, reference_sample):
     """A float64 lift stalls early; the report must confine claims to the window."""
     float_theta = [float(x) for x in reference_sample.v]
-    report = summability_check(reference_trace, float_theta, 420)
+    report = summability_check(theta_sequence(reference_trace, float_theta, 420))
     assert report.horizon < 420
     assert report.distances[report.horizon] <= report.distances[0]
     assert report.empirical_constant >= 1.0
