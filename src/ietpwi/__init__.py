@@ -11,7 +11,6 @@ from .errors import (
     AtomMissesCurve,
     AtomsOverlap,
     BudgetExceeded,
-    DegenerateSegment,
     DomainMismatch,
     ExhaustedResamples,
     IetPwiError,

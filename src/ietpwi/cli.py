@@ -17,7 +17,7 @@ from math import pi, tau
 from typing import Optional, Sequence
 
 from . import breaking, catalog, pwi as pwi_mod, rauzy, spectral, verify
-from .errors import IetPwiError, InvalidInput
+from .errors import IetPwiError, InvalidInput, RauzyUndefined
 from .iet import IETState, Lengths, Permutation, build_iet
 
 
@@ -74,13 +74,19 @@ class RunConfig:
         if not _is_list_of(cfg.lengths, (int, float, str)):
             raise InvalidInput(f"lengths must be a list of numbers or fractions, "
                                f"got {cfg.lengths!r}")
-        if cfg.theta is not None and not _is_list_of(cfg.theta, (int, float)):
-            raise InvalidInput(f"theta must be a list of numbers, got {cfg.theta!r}")
+        # NaN, infinities and integers beyond double range fail the bound
+        if cfg.theta is not None and not (_is_list_of(cfg.theta, (int, float)) and all(
+                abs(v) <= sys.float_info.max for v in cfg.theta)):
+            raise InvalidInput(f"theta must be a list of finite numbers, got {cfg.theta!r}")
         if not isinstance(cfg.use_catalog, bool):
             raise InvalidInput(f"use_catalog must be true or false, got {cfg.use_catalog!r}")
         if cfg.out is not None and not isinstance(cfg.out, str):
             raise InvalidInput(f"out must be a path, got {cfg.out!r}")
         return cfg
+
+    def deep(self, default: int) -> int:
+        """The configured deep level (0 included), else ``default``."""
+        return default if self.deep_levels is None else self.deep_levels
 
     def build(self) -> IETState:
         if self.use_catalog:
@@ -220,7 +226,7 @@ def _resolve_theta(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace):
         return list(cfg.theta), {"source": "config"}, [breaking.PLCurve.identity(iet.total)]
     frame = _stable_frame(cfg, iet)
     delta = cfg.delta
-    depth = cfg.deep_levels or max(cfg.levels, 25)
+    depth = cfg.deep(max(cfg.levels, 25))
     for _ in range(10):
         sample = spectral.sample_theta(frame, delta, cfg.seed,
                                        upsilon=iet.upsilon, trace=trace)
@@ -259,7 +265,7 @@ def cmd_curve(cfg: RunConfig) -> int:
 
 def cmd_pwi(cfg: RunConfig) -> int:
     iet = cfg.build()
-    depth = cfg.deep_levels or max(cfg.levels, 25)
+    depth = cfg.deep(max(cfg.levels, 25))
     trace = rauzy.rauzy_iterate(iet, max(depth, 40))
     theta, origin, curves = _resolve_theta(cfg, iet, trace)
     curve = _curve_at(trace, theta, curves, depth)
@@ -274,9 +280,15 @@ def cmd_pwi(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # the convergence checks compare at least two increments: levels 0 to 2
+    if cfg.deep(2) < 2:
+        raise InvalidInput(f"verify needs --deep-levels >= 2, got {cfg.deep_levels}")
     iet = cfg.build()
-    trace = rauzy.rauzy_iterate(iet, max(cfg.deep_levels or 0, 200))
-    deep = min(cfg.deep_levels or max(2 * cfg.levels, 45), trace.n_steps)
+    trace = rauzy.rauzy_iterate(iet, max(cfg.deep(0), 200))
+    deep = min(cfg.deep(max(2 * cfg.levels, 45)), trace.n_steps)
+    if deep < 2:
+        raise RauzyUndefined(f"the induction is undefined at step {trace.n_steps}; "
+                             f"verify needs 2 levels")
     depth = min(cfg.levels, deep)
     theta, origin, curves = _resolve_theta(cfg, iet, trace)
     seq = breaking.theta_sequence(trace, theta, trace.n_steps)

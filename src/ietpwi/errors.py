@@ -65,7 +65,3 @@ class InsufficientGap(IetPwiError):
 
 class ExhaustedResamples(IetPwiError):
     """Rotation-vector sampling hit the exclusion set on every attempt."""
-
-
-class DegenerateSegment(IetPwiError):
-    """A curve piece has too few vertices for a residual fit."""

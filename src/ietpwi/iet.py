@@ -16,6 +16,7 @@ on integers and are free of rounding decisions.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,6 +185,12 @@ class Lengths:
         fracs = [_as_fraction(v) for v in values]
         if any(f <= 0 for f in fracs):
             raise NonPositiveLength(f"lengths must be positive, got {[str(f) for f in fracs]}")
+        # every length and translation is at most the total, so the float
+        # views stay finite once it does; a length that rounds to 0 has none
+        if sum(fracs) > sys.float_info.max:
+            raise InvalidInput("the length total exceeds double-precision range")
+        if any(float(f) == 0.0 for f in fracs):
+            raise InvalidInput("a length underflows double precision")
         den = 1
         for f in fracs:
             den = den * f.denominator // gcd(den, f.denominator)

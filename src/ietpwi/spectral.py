@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import tau
-from typing import Callable, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,8 +112,8 @@ class _FloatInduction:
         self.top = list(iet.perm.top)
         self.bottom = list(iet.perm.bottom)
 
-    def block(self) -> tuple[int, int, list[int], list[int]]:
-        """One maximal same-type block; returns (length, winner, losers, counts).
+    def block(self) -> tuple[int, list[int], list[int]]:
+        """One maximal same-type block; returns (winner, losers, counts).
 
         The winner is fixed within the block, and its losers are the symbols
         after it in the other row, which cycle.  Each full cycle subtracts
@@ -120,7 +121,7 @@ class _FloatInduction:
         last full cycle are one division; the rest runs stepwise, where
         each step tests for a tie (within 1e-12 of the sum) and for a loser
         below the winner's resolution.  ``counts[i]`` is how often
-        ``losers[i]`` lost; ``length`` is the block's number of Rauzy steps.
+        ``losers[i]`` lost, so the block has ``sum(counts)`` Rauzy steps.
         The lengths are renormalized to unit sum afterwards.
         """
         lam, top, bottom = self.lam, self.top, self.bottom
@@ -134,7 +135,6 @@ class _FloatInduction:
         cycles = max(int(lam[winner] // cycle) - 1, 0)
         lam[winner] -= cycles * cycle
         count = dict.fromkeys(losers, cycles)
-        length = cycles * len(losers)
         while True:
             loser = row[-1]
             w, b = lam[winner], lam[loser]
@@ -148,45 +148,38 @@ class _FloatInduction:
             row.pop()
             row.insert(start, loser)
             count[loser] += 1
-            length += 1
             if (lam[top[-1]] > lam[bottom[-1]]) != top_wins:
                 break
         total = sum(lam)
         self.lam = [v / total for v in lam]
-        return length, winner, losers, [count[s] for s in losers]
+        return winner, losers, [count[s] for s in losers]
 
 
-def _drive_blocks(iet: IETState, m: int,
-                  on_block: Callable[[np.ndarray, Permutation, int], None]) -> None:
-    """Run ``m`` Zorich blocks, reporting each block's restricted matrix.
+def _blocks(iet: IETState, m: int) -> Iterator[np.ndarray]:
+    """Drive up to ``m`` Zorich blocks, yielding each block's restricted matrix.
 
     A block is a maximal run of Rauzy steps of one type, taken by one
     division (``_FloatInduction.block``).  Its cocycle adds ``counts[i]``
     times the winner's row to the row of ``losers[i]``: a rank-one update
-    of the carried frame.  ``on_block(matrix, perm_end, length)`` receives
-    that matrix expressed from the invariant-subspace coordinates at the
-    block start to those at the block end, the permutation at the block end
-    and the block's number of Rauzy steps.
+    of the carried frame.  The yielded matrix expresses it from the
+    invariant-subspace coordinates at the block start to those at the block
+    end.  A block is driven only when the consumer asks for it.
     """
-    states: dict[tuple, tuple[Permutation, np.ndarray]] = {}
 
-    def state_of(top: list[int], bottom: list[int]) -> tuple[Permutation, np.ndarray]:
-        key = (tuple(top), tuple(bottom))
-        if key not in states:
-            perm = Permutation(*key)
-            states[key] = (perm, h_pi_basis(perm).basis)
-        return states[key]
+    @lru_cache(maxsize=None)
+    def basis(top: tuple[int, ...], bottom: tuple[int, ...]) -> np.ndarray:
+        return h_pi_basis(Permutation(top, bottom)).basis
 
     driver = _FloatInduction(iet)
-    q = state_of(driver.top, driver.bottom)[1]
+    q = basis(tuple(driver.top), tuple(driver.bottom))
     for _ in range(m):
-        length, winner, losers, counts = driver.block()
+        winner, losers, counts = driver.block()
         carried = q.copy()  # d x 2g block image
         row = q[winner]
         for loser, count in zip(losers, counts):
             carried[loser] += count * row
-        perm_end, q = state_of(driver.top, driver.bottom)
-        on_block(q.T @ carried, perm_end, length)
+        q = basis(tuple(driver.top), tuple(driver.bottom))
+        yield q.T @ carried
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +214,9 @@ def lyapunov_spectrum(iet: IETState, m: int) -> LyapunovEstimate:
     dim = 2 * genus(iet.perm)
     batch_sums = np.zeros((batches, dim))
     frame = None
-    k = 0
-
-    def on_block(matrix: np.ndarray, perm_end: Permutation, length: int) -> None:
-        nonlocal frame, k
+    for k, matrix in enumerate(_blocks(iet, m)):
         frame, r = np.linalg.qr(matrix if frame is None else matrix @ frame)
         batch_sums[k * batches // m] += np.log(np.abs(r.diagonal()))
-        k += 1
-
-    _drive_blocks(iet, m, on_block)
     exponents = batch_sums.sum(axis=0) / m
     order = np.argsort(-exponents)
     per_batch = batch_sums * (batches / m)
@@ -247,47 +234,36 @@ class StableFrame:
 
     frame: np.ndarray          # d x g, orthonormal columns
     gap: float                 # sigma_g / sigma_{g+1} at the chosen window
-    window: int                # acceleration steps actually used
+    window: int                # blocks driven
     drift: float               # principal-angle change over the last windows
-    log_singular_values: np.ndarray
 
 
 def stable_subspace(iet: IETState, m: int) -> StableFrame:
     """Right-singular bottom subspace of the accumulated restricted product.
 
-    The product is renormalized to unit Frobenius norm every block with the
-    scale tracked in log form; accumulation stops once the ``g``-th singular
-    value (``g`` the genus) falls under the double-precision floor of the
-    leading one, since beyond that the contracting directions are rounding
-    noise.  The reported frame is expressed back in the ambient coordinates
-    at the starting permutation.
+    The product is renormalized to unit Frobenius norm every block.  Blocks
+    are pulled until the ``g``-th singular value (``g`` the genus) falls
+    under the double-precision floor of the leading one, since beyond that
+    the contracting directions are rounding noise; the frame is the one
+    before that block, and no later block is driven, so ``m`` only caps the
+    window.  The reported frame is expressed back in the ambient
+    coordinates at the starting permutation.
     """
     g = genus(iet.perm)
     q0 = h_pi_basis(iet.perm).basis
-    product, logscale, window, stopped = np.eye(2 * g), 0.0, 0, False
-    bottom = previous = logs = None
+    product, window = np.eye(2 * g), 0
+    bottom = previous = None
     gap = np.inf
-
-    def on_block(matrix: np.ndarray, perm_end: Permutation, length: int) -> None:
-        nonlocal product, logscale, window, stopped, bottom, previous, logs, gap
-        if stopped:
-            return
+    for window, matrix in enumerate(_blocks(iet, m), 1):
         product = matrix @ product
-        norm = np.linalg.norm(product)
-        product = product / norm
-        logscale += np.log(norm)
-        window += 1
+        product = product / np.linalg.norm(product)
         _, s, vt = np.linalg.svd(product)
         # past this floor the bottom right-singular subspace is rounding
         # noise; stopping here roughly balances truncation and roundoff
         if s[g - 1] / s[0] < 1e-11:
-            stopped = True
-            return
+            break
         previous, bottom = bottom, vt[g:, :].T
-        logs = np.log(s) + logscale
         gap = s[g - 1] / s[g]
-
-    _drive_blocks(iet, m, on_block)
     if bottom is None:
         raise InsufficientGap("no usable window accumulated")
     if gap < MIN_GAP:
@@ -296,7 +272,7 @@ def stable_subspace(iet: IETState, m: int) -> StableFrame:
     if previous is not None:
         sv = np.linalg.svd(previous.T @ bottom, compute_uv=False)
         drift = float(np.arccos(np.clip(sv[-1], 0.0, 1.0)))
-    return StableFrame(q0 @ bottom, float(gap), window, drift, logs)
+    return StableFrame(q0 @ bottom, float(gap), window, drift)
 
 
 # ---------------------------------------------------------------------------

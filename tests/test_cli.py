@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ietpwi.cli import RunConfig, main
 
@@ -216,6 +220,14 @@ def test_config_file_and_flag_override(tmp_path):
     ["verify", "--catalog", "--steps", "300"],
     ["curve", "--catalog", "--steps", "5", "--deep-levels", "100"],
     ["lyapunov", "--catalog", "--zorich-steps", "1"],
+    ["curve", "--perm", "2 1", "--lambda", "0.618,0.382", "--theta", "nan,0.2",
+     "--steps", "3"],
+    ["curve", "--perm", "2 1", "--lambda", "0.618,0.382", "--theta", "inf,0.2",
+     "--steps", "3"],
+    ["induct", "--perm", "2 1", "--lambda", "1e400,1"],
+    ["verify", "--perm", "2 1", "--lambda", "1e-400,1", "--theta", "0.1,0.2",
+     "--steps", "3"],
+    ["verify", "--catalog", "--theta", "0,0,0,0", "--steps", "1", "--deep-levels", "1"],
 ])
 def test_malformed_input_exits_2(tmp_path, args):
     proc = run_cli(args, tmp_path)
@@ -254,6 +266,7 @@ def test_config_depth_must_be_nonnegative_integer(tmp_path):
     {"theta": [0, None, 0, 0]},
     {"use_catalog": "yes"},
     {"out": 3},
+    {"theta": [float("nan"), 0, 0, 0], "use_catalog": True},
 ])
 def test_config_values_are_type_checked(tmp_path, values):
     config = tmp_path / "run.json"
@@ -265,6 +278,28 @@ def test_config_values_are_type_checked(tmp_path, values):
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == [config]
+
+
+def test_verify_needs_two_levels_of_the_trace(tmp_path):
+    # "2 1" with equal lengths ties at step 0: the trace holds no level
+    proc = run_cli(["verify", "--perm", "2 1", "--lambda", "1,1", "--theta", "0.1,0.2",
+                    "--steps", "3"], tmp_path)
+    assert proc.returncode == 2
+    assert "RauzyUndefined" in proc.stderr and "step 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_deep_levels_zero_is_honored(tmp_path):
+    # level 0 is the identity curve on the real axis, unlike the default level 25
+    args = ["pwi", "--catalog", "--theta", "0.01,0,0,0", "--steps", "2", "--json"]
+    imaginary = []
+    for extra in ([], ["--deep-levels", "0"]):
+        proc = run_cli(args + extra, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        maps = json.loads(proc.stdout)["pwi"]["maps"]
+        imaginary.append(max(abs(m[key][1]) for m in maps for key in ("a", "b")))
+    assert imaginary[0] > 0.0 and imaginary[1] == 0.0
 
 
 def test_config_use_catalog_kept(tmp_path, reference):
@@ -283,3 +318,104 @@ def test_main_entry_direct(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["blocks"] == [8]
     assert code == 1  # run stopped at the tie
+
+
+#: values a user may mistype: non-finite, beyond double range, empty, not a
+#: number, out of range
+GARBAGE = st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-400", "", "abc", "-1", "0"])
+COMMANDS = ["induct", "zorich", "rauzy-graph", "lyapunov", "sample-theta", "curve",
+            "pwi", "verify"]
+MONODROMIES = ["4 3 2 1", "3 2 1", "2 1", "4 1 3 2", "5 4 3 2 1"]
+
+
+def _or_garbage(draw, valid, garbage=GARBAGE):
+    """A draw from ``valid`` three times in four, else from ``garbage``."""
+    return draw(garbage if draw(st.integers(0, 3)) == 0 else valid)
+
+
+def _vector(draw, numbers, d):
+    """``d`` comma-joined ``numbers``, some with one entry garbage, the
+    count off by one, or all entries equal (a tie for lengths)."""
+    values = [repr(v) for v in draw(st.lists(numbers, min_size=d, max_size=d))]
+    flaw = draw(st.sampled_from(["none", "none", "none", "entry", "count", "equal"]))
+    if flaw == "entry":
+        values[draw(st.integers(0, d - 1))] = draw(GARBAGE)
+    elif flaw == "count":
+        values = values[:-1] if draw(st.booleans()) else values + values[:1]
+    elif flaw == "equal":
+        values = ["1"] * d
+    return ",".join(values)
+
+
+def _number(token):
+    """``token`` as a float where it parses as one."""
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+@st.composite
+def cli_runs(draw):
+    """An argv of one command with valid and garbage flag values, and perhaps
+    a config file's object built the same way."""
+    command = draw(st.sampled_from(COMMANDS))
+    catalog = draw(st.booleans())
+    monodromy = draw(st.sampled_from(MONODROMIES))
+    d = 4 if catalog else len(monodromy.split())
+    perm = _or_garbage(draw, st.just(monodromy), st.sampled_from(["1 2", "2 1 3", "2 2", ""]))
+    depth = st.integers(0, 6)
+    values = {
+        "perm": perm,
+        "lengths": _vector(draw, st.floats(1e-3, 1.0), d),
+        "theta": _vector(draw, st.floats(-1.0, 1.0), d),
+        "levels": _or_garbage(draw, depth, st.just(-1)),
+        "deep_levels": _or_garbage(draw, depth, st.just(-1)),
+        "zorich_steps": _or_garbage(draw, st.integers(1, 60), st.integers(-1, 0)),
+        "delta": _or_garbage(draw, st.floats(0.01, 1.0), st.sampled_from([0.0, 4.0])),
+        "seed": _or_garbage(draw, st.integers(0, 9), st.just(-1)),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=6))
+    flags = {"lengths": "lambda", "levels": "steps"}
+    argv = [command] + [f"--{flags.get(k, k).replace('_', '-')}={values[k]}" for k in names]
+    argv += [flag for flag, on in (("--catalog", catalog), ("--json", draw(st.booleans())))
+             if on]
+    config = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=3))
+        config = {k: values[k] for k in keys}
+        for key in ("lengths", "theta"):
+            if key in config:  # lists of numbers, JSON's NaN and Infinity included
+                config[key] = [_number(v) for v in config[key].split(",")]
+    return argv, config
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(cli_runs())
+@example((["curve", "--perm=2 1", "--lambda=0.618,0.382", "--theta=nan,0.2",
+           "--steps=3"], None))
+@example((["induct", "--perm=2 1", "--lambda=1e400,1"], None))
+@example((["verify", "--catalog", "--theta=0,0,0,0", "--steps=1", "--deep-levels=1"],
+          None))
+@example((["curve", "--steps=2"], {"theta": [float("nan"), 0, 0, 0], "use_catalog": True}))
+def test_garbage_input_ends_in_an_exit_code(run):
+    """In process: ``main`` returns 0, 1 or 2, or argparse exits 2; nothing else escapes."""
+    argv, config = run
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            if config is not None:
+                with open("run.json", "w", encoding="utf-8") as handle:
+                    json.dump(config, handle)
+                argv = ["--config", "run.json", *argv]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    assert exc.code == 2
+                    return
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)

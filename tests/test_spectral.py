@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ietpwi.breaking import theta_sequence
+from ietpwi.cli import RunConfig
 from ietpwi.errors import ExhaustedResamples, InvalidInput, RauzyUndefined, Reducible
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.rauzy import matrix_to_float, rauzy_class, rauzy_iterate
 from ietpwi.spectral import (
-    _drive_blocks,
+    _blocks,
     _FloatInduction,
     genus,
     h_pi_basis,
@@ -130,7 +131,8 @@ def assert_blocks_match_oracle(iet, n):
                 with pytest.raises(RauzyUndefined, match="tie"):
                     stepwise_block(expected[3], top, bottom)
             break
-        length, winner, losers, counts = got
+        winner, losers, counts = got
+        length = sum(counts)
         if expected is None:
             assert length > ORACLE_BUDGET
             break
@@ -209,20 +211,14 @@ def test_lyapunov_positive_top_on_classes():
 def test_lyapunov_matches_singular_value_slope(golden_iet):
     """Independent oracle: top growth rate from the accumulated product norm."""
     est = lyapunov_spectrum(golden_iet, 6000)
-
-    from ietpwi.spectral import _drive_blocks
-
-    state = {"log": 0.0, "P": np.eye(2), "count": 0}
-
-    def on_block(matrix, perm_end, length):
-        P = matrix @ state["P"]
+    log, P, count = 0.0, np.eye(2), 0
+    for matrix in _blocks(golden_iet, 6000):
+        P = matrix @ P
         norm = np.linalg.norm(P, 2)
-        state["P"] = P / norm
-        state["log"] += np.log(norm)
-        state["count"] += 1
-
-    _drive_blocks(golden_iet, 6000, on_block)
-    slope = state["log"] / state["count"]
+        P = P / norm
+        log += np.log(norm)
+        count += 1
+    slope = log / count
     assert abs(slope - est.exponents[0]) <= 0.05 * est.exponents[0]
 
 
@@ -234,13 +230,9 @@ def test_lyapunov_error_bars_are_batch_standard_errors(reference, m):
     # so no batch is empty
     logs = []
     frame = None
-
-    def on_block(matrix, perm_end, length):
-        nonlocal frame
+    for matrix in _blocks(reference.iet, m):
         frame, r = np.linalg.qr(matrix if frame is None else matrix @ frame)
         logs.append(np.log(np.abs(r.diagonal())))
-
-    _drive_blocks(reference.iet, m, on_block)
     logs = np.array(logs)
     batches = min(20, m)
     means = np.array([logs[[k for k in range(m) if k * batches // m == b]].sum(axis=0)
@@ -312,6 +304,22 @@ def test_stable_frame_matches_exact_plane(reference):
     assert np.max(angles) < 5e-3
     assert frame.gap >= 10
     assert frame.drift <= 1e-4
+
+
+def test_stable_subspace_stops_driving_at_its_floor(monkeypatch):
+    # on the CLI's default lengths the product reaches its rounding floor
+    # long before the CLI's cap of 1000 blocks; no block past it is driven
+    block = _FloatInduction.block
+    calls = 0
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return block(self)
+
+    monkeypatch.setattr(_FloatInduction, "block", counted)
+    frame = stable_subspace(RunConfig().build(), 1000)
+    assert calls == frame.window == 114
 
 
 def test_sample_theta_exhausts_for_genus_one(golden_iet):
