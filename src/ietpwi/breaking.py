@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (DomainMismatch, IntervalOutOfRange, InvalidInput, NonUnitSpeed,
                      OutOfDomain)
 from .iet import piece_orbit
-from .rauzy import InductionTrace, torus_distance_to_zero, torus_project
+from .rauzy import InductionTrace, reduce_mod_tau, torus_distance_to_zero, torus_project
 
 #: per-segment absolute tolerance for the unit-speed invariant
 TOL_UNIT_SPEED = 1e-12
@@ -344,18 +344,30 @@ ThetaLike = Union[Sequence[float], Sequence[Fraction], np.ndarray]
 
 
 def theta_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> ThetaSeq:
-    """Push ``theta`` through the exact cocycle products, reduced mod ``2*pi``.
+    """Push ``theta`` through the cocycle by a running exact lift, reduced mod ``2*pi``.
 
-    ``theta`` may carry exact rational coordinates; they are consumed
-    exactly, so deep levels lose no precision to the reduction.  A wrong
-    number of coordinates, or a depth outside the trace, raises ``InvalidInput``.
+    Each step's factor ``I + E[loser, winner]`` moves the exact lift of
+    ``theta`` by one rational add, ``lift[loser] += lift[winner]``, so each
+    level reduces just that one coordinate; the others carry over.  Every
+    entry equals ``torus_project(trace.cocycle[n], theta)`` bit for bit.
+    Float coordinates are consumed as the dyadic rationals they are, exact
+    rational ones exactly, so deep levels lose no precision to the
+    reduction.  A wrong number of coordinates, or a depth outside the trace,
+    raises ``InvalidInput``.
     """
     if not 0 <= depth <= trace.n_steps:
         raise InvalidInput(f"trace holds {trace.n_steps} steps, need {depth}")
     if len(theta) != trace.initial.d:
         raise InvalidInput(f"rotation vector has {len(theta)} entries, "
                            f"the exchange has {trace.initial.d} symbols")
-    entries = [torus_project(trace.cocycle[n], theta) for n in range(depth + 1)]
+    lifts = [t if isinstance(t, Fraction) else Fraction(float(t)) for t in theta]
+    point = torus_project(trace.cocycle[0], lifts)
+    entries = [point]
+    for step in trace.steps[:depth]:
+        lifts[step.loser] += lifts[step.winner]
+        point = point.copy()
+        point[step.loser] = reduce_mod_tau(lifts[step.loser])
+        entries.append(point)
     image_last = [trace.image_last_symbol(n) for n in range(depth)]
     return ThetaSeq(entries, image_last)
 

@@ -202,13 +202,13 @@ class Lengths:
         return len(self.numerators)
 
     def values(self) -> np.ndarray:
-        return np.array([float(Fraction(n, self.denominator)) for n in self.numerators])
+        return np.array([n / self.denominator for n in self.numerators])
 
     def total_numerator(self) -> int:
         return sum(self.numerators)
 
     def total(self) -> float:
-        return float(Fraction(self.total_numerator(), self.denominator))
+        return self.total_numerator() / self.denominator
 
     def to_json(self) -> dict:
         return {"lambda": [f"{n}/{self.denominator}" for n in self.numerators]}
@@ -285,13 +285,13 @@ def build_iet(perm: Permutation, lengths: Lengths) -> IETState:
     nums = lengths.numerators
     den = lengths.denominator
     ups_num = tuple(int(sum(int(omega[a, b]) * nums[b] for b in range(perm.d))) for a in range(perm.d))
-    upsilon = np.array([float(Fraction(u, den)) for u in ups_num])
+    upsilon = np.array([u / den for u in ups_num])
 
     def grid(row: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
         acc = [0]
         for s in row:
             acc.append(acc[-1] + nums[s])
-        floats = np.array([float(Fraction(a, den)) for a in acc])
+        floats = np.array([a / den for a in acc])
         return tuple(acc), floats
 
     e0_num, endpoints0 = grid(perm.top)

@@ -8,9 +8,12 @@ left-product of these factors is maintained in exact arbitrary-precision
 integers: its entries count subinterval visits and grow exponentially, so
 64-bit arithmetic would overflow almost immediately.
 
-The same factors act on the torus ``R^d / 2*pi*Z^d``; reduction of the
-integer matrix-vector product modulo ``2*pi`` is done with an adaptive-
-precision integer value of pi so that huge products lose no accuracy.
+The same factors act on the torus ``R^d / 2*pi*Z^d``.  ``reduce_mod_tau``
+reduces an exact rational angle modulo ``2*pi`` with an adaptive-precision
+integer value of pi, so huge lifts lose no accuracy.  ``torus_project``
+applies a stored product to a rotation vector; along a trace, one factor
+moves the exact lift by a single add (``lift[loser] += lift[winner]``), which
+is how ``breaking.theta_sequence`` pushes a vector level by level.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from ietpwi.breaking import (
 )
 from ietpwi.errors import DomainMismatch, IntervalOutOfRange, InvalidInput, NonUnitSpeed
 from ietpwi.iet import apply_array
-from ietpwi.rauzy import rauzy_iterate
+from ietpwi.rauzy import rauzy_iterate, torus_project
 
 
 def random_unit_speed_curve(rng, length=None, pieces=6):
@@ -246,6 +246,24 @@ def test_theta_sequence_level_zero_is_theta(reference_trace):
     theta = [0.3, 5.9, 1.0, 2.2]
     seq = theta_sequence(reference_trace, theta, 0)
     np.testing.assert_allclose(seq.entries[0], np.mod(theta, tau))
+
+
+def test_theta_sequence_lift_matches_the_stored_products(reference, reference_trace):
+    # the running lift reduces the same exact rationals as the d-by-d push
+    rng = np.random.default_rng(3)
+    strong, weak = reference.stable_frame_exact()
+    float_theta = rng.uniform(-tau, tau, 4)
+    exact_theta = [Fraction(1, 5) * s + Fraction(-3, 7) * w for s, w in zip(strong, weak)]
+    depth = reference_trace.n_steps
+    assert depth == 420
+    for theta in (float_theta, exact_theta):
+        seq = theta_sequence(reference_trace, theta, depth)
+        assert seq.depth == depth
+        for n, entry in enumerate(seq.entries):
+            assert np.array_equal(entry, torus_project(reference_trace.cocycle[n], theta))
+        shallow = theta_sequence(reference_trace, theta, 0)
+        assert len(shallow.entries) == 1 and shallow.image_last == []
+        assert np.array_equal(shallow.entries[0], seq.entries[0])
 
 
 def test_breaking_sequence_zero_theta_identity(reference_trace):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -318,6 +319,25 @@ def test_main_entry_direct(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["blocks"] == [8]
     assert code == 1  # run stopped at the tie
+
+
+#: sha256 of ``verify --catalog --steps 8 --delta 0.05 --seed S --json`` on
+#: stdout, recorded before the rotation vectors moved to a running exact lift
+VERIFY_DIGESTS = {
+    0: "5efedfc62f60c19f1d65aa81880bd65d0a299ca70c9e2081ce97b9c9c3c56347",
+    1: "befac6cbc5ccd3492d658f84aaeb60914027e105163de9e8d475a28341bd38fb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_DIGESTS))
+def test_verify_report_bytes_are_pinned(seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--catalog", "--steps", "8", "--delta", "0.05",
+                     "--seed", str(seed), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VERIFY_DIGESTS[seed]
 
 
 #: values a user may mistype: non-finite, beyond double range, empty, not a

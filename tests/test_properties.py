@@ -1,10 +1,11 @@
-"""Property tests: the first-return orbits and the lengths against the exact
-cocycle, the rotation operator along random traces, and the JSON round trips
-of the exchange data.
+"""Property tests: the first-return orbits, the lengths and the running lift
+of rotation vectors against the exact cocycle, the rotation operator along
+random traces, the float views of exact lengths, and the JSON round trips of
+the exchange data.
 
 Random irreducible exchanges on 2 to 6 symbols with exact integer lengths,
-followed for up to 12 induction levels.  Runs are derandomized, so every
-run draws the same examples.
+followed for up to 12 induction levels (60 for the lift).  Runs are
+derandomized, so every run draws the same examples.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import json
 from fractions import Fraction
 from math import pi, sin
 
-from hypothesis import assume, given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ietpwi.breaking import (TOL_UNIT_SPEED, breaking_intervals, breaking_sequence,
                              sup_distance, theta_sequence)
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
-from ietpwi.rauzy import rauzy_iterate, return_word, visit_counts_bruteforce
+from ietpwi.rauzy import rauzy_iterate, return_word, torus_project, visit_counts_bruteforce
 
 DENOMINATOR = 2**40
 
@@ -94,6 +96,67 @@ def test_rotation_operator_keeps_unit_speed_and_increment_bound(run, angles):
         if n:
             bound = 4 * iet.total * abs(sin(seq.breaking_angle(n - 1) / 2))
             assert sup_distance(curve, curves[n - 1]) <= bound + 1e-12
+
+
+@st.composite
+def lift_runs(draw):
+    """An exchange on 3 to 6 symbols, up to 60 levels of it, and a rotation vector.
+
+    The vector is floats of any size up to 1e6 or exact rationals.
+    """
+    d = draw(st.integers(3, 6))
+    perm = Permutation.from_monodromy(draw(st.permutations(range(1, d + 1))))
+    assume(is_irreducible(perm))
+    nums = draw(st.lists(st.integers(1, DENOMINATOR), min_size=d, max_size=d))
+    trace = rauzy_iterate(build_iet(perm, Lengths(tuple(nums), DENOMINATOR)),
+                          draw(st.integers(0, 60)))
+    coordinate = st.one_of(
+        st.floats(-1e6, 1e6),
+        st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**80)))
+    theta = draw(st.lists(coordinate, min_size=d, max_size=d))
+    return trace, theta
+
+
+@PROPERTY
+@given(lift_runs())
+def test_theta_sequence_lift_is_the_stored_product_push(run):
+    trace, theta = run
+    for depth in (0, trace.n_steps):
+        seq = theta_sequence(trace, theta, depth)
+        assert len(seq.entries) == depth + 1
+        for n, entry in enumerate(seq.entries):
+            assert np.array_equal(entry, torus_project(trace.cocycle[n], theta))
+
+
+@st.composite
+def exact_exchanges(draw):
+    """A permutation pair on 2 to 6 symbols and numerators of up to 480 bits."""
+    d = draw(st.integers(2, 6))
+    return (draw(st.permutations(range(d))), draw(st.permutations(range(d))),
+            draw(st.lists(st.integers(1, 2**480), min_size=d, max_size=d)))
+
+
+@PROPERTY
+@given(exact_exchanges(), st.integers(1, 2**480), st.integers(0, 1600))
+@example(([0, 1], [1, 0], [1, 3]), 1, 1075)  # 0.5 and 1.5 times the least subnormal
+@example(([0, 2, 1], [2, 1, 0], [2**450 + 1, 2**450 - 1, 3]), 1, 1510)
+@example(([0, 1], [1, 0], [2**400 + 1, 2**401 - 1]), 3, 1400)
+def test_float_views_are_the_correctly_rounded_quotients(exchange, den, shift):
+    # int / int is correctly rounded, so it equals the float of the exact quotient,
+    # near the subnormal range and for numerators of hundreds of bits too
+    top, bottom, nums = exchange
+    den <<= shift
+    lengths = Lengths(tuple(nums), den)
+    iet = build_iet(Permutation(tuple(top), tuple(bottom)), lengths)
+
+    def quotients(values):
+        return np.array([float(Fraction(v, den)) for v in values])
+
+    assert lengths.values().tobytes() == quotients(nums).tobytes()
+    assert np.float64(lengths.total()).tobytes() == quotients([sum(nums)]).tobytes()
+    assert iet.upsilon.tobytes() == quotients(iet.upsilon_num).tobytes()
+    assert iet.endpoints0.tobytes() == quotients(iet.e0_num).tobytes()
+    assert iet.endpoints1.tobytes() == quotients(iet.e1_num).tobytes()
 
 
 @st.composite
