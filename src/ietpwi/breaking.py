@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi, tau
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -86,7 +86,11 @@ class PLCurve:
         if np.any(q < 0.0) or np.any(q > self.length):
             raise OutOfDomain("parameter outside [0, length]")
         idx = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, self.n_segments - 1)
-        out = self.z[idx] + (q - self.x[idx]) * self.tangents()[idx]
+        nxt = idx + 1
+        x0, z0 = self.x[idx], self.z[idx]
+        # the tangents of the indexed segments only, each formed as tangents() forms it
+        right = np.where(nxt < self.n_segments, self.x.take(nxt, mode="clip"), self.length)
+        out = z0 + (q - x0) * ((self.z[nxt] - z0) / (right - x0))
         return out if np.ndim(params) else out[0]
 
     def arc_length(self) -> float:
@@ -170,9 +174,6 @@ class IntervalSeq:
 
     y: np.ndarray
     delta: float
-    y_num: Optional[tuple[int, ...]] = None
-    delta_num: Optional[int] = None
-    denominator: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.y = np.asarray(self.y, dtype=float)
@@ -291,7 +292,7 @@ def breaking_intervals(trace: InductionTrace, n: int) -> IntervalSeq:
                           for m in range(1, n + 1)])
     # int / int is correctly rounded, so this equals float(Fraction(a, den))
     y = np.array([a / den for a in lefts])
-    return IntervalSeq(y, delta_num / den, tuple(lefts), delta_num, den)
+    return IntervalSeq(y, delta_num / den)
 
 
 def _check_removed_zones(lefts: Sequence[int], width: int,

@@ -170,9 +170,7 @@ def symmetric4_self_inducing(bits: int = 400) -> SelfInducingIET:
     iet = build_iet(perm, Lengths(nums, 1 << bits))
     expansion = float(max(abs(v) for v in np.linalg.eigvals(
         np.array([[float(x) for x in row] for row in loop]))))
-    strong_int = tuple(
-        sum(int(iet.omega[a, b]) * nums[b] for b in range(4)) for a in range(4)
-    )
+    strong_int = iet.upsilon_num
     scale = max(abs(v) for v in strong_int)
     strong = _quantize(tuple(Fraction(v, scale) for v in strong_int), 2 * bits)
     weak = _quantize(_weak_stable_vector(loop, strong_int, 2 * bits), 2 * bits)

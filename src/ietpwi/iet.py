@@ -249,7 +249,6 @@ class IETState:
 
     perm: Permutation
     lengths: Lengths
-    omega: np.ndarray
     upsilon: np.ndarray
     upsilon_num: tuple[int, ...]
     endpoints0: np.ndarray
@@ -278,14 +277,15 @@ class IETState:
 
 
 def build_iet(perm: Permutation, lengths: Lengths) -> IETState:
-    """Derive translations and endpoint grids for the exchange ``(lengths, perm)``."""
+    """Derive translations and endpoint grids for the exchange ``(lengths, perm)``.
+
+    Symbol ``s`` translates by the distance from its top-row left end to its
+    bottom-row left end, ``e1[pi1(s)] - e0[pi0(s)]`` on exact numerators.
+    """
     if lengths.d != perm.d:
         raise InvalidInput("lengths and permutation have different sizes")
-    omega = omega_matrix(perm)
     nums = lengths.numerators
     den = lengths.denominator
-    ups_num = tuple(int(sum(int(omega[a, b]) * nums[b] for b in range(perm.d))) for a in range(perm.d))
-    upsilon = np.array([u / den for u in ups_num])
 
     def grid(row: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
         acc = [0]
@@ -296,7 +296,10 @@ def build_iet(perm: Permutation, lengths: Lengths) -> IETState:
 
     e0_num, endpoints0 = grid(perm.top)
     e1_num, endpoints1 = grid(perm.bottom)
-    return IETState(perm, lengths, omega, upsilon, ups_num, endpoints0, endpoints1, e0_num, e1_num)
+    ups_num = tuple(e1_num[perm.position1(s)] - e0_num[perm.position0(s)]
+                    for s in range(perm.d))
+    upsilon = np.array([u / den for u in ups_num])
+    return IETState(perm, lengths, upsilon, ups_num, endpoints0, endpoints1, e0_num, e1_num)
 
 
 def build_iet_from(perm: Union[Permutation, str, Sequence[int]],
@@ -307,13 +310,21 @@ def build_iet_from(perm: Union[Permutation, str, Sequence[int]],
     return build_iet(perm, Lengths.from_values(lengths))
 
 
+def slot_at(grid: np.ndarray, x: Union[float, np.ndarray]) -> Union[np.intp, np.ndarray]:
+    """0-based cell of the increasing ``grid`` holding ``x``.
+
+    Cells are closed on the left and open on the right; points beyond the
+    ends fall in the outer cells.  Accepts scalars and arrays.
+    """
+    return np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
+
+
 def symbol_at(iet: IETState, x: float) -> int:
     """Symbol of the subinterval containing ``x`` (half-open convention)."""
     if x < 0.0 or x >= iet.total:
         raise OutOfDomain(f"x={x!r} outside [0, {iet.total!r})")
-    j = int(np.searchsorted(iet.endpoints0, x, side="right")) - 1
-    j = min(max(j, 0), iet.d - 1)
-    return iet.perm.top[j]
+    return iet.perm.top[int(slot_at(iet.endpoints0, x))]
+
 
 def apply(iet: IETState, x: float) -> float:
     """Evaluate the exchange at ``x``."""
@@ -324,17 +335,17 @@ def apply_inverse(iet: IETState, y: float) -> float:
     """Evaluate the inverse exchange at ``y``."""
     if y < 0.0 or y >= iet.total:
         raise OutOfDomain(f"y={y!r} outside [0, {iet.total!r})")
-    j = int(np.searchsorted(iet.endpoints1, y, side="right")) - 1
-    j = min(max(j, 0), iet.d - 1)
-    symbol = iet.perm.bottom[j]
-    return y - float(iet.upsilon[symbol])
+    return y - float(iet.upsilon[iet.perm.bottom[int(slot_at(iet.endpoints1, y))]])
+
+
+def symbols_array(iet: IETState, x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`symbol_at` for sample grids already inside the domain."""
+    return np.asarray(iet.perm.top)[slot_at(iet.endpoints0, x)]
 
 
 def apply_array(iet: IETState, x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`apply` for sample grids already inside the domain."""
-    j = np.clip(np.searchsorted(iet.endpoints0, x, side="right") - 1, 0, iet.d - 1)
-    symbols = np.asarray(iet.perm.top)[j]
-    return x + iet.upsilon[symbols]
+    return x + iet.upsilon[symbols_array(iet, x)]
 
 
 def symbol_at_exact(iet: IETState, x_num: int) -> int:

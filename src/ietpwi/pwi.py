@@ -12,16 +12,16 @@ the quantitative content checked by the verification layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import tau
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .breaking import PLCurve, ThetaSeq
+from .breaking import PLCurve, ThetaSeq, theta_sequence
 from .errors import AtomMissesCurve, AtomsOverlap, LevelMismatch, UnclassifiablePoint
-from .iet import IETState, apply as iet_apply
-from .rauzy import InductionTrace, return_word, torus_project
+from .iet import IETState, apply as iet_apply, slot_at
+from .rauzy import InductionTrace, return_word
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +82,8 @@ class EndpointImages:
     the chain is anchored at the rightmost point and built backwards.
     """
 
-    n: int
-    m: int
     state: IETState
     theta_m: np.ndarray
-    grid0: np.ndarray
     gamma0: np.ndarray
     xi: np.ndarray
 
@@ -103,16 +100,14 @@ def endpoint_images(curve: PLCurve, trace: InductionTrace, m: int,
         raise LevelMismatch("level grids extend past the curve domain")
     theta_m = np.asarray(theta_m, dtype=float)
     d = state.d
-    grid0 = state.endpoints0
-    gamma0 = curve.evaluate(grid0)
+    gamma0 = curve.evaluate(state.endpoints0)
     xi = np.empty(d + 1, dtype=complex)
     xi[d] = gamma0[d]
     for j in range(d - 1, -1, -1):
         symbol = state.perm.bottom[j]
         hat = state.perm.position0(symbol) + 1
         xi[j] = np.exp(1j * theta_m[symbol]) * (gamma0[hat - 1] - gamma0[hat]) + xi[j + 1]
-    return EndpointImages(n if n is not None else m, m, state, theta_m,
-                          grid0, gamma0, xi)
+    return EndpointImages(state, theta_m, gamma0, xi)
 
 
 def hat_maps(images: EndpointImages) -> list[PlanarIsometry]:
@@ -143,29 +138,29 @@ def hat_maps(images: EndpointImages) -> list[PlanarIsometry]:
 
 
 def inductive_maps(trace: InductionTrace, curve_n: PLCurve, theta_seq: ThetaSeq,
-                   n: int, m: int) -> list[PlanarIsometry]:
-    """Family at level ``m`` built by reversing induction steps from level ``n``.
+                   n: int) -> list[list[PlanarIsometry]]:
+    """Families at levels ``0..n`` built by reversing induction steps from level ``n``.
 
-    The base family is the direct one at the deepest level; each backward
-    step rewrites the single map whose subinterval the step modified, with
-    the composition branch decided by the step type.
+    Entry ``m`` is the level-``m`` family.  The base family is the direct one
+    at the deepest level; each backward step rewrites the single map whose
+    subinterval the step modified, with the composition branch decided by
+    the step type, so one walk from ``n`` to 0 yields every level.
     """
-    if m > n:
-        raise LevelMismatch(f"need m <= n, got m={m}, n={n}")
     if n > trace.n_steps or n > theta_seq.depth:
         raise LevelMismatch("trace or rotation data shallower than the curve level")
     maps = hat_maps(endpoint_images(curve_n, trace, n, theta_seq.entries[n], n))
-    for k in range(n, m, -1):
+    families = [maps]
+    for k in range(n, 0, -1):
         step = trace.steps[k - 1]
         prev = trace.states[k - 1].perm
         beta0, beta1 = prev.top[-1], prev.bottom[-1]
-        updated = list(maps)
+        maps = list(maps)
         if step.type_eps == 0:
-            updated[beta1] = maps[beta0].inverse().compose(maps[beta1])
+            maps[beta1] = maps[beta0].inverse().compose(maps[beta1])
         else:
-            updated[beta0] = maps[beta0].compose(maps[beta1].inverse())
-        maps = updated
-    return maps
+            maps[beta0] = maps[beta0].compose(maps[beta1].inverse())
+        families.append(maps)
+    return families[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +191,9 @@ class CurveParameterAtoms:
         return float(self.curve.x[i] + t[i]), float(d2[i])
 
     def classify(self, z: complex) -> int:
+        """Slot of the atom holding ``z``."""
         param, _ = self.nearest_parameter(z)
-        j = int(np.searchsorted(self.boundaries, param, side="right")) - 1
-        return int(np.clip(j, 0, len(self.boundaries) - 2))
+        return int(slot_at(self.boundaries, param))
 
 
 @dataclass
@@ -225,6 +220,7 @@ class PolygonAtoms:
         return True
 
     def classify(self, z: complex) -> int:
+        """Slot of the polygon holding ``z``."""
         for k in range(len(self.polygons)):
             if self.contains(k, z):
                 return k
@@ -255,28 +251,25 @@ def _polygons_disjoint(polygons: list[np.ndarray]) -> bool:
 
 @dataclass
 class AdaptedPWI:
-    """A piecewise isometry whose atoms carry the pieces of an invariant curve."""
+    """A piecewise isometry whose atoms carry the pieces of an invariant curve.
+
+    ``maps[s]`` is the isometry of symbol ``s``; the atoms are indexed by
+    top-row slot, so the atom in slot ``j`` carries symbol ``iet.perm.top[j]``.
+    """
 
     theta: np.ndarray
     maps: list[PlanarIsometry]
     iet: IETState
-    curve: Optional[PLCurve]
+    curve: PLCurve
     atoms: Union[CurveParameterAtoms, PolygonAtoms]
-    symbols: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if not self.symbols:
-            self.symbols = tuple(range(len(self.maps)))
 
     @property
     def d(self) -> int:
         return len(self.maps)
 
     def classify(self, z: complex) -> int:
-        if isinstance(self.atoms, CurveParameterAtoms):
-            slot = self.atoms.classify(z)
-            return self.iet.perm.top[slot]
-        return self.symbols[self.atoms.classify(z)]
+        """Symbol of the atom holding ``z``."""
+        return self.iet.perm.top[self.atoms.classify(z)]
 
     def apply(self, z: complex) -> complex:
         return complex(self.maps[self.classify(z)](z))
@@ -287,7 +280,7 @@ class AdaptedPWI:
             "maps": [
                 {"symbol": s, "angle": m.angle,
                  "a": [m.a.real, m.a.imag], "b": [m.b.real, m.b.imag]}
-                for s, m in zip(self.symbols, self.maps)
+                for s, m in enumerate(self.maps)
             ],
         }
 
@@ -314,23 +307,18 @@ def adapted_pwi(curve_limit: PLCurve, iet: IETState,
             complex(curve_limit.evaluate(image)),
         ))
     if polygons is None:
-        atoms: Union[CurveParameterAtoms, PolygonAtoms] = CurveParameterAtoms(
-            curve_limit, iet.endpoints0.copy())
-    else:
-        if not _polygons_disjoint(polygons):
-            raise AtomsOverlap("supplied atoms intersect")
-        rule = PolygonAtoms(polygons)
-        for slot in range(iet.d):
-            symbol = iet.perm.top[slot]
-            lo, hi = iet.endpoints0[slot], iet.endpoints0[slot + 1]
-            params = np.linspace(lo, hi, 33)[:-1]
-            pts = curve_limit.evaluate(params)
-            if not all(rule.contains(slot, complex(p)) for p in pts):
-                raise AtomMissesCurve(f"atom {slot} misses its curve piece")
-        atoms = rule
-        return AdaptedPWI(theta_arr, maps, iet, curve_limit, atoms,
-                          tuple(iet.perm.top))
-    return AdaptedPWI(theta_arr, maps, iet, curve_limit, atoms)
+        return AdaptedPWI(theta_arr, maps, iet, curve_limit,
+                          CurveParameterAtoms(curve_limit, iet.endpoints0.copy()))
+    if not _polygons_disjoint(polygons):
+        raise AtomsOverlap("supplied atoms intersect")
+    rule = PolygonAtoms(polygons)
+    for slot in range(iet.d):
+        lo, hi = iet.endpoints0[slot], iet.endpoints0[slot + 1]
+        params = np.linspace(lo, hi, 33)[:-1]
+        pts = curve_limit.evaluate(params)
+        if not all(rule.contains(slot, complex(p)) for p in pts):
+            raise AtomMissesCurve(f"atom {slot} misses its curve piece")
+    return AdaptedPWI(theta_arr, maps, iet, curve_limit, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +330,8 @@ def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int) -> AdaptedPWI:
 
     Each induced map composes the original per-symbol maps along the atom
     itinerary of the corresponding level-``n`` subinterval; the induced
-    rotation vector is the cocycle push of the original one.
+    rotation vector is the cocycle push of the original one, and its atoms
+    classify by curve parameter on the level-``n`` grid.
     """
     if n == 0:
         return pwi
@@ -356,10 +345,9 @@ def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int) -> AdaptedPWI:
         for letter in word[1:]:
             composed = pwi.maps[letter].compose(composed)
         maps.append(composed)
-    theta_n = torus_project(trace.cocycle[n], pwi.theta)
-    atoms = CurveParameterAtoms(pwi.curve, deep.endpoints0.copy()) \
-        if pwi.curve is not None else pwi.atoms
-    return AdaptedPWI(theta_n, maps, deep, pwi.curve, atoms)
+    theta_n = theta_sequence(trace, pwi.theta, n).entries[n]
+    return AdaptedPWI(theta_n, maps, deep, pwi.curve,
+                      CurveParameterAtoms(pwi.curve, deep.endpoints0.copy()))
 
 
 def iterate(pwi: AdaptedPWI, z: complex, k: int) -> tuple[np.ndarray, list[int]]:

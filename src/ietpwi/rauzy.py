@@ -248,20 +248,14 @@ def rauzy_iterate(iet: IETState, n: int) -> InductionTrace:
 def zorich_iterate(iet: IETState, m: int) -> InductionTrace:
     """Run induction until ``m`` maximal same-type blocks are complete.
 
-    The returned trace is truncated at the last completed block boundary, so
-    ``trace.n_steps`` equals the sum of the ``m`` acceleration times.
+    The run stops before the step that opens block ``m + 1``, so without a
+    tie ``trace.n_steps`` equals the sum of the ``m`` acceleration times.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
         return InductionTrace(states=[iet], cocycle=[identity_matrix(iet.d)])
-    trace = _iterate(iet, max_steps=None, max_blocks=m)
-    if trace.error is None:
-        boundary = trace.acceleration_partial_sums()[-1]
-        del trace.steps[boundary:]
-        del trace.states[boundary + 1:]
-        del trace.cocycle[boundary + 1:]
-    return trace
+    return _iterate(iet, max_steps=None, max_blocks=m)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .breaking import PLCurve, ThetaSeq, sup_distance
-from .iet import IETState, apply_array, apply_exact
+from .iet import IETState, apply_exact, symbols_array
 from .pwi import (AdaptedPWI, PlanarIsometry, endpoint_images, hat_maps,
                   inductive_maps, map_distance)
 from .rauzy import InductionTrace
@@ -119,16 +119,26 @@ def _sample_parameters(iet: IETState, grid: int, extra: Optional[np.ndarray]) ->
     return xs
 
 
-def _apply_by_atom(maps: Sequence[PlanarIsometry], state: IETState,
-                   xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Apply to each point ``zs[i]`` the map of the atom holding parameter ``xs[i]``."""
-    slots = np.clip(np.searchsorted(state.endpoints0, xs, side="right") - 1, 0, state.d - 1)
-    out = np.empty_like(zs)
-    for j in range(state.d):
-        sel = slots == j
+def _conjugacy_defect(curve: PLCurve, maps: Sequence[PlanarIsometry], state: IETState,
+                      xs: np.ndarray, floor: float = 0.0) -> float:
+    """Largest ``|maps[s](curve(x)) - curve(f(x))|`` over the samples ``x`` with ``f(x) >= floor``.
+
+    ``f`` is the exchange ``state`` and ``s`` the symbol of the atom holding
+    ``x``, looked up once per sample; 0 when no sample is kept.
+    """
+    symbols = symbols_array(state, xs)
+    fx = xs + state.upsilon[symbols]
+    keep = fx >= floor
+    if not np.any(keep):
+        return 0.0
+    xs, fx, symbols = xs[keep], fx[keep], symbols[keep]
+    gz = curve.evaluate(xs)
+    out = np.empty_like(gz)
+    for symbol in state.perm.top:
+        sel = symbols == symbol
         if np.any(sel):
-            out[sel] = maps[state.perm.top[j]](zs[sel])
-    return out
+            out[sel] = maps[symbol](gz[sel])
+    return float(np.max(np.abs(out - curve.evaluate(fx))))
 
 
 def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState) -> float:
@@ -138,12 +148,8 @@ def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState) -> float:
     excluding small neighborhoods of the discontinuity parameters; atoms are
     resolved by curve parameter, which is exact on the curve.
     """
-    xs = _sample_parameters(iet, EMBEDDING_SAMPLES, curve.x)
-    fx = apply_array(iet, xs)
-    gz = curve.evaluate(xs)
-    gfx = curve.evaluate(fx)
-    out = _apply_by_atom(pwi.maps, iet, xs, gz)
-    return float(np.max(np.abs(out - gfx)))
+    return _conjugacy_defect(curve, pwi.maps, iet,
+                             _sample_parameters(iet, EMBEDDING_SAMPLES, curve.x))
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +173,18 @@ def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], thet
     for n in range(depth + 1):
         curve = curves[n]
         total_n = trace.states[n].total
+        families = inductive_maps(trace, curve, theta_seq, n)
         for m in range(n + 1):
             state = trace.states[m]
             direct = hat_maps(endpoint_images(curve, trace, m, theta_seq.entries[m], n))
-            inductive = inductive_maps(trace, curve, theta_seq, n, m)
-            agree = max(map_distance(a, b, zs) for a, b in zip(direct, inductive))
+            agree = max(map_distance(a, b, zs) for a, b in zip(direct, families[m]))
             report.add("map_agreement", agree, tol_scale * (1 + n), n=n, m=m)
 
             mids = 0.5 * (state.endpoints0[:-1] + state.endpoints0[1:])
             uniform = rng.uniform(0.0, state.total, 100)
             xs = _sample_parameters(state, 2, np.concatenate([mids, uniform]))
             xs = xs[xs < state.total]
-            fx = apply_array(state, xs)
-            keep = fx >= total_n
-            defect = 0.0
-            if np.any(keep):
-                xs, fx = xs[keep], fx[keep]
-                gz = curve.evaluate(xs)
-                gfx = curve.evaluate(fx)
-                vals = _apply_by_atom(inductive, state, xs, gz)
-                defect = float(np.max(np.abs(vals - gfx)))
+            defect = _conjugacy_defect(curve, families[m], state, xs, total_n)
             report.add("quasi_embedding", defect, tol_scale * (1 + n), n=n, m=m)
     return report
 

@@ -9,6 +9,7 @@ import pytest
 
 from ietpwi.catalog import (_integer_inverse, _mat_vec, _quantize, _reduce_int_vector,
                             _transpose, symmetric4_self_inducing)
+from ietpwi.iet import omega_matrix
 
 # SHA-256 of strong_stable then weak_stable at bits=400, each entry written
 # as "numerator/denominator" and joined by ";", as built by the gcd-reduced
@@ -48,7 +49,8 @@ def test_weak_stable_matches_gcd_iteration(bits):
     reference = symmetric4_self_inducing(bits)
     iet = reference.iet
     nums = iet.lengths.numerators
-    strong_int = tuple(sum(int(iet.omega[a, b]) * nums[b] for b in range(iet.d))
+    omega = omega_matrix(iet.perm)
+    strong_int = tuple(sum(int(omega[a, b]) * nums[b] for b in range(iet.d))
                        for a in range(iet.d))
     oracle = _quantize(_weak_stable_gcd_oracle(reference.loop_matrix, strong_int), 2 * bits)
     assert reference.weak_stable == oracle

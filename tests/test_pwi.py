@@ -9,7 +9,8 @@ import pytest
 
 from ietpwi.breaking import PLCurve, breaking_sequence, theta_sequence
 from ietpwi.errors import AtomMissesCurve, AtomsOverlap, LevelMismatch, UnclassifiablePoint
-from ietpwi.iet import apply, apply_array, build_iet_from, symbol_at
+from ietpwi.iet import (Lengths, Permutation, apply, apply_array, build_iet, build_iet_from,
+                        symbol_at)
 from ietpwi.pwi import (
     PlanarIsometry,
     adapted_pwi,
@@ -95,7 +96,7 @@ def test_inductive_base_case_equals_direct(reference_trace, reference_curves,
     direct = hat_maps(endpoint_images(reference_curves[n], reference_trace, n,
                                       reference_theta_seq.entries[n], n))
     chained = inductive_maps(reference_trace, reference_curves[n],
-                             reference_theta_seq, n, n)
+                             reference_theta_seq, n)[n]
     zs = np.array([0.3 + 0.4j, -1 + 2j])
     for a, b in zip(direct, chained):
         assert map_distance(a, b, zs) == 0.0
@@ -109,11 +110,12 @@ def test_map_agreement_random_theta(reference_trace):
     seq = theta_sequence(reference_trace, theta, depth)
     zs = rng.uniform(-1, 1, 16) + 1j * rng.uniform(-1, 1, 16)
     for n in range(depth + 1):
+        families = inductive_maps(reference_trace, curves[n], seq, n)
+        assert len(families) == n + 1
         for m in range(n + 1):
             direct = hat_maps(endpoint_images(curves[n], reference_trace, m,
                                               seq.entries[m], n))
-            chained = inductive_maps(reference_trace, curves[n], seq, n, m)
-            worst = max(map_distance(a, b, zs) for a, b in zip(direct, chained))
+            worst = max(map_distance(a, b, zs) for a, b in zip(direct, families[m]))
             assert worst <= 1e-9 * (1 + n)
 
 
@@ -123,7 +125,7 @@ def test_quasi_embedding_identity_random_theta(reference_trace):
     n, m = 8, 3
     curves = breaking_sequence(reference_trace, theta, n)
     seq = theta_sequence(reference_trace, theta, n)
-    maps = inductive_maps(reference_trace, curves[n], seq, n, m)
+    maps = inductive_maps(reference_trace, curves[n], seq, n)[m]
     state = reference_trace.states[m]
     total_n = reference_trace.states[n].total
     xs = np.linspace(0, state.total, 400, endpoint=False)[1:]
@@ -148,7 +150,7 @@ def test_inductive_zero_theta_matches_exchange(reference_trace):
     ident = PLCurve.identity(iet.total)
     seq = theta_sequence(reference_trace, [0.0] * 4, 6)
     curves = [ident] * 7
-    maps = inductive_maps(reference_trace, curves[6], seq, 6, 0)
+    maps = inductive_maps(reference_trace, curves[6], seq, 6)[0]
     xs = np.linspace(0.01, iet.total - 0.01, 37)
     for x in xs:
         symbol = symbol_at(iet, float(x))
@@ -236,6 +238,24 @@ def test_polygon_atoms_degenerate_case_classifies():
     assert pwi.classify(0.2 + 0j) == iet.perm.top[0]
     with pytest.raises(UnclassifiablePoint):
         pwi.classify(5.0 + 5.0j)
+
+
+def test_polygon_atoms_label_maps_by_symbol_on_a_permuted_top_row():
+    # slot 0 carries symbol 1 and slot 1 symbol 0
+    iet = build_iet(Permutation((1, 0), (0, 1)), Lengths.from_values([0.6, 0.4]))
+    ident = PLCurve.identity(iet.total)
+    theta = [0.25, 1.5]
+    polys = [np.array([[-0.01, -0.1], [0.4, -0.1], [0.4, 0.1], [-0.01, 0.1]]),
+             np.array([[0.4, -0.1], [1.01, -0.1], [1.01, 0.1], [0.4, 0.1]])]
+    by_polygon = adapted_pwi(ident, iet, theta, polygons=polys)
+    by_curve = adapted_pwi(ident, iet, theta)
+    for pwi in (by_polygon, by_curve):
+        labels = {entry["symbol"]: entry["angle"] for entry in pwi.to_json()["maps"]}
+        assert labels == {0: 0.25, 1: 1.5}
+    for x in (0.1, 0.35, 0.45, 0.9):
+        symbol = symbol_at(iet, x)
+        assert by_polygon.classify(complex(x)) == by_curve.classify(complex(x)) == symbol
+        assert by_polygon.apply(complex(x)) == by_curve.apply(complex(x))
 
 
 def test_return_word_letter_counts_match_cocycle(reference_trace):
