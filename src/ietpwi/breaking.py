@@ -205,7 +205,8 @@ def breaking_offsets(curve: PLCurve, phi: float,
     rot = complex(np.cos(phi), np.sin(phi))
     one_minus = 1.0 - rot
     g_left = curve.evaluate(intervals.y)
-    g_right = curve.evaluate(intervals.y + intervals.delta)
+    # a piece ending at the domain's right end may round above it
+    g_right = curve.evaluate(np.minimum(intervals.y + intervals.delta, curve.length))
     # upper[k] = lower[k-1] + g_left[k]*(1-rot), lower[k] = upper[k] - g_right[k]*(1-rot):
     # one running sum over the interleaved steps, added in the same order
     steps = np.empty(2 * intervals.count, dtype=complex)

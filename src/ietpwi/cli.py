@@ -128,8 +128,11 @@ def _emit(cfg: RunConfig, text: str, payload: Optional[dict] = None) -> None:
 
 def _write(path: Optional[str], default_name: str, content: str) -> str:
     target = path or default_name
-    with open(target, "w", encoding="utf-8") as handle:
-        handle.write(content)
+    try:
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {target!r}: {exc.strerror}") from None
     return target
 
 
@@ -294,7 +297,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     seq = breaking.theta_sequence(trace, theta, trace.n_steps)
     curves.extend(breaking.curve_levels(trace, seq, curves, deep))
 
-    report = verify.quasi_embedding_suite(trace, curves, seq, depth, seed=cfg.seed)
+    report = verify.quasi_embedding_suite(trace, curves, seq, depth)
     conv = verify.convergence_report(curves, seq, trace)
     report.checks.extend(conv.checks)
 

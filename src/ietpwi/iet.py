@@ -338,14 +338,9 @@ def apply_inverse(iet: IETState, y: float) -> float:
     return y - float(iet.upsilon[iet.perm.bottom[int(slot_at(iet.endpoints1, y))]])
 
 
-def symbols_array(iet: IETState, x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`symbol_at` for sample grids already inside the domain."""
-    return np.asarray(iet.perm.top)[slot_at(iet.endpoints0, x)]
-
-
 def apply_array(iet: IETState, x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`apply` for sample grids already inside the domain."""
-    return x + iet.upsilon[symbols_array(iet, x)]
+    return x + iet.upsilon[np.asarray(iet.perm.top)[slot_at(iet.endpoints0, x)]]
 
 
 def symbol_at_exact(iet: IETState, x_num: int) -> int:

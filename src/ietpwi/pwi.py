@@ -19,7 +19,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .breaking import PLCurve, ThetaSeq, theta_sequence
-from .errors import AtomMissesCurve, AtomsOverlap, LevelMismatch, UnclassifiablePoint
+from .errors import (AtomMissesCurve, AtomsOverlap, InvalidInput, LevelMismatch,
+                     UnclassifiablePoint)
 from .iet import IETState, apply as iet_apply, slot_at
 from .rauzy import InductionTrace, return_word
 
@@ -309,13 +310,17 @@ def adapted_pwi(curve_limit: PLCurve, iet: IETState,
     if polygons is None:
         return AdaptedPWI(theta_arr, maps, iet, curve_limit,
                           CurveParameterAtoms(curve_limit, iet.endpoints0.copy()))
+    if len(polygons) != iet.d:
+        raise InvalidInput(f"need one polygon per atom, {iet.d} in all, got {len(polygons)}")
     if not _polygons_disjoint(polygons):
         raise AtomsOverlap("supplied atoms intersect")
     rule = PolygonAtoms(polygons)
+    # a convex polygon holds a segment iff it holds both ends, so each atom's
+    # curve vertices decide, its right end taken as a limit
     for slot in range(iet.d):
         lo, hi = iet.endpoints0[slot], iet.endpoints0[slot + 1]
-        params = np.linspace(lo, hi, 33)[:-1]
-        pts = curve_limit.evaluate(params)
+        inner = curve_limit.x[(curve_limit.x > lo) & (curve_limit.x < hi)]
+        pts = curve_limit.evaluate(np.concatenate([[lo], inner, [hi]]))
         if not all(rule.contains(slot, complex(p)) for p in pts):
             raise AtomMissesCurve(f"atom {slot} misses its curve piece")
     return AdaptedPWI(theta_arr, maps, iet, curve_limit, rule)

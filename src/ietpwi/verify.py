@@ -2,9 +2,11 @@
 
 Every check reports a nonnegative defect, the tolerance it was held to and
 the verdict; reports serialize to JSON and are byte-for-byte deterministic
-given the same inputs and seeds.  Supremum norms between piecewise-linear
-objects are evaluated on merged breakpoint sets (exact); only compositions
-that break piecewise linearity fall back to dense parameter grids.
+given the same inputs, since no check draws random points.  Every supremum
+is a maximum over a finite kink set: the functions involved are piecewise
+affine in the curve parameter (or affine on the plane), so the largest
+modulus sits at a breakpoint, at a breakpoint's preimage under the
+exchange, at an atom end, or at a corner of the compared box.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .breaking import PLCurve, ThetaSeq, sup_distance
-from .iet import IETState, apply_exact, symbols_array
+from .iet import IETState, apply_exact
 from .pwi import (AdaptedPWI, PlanarIsometry, endpoint_images, hat_maps,
                   inductive_maps, map_distance)
 from .rauzy import InductionTrace
@@ -28,17 +30,8 @@ from .rauzy import InductionTrace
 #: of magnitude higher, so the threshold is a reporting convention
 TOL_NONTRIVIAL = 1e-3
 
-#: half-width of the excluded neighborhoods around discontinuity parameters
-EXCLUSION_RADIUS = 1e-10
-
-#: uniform grid points of the embedding defect, besides the curve breakpoints
-EMBEDDING_SAMPLES = 10_000
-#: random plane points on which the quasi-embedding suite compares two maps
-Z_SAMPLES = 32
 #: uniform samples per curve piece of the non-triviality fits
 PIECE_SAMPLES = 512
-#: uniform grid points of the isometry defect, besides the curve breakpoints
-ISOMETRY_SAMPLES = 1024
 
 
 def _jsonify(value):
@@ -109,47 +102,43 @@ class VerificationReport:
 # embedding defect
 # ---------------------------------------------------------------------------
 
-def _sample_parameters(iet: IETState, grid: int, extra: Optional[np.ndarray]) -> np.ndarray:
-    xs = np.linspace(0.0, iet.total, grid, endpoint=False)
-    if extra is not None:
-        xs = np.union1d(xs, extra[(extra >= 0) & (extra < iet.total)])
-    radius = EXCLUSION_RADIUS * max(1.0, iet.total)
-    for e in iet.endpoints0[:-1]:
-        xs = xs[np.abs(xs - e) > radius]
-    return xs
-
-
 def _conjugacy_defect(curve: PLCurve, maps: Sequence[PlanarIsometry], state: IETState,
-                      xs: np.ndarray, floor: float = 0.0) -> float:
-    """Largest ``|maps[s](curve(x)) - curve(f(x))|`` over the samples ``x`` with ``f(x) >= floor``.
+                      floor: int = 0) -> float:
+    """Largest ``|maps[s](curve(x)) - curve(x + u_s)|`` over the ``x`` whose image is ``>= floor``.
 
-    ``f`` is the exchange ``state`` and ``s`` the symbol of the atom holding
-    ``x``, looked up once per sample; 0 when no sample is kept.
+    ``s`` is the symbol of the atom holding ``x`` and ``u_s`` its translation
+    under the exchange ``state``; ``floor`` is a numerator over the state's
+    denominator, so each atom's kept region is decided on exact numerators.
+    On a region the defect is affine between kinks, so its supremum is the
+    maximum over the region's two ends (the right one as a limit), the curve
+    breakpoints inside it and their preimages ``curve.x - u_s``; 0 when no
+    region is kept.
     """
-    symbols = symbols_array(state, xs)
-    fx = xs + state.upsilon[symbols]
-    keep = fx >= floor
-    if not np.any(keep):
-        return 0.0
-    xs, fx, symbols = xs[keep], fx[keep], symbols[keep]
-    gz = curve.evaluate(xs)
-    out = np.empty_like(gz)
-    for symbol in state.perm.top:
-        sel = symbols == symbol
-        if np.any(sel):
-            out[sel] = maps[symbol](gz[sel])
-    return float(np.max(np.abs(out - curve.evaluate(fx))))
+    den = state.denominator
+    worst = 0.0
+    for slot, symbol in enumerate(state.perm.top):
+        lo = max(state.e0_num[slot], floor - state.upsilon_num[symbol])
+        hi = state.e0_num[slot + 1]
+        if lo >= hi:
+            continue
+        lo, hi = lo / den, hi / den
+        shift = state.upsilon[symbol]
+        kinks = np.concatenate([curve.x, curve.x - shift])
+        xs = np.concatenate([[lo], kinks[(kinks > lo) & (kinks < hi)], [hi]])
+        fx = np.minimum(xs + shift, curve.length)
+        gap = maps[symbol](curve.evaluate(xs)) - curve.evaluate(fx)
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
 
 
 def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState) -> float:
     """Supremum conjugacy defect of the curve between the exchange and the maps.
 
-    Evaluated on a uniform parameter grid plus every curve breakpoint,
-    excluding small neighborhoods of the discontinuity parameters; atoms are
-    resolved by curve parameter, which is exact on the curve.
+    The maximum over its kink set (see ``_conjugacy_defect``), over the whole
+    domain: atom ends count as one-sided limits, so no neighbourhood of a
+    discontinuity is left out.
     """
-    return _conjugacy_defect(curve, pwi.maps, iet,
-                             _sample_parameters(iet, EMBEDDING_SAMPLES, curve.x))
+    return _conjugacy_defect(curve, pwi.maps, iet)
 
 
 # ---------------------------------------------------------------------------
@@ -157,34 +146,28 @@ def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState) -> float:
 # ---------------------------------------------------------------------------
 
 def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], theta_seq: ThetaSeq,
-                          depth: int, seed: int = 0, tol_scale: float = 1e-9) -> VerificationReport:
+                          depth: int, tol_scale: float = 1e-9) -> VerificationReport:
     """Map agreement and conjugacy defects for every level pair.
 
     For levels ``m <= n <= depth`` the inductively built family must equal
     the directly built one as maps of the plane, and must intertwine the
     level-``m`` exchange with the level-``n`` curve outside the pullback of
-    the level-``n`` interval.  Both defects carry tolerance
-    ``tol_scale * (1 + n)``.
+    the level-``n`` interval.  Two isometries differ by an affine map, whose
+    modulus peaks at a corner of the compared box ``[-b, b]^2`` (``b`` the
+    larger of 1 and the domain length); the conjugacy defect is a maximum
+    over its kink set.  Both defects carry tolerance ``tol_scale * (1 + n)``.
     """
-    rng = np.random.default_rng(seed)
     report = VerificationReport()
-    box = max(1.0, trace.initial.total)
-    zs = rng.uniform(-box, box, Z_SAMPLES) + 1j * rng.uniform(-box, box, Z_SAMPLES)
+    corners = max(1.0, trace.initial.total) * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
     for n in range(depth + 1):
         curve = curves[n]
-        total_n = trace.states[n].total
         families = inductive_maps(trace, curve, theta_seq, n)
         for m in range(n + 1):
-            state = trace.states[m]
             direct = hat_maps(endpoint_images(curve, trace, m, theta_seq.entries[m], n))
-            agree = max(map_distance(a, b, zs) for a, b in zip(direct, families[m]))
+            agree = max(map_distance(a, b, corners) for a, b in zip(direct, families[m]))
             report.add("map_agreement", agree, tol_scale * (1 + n), n=n, m=m)
-
-            mids = 0.5 * (state.endpoints0[:-1] + state.endpoints0[1:])
-            uniform = rng.uniform(0.0, state.total, 100)
-            xs = _sample_parameters(state, 2, np.concatenate([mids, uniform]))
-            xs = xs[xs < state.total]
-            defect = _conjugacy_defect(curve, families[m], state, xs, total_n)
+            defect = _conjugacy_defect(curve, families[m], trace.states[m],
+                                       trace.states[n].total_num)
             report.add("quasi_embedding", defect, tol_scale * (1 + n), n=n, m=m)
     return report
 
@@ -495,10 +478,9 @@ def is_nontrivial(report: VerificationReport) -> bool:
 # ---------------------------------------------------------------------------
 
 def isometry_defect(curve: PLCurve) -> float:
-    """Supremum of |arc length up to x minus x| over sampled parameters."""
-    cum = curve.cumulative_arc_length()
-    bounds = curve.segment_bounds()
-    xs = np.union1d(np.linspace(0.0, curve.length, ISOMETRY_SAMPLES), bounds)
-    idx = np.clip(np.searchsorted(curve.x, xs, side="right") - 1, 0, curve.n_segments - 1)
-    partial = cum[idx] + np.abs(curve.evaluate(xs) - curve.z[idx])
-    return float(np.max(np.abs(partial - xs)))
+    """Supremum of |arc length up to x minus x| over the domain.
+
+    Both are linear on each segment, so the supremum is the maximum over the
+    breakpoints and the right end.
+    """
+    return float(np.max(np.abs(curve.cumulative_arc_length() - curve.segment_bounds())))

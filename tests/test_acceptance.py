@@ -182,7 +182,7 @@ def pipeline():
 def test_criterion_4_quasi_embedding_suite(pipeline):
     reference, trace, sample, curves, seq, _ = pipeline
     start = time.time()
-    report = quasi_embedding_suite(trace, curves, seq, 12, seed=4)
+    report = quasi_embedding_suite(trace, curves, seq, 12)
     elapsed = time.time() - start
     worst = report.max_defect()
     ok = report.all_pass and elapsed < 300

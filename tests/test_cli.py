@@ -229,6 +229,7 @@ def test_config_file_and_flag_override(tmp_path):
     ["verify", "--perm", "2 1", "--lambda", "1e-400,1", "--theta", "0.1,0.2",
      "--steps", "3"],
     ["verify", "--catalog", "--theta", "0,0,0,0", "--steps", "1", "--deep-levels", "1"],
+    ["induct", "--catalog", "--steps", "1", "--out", "."],
 ])
 def test_malformed_input_exits_2(tmp_path, args):
     proc = run_cli(args, tmp_path)
@@ -322,10 +323,11 @@ def test_main_entry_direct(tmp_path, capsys, monkeypatch):
 
 
 #: sha256 of ``verify --catalog --steps 8 --delta 0.05 --seed S --json`` on
-#: stdout, recorded before the rotation vectors moved to a running exact lift
+#: stdout, recorded when the map agreement and conjugacy defects became
+#: maxima over corner and kink sets instead of random samples
 VERIFY_DIGESTS = {
-    0: "5efedfc62f60c19f1d65aa81880bd65d0a299ca70c9e2081ce97b9c9c3c56347",
-    1: "befac6cbc5ccd3492d658f84aaeb60914027e105163de9e8d475a28341bd38fb",
+    0: "45081f2ce57e4dd25f48fabf4cc647b352846b951ff31f4a044815cd7cbce2ad",
+    1: "a5c943ae4126b20e881192cf19d26b1c983676e63cae702bee4a985c749c51ad",
 }
 
 

@@ -3,8 +3,9 @@ of rotation vectors against the exact cocycle, the rotation operator along
 random traces, the float views of exact lengths, and the JSON round trips of
 the exchange data.
 
-Random irreducible exchanges on 2 to 6 symbols with exact integer lengths,
-followed for up to 12 induction levels (60 for the lift).  Runs are
+Random irreducible exchanges on 2 to 6 symbols with exact integer lengths
+(or, for the curves' domain end, Dirichlet float lengths), followed for up
+to 12 induction levels (60 for the lift).  Runs are
 derandomized, so every run draws the same examples.
 """
 
@@ -96,6 +97,33 @@ def test_rotation_operator_keeps_unit_speed_and_increment_bound(run, angles):
         if n:
             bound = 4 * iet.total * abs(sin(seq.breaking_angle(n - 1) / 2))
             assert sup_distance(curve, curves[n - 1]) <= bound + 1e-12
+
+
+@st.composite
+def float_length_runs(draw):
+    """An exchange on 4 to 6 symbols with Dirichlet float lengths, traced for 1 to 12 levels.
+
+    Floats of unlike exponents make a piece's float right end ``a/den + w/den``
+    round above the float domain end when ``a + w`` is the exact total.
+    """
+    d = draw(st.integers(4, 6))
+    perm = Permutation.from_monodromy(draw(st.permutations(range(1, d + 1))))
+    assume(is_irreducible(perm))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iet = build_iet(perm, Lengths.from_values(list(rng.dirichlet(np.ones(d)))))
+    trace = rauzy_iterate(iet, draw(st.integers(1, 12)))
+    assume(trace.n_steps >= 1)
+    return iet, trace, trace.n_steps
+
+
+@PROPERTY
+@given(float_length_runs(), st.lists(st.floats(-pi, pi), min_size=6, max_size=6))
+def test_curves_of_float_lengths_build_to_the_domain_end(run, angles):
+    iet, trace, depth = run
+    curves = breaking_sequence(trace, angles[:iet.d], depth)
+    for curve in curves:
+        assert curve.length == iet.total
+        assert curve.unit_speed_defect() <= TOL_UNIT_SPEED
 
 
 @st.composite

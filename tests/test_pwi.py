@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ietpwi.breaking import PLCurve, breaking_sequence, theta_sequence
-from ietpwi.errors import AtomMissesCurve, AtomsOverlap, LevelMismatch, UnclassifiablePoint
+from ietpwi.errors import (AtomMissesCurve, AtomsOverlap, InvalidInput, LevelMismatch,
+                           UnclassifiablePoint)
 from ietpwi.iet import (Lengths, Permutation, apply, apply_array, build_iet, build_iet_from,
                         symbol_at)
 from ietpwi.pwi import (
@@ -227,6 +228,13 @@ def test_polygon_atoms_validation(reference, reference_curves, reference_sample)
     far = [square + 10 * (k + 1) for k in range(4)]
     with pytest.raises(AtomMissesCurve):
         adapted_pwi(reference_curves[-1], reference.iet, theta, polygons=far)
+
+
+def test_polygon_atoms_need_one_polygon_per_atom():
+    iet = build_iet_from("2 1", [0.6, 0.4])
+    box = np.array([[-0.1, -0.1], [1.1, -0.1], [1.1, 0.1], [-0.1, 0.1]])
+    with pytest.raises(InvalidInput, match="one polygon per atom"):
+        adapted_pwi(PLCurve.identity(iet.total), iet, [0.0, 0.0], polygons=[box])
 
 
 def test_polygon_atoms_degenerate_case_classifies():
