@@ -21,9 +21,9 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import (DomainMismatch, IntervalOutOfRange, InvalidInput, NonUnitSpeed,
-                     OutOfDomain)
-from .iet import piece_orbit
+from .errors import (BudgetExceeded, DomainMismatch, IntervalOutOfRange, InvalidInput,
+                     NonUnitSpeed, OutOfDomain)
+from .iet import PIECE_BUDGET, piece_orbit
 from .rauzy import InductionTrace, reduce_mod_tau, torus_distance_to_zero, torus_project
 
 #: per-segment absolute tolerance for the unit-speed invariant
@@ -374,14 +374,34 @@ def theta_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> Theta
     return ThetaSeq(entries, image_last)
 
 
+def segment_bound(trace: InductionTrace, depth: int) -> int:
+    """Most segments the level-``depth`` curve can have, read off the cocycle.
+
+    Level ``k`` rotates ``breaking_intervals(trace, k).count`` pieces, the
+    return time of the level-``k-1`` top row's last subinterval (a row sum of
+    ``trace.cocycle[k-1]``), and each rotated piece adds at most two
+    breakpoints to the one segment of level 0.
+    """
+    return 1 + 2 * sum(sum(trace.cocycle[k][trace.states[k].perm.top[-1]])
+                       for k in range(depth))
+
+
 def curve_levels(trace: InductionTrace, seq: ThetaSeq, curves: Sequence[PLCurve],
                  depth: int) -> Iterator[PLCurve]:
     """Continue ``curves`` (levels ``0..k``), yielding the curves of levels ``k+1..depth``.
 
     Each is the one before it with its level's rotation, at the angle ``seq``
     holds.  ``curves`` is read when iteration starts, so the caller may
-    extend it with what this yields.
+    extend it with what this yields.  Before any level is built, a depth
+    beyond the trace raises ``InvalidInput``, and one whose curve could hold
+    more than ``PIECE_BUDGET`` segments raises ``BudgetExceeded``.
     """
+    if depth > trace.n_steps:
+        raise InvalidInput(f"level {depth} outside 1..{trace.n_steps}")
+    bound = segment_bound(trace, depth)
+    if bound > PIECE_BUDGET:
+        raise BudgetExceeded(f"the level-{depth} curve may hold {bound} segments, "
+                             f"more than the budget of {PIECE_BUDGET}")
     curve = curves[-1]
     for n in range(len(curves), depth + 1):
         intervals = breaking_intervals(trace, n)

@@ -6,7 +6,8 @@ path is periodic and the cocycle along one period is an explicit integer
 matrix.  For such instances the contracting plane of the cocycle is spanned
 by eigenvectors of one integer matrix and can be computed to arbitrary
 precision by integer inverse iteration, which makes them the reference
-inputs for the convergence and embedding experiments.
+inputs for the convergence and embedding experiments.  The loop matrix's
+exact inverse is its factors undone, built in the same replay as the matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from math import gcd
 import numpy as np
 
 from .iet import IETState, Lengths, Permutation, build_iet
-from .rauzy import (IntMatrix, _combinatorial_step, det_exact, elementary_update,
-                    identity_matrix)
+from .rauzy import (IntMatrix, InductionStep, _combinatorial_step, elementary_update,
+                    identity_matrix, undo_update)
 
 #: type word of the closed loop at monodromy (4 3 2 1) whose Perron vector
 #: has length ratios (0.4277, 0.3383, 0.1196, 0.1144)
@@ -41,15 +42,9 @@ class SelfInducingIET:
     """
 
     iet: IETState
-    loop_types: tuple[int, ...]
     loop_matrix: IntMatrix
-    expansion: float
     strong_stable: tuple[Fraction, ...]
     weak_stable: tuple[Fraction, ...]
-
-    @property
-    def period(self) -> int:
-        return len(self.loop_types)
 
     def stable_frame_exact(self) -> list[tuple[Fraction, ...]]:
         """Contracting-plane basis ordered strong first."""
@@ -62,42 +57,27 @@ class SelfInducingIET:
         return q
 
 
-def loop_matrix_for(start: Permutation, types: tuple[int, ...]) -> IntMatrix:
-    """Cocycle matrix of a closed type word, validating that the path closes."""
+def loop_matrix_for(start: Permutation, types: tuple[int, ...]) -> tuple[IntMatrix, IntMatrix]:
+    """Cocycle matrix of a closed type word and its exact inverse, in one replay.
+
+    Each step of the word applies its factor ``I + E[loser, winner]`` to the
+    matrix and undoes it on the inverse.  Raises unless the path closes.
+    """
     perm = start
-    matrix = identity_matrix(start.d)
+    matrix = inverse = identity_matrix(start.d)
     for eps in types:
-        beta0, beta1 = perm.top[-1], perm.bottom[-1]
-        winner, loser = (beta0, beta1) if eps == 0 else (beta1, beta0)
-        matrix = elementary_update(matrix, loser, winner)
+        step = InductionStep.of_type(perm, eps)
+        matrix = elementary_update(matrix, step.loser, step.winner)
+        inverse = undo_update(inverse, step.loser, step.winner)
         perm = _combinatorial_step(perm, eps)
     if (perm.top, perm.bottom) != (start.top, start.bottom):
         raise ValueError("type word does not close up in the Rauzy graph")
-    return matrix
+    return matrix, inverse
 
 
 def _transpose(matrix: IntMatrix) -> IntMatrix:
     d = len(matrix)
     return tuple(tuple(matrix[i][j] for i in range(d)) for j in range(d))
-
-
-def _integer_inverse(matrix: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix via the adjugate."""
-    d = len(matrix)
-    det = det_exact(matrix)
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-
-    def minor(i: int, j: int) -> IntMatrix:
-        return tuple(
-            tuple(matrix[r][c] for c in range(d) if c != j)
-            for r in range(d) if r != i
-        )
-
-    return tuple(
-        tuple((-1) ** (i + j) * det_exact(minor(j, i)) * det for j in range(d))
-        for i in range(d)
-    )
 
 
 def _mat_vec(matrix: IntMatrix, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -121,9 +101,9 @@ def perron_vector(matrix: IntMatrix, iterations: int = 260) -> tuple[Fraction, .
     return tuple(Fraction(v, total) for v in vec)
 
 
-def _weak_stable_vector(matrix: IntMatrix, strong_int: tuple[int, ...], precision: int,
+def _weak_stable_vector(inv: IntMatrix, strong_int: tuple[int, ...], precision: int,
                         iterations: int = 160) -> tuple[Fraction, ...]:
-    """Second most contracted eigendirection by deflated inverse iteration.
+    """Second most contracted eigendirection by deflated iteration of the inverse ``inv``.
 
     The dominant direction of the inverse is the strong one; its component
     is removed with the dual left eigenvector (dominant direction of the
@@ -133,13 +113,12 @@ def _weak_stable_vector(matrix: IntMatrix, strong_int: tuple[int, ...], precisio
     has at most ``precision + GUARD_BITS`` bits, which bounds the entries
     however large the deflation factor ``ds`` is.
     """
-    inv = _integer_inverse(matrix)
     inv_t = _transpose(inv)
-    dual = tuple(1 for _ in matrix)
+    dual = tuple(1 for _ in inv)
     for _ in range(iterations):
         dual = _reduce_int_vector(_mat_vec(inv_t, dual))
     ds = sum(a * b for a, b in zip(dual, strong_int))
-    vec = tuple(range(1, len(matrix) + 1))
+    vec = tuple(range(1, len(inv) + 1))
     for _ in range(iterations):
         vec = _mat_vec(inv, vec)
         dw = sum(a * b for a, b in zip(dual, vec))
@@ -164,14 +143,12 @@ def symmetric4_self_inducing(bits: int = 400) -> SelfInducingIET:
     induction follows the periodic path for hundreds of levels.
     """
     perm = Permutation.from_monodromy("4 3 2 1")
-    loop = loop_matrix_for(perm, SYMMETRIC4_LOOP)
+    loop, inverse = loop_matrix_for(perm, SYMMETRIC4_LOOP)
     lam = perron_vector(_transpose(loop))
     nums = tuple(int(v * (1 << bits)) for v in lam)
     iet = build_iet(perm, Lengths(nums, 1 << bits))
-    expansion = float(max(abs(v) for v in np.linalg.eigvals(
-        np.array([[float(x) for x in row] for row in loop]))))
     strong_int = iet.upsilon_num
     scale = max(abs(v) for v in strong_int)
     strong = _quantize(tuple(Fraction(v, scale) for v in strong_int), 2 * bits)
-    weak = _quantize(_weak_stable_vector(loop, strong_int, 2 * bits), 2 * bits)
-    return SelfInducingIET(iet, SYMMETRIC4_LOOP, loop, expansion, strong, weak)
+    weak = _quantize(_weak_stable_vector(inverse, strong_int, 2 * bits), 2 * bits)
+    return SelfInducingIET(iet, loop, strong, weak)

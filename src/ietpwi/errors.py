@@ -28,7 +28,7 @@ class RauzyUndefined(IetPwiError):
 
 
 class BudgetExceeded(IetPwiError):
-    """An orbit iteration exceeded its step budget."""
+    """An orbit or a curve would exceed its size budget."""
 
 
 class IntervalOutOfRange(IetPwiError):

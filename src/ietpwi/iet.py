@@ -32,6 +32,10 @@ from .errors import BudgetExceeded, InvalidInput, NonPositiveLength, OutOfDomain
 #: count as collisions (conservative failure)
 TOL_IDOC_REL = 1e-12
 
+#: most pieces one computation may hold: the images ``piece_orbit`` lists and
+#: the segments of a curve ``breaking.curve_levels`` is asked to build
+PIECE_BUDGET = 10**7
+
 LengthLike = Union[int, float, str, Fraction]
 
 
@@ -357,7 +361,7 @@ def apply_exact(iet: IETState, x_num: int) -> int:
 
 
 def piece_orbit(iet: IETState, a: int, width: int, bound: int,
-                budget: int = 10**7) -> list[int]:
+                budget: int = PIECE_BUDGET) -> list[int]:
     """Left ends of the piece ``[a, a + width)`` and its images before the return.
 
     The piece is translated rigidly on exact numerators until an image lies

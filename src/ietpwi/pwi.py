@@ -143,23 +143,21 @@ def inductive_maps(trace: InductionTrace, curve_n: PLCurve, theta_seq: ThetaSeq,
     """Families at levels ``0..n`` built by reversing induction steps from level ``n``.
 
     Entry ``m`` is the level-``m`` family.  The base family is the direct one
-    at the deepest level; each backward step rewrites the single map whose
-    subinterval the step modified, with the composition branch decided by
-    the step type, so one walk from ``n`` to 0 yields every level.
+    at the deepest level; each backward step rewrites the loser's map alone,
+    composing it with the winner's inverse on the side the step type
+    decides, so one walk from ``n`` to 0 yields every level.
     """
     if n > trace.n_steps or n > theta_seq.depth:
         raise LevelMismatch("trace or rotation data shallower than the curve level")
     maps = hat_maps(endpoint_images(curve_n, trace, n, theta_seq.entries[n], n))
     families = [maps]
-    for k in range(n, 0, -1):
-        step = trace.steps[k - 1]
-        prev = trace.states[k - 1].perm
-        beta0, beta1 = prev.top[-1], prev.bottom[-1]
+    for step in reversed(trace.steps[:n]):
+        winner, loser = maps[step.winner], maps[step.loser]
         maps = list(maps)
         if step.type_eps == 0:
-            maps[beta1] = maps[beta0].inverse().compose(maps[beta1])
+            maps[step.loser] = winner.inverse().compose(loser)
         else:
-            maps[beta0] = maps[beta0].compose(maps[beta1].inverse())
+            maps[step.loser] = loser.compose(winner.inverse())
         families.append(maps)
     return families[::-1]
 

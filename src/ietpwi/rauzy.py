@@ -2,11 +2,13 @@
 
 One induction step removes the shorter of the two final subintervals (the
 loser) and takes the first-return map to what is left; the step is type 0
-when the top row's final subinterval wins and type 1 otherwise.  Each step
-contributes the unimodular factor ``I + E[loser, winner]``, and the running
-left-product of these factors is maintained in exact arbitrary-precision
-integers: its entries count subinterval visits and grow exponentially, so
-64-bit arithmetic would overflow almost immediately.
+when the top row's final subinterval wins and type 1 otherwise, a rule that
+``InductionStep.of_type`` alone applies.  Each step contributes the
+unimodular factor ``I + E[loser, winner]``, and the running left-product of
+these factors is maintained in exact arbitrary-precision integers: its
+entries count subinterval visits and grow exponentially, so 64-bit
+arithmetic would overflow almost immediately.  Its exact inverse is the
+factors undone in reverse order, one ``undo_update`` each.
 
 The same factors act on the torus ``R^d / 2*pi*Z^d``.  ``reduce_mod_tau``
 reduces an exact rational angle modulo ``2*pi`` with an adaptive-precision
@@ -53,26 +55,13 @@ def elementary_update(matrix: IntMatrix, loser: int, winner: int) -> IntMatrix:
     return tuple(tuple(r) for r in rows)
 
 
-def det_exact(matrix: IntMatrix) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in matrix]
-    d = len(m)
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, d):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[d - 1][d - 1]
+def undo_update(matrix: IntMatrix, loser: int, winner: int) -> IntMatrix:
+    """Right-multiply by ``I - E[loser, winner]``: take the loser column from the winner's.
+
+    Replaying a trace's steps through it, oldest first, builds the exact
+    inverse of the cocycle product.
+    """
+    return tuple(row[:winner] + (row[winner] - row[loser],) + row[winner + 1:] for row in matrix)
 
 
 def matrix_to_float(matrix: Union[IntMatrix, np.ndarray]) -> np.ndarray:
@@ -94,6 +83,12 @@ class InductionStep:
     type_eps: int
     winner: int
     loser: int
+
+    @classmethod
+    def of_type(cls, perm: Permutation, type_eps: int) -> "InductionStep":
+        """The step of ``type_eps`` from ``perm``: type 0 is won by the top row's final symbol."""
+        beta0, beta1 = perm.top[-1], perm.bottom[-1]
+        return cls(0, beta0, beta1) if type_eps == 0 else cls(1, beta1, beta0)
 
     def b_factor(self, d: int) -> np.ndarray:
         out = np.eye(d, dtype=np.int64)
@@ -122,20 +117,18 @@ def rauzy_step(iet: IETState) -> tuple[IETState, InductionStep]:
     """One induction step; raises when the final subintervals tie."""
     if not is_irreducible(iet.perm):
         raise Reducible(f"monodromy {iet.perm.monodromy()} is reducible")
-    beta0, beta1 = iet.perm.top[-1], iet.perm.bottom[-1]
     nums = list(iet.lengths.numerators)
-    if _tied(nums[beta0], nums[beta1], iet.total_num):
+    step = InductionStep.of_type(iet.perm, 0)
+    if _tied(nums[step.winner], nums[step.loser], iet.total_num):
         raise RauzyUndefined(
             f"final subintervals tie within {TOL_TIE_REL} * |lambda|"
         )
-    if nums[beta0] > nums[beta1]:
-        type_eps, winner, loser = 0, beta0, beta1
-    else:
-        type_eps, winner, loser = 1, beta1, beta0
-    nums[winner] -= nums[loser]
-    new_state = build_iet(_combinatorial_step(iet.perm, type_eps),
+    if nums[step.winner] < nums[step.loser]:
+        step = InductionStep.of_type(iet.perm, 1)
+    nums[step.winner] -= nums[step.loser]
+    new_state = build_iet(_combinatorial_step(iet.perm, step.type_eps),
                           Lengths(tuple(nums), iet.lengths.denominator))
-    return new_state, InductionStep(type_eps, winner, loser)
+    return new_state, step
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,11 @@ class SummabilityReport:
         return float(self.distances[self.horizon])
 
     @property
+    def summable(self) -> bool:
+        """The verdict: strict decay, or genuine decay down to a horizon of 15 or more levels."""
+        return self.decays or (self.horizon >= 15 and self.ratio_to_initial <= 0.05)
+
+    @property
     def empirical_constant(self) -> float:
         """Observed ratio of the distance sum to the initial distance."""
         first = float(self.distances[0])

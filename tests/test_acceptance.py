@@ -332,14 +332,12 @@ def test_criterion_10_negative_controls():
     for _ in range(20):
         theta = rng.uniform(0, tau, 4)
         summ = summability_check(theta_sequence(trace, theta, 100))
-        summable = summ.decays or (summ.horizon >= 15
-                                   and summ.ratio_to_initial <= 0.05)
         curves = breaking_sequence(trace, theta, 18)
         pwi = adapted_pwi(curves[-1], reference.iet, list(theta))
         defect = embedding_defect(curves[-1], pwi, reference.iet)
         injective, _ = injectivity(curves[-1])
         defect_suite_fails = defect > 1e-3 or not injective
-        if (not summable) and defect_suite_fails:
+        if (not summ.summable) and defect_suite_fails:
             failures += 1
 
     golden = build_iet_from("2 1", [1 / ((1 + 5**0.5) / 2), 1 - 1 / ((1 + 5**0.5) / 2)])

@@ -19,11 +19,13 @@ from ietpwi.breaking import (
     breaking_operator,
     breaking_sequence,
     curve_levels,
+    segment_bound,
     sup_distance,
     theta_sequence,
 )
-from ietpwi.errors import DomainMismatch, IntervalOutOfRange, InvalidInput, NonUnitSpeed
-from ietpwi.iet import apply_array, piece_orbit
+from ietpwi.errors import (BudgetExceeded, DomainMismatch, IntervalOutOfRange, InvalidInput,
+                           NonUnitSpeed)
+from ietpwi.iet import PIECE_BUDGET, apply_array, piece_orbit
 from ietpwi.rauzy import rauzy_iterate, torus_project
 
 
@@ -289,6 +291,22 @@ def test_curve_levels_continue_a_prefix(reference_trace, reference_sample, refer
         for got, want in zip(curves, reference_curves):
             assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
     assert list(curve_levels(reference_trace, seq, reference_curves[:10], 9)) == []
+
+
+def test_curve_depth_is_checked_against_the_segment_budget(reference_trace):
+    # the catalog's bound is 9,706,803 segments at depth 70 and 11,342,851 at depth 71
+    assert segment_bound(reference_trace, 70) <= PIECE_BUDGET < segment_bound(reference_trace, 71)
+    theta = [0.3, -0.2, 0.1, 0.05]
+    seq = theta_sequence(reference_trace, theta, 71)
+    start = [PLCurve.identity(reference_trace.initial.total)]
+    level1 = breaking_sequence(reference_trace, theta, 1)[1]
+    got = next(curve_levels(reference_trace, seq, start, 70))
+    assert np.array_equal(got.x, level1.x) and np.array_equal(got.z, level1.z)
+    for depth in (71, 90):
+        with pytest.raises(BudgetExceeded, match="budget"):
+            next(curve_levels(reference_trace, seq, start, depth))
+    with pytest.raises(InvalidInput, match="outside"):
+        next(curve_levels(reference_trace, seq, start, reference_trace.n_steps + 1))
 
 
 def test_levels_beyond_the_trace_are_invalid_input(reference_trace):

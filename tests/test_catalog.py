@@ -1,15 +1,17 @@
-"""The self-inducing catalog exchange: its exact contracting plane."""
+"""The self-inducing catalog exchange: its loop's exact inverse and its contracting plane."""
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ietpwi.catalog import (_integer_inverse, _mat_vec, _quantize, _reduce_int_vector,
-                            _transpose, symmetric4_self_inducing)
+from ietpwi.catalog import (SYMMETRIC4_LOOP, _mat_vec, _quantize, _reduce_int_vector,
+                            _transpose, loop_matrix_for, symmetric4_self_inducing)
 from ietpwi.iet import omega_matrix
+from ietpwi.rauzy import identity_matrix
 
 # SHA-256 of strong_stable then weak_stable at bits=400, each entry written
 # as "numerator/denominator" and joined by ";", as built by the gcd-reduced
@@ -23,15 +25,14 @@ def _plane_digest(reference):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _weak_stable_gcd_oracle(matrix, strong_int, iterations=160):
-    """Deflated inverse iteration in exact integers, gcd-reduced at each step."""
-    inv = _integer_inverse(matrix)
+def _weak_stable_gcd_oracle(inv, strong_int, iterations=160):
+    """Deflated iteration of the loop's inverse ``inv`` in exact integers, gcd-reduced."""
     inv_t = _transpose(inv)
-    dual = tuple(1 for _ in matrix)
+    dual = tuple(1 for _ in inv)
     for _ in range(iterations):
         dual = _reduce_int_vector(_mat_vec(inv_t, dual))
     ds = sum(a * b for a, b in zip(dual, strong_int))
-    vec = tuple(range(1, len(matrix) + 1))
+    vec = tuple(range(1, len(inv) + 1))
     for _ in range(iterations):
         vec = _mat_vec(inv, vec)
         dw = sum(a * b for a, b in zip(dual, vec))
@@ -52,5 +53,13 @@ def test_weak_stable_matches_gcd_iteration(bits):
     omega = omega_matrix(iet.perm)
     strong_int = tuple(sum(int(omega[a, b]) * nums[b] for b in range(iet.d))
                        for a in range(iet.d))
-    oracle = _quantize(_weak_stable_gcd_oracle(reference.loop_matrix, strong_int), 2 * bits)
+    _, inverse = loop_matrix_for(iet.perm, SYMMETRIC4_LOOP)
+    oracle = _quantize(_weak_stable_gcd_oracle(inverse, strong_int), 2 * bits)
     assert reference.weak_stable == oracle
+
+
+def test_loop_matrix_times_its_inverse_is_the_identity(reference):
+    loop, inverse = loop_matrix_for(reference.iet.perm, SYMMETRIC4_LOOP)
+    assert loop == reference.loop_matrix
+    product = np.array(loop, dtype=object).dot(np.array(inverse, dtype=object))
+    assert tuple(map(tuple, product)) == identity_matrix(reference.iet.d)

@@ -239,6 +239,21 @@ def test_malformed_input_exits_2(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["curve", "--catalog", "--steps", "90"],
+    ["pwi", "--catalog", "--deep-levels", "90"],
+    ["verify", "--catalog", "--deep-levels", "90"],
+    ["verify", "--catalog", "--steps", "40"],  # deep level 80
+])
+def test_curves_beyond_the_segment_budget_exit_2(tmp_path, args):
+    # the catalog's level-71 curve may hold more than 10**7 segments
+    proc = run_cli(args, tmp_path, timeout=20)
+    assert proc.returncode == 2
+    assert "BudgetExceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_depth_must_be_nonnegative_integer(tmp_path):
     config = tmp_path / "run.json"
     contents = [json.dumps({"levels": -1}), json.dumps({"levels": "3"}),
@@ -420,6 +435,7 @@ def cli_runs(draw):
 @example((["verify", "--catalog", "--theta=0,0,0,0", "--steps=1", "--deep-levels=1"],
           None))
 @example((["curve", "--steps=2"], {"theta": [float("nan"), 0, 0, 0], "use_catalog": True}))
+@example((["verify", "--catalog", "--deep-levels=90"], None))
 def test_garbage_input_ends_in_an_exit_code(run):
     """In process: ``main`` returns 0, 1 or 2, or argparse exits 2; nothing else escapes."""
     argv, config = run

@@ -1,12 +1,12 @@
-"""Property tests: the first-return orbits, the lengths and the running lift
-of rotation vectors against the exact cocycle, the rotation operator along
-random traces, the float views of exact lengths, and the JSON round trips of
-the exchange data.
+"""Property tests: the step rule and the exact inverse of the cocycle, the
+first-return orbits, the lengths and the running lift of rotation vectors
+against the exact cocycle, the rotation operator along random traces, the
+float views of exact lengths, and the JSON round trips of the exchange data.
 
 Random irreducible exchanges on 2 to 6 symbols with exact integer lengths
 (or, for the curves' domain end, Dirichlet float lengths), followed for up
-to 12 induction levels (60 for the lift).  Runs are
-derandomized, so every run draws the same examples.
+to 12 induction levels (60 for the step rule, the inverse and the lift).
+Runs are derandomized, so every run draws the same examples.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ietpwi.breaking import (TOL_UNIT_SPEED, breaking_intervals, breaking_sequence,
-                             sup_distance, theta_sequence)
+                             segment_bound, sup_distance, theta_sequence)
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
-from ietpwi.rauzy import rauzy_iterate, return_word, torus_project, visit_counts_bruteforce
+from ietpwi.rauzy import (InductionStep, identity_matrix, rauzy_iterate, return_word,
+                          torus_project, undo_update, visit_counts_bruteforce)
 
 DENOMINATOR = 2**40
 
@@ -29,14 +30,14 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=
 
 
 @st.composite
-def induction_runs(draw):
-    """An irreducible exchange, its trace and the deepest level reached (1..12)."""
+def induction_runs(draw, max_levels=12):
+    """An irreducible exchange, its trace and the deepest level reached (1..max_levels)."""
     d = draw(st.integers(2, 6))
     perm = Permutation.from_monodromy(draw(st.permutations(range(1, d + 1))))
     assume(is_irreducible(perm))
     nums = draw(st.lists(st.integers(1, DENOMINATOR), min_size=d, max_size=d))
     iet = build_iet(perm, Lengths(tuple(nums), DENOMINATOR))
-    trace = rauzy_iterate(iet, draw(st.integers(1, 12)))
+    trace = rauzy_iterate(iet, draw(st.integers(1, max_levels)))
     # a tie stops the run early; the levels before it are still exact
     assume(trace.n_steps >= 1)
     return iet, trace, trace.n_steps
@@ -58,6 +59,35 @@ def test_return_word_letter_counts_are_cocycle_rows(run):
 def test_visit_counts_equal_cocycle(run):
     iet, trace, depth = run
     assert visit_counts_bruteforce(iet, depth) == trace.cocycle[depth]
+
+
+@PROPERTY
+@given(induction_runs(max_levels=60))
+def test_every_step_is_the_step_rule_of_its_type(run):
+    iet, trace, depth = run
+    for state, step, after in zip(trace.states, trace.steps, trace.states[1:]):
+        assert step == InductionStep.of_type(state.perm, step.type_eps)
+        # the longer final subinterval wins, the top row's in a type-0 step
+        top, bottom = state.perm.top[-1], state.perm.bottom[-1]
+        assert (step.winner, step.loser) == ((top, bottom) if step.type_eps == 0
+                                             else (bottom, top))
+        nums = state.lengths.numerators
+        assert after.lengths.numerators[step.winner] == nums[step.winner] - nums[step.loser] > 0
+
+
+@PROPERTY
+@given(induction_runs(max_levels=60))
+def test_undone_steps_are_the_exact_inverse_of_the_cocycle(run):
+    # the product with the inverse is the identity: stronger than det = +-1
+    iet, trace, depth = run
+    identity = identity_matrix(iet.d)
+    inverse = identity
+    for n in range(depth + 1):
+        if n:
+            step = trace.steps[n - 1]
+            inverse = undo_update(inverse, step.loser, step.winner)
+        product = np.array(trace.cocycle[n], dtype=object).dot(np.array(inverse, dtype=object))
+        assert tuple(map(tuple, product)) == identity
 
 
 @PROPERTY
@@ -94,6 +124,7 @@ def test_rotation_operator_keeps_unit_speed_and_increment_bound(run, angles):
     seq = theta_sequence(trace, theta, depth)
     for n, curve in enumerate(curves):
         assert curve.unit_speed_defect() <= TOL_UNIT_SPEED
+        assert curve.n_segments <= segment_bound(trace, n)
         if n:
             bound = 4 * iet.total * abs(sin(seq.breaking_angle(n - 1) / 2))
             assert sup_distance(curve, curves[n - 1]) <= bound + 1e-12

@@ -13,7 +13,6 @@ import pytest
 from ietpwi.iet import Lengths, Permutation, build_iet, build_iet_from
 from ietpwi.errors import RauzyUndefined, Reducible
 from ietpwi.rauzy import (
-    det_exact,
     identity_matrix,
     matrix_to_float,
     rauzy_class,
@@ -100,12 +99,6 @@ def test_length_identity_deep_random():
             back = matrix_to_float(trace.cocycle[n]).T @ trace.states[n].lengths.values()
             rel = np.max(np.abs(back - lam0)) / iet.total
             assert rel <= 1e-12 * max(1, n)
-
-
-def test_determinant_exact_unimodular(reference):
-    trace = rauzy_iterate(reference.iet, 60)
-    for n in (0, 7, 23, 60):
-        assert det_exact(trace.cocycle[n]) in (1, -1)
 
 
 def test_zorich_golden_blocks_all_one(golden_iet):
