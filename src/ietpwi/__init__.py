@@ -60,17 +60,14 @@ from .breaking import (
 )
 from .pwi import (
     AdaptedPWI,
-    EndpointImages,
     PlanarIsometry,
     adapted_pwi,
-    endpoint_images,
     hat_maps,
     induced_pwi,
     inductive_maps,
     iterate,
 )
 from .spectral import (
-    InvariantSubspace,
     LyapunovEstimate,
     StableFrame,
     ThetaSample,

@@ -217,45 +217,47 @@ def cmd_sample_theta(cfg: RunConfig) -> int:
     return 0
 
 
-def _resolve_theta(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace):
-    """Rotation vector from config, or sampled with the halving policy.
+def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, depth: int):
+    """Rotation vector, its origin, its push over the trace and its curves of levels 0 to ``depth``.
 
-    Starting at the configured radius, the radius is halved until the deep
-    curve of the sampled vector passes the injectivity test (double-precision
-    orientation, 1e-14 relative collinearity tolerance).  Returns the vector, its
-    origin and its curves of levels 0 to the sampling depth (0 alone if configured).
+    The vector is the configured one, or is sampled with the halving policy:
+    starting at the configured radius, the radius is halved until the curve
+    at the sampling depth (``--deep-levels``, else ``max(--steps, 25)``) passes
+    the injectivity test (double-precision orientation, 1e-14 relative
+    collinearity tolerance).  Each vector tried is pushed once over the whole
+    trace, and the curves of the one kept are continued from that push.
     """
     if cfg.theta is not None:
-        return list(cfg.theta), {"source": "config"}, [breaking.PLCurve.identity(iet.total)]
-    frame = _stable_frame(cfg, iet)
-    delta = cfg.delta
-    depth = cfg.deep(max(cfg.levels, 25))
-    for _ in range(10):
-        sample = spectral.sample_theta(frame, delta, cfg.seed,
-                                       upsilon=iet.upsilon, trace=trace)
-        curves = breaking.breaking_sequence(trace, sample.v, depth)
-        injective, witness = verify.injectivity(curves[-1])
-        if injective:
-            return sample.v, {"source": "sampled", "delta": delta,
-                              "attempts": sample.attempts}, curves
-        delta /= 2.0
-    raise IetPwiError("no injective sample found by the halving policy")
-
-
-def _curve_at(trace: rauzy.InductionTrace, theta, curves: list, depth: int) -> breaking.PLCurve:
-    """The level-``depth`` curve of ``theta``, read from ``curves`` or continued from them."""
-    if depth >= len(curves):
-        seq = breaking.theta_sequence(trace, theta, depth)
-        curves = curves + list(breaking.curve_levels(trace, seq, curves, depth))
-    return curves[depth]
+        theta, origin = list(cfg.theta), {"source": "config"}
+        seq = breaking.theta_sequence(trace, theta, trace.n_steps)
+        curves = [breaking.PLCurve.identity(iet.total)]
+    else:
+        frame = _stable_frame(cfg, iet)
+        delta = cfg.delta
+        sampling = cfg.deep(max(cfg.levels, 25))
+        for _ in range(10):
+            sample = spectral.sample_theta(frame, delta, cfg.seed,
+                                           upsilon=iet.upsilon, trace=trace)
+            seq = breaking.theta_sequence(trace, sample.v, trace.n_steps)
+            curves = [breaking.PLCurve.identity(iet.total)]
+            curves.extend(breaking.curve_levels(trace, seq, curves, sampling))
+            if verify.injectivity(curves[-1])[0]:
+                break
+            delta /= 2.0
+        else:
+            raise IetPwiError("no injective sample found by the halving policy")
+        theta = sample.v
+        origin = {"source": "sampled", "delta": delta, "attempts": sample.attempts}
+    curves.extend(breaking.curve_levels(trace, seq, curves, depth))
+    return theta, origin, seq, curves[:depth + 1]
 
 
 def cmd_curve(cfg: RunConfig) -> int:
     iet = cfg.build()
     depth = cfg.levels
     trace = rauzy.rauzy_iterate(iet, max(depth, spectral.N_CHECK))
-    theta, origin, curves = _resolve_theta(cfg, iet, trace)
-    curve = _curve_at(trace, theta, curves, depth)
+    _, origin, _, curves = _sampled_curves(cfg, iet, trace, depth)
+    curve = curves[-1]
     base = cfg.out or "curve"
     svg_path = _write(None, f"{base}_level{depth}.svg", curve.to_svg())
     csv_path = _write(None, f"{base}_level{depth}.csv", curve.to_csv())
@@ -270,8 +272,8 @@ def cmd_pwi(cfg: RunConfig) -> int:
     iet = cfg.build()
     depth = cfg.deep(max(cfg.levels, 25))
     trace = rauzy.rauzy_iterate(iet, max(depth, spectral.N_CHECK))
-    theta, origin, curves = _resolve_theta(cfg, iet, trace)
-    curve = _curve_at(trace, theta, curves, depth)
+    theta, origin, _, curves = _sampled_curves(cfg, iet, trace, depth)
+    curve = curves[-1]
     theta_float = [float(t) % tau for t in theta]
     adapted = pwi_mod.adapted_pwi(curve, iet, theta_float)
     start = complex(curve.evaluate(iet.total / 3.0))
@@ -293,9 +295,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise RauzyUndefined(f"the induction is undefined at step {trace.n_steps}; "
                              f"verify needs 2 levels")
     depth = min(cfg.levels, deep)
-    theta, origin, curves = _resolve_theta(cfg, iet, trace)
-    seq = breaking.theta_sequence(trace, theta, trace.n_steps)
-    curves.extend(breaking.curve_levels(trace, seq, curves, deep))
+    theta, origin, seq, curves = _sampled_curves(cfg, iet, trace, deep)
 
     report = verify.quasi_embedding_suite(trace, curves, seq, depth)
     conv = verify.convergence_report(curves, seq, trace)

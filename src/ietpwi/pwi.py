@@ -71,27 +71,21 @@ def map_distance(s: PlanarIsometry, t: PlanarIsometry,
 
 
 # ---------------------------------------------------------------------------
-# endpoint images and the direct family
+# the direct family
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EndpointImages:
-    """Curve values on one level's top-row endpoint grid plus the chained corners.
+def hat_maps(curve: PLCurve, trace: InductionTrace, m: int,
+             theta_m: Sequence[float], n: Optional[int] = None) -> list[PlanarIsometry]:
+    """Direct level-``m`` family of a level-``n`` curve: rotate each piece onto its slot.
 
-    ``xi[j]`` is where the right endpoint of the ``j``-th rearranged piece
-    must land for the rearranged pieces to join into a continuous curve;
-    the chain is anchored at the rightmost point and built backwards.
+    The curve is read on the level-``m`` top-row endpoint grid.  The chain
+    corner ``xi[j]`` is where the right endpoint of the ``j``-th rearranged
+    piece must land for the rearranged pieces to join into a continuous
+    curve; the chain is anchored at the rightmost point and built backwards.
+    Each map sends its piece's right endpoint to its corner, so its left
+    endpoint lands on the previous corner by construction; the assertion
+    guards index errors.
     """
-
-    state: IETState
-    theta_m: np.ndarray
-    gamma0: np.ndarray
-    xi: np.ndarray
-
-
-def endpoint_images(curve: PLCurve, trace: InductionTrace, m: int,
-                    theta_m: Sequence[float], n: Optional[int] = None) -> EndpointImages:
-    """Evaluate a level-``n`` curve on the level-``m`` grids and chain corners."""
     if m > trace.n_steps:
         raise LevelMismatch(f"trace holds {trace.n_steps} levels, need {m}")
     if n is not None and m > n:
@@ -108,33 +102,15 @@ def endpoint_images(curve: PLCurve, trace: InductionTrace, m: int,
         symbol = state.perm.bottom[j]
         hat = state.perm.position0(symbol) + 1
         xi[j] = np.exp(1j * theta_m[symbol]) * (gamma0[hat - 1] - gamma0[hat]) + xi[j + 1]
-    return EndpointImages(state, theta_m, gamma0, xi)
-
-
-def hat_maps(images: EndpointImages) -> list[PlanarIsometry]:
-    """Direct per-symbol family: rotate each curve piece onto its chained slot.
-
-    The image of each piece's left endpoint coincides with the previous
-    chain corner by construction; the assertion guards index errors.
-    """
-    state = images.state
-    d = state.d
+    scale = max(1.0, float(np.max(np.abs(gamma0))))
     maps = []
     for symbol in range(d):
         p0 = state.perm.position0(symbol) + 1
         p1 = state.perm.position1(symbol) + 1
-        maps.append(PlanarIsometry(
-            float(images.theta_m[symbol]) % tau,
-            complex(images.gamma0[p0]),
-            complex(images.xi[p1]),
-        ))
-    scale = max(1.0, float(np.max(np.abs(images.gamma0))))
-    for symbol in range(d):
-        p0 = state.perm.position0(symbol) + 1
-        p1 = state.perm.position1(symbol) + 1
-        left = maps[symbol](complex(images.gamma0[p0 - 1]))
-        if abs(left - images.xi[p1 - 1]) > 1e-9 * scale:
+        iso = PlanarIsometry(float(theta_m[symbol]) % tau, complex(gamma0[p0]), complex(xi[p1]))
+        if abs(iso(complex(gamma0[p0 - 1])) - xi[p1 - 1]) > 1e-9 * scale:
             raise AssertionError("rearranged pieces do not join continuously")
+        maps.append(iso)
     return maps
 
 
@@ -149,7 +125,7 @@ def inductive_maps(trace: InductionTrace, curve_n: PLCurve, theta_seq: ThetaSeq,
     """
     if n > trace.n_steps or n > theta_seq.depth:
         raise LevelMismatch("trace or rotation data shallower than the curve level")
-    maps = hat_maps(endpoint_images(curve_n, trace, n, theta_seq.entries[n], n))
+    maps = hat_maps(curve_n, trace, n, theta_seq.entries[n], n)
     families = [maps]
     for step in reversed(trace.steps[:n]):
         winner, loser = maps[step.winner], maps[step.loser]

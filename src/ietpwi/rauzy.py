@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import tau
 from typing import IO, Optional, Sequence, Union
 
@@ -141,14 +142,12 @@ class InductionTrace:
 
     ``states[k]`` is the level-``k`` exchange and ``cocycle[k]`` the exact
     product of the first ``k`` elementary factors (newest on the left), so
-    ``cocycle[0]`` is the identity.  ``zorich_lengths`` lists the sizes of
-    the completed maximal same-type blocks found along the run.
+    ``cocycle[0]`` is the identity.
     """
 
     states: list[IETState]
     steps: list[InductionStep] = field(default_factory=list)
     cocycle: list[IntMatrix] = field(default_factory=list)
-    zorich_lengths: list[int] = field(default_factory=list)
     error: Optional[str] = None
 
     @property
@@ -168,8 +167,14 @@ class InductionTrace:
         return self.states[n].perm.bottom[-1]
 
     @property
-    def zorich_count(self) -> int:
-        return len(self.zorich_lengths)
+    def zorich_lengths(self) -> list[int]:
+        """Sizes of the maximal same-type runs of ``steps``.
+
+        For a ``zorich_iterate`` trace these are its blocks, the last one
+        partial if a tie stopped the run.  A ``rauzy_iterate`` trace ends
+        with its open run, which nothing reads.
+        """
+        return [sum(1 for _ in run) for _, run in groupby(step.type_eps for step in self.steps)]
 
     def acceleration_partial_sums(self) -> list[int]:
         """Cumulative Rauzy-step counts after each completed block."""
@@ -197,29 +202,16 @@ def _iterate(iet: IETState, *, max_steps: Optional[int], max_blocks: Optional[in
     if not is_irreducible(iet.perm):
         raise Reducible(f"monodromy {iet.perm.monodromy()} is reducible")
     trace = InductionTrace(states=[iet], cocycle=[identity_matrix(iet.d)])
-    block_start = 0
-    block_type: Optional[int] = None
-    while True:
-        if max_steps is not None and trace.n_steps >= max_steps:
-            break
-        if max_blocks is not None and trace.zorich_count >= max_blocks:
-            break
+    opened = 0  # maximal same-type blocks begun
+    while max_steps is None or trace.n_steps < max_steps:
         try:
             nxt, step = rauzy_step(trace.states[-1])
         except RauzyUndefined:
             trace.error = "RauzyUndefined"
-            if block_type is not None and trace.n_steps > block_start:
-                # keep the partial block so the grouping stays observable
-                trace.zorich_lengths.append(trace.n_steps - block_start)
             break
-        if block_type is None:
-            block_type = step.type_eps
-        elif step.type_eps != block_type:
-            trace.zorich_lengths.append(trace.n_steps - block_start)
-            block_start = trace.n_steps
-            block_type = step.type_eps
-            if max_blocks is not None and trace.zorich_count >= max_blocks:
-                # the differing step opens block max_blocks+1; do not record it
+        if not trace.steps or step.type_eps != trace.steps[-1].type_eps:
+            opened += 1
+            if max_blocks is not None and opened > max_blocks:
                 break
         trace.steps.append(step)
         trace.states.append(nxt)
@@ -246,9 +238,8 @@ def zorich_iterate(iet: IETState, m: int) -> InductionTrace:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return InductionTrace(states=[iet], cocycle=[identity_matrix(iet.d)])
-    return _iterate(iet, max_steps=None, max_blocks=m)
+    # no blocks takes no step, not even one that would tie
+    return _iterate(iet, max_steps=None if m else 0, max_blocks=m)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import tau
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -50,14 +50,6 @@ MIN_GAP = 10.0
 # ---------------------------------------------------------------------------
 # invariant subspace and genus
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InvariantSubspace:
-    """Orthonormal basis of the pairing matrix's column space."""
-
-    basis: np.ndarray  # d x dim
-    dim: int
-
 
 def _exact_rank(matrix: np.ndarray) -> int:
     """Rank over the rationals by fraction-free Gaussian elimination."""
@@ -90,11 +82,14 @@ def genus(perm: Permutation) -> int:
     return rank // 2
 
 
-def h_pi_basis(perm: Permutation) -> InvariantSubspace:
-    """Orthonormal column-space basis via singular vectors, exact rank."""
+def h_pi_basis(perm: Permutation) -> np.ndarray:
+    """Orthonormal basis (d x 2g) of the pairing matrix's column space.
+
+    The columns are singular vectors; their number is the exact rank.
+    """
     rank = 2 * genus(perm)
     u, _, _ = np.linalg.svd(omega_matrix(perm).astype(float))
-    return InvariantSubspace(u[:, :rank].copy(), rank)
+    return u[:, :rank].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +163,7 @@ def _blocks(iet: IETState, m: int) -> Iterator[np.ndarray]:
 
     @lru_cache(maxsize=None)
     def basis(top: tuple[int, ...], bottom: tuple[int, ...]) -> np.ndarray:
-        return h_pi_basis(Permutation(top, bottom)).basis
+        return h_pi_basis(Permutation(top, bottom))
 
     driver = _FloatInduction(iet)
     q = basis(tuple(driver.top), tuple(driver.bottom))
@@ -250,7 +245,7 @@ def stable_subspace(iet: IETState, m: int) -> StableFrame:
     coordinates at the starting permutation.
     """
     g = genus(iet.perm)
-    q0 = h_pi_basis(iet.perm).basis
+    q0 = h_pi_basis(iet.perm)
     product, window = np.eye(2 * g), 0
     bottom = previous = None
     gap = np.inf
@@ -301,14 +296,15 @@ def _frame_columns(frame: FrameLike) -> list[list]:
 
 def sample_theta(frame: FrameLike, delta: float, seed: int, *,
                  upsilon: Sequence[float],
-                 trace: Optional[InductionTrace] = None) -> ThetaSample:
+                 trace: InductionTrace) -> ThetaSample:
     """Draw a rotation vector from the ball of radius ``delta``.
 
     The candidate is a random combination of the frame columns scaled to a
     norm uniform in ``(0.1, 1) * delta``.  Candidates are rejected when they
     align with the translation-vector direction (the most contracted one,
-    where the limit curve degenerates to circle arcs) or when some pushed
-    vector hits zero on the torus (where it degenerates to line segments).
+    where the limit curve degenerates to circle arcs) or when its push to
+    some level 1 to ``N_CHECK`` of ``trace`` hits zero on the torus (where
+    it degenerates to line segments).
     Exact rational frames are combined exactly so deep pushes stay faithful.
     """
     if not 0 < delta < np.pi:
@@ -341,9 +337,8 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
         else:
             v = [float(x * scale) for x in vec_f]
         theta = np.array([float(x) % tau for x in v])
-        levels = range(1, min(N_CHECK, trace.n_steps) + 1) if trace is not None else ()
         if any(torus_distance_to_zero(torus_project(trace.cocycle[n], v)) < TOL_ZERO_PREIMAGE
-               for n in levels):
+               for n in range(1, min(N_CHECK, trace.n_steps) + 1)):
             report["zero_preimage_hits"] += 1
             continue
         return ThetaSample(list(v), theta, delta, attempt, report)

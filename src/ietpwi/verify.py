@@ -21,8 +21,7 @@ import numpy as np
 
 from .breaking import PLCurve, ThetaSeq, sup_distance
 from .iet import IETState, apply_exact
-from .pwi import (AdaptedPWI, PlanarIsometry, endpoint_images, hat_maps,
-                  inductive_maps, map_distance)
+from .pwi import AdaptedPWI, PlanarIsometry, hat_maps, inductive_maps, map_distance
 from .rauzy import InductionTrace
 
 #: normalized residual above which a curve piece counts as neither a line
@@ -163,7 +162,7 @@ def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], thet
         curve = curves[n]
         families = inductive_maps(trace, curve, theta_seq, n)
         for m in range(n + 1):
-            direct = hat_maps(endpoint_images(curve, trace, m, theta_seq.entries[m], n))
+            direct = hat_maps(curve, trace, m, theta_seq.entries[m], n)
             agree = max(map_distance(a, b, corners) for a, b in zip(direct, families[m]))
             report.add("map_agreement", agree, tol_scale * (1 + n), n=n, m=m)
             defect = _conjugacy_defect(curve, families[m], trace.states[m],

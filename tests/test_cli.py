@@ -230,6 +230,9 @@ def test_config_file_and_flag_override(tmp_path):
      "--steps", "3"],
     ["verify", "--catalog", "--theta", "0,0,0,0", "--steps", "1", "--deep-levels", "1"],
     ["induct", "--catalog", "--steps", "1", "--out", "."],
+    # a wrong-length theta is caught even where no level past 0 is built
+    ["pwi", "--catalog", "--steps", "2", "--deep-levels", "0", "--theta", "0.1,0.2"],
+    ["curve", "--catalog", "--steps", "0", "--theta", "0.1,0.2"],
 ])
 def test_malformed_input_exits_2(tmp_path, args):
     proc = run_cli(args, tmp_path)
@@ -357,6 +360,34 @@ def test_verify_report_bytes_are_pinned(seed, tmp_path, monkeypatch):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VERIFY_DIGESTS[seed]
 
 
+#: (exit code, sha256 of stdout then of each written file in name order) of
+#: runs that sample or configure theta and continue its curves: past the
+#: sampling depth 25, from a configured theta, for the orbit CSV, and with the
+#: sampling depth equal to the deep level
+RUN_DIGESTS = {
+    "curve --catalog --steps 30 --seed 2 --json":
+        (0, "cdd8d37e5a790b263f81c4ea1a34408991369087388233d12d967c5fe9d4fe35"),
+    "curve --catalog --steps 12 --theta 0.01,0.02,-0.01,0.005 --json":
+        (0, "c60bf8b649bd16f24bbcbc7fdb7f4b56df7047f01a70fe87eceebe5160984ba1"),
+    "pwi --catalog --steps 5 --seed 1 --json":
+        (0, "5647869973e075cd60a3ef280320c94d50d69ad312fd574dc81edd5f046c762a"),
+    "verify --catalog --steps 6 --deep-levels 30 --seed 1 --json":
+        (1, "a96ef892aac34f6b0994ee888aa7b25cf658dba784902352fafc1fc01acc7f89"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_DIGESTS))
+def test_run_bytes_are_pinned(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    digest = hashlib.sha256(out.getvalue().encode())
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.read_bytes())
+    assert (code, digest.hexdigest()) == RUN_DIGESTS[command]
+
+
 #: values a user may mistype: non-finite, beyond double range, empty, not a
 #: number, out of range
 GARBAGE = st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-400", "", "abc", "-1", "0"])
@@ -436,6 +467,7 @@ def cli_runs(draw):
           None))
 @example((["curve", "--steps=2"], {"theta": [float("nan"), 0, 0, 0], "use_catalog": True}))
 @example((["verify", "--catalog", "--deep-levels=90"], None))
+@example((["pwi", "--catalog", "--steps=2", "--deep-levels=0", "--theta=0.1,0.2"], None))
 def test_garbage_input_ends_in_an_exit_code(run):
     """In process: ``main`` returns 0, 1 or 2, or argparse exits 2; nothing else escapes."""
     argv, config = run

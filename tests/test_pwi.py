@@ -15,7 +15,6 @@ from ietpwi.iet import (Lengths, Permutation, apply, apply_array, build_iet, bui
 from ietpwi.pwi import (
     PlanarIsometry,
     adapted_pwi,
-    endpoint_images,
     hat_maps,
     induced_pwi,
     inductive_maps,
@@ -43,34 +42,39 @@ def test_isometry_algebra():
     assert abs(t(fp) - fp) < 1e-12
 
 
-def test_endpoint_images_zero_theta_is_grid(reference_trace):
+def test_hat_maps_zero_theta_is_grid(reference_trace):
+    # at zero theta each map sends its top-row piece onto its bottom-row piece
     iet = reference_trace.initial
     ident = PLCurve.identity(iet.total)
     for m in (0, 2, 5):
         state = reference_trace.states[m]
-        images = endpoint_images(ident, reference_trace, m, [0.0] * 4, 5)
-        np.testing.assert_allclose(images.gamma0, state.endpoints0)
-        np.testing.assert_allclose(images.xi.real, state.endpoints1, atol=1e-12)
-        np.testing.assert_allclose(images.xi.imag, 0.0, atol=1e-15)
+        maps = hat_maps(ident, reference_trace, m, [0.0] * 4, 5)
+        for symbol in range(4):
+            p0 = state.perm.position0(symbol)
+            p1 = state.perm.position1(symbol)
+            ends = maps[symbol](state.endpoints0[p0:p0 + 2].astype(complex))
+            np.testing.assert_allclose(ends.real, state.endpoints1[p1:p1 + 2], atol=1e-12)
+            np.testing.assert_allclose(ends.imag, 0.0, atol=1e-15)
 
 
-def test_endpoint_images_chain_anchor(reference_trace, reference_curves,
-                                      reference_theta_seq):
-    images = endpoint_images(reference_curves[12], reference_trace, 5,
-                             reference_theta_seq.entries[5], 12)
-    assert images.xi[-1] == reference_curves[12].evaluate(
-        reference_trace.states[5].endpoints0[-1])
+def test_hat_maps_chain_anchor(reference_trace, reference_curves, reference_theta_seq):
+    # the bottom row's last piece ends where the curve ends on the level grid
+    state = reference_trace.states[5]
+    maps = hat_maps(reference_curves[12], reference_trace, 5,
+                    reference_theta_seq.entries[5], 12)
+    assert maps[state.perm.bottom[-1]].b == reference_curves[12].evaluate(
+        state.endpoints0[-1])
 
 
-def test_endpoint_images_level_mismatch(reference_trace, reference_curves):
+def test_hat_maps_level_mismatch(reference_trace, reference_curves):
     with pytest.raises(LevelMismatch):
-        endpoint_images(reference_curves[3], reference_trace, 7, [0.0] * 4, 3)
+        hat_maps(reference_curves[3], reference_trace, 7, [0.0] * 4, 3)
 
 
 def test_hat_maps_zero_theta_translate_real(reference_trace):
     iet = reference_trace.initial
     ident = PLCurve.identity(iet.total)
-    maps = hat_maps(endpoint_images(ident, reference_trace, 0, [0.0] * 4, 0))
+    maps = hat_maps(ident, reference_trace, 0, [0.0] * 4, 0)
     zs = np.array([0.2 + 0.5j, 0.9 - 0.1j])
     for symbol in range(4):
         expected = zs + iet.upsilon[symbol]
@@ -79,23 +83,23 @@ def test_hat_maps_zero_theta_translate_real(reference_trace):
 
 def test_hat_continuity_of_rearranged_pieces(reference_trace, reference_curves,
                                              reference_theta_seq):
+    # consecutive bottom-row pieces join: each starts where the one before ends
     for (n, m) in ((12, 5), (8, 8), (10, 0)):
-        images = endpoint_images(reference_curves[n], reference_trace, m,
-                                 reference_theta_seq.entries[m], n)
-        maps = hat_maps(images)
+        curve = reference_curves[n]
+        maps = hat_maps(curve, reference_trace, m, reference_theta_seq.entries[m], n)
         state = reference_trace.states[m]
-        for symbol in range(4):
-            p0 = state.perm.position0(symbol) + 1
-            p1 = state.perm.position1(symbol) + 1
-            left_image = maps[symbol](images.gamma0[p0 - 1])
-            assert abs(left_image - images.xi[p1 - 1]) <= 1e-10
+        gamma0 = curve.evaluate(state.endpoints0)
+        for left, right in zip(state.perm.bottom[:-1], state.perm.bottom[1:]):
+            end = maps[left](gamma0[state.perm.position0(left) + 1])
+            start = maps[right](gamma0[state.perm.position0(right)])
+            assert abs(end - start) <= 1e-10
 
 
 def test_inductive_base_case_equals_direct(reference_trace, reference_curves,
                                            reference_theta_seq):
     n = 9
-    direct = hat_maps(endpoint_images(reference_curves[n], reference_trace, n,
-                                      reference_theta_seq.entries[n], n))
+    direct = hat_maps(reference_curves[n], reference_trace, n,
+                      reference_theta_seq.entries[n], n)
     chained = inductive_maps(reference_trace, reference_curves[n],
                              reference_theta_seq, n)[n]
     zs = np.array([0.3 + 0.4j, -1 + 2j])
@@ -114,8 +118,7 @@ def test_map_agreement_random_theta(reference_trace):
         families = inductive_maps(reference_trace, curves[n], seq, n)
         assert len(families) == n + 1
         for m in range(n + 1):
-            direct = hat_maps(endpoint_images(curves[n], reference_trace, m,
-                                              seq.entries[m], n))
+            direct = hat_maps(curves[n], reference_trace, m, seq.entries[m], n)
             worst = max(map_distance(a, b, zs) for a, b in zip(direct, families[m]))
             assert worst <= 1e-9 * (1 + n)
 

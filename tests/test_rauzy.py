@@ -173,7 +173,7 @@ def test_subspace_invariance_under_factor():
             continue
         iet = build_iet(perm, Lengths.from_values(list(rng.dirichlet(np.ones(d)))))
         nxt, step = rauzy_step(iet)
-        basis_next = h_pi_basis(nxt.perm).basis
+        basis_next = h_pi_basis(nxt.perm)
         vec = omega_matrix(perm).astype(float) @ rng.standard_normal(d)
         image = step.b_factor(d).astype(float) @ vec
         residual = image - basis_next @ (basis_next.T @ image)

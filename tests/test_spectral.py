@@ -49,11 +49,11 @@ def test_h_pi_basis_orthonormal_spans_omega():
     from ietpwi.iet import omega_matrix
 
     perm = Permutation.from_monodromy("4 3 2 1")
-    sub = h_pi_basis(perm)
-    assert sub.dim == 4
-    np.testing.assert_allclose(sub.basis.T @ sub.basis, np.eye(4), atol=1e-12)
+    basis = h_pi_basis(perm)
+    assert basis.shape == (4, 4)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-12)
     omega = omega_matrix(perm).astype(float)
-    residual = omega - sub.basis @ (sub.basis.T @ omega)
+    residual = omega - basis @ (basis.T @ omega)
     assert np.max(np.abs(residual)) < 1e-12
 
 
