@@ -55,6 +55,7 @@ from .breaking import (
     breaking_operator,
     breaking_sequence,
     curve_levels,
+    rokhlin_towers,
     sup_distance,
     theta_sequence,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DomainMismatch, IntervalOutOfRange, InvalidInput,
                      NonUnitSpeed, OutOfDomain)
-from .iet import PIECE_BUDGET, piece_orbit
+from .iet import PIECE_BUDGET
 from .rauzy import InductionTrace, reduce_mod_tau, torus_distance_to_zero, torus_project
 
 #: per-segment absolute tolerance for the unit-speed invariant
@@ -272,51 +272,102 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
 # interval families and angle sequences along a renormalization trace
 # ---------------------------------------------------------------------------
 
-def breaking_intervals(trace: InductionTrace, n: int) -> IntervalSeq:
+def _require_budget(count: int, holder: str, unit: str) -> None:
+    if count > PIECE_BUDGET:
+        raise BudgetExceeded(f"{holder} may hold {count} {unit}, "
+                             f"more than the budget of {PIECE_BUDGET}")
+
+
+def _require_floors(trace: InductionTrace, n: int) -> None:
+    # a tower's height is its symbol's row sum of the cocycle product
+    _require_budget(sum(map(sum, trace.cocycle[n])), f"the level-{n} towers", "floors")
+
+
+def rokhlin_towers(trace: InductionTrace, n: int) -> list[list[int]]:
+    """Exact floors of the level-``n`` Rokhlin towers, one sorted list per symbol.
+
+    Entry ``s`` lists the offsets ``T^k x - x`` (numerators) of the level-``n``
+    subinterval of ``s`` under the original exchange ``T``, for ``k`` below
+    its return time: each image is a rigid translate, so the offsets hold for
+    every ``x`` of the subinterval.  Level 0 is ``[0]`` for every symbol, and
+    each induction step stacks two towers into the loser's.  The floor count
+    is the entry sum of ``trace.cocycle[n]``; above ``PIECE_BUDGET`` it raises
+    ``BudgetExceeded`` before anything is built.  A level outside
+    ``0..trace.n_steps`` raises ``InvalidInput``.
+    """
+    if not 0 <= n <= trace.n_steps:
+        raise InvalidInput(f"level {n} outside 0..{trace.n_steps}")
+    _require_floors(trace, n)
+    towers = [[0] for _ in range(trace.d)]
+    for k in range(n):
+        _stack_towers(trace, towers, k)
+    return towers
+
+
+def _stack_towers(trace: InductionTrace, towers: list[list[int]], k: int) -> None:
+    """Take the level-``k`` towers to level ``k + 1``, in place.
+
+    A point of the new loser subinterval climbs the tower of the symbol it
+    starts in, lands (translated by that symbol's level-``k`` translation)
+    in the other one and climbs that: the loser then the winner for type 0,
+    the winner then the loser for type 1.  Both runs are sorted, so the sort
+    is one linear merge.
+    """
+    step = trace.steps[k]
+    first, second = ((step.loser, step.winner) if step.type_eps == 0
+                     else (step.winner, step.loser))
+    shift = trace.states[k].upsilon_num[first]
+    floors = towers[first] + [shift + o for o in towers[second]]
+    floors.sort()
+    towers[step.loser] = floors
+
+
+def breaking_intervals(trace: InductionTrace, n: int, towers: list[list[int]]) -> IntervalSeq:
     """Forward orbit of the level-``n`` removed piece until its first return.
 
-    The removed piece is the right part of the level ``n-1`` interval; its
-    images under the original exchange are translated rigidly (each lies in
-    one continuity piece) and are collected until the piece re-enters the
-    level-``n`` interval, then sorted by position.  Runs on exact integer
-    numerators.  A level outside ``1..trace.n_steps`` raises ``InvalidInput``.
+    The removed piece is the right part of the level ``n-1`` interval, inside
+    the subinterval of the level ``n-1`` top row's last symbol.  Its first
+    return to the level ``n-1`` interval already lies in the level-``n`` one,
+    so its images are the floors of that symbol's tower in ``towers``, the
+    level ``n-1`` ones from ``rokhlin_towers``, shifted to the piece's left
+    end.  The pieces are checked on exact numerators: pairwise disjoint, and
+    none straddles a removed zone or a continuity boundary of the exchange.
+    A level outside ``1..trace.n_steps`` raises ``InvalidInput``.
     """
     if n < 1 or n > trace.n_steps:
         raise InvalidInput(f"level {n} outside 1..{trace.n_steps}")
+    symbol = trace.states[n - 1].perm.top[-1]
+    floors = towers[symbol]
+    if len(floors) != sum(trace.cocycle[n - 1][symbol]):
+        raise InvalidInput(f"the towers given are not those of level {n - 1}")
     den = trace.initial.denominator
     total_next = trace.states[n].total_num
     delta_num = trace.states[n - 1].total_num - total_next
-    lefts = piece_orbit(trace.initial, total_next, delta_num, total_next)
-    lefts.sort()
-    _check_removed_zones(lefts, delta_num,
-                         [(trace.states[m].total_num, trace.states[m - 1].total_num)
-                          for m in range(1, n + 1)])
-    # int / int is correctly rounded, so this equals float(Fraction(a, den))
-    y = np.array([a / den for a in lefts])
+    # the removed zones [total_m, total_m-1) for m <= n, then the exchange's
+    # cuts, each taken relative to the piece's left end as the floors are
+    edges = ([state.total_num for state in trace.states[:n + 1]]
+             + list(trace.initial.e0_num[1:-1]))
+    _check_pieces(floors, delta_num, [edge - total_next for edge in edges])
+    # int / int is correctly rounded: each entry is float(Fraction(left end, den))
+    y = np.array([(total_next + o) / den for o in floors])
     return IntervalSeq(y, delta_num / den)
 
 
-def _check_removed_zones(lefts: Sequence[int], width: int,
-                         zones: Sequence[tuple[int, int]]) -> None:
-    """Every piece ``[a, a + width)`` lies inside or outside each zone ``[lo, hi)``.
+def _check_pieces(lefts: Sequence[int], width: int, edges: Sequence[int]) -> None:
+    """The pieces ``[a, a + width)`` are pairwise disjoint and no edge is inside one.
 
-    ``lefts`` must be sorted with pieces pairwise disjoint.  A piece that
-    partly overlaps a zone contains ``lo`` or ``hi`` in its interior, and only
-    the last piece starting below an edge can contain it, so each edge needs
-    one bisection and one overlap test.
+    ``lefts`` must be sorted.  Only the last piece starting below an edge can
+    hold it in its interior, so each edge needs one bisection.  A piece
+    partly overlaps a zone ``[lo, hi)`` exactly when ``lo`` or ``hi`` is
+    inside it, and crosses a continuity boundary when that cut is.
     """
     for a, b in zip(lefts, lefts[1:]):
         if b - a < width:
             raise AssertionError("orbit pieces overlap")
-    for lo, hi in zones:
-        for edge in (lo, hi):
-            k = bisect_left(lefts, edge) - 1
-            if k < 0:
-                continue
-            a = lefts[k]
-            overlap = min(a + width, hi) - max(a, lo)
-            if 0 < overlap < width:
-                raise AssertionError("orbit piece straddles a removed zone")
+    for edge in edges:
+        k = bisect_left(lefts, edge) - 1
+        if k >= 0 and lefts[k] + width > edge:
+            raise AssertionError("orbit piece straddles a removed zone or a cut")
 
 
 @dataclass
@@ -377,7 +428,7 @@ def theta_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> Theta
 def segment_bound(trace: InductionTrace, depth: int) -> int:
     """Most segments the level-``depth`` curve can have, read off the cocycle.
 
-    Level ``k`` rotates ``breaking_intervals(trace, k).count`` pieces, the
+    Level ``k`` rotates as many pieces as ``breaking_intervals`` finds, the
     return time of the level-``k-1`` top row's last subinterval (a row sum of
     ``trace.cocycle[k-1]``), and each rotated piece adds at most two
     breakpoints to the one segment of level 0.
@@ -391,22 +442,28 @@ def curve_levels(trace: InductionTrace, seq: ThetaSeq, curves: Sequence[PLCurve]
     """Continue ``curves`` (levels ``0..k``), yielding the curves of levels ``k+1..depth``.
 
     Each is the one before it with its level's rotation, at the angle ``seq``
-    holds.  ``curves`` is read when iteration starts, so the caller may
-    extend it with what this yields.  Before any level is built, a depth
-    beyond the trace raises ``InvalidInput``, and one whose curve could hold
-    more than ``PIECE_BUDGET`` segments raises ``BudgetExceeded``.
+    holds, over the intervals read off the Rokhlin towers, which are carried
+    one induction step per level.  ``curves`` is read when iteration starts,
+    so the caller may extend it with what this yields.  Before any level is
+    built, a depth beyond the trace raises ``InvalidInput``, and one whose
+    curve could hold more than ``PIECE_BUDGET`` segments, or whose towers
+    more than ``PIECE_BUDGET`` floors, raises ``BudgetExceeded``.
     """
     if depth > trace.n_steps:
         raise InvalidInput(f"level {depth} outside 1..{trace.n_steps}")
-    bound = segment_bound(trace, depth)
-    if bound > PIECE_BUDGET:
-        raise BudgetExceeded(f"the level-{depth} curve may hold {bound} segments, "
-                             f"more than the budget of {PIECE_BUDGET}")
+    _require_budget(segment_bound(trace, depth), f"the level-{depth} curve", "segments")
+    start = len(curves)
+    if start > depth:
+        return
+    _require_floors(trace, depth - 1)
+    towers = rokhlin_towers(trace, start - 1)
     curve = curves[-1]
-    for n in range(len(curves), depth + 1):
-        intervals = breaking_intervals(trace, n)
+    for n in range(start, depth + 1):
+        intervals = breaking_intervals(trace, n, towers)
         curve = breaking_operator(curve, seq.breaking_angle(n - 1), intervals)
         yield curve
+        if n < depth:
+            _stack_towers(trace, towers, n - 1)
 
 
 def breaking_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> list[PLCurve]:

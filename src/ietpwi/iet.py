@@ -32,7 +32,8 @@ from .errors import BudgetExceeded, InvalidInput, NonPositiveLength, OutOfDomain
 #: count as collisions (conservative failure)
 TOL_IDOC_REL = 1e-12
 
-#: most pieces one computation may hold: the images ``piece_orbit`` lists and
+#: most pieces one computation may hold: the images ``piece_orbit`` lists,
+#: the floors of the Rokhlin towers ``breaking.rokhlin_towers`` stacks, and
 #: the segments of a curve ``breaking.curve_levels`` is asked to build
 PIECE_BUDGET = 10**7
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import atan, pi
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -241,7 +241,8 @@ def convergence_report(curves: Sequence[PLCurve], theta_seq: ThetaSeq,
 # injectivity
 # ---------------------------------------------------------------------------
 
-#: pairs tested per block of the narrow phase, which bounds its temporaries
+#: candidate pairs per block of the broad and narrow phases, which bounds
+#: their temporaries
 NARROW_BLOCK = 1 << 14
 
 #: the forward neighbour cells ``(dx, dy)`` of the broad phase, in scan order
@@ -266,31 +267,44 @@ def _cell_keys(px: np.ndarray, py: np.ndarray, cell: float) -> tuple[np.ndarray,
     return (ix - ix.min()) * width + iy, width
 
 
-def _expand(order: np.ndarray, counts: np.ndarray,
+def _expand(members: np.ndarray, counts: np.ndarray, order: np.ndarray,
             first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``(order[p], order[first[p] + k])`` for each ``p`` and ``k < counts[p]``."""
+    """Pairs ``(members[p], order[first[p] + k])`` for each ``p`` and ``k < counts[p]``."""
     rows = np.repeat(np.arange(len(counts)), counts)
     cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts) + first[rows]
-    return order[rows], order[cols]
+    return members[rows], order[cols]
 
 
-def _pairs_from_cells(key: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate index pairs ``(i, j)`` whose points share a cell neighbourhood.
+def _pairs_from_cells(key: np.ndarray,
+                      width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Candidate index pairs ``(i, j)`` whose points share a cell neighbourhood, in blocks.
 
     ``i < j`` within one cell; otherwise ``j`` lies in a ``NEIGHBOURS`` cell
-    of ``i``'s, so every nearby pair appears exactly once.
+    of ``i``'s, so every nearby pair appears exactly once.  A cell of ``c``
+    points emits ``c(c-1)/2`` own pairs and ``c`` times its neighbours'
+    counts.  A block ends at the cell whose emission reaches the next
+    multiple of ``NARROW_BLOCK``, so it holds less than ``NARROW_BLOCK`` plus
+    one cell's pairs, and only its own points get index arrays.
     """
     order = np.argsort(key, kind="stable")
     cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
-    slot = np.repeat(np.arange(len(cells)), count)      # cell of each sorted position
-    pos = np.arange(len(key))
-    parts = [_expand(order, start[slot] + count[slot] - pos - 1, pos + 1)]
+    near_cells, near_counts = [], []    # per neighbour: its cell, its count (0 if absent)
     for dx, dy in NEIGHBOURS:
         target = cells + (dx * width + dy)
-        found = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
-        counts = np.where(cells[found] == target, count[found], 0)
-        parts.append(_expand(order, counts[slot], start[found][slot]))
-    return np.concatenate([i for i, _ in parts]), np.concatenate([j for _, j in parts])
+        near = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+        near_cells.append(near)
+        near_counts.append(np.where(cells[near] == target, count[near], 0))
+    emitted = np.cumsum(count * (count - 1) // 2 + count * sum(near_counts))
+    cuts = np.searchsorted(emitted, np.arange(NARROW_BLOCK, emitted[-1], NARROW_BLOCK)) + 1
+    ends = np.unique(np.concatenate([[0], cuts, [len(cells)]]))
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        slot = np.repeat(np.arange(lo, hi), count[lo:hi])    # cell of each sorted position
+        pos = np.arange(start[lo], start[lo] + len(slot))
+        members = order[pos]
+        parts = [_expand(members, start[slot] + count[slot] - pos - 1, order, pos + 1)]
+        parts += [_expand(members, counts[slot], order, start[near[slot]])
+                  for near, counts in zip(near_cells, near_counts)]
+        yield np.concatenate([i for i, _ in parts]), np.concatenate([j for _, j in parts])
 
 
 def _scan_first(i: np.ndarray, j: np.ndarray, key: np.ndarray, width: int) -> int:
@@ -346,9 +360,11 @@ def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
 
     The broad phase is array-only: segment midpoints are bucketed in a grid
     whose cell is the longest segment, and only pairs in the same or a
-    neighbouring cell are tested, in blocks of ``NARROW_BLOCK`` pairs.  The
-    returned witness is the first fold-back, else the offending pair that
-    the cell-by-cell scan of ``_scan_first`` meets first.
+    neighbouring cell are tested.  Both phases run in blocks of about
+    ``NARROW_BLOCK`` pairs, cut at cell boundaries, and only the offending
+    pairs of each block are kept.  The returned witness is the first
+    fold-back, else the offending pair that the cell-by-cell scan of
+    ``_scan_first`` meets first.
     """
     p = curve.z[:-1]
     q = curve.z[1:]
@@ -365,16 +381,17 @@ def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
     cell = max(float(np.max(lengths)), 1e-12)
     mid = (p + q) / 2.0
     key, width = _cell_keys(mid.real, mid.imag, cell)
-    first, second = _pairs_from_cells(key, width)
-    apart = np.abs(first - second) > 1
-    first, second = first[apart], second[apart]
-    hits = [lo + np.flatnonzero(_segments_meet(p, q, lengths, first[lo:lo + NARROW_BLOCK],
-                                               second[lo:lo + NARROW_BLOCK]))
-            for lo in range(0, len(first), NARROW_BLOCK)]
-    bad = np.concatenate([np.empty(0, dtype=np.int64), *hits])
-    if len(bad) == 0:
+    bad_first, bad_second = [], []
+    for first, second in _pairs_from_cells(key, width):
+        apart = np.abs(first - second) > 1
+        first, second = first[apart], second[apart]
+        meet = _segments_meet(p, q, lengths, first, second)
+        bad_first.append(first[meet])
+        bad_second.append(second[meet])
+    first, second = np.concatenate(bad_first), np.concatenate(bad_second)
+    if len(first) == 0:
         return True, None
-    k = bad[_scan_first(first[bad], second[bad], key, width)]
+    k = _scan_first(first, second, key, width)
     return False, (int(first[k]), int(second[k]))
 
 

@@ -9,16 +9,18 @@ from math import pi, sin, tau
 import numpy as np
 import pytest
 
+from ietpwi import breaking
 from ietpwi.breaking import (
     IntervalSeq,
     PLCurve,
-    _check_removed_zones,
+    _check_pieces,
     angle_to_symmetric,
     breaking_intervals,
     breaking_offsets,
     breaking_operator,
     breaking_sequence,
     curve_levels,
+    rokhlin_towers,
     segment_bound,
     sup_distance,
     theta_sequence,
@@ -148,7 +150,7 @@ def test_operator_rejects_bad_inputs():
 
 
 def test_intervals_level_one_is_removed_piece(reference, reference_trace):
-    intervals = breaking_intervals(reference_trace, 1)
+    intervals = breaking_intervals(reference_trace, 1, rokhlin_towers(reference_trace, 0))
     assert intervals.count == 1
     assert intervals.y[0] == pytest.approx(reference_trace.states[1].total)
     assert intervals.delta == pytest.approx(
@@ -157,7 +159,7 @@ def test_intervals_level_one_is_removed_piece(reference, reference_trace):
 
 def test_intervals_match_float_orbit_oracle(golden_iet):
     trace = rauzy_iterate(golden_iet, 6)
-    intervals = breaking_intervals(trace, 2)
+    intervals = breaking_intervals(trace, 2, rokhlin_towers(trace, 1))
     # independent oracle: iterate the removed piece with the float map
     lo = trace.states[2].total
     hi = trace.states[1].total
@@ -194,7 +196,7 @@ def bruteforce_intervals(trace, n):
 
 def test_intervals_match_bruteforce_oracle(reference_trace):
     for n in range(1, 41):
-        intervals = breaking_intervals(reference_trace, n)
+        intervals = breaking_intervals(reference_trace, n, rokhlin_towers(reference_trace, n - 1))
         lefts, width, den = bruteforce_intervals(reference_trace, n)
         # the exact orbit that breaking_intervals rounds, then its rounded output
         total_n = reference_trace.states[n].total_num
@@ -205,7 +207,7 @@ def test_intervals_match_bruteforce_oracle(reference_trace):
 
 
 def test_removed_zone_check_fires_on_straddles():
-    zone = [(10, 20)]
+    zone = [10, 20]     # the edges of the zone [10, 20)
     for lefts, width in (([5], 10),         # across lo
                          ([15], 10),        # across hi
                          ([8], 15),         # contains the whole zone
@@ -213,28 +215,28 @@ def test_removed_zone_check_fires_on_straddles():
                          ([9], 2),          # narrow pieces across each edge
                          ([19], 2)):
         with pytest.raises(AssertionError, match="straddles"):
-            _check_removed_zones(lefts, width, zone)
+            _check_pieces(lefts, width, zone)
     for lefts, width in (([10], 5),             # a == lo
                          ([15], 5),             # a + width == hi
                          ([10], 10),            # the zone itself
                          ([2, 7, 20, 25], 3),   # touching from both sides
                          ([0, 10, 13, 17], 3),  # inside, touching each other
                          ([], 4)):
-        _check_removed_zones(lefts, width, zone)
+        _check_pieces(lefts, width, zone)
     with pytest.raises(AssertionError, match="overlap"):
-        _check_removed_zones([0, 2], 3, zone)
+        _check_pieces([0, 2], 3, zone)
 
 
 def test_intervals_count_equals_cocycle_row_sum(reference, reference_trace):
     for n in (2, 5, 9, 13):
-        intervals = breaking_intervals(reference_trace, n)
+        intervals = breaking_intervals(reference_trace, n, rokhlin_towers(reference_trace, n - 1))
         beta0 = reference_trace.states[n - 1].perm.top[-1]
         assert intervals.count == sum(reference_trace.cocycle[n - 1][beta0])
 
 
 def test_intervals_share_width(reference_trace):
     for n in (3, 7):
-        intervals = breaking_intervals(reference_trace, n)
+        intervals = breaking_intervals(reference_trace, n, rokhlin_towers(reference_trace, n - 1))
         assert intervals.delta > 0
         assert np.all(np.diff(intervals.y) >= intervals.delta - 1e-12)
 
@@ -309,6 +311,22 @@ def test_curve_depth_is_checked_against_the_segment_budget(reference_trace):
         next(curve_levels(reference_trace, seq, start, reference_trace.n_steps + 1))
 
 
+def test_towers_are_checked_against_the_piece_budget(reference_trace, monkeypatch):
+    # depth 70, the deepest admitted curve, reads the level-69 towers:
+    # 3,236,347 floors; the level-76 ones hold 15,222,273 and are refused
+    # before a floor is stacked
+    assert sum(map(sum, reference_trace.cocycle[69])) <= PIECE_BUDGET
+    assert sum(map(sum, reference_trace.cocycle[76])) > PIECE_BUDGET
+    with pytest.raises(BudgetExceeded, match="level-76 towers may hold 15222273 floors"):
+        rokhlin_towers(reference_trace, 76)
+    # the level-1 curve holds at most 3 segments, its level-0 towers 4 floors
+    monkeypatch.setattr(breaking, "PIECE_BUDGET", 3)
+    seq = theta_sequence(reference_trace, [0.3, -0.2, 0.1, 0.05], 1)
+    start = [PLCurve.identity(reference_trace.initial.total)]
+    with pytest.raises(BudgetExceeded, match="level-0 towers"):
+        next(curve_levels(reference_trace, seq, start, 1))
+
+
 def test_levels_beyond_the_trace_are_invalid_input(reference_trace):
     depth = reference_trace.n_steps
     with pytest.raises(InvalidInput, match="trace holds"):
@@ -317,7 +335,13 @@ def test_levels_beyond_the_trace_are_invalid_input(reference_trace):
         theta_sequence(reference_trace, [0.1] * 4, -1)
     for level in (0, depth + 1):
         with pytest.raises(InvalidInput, match="outside"):
-            breaking_intervals(reference_trace, level)
+            breaking_intervals(reference_trace, level, rokhlin_towers(reference_trace, 0))
+    for level in (-1, depth + 1):
+        with pytest.raises(InvalidInput, match="outside"):
+            rokhlin_towers(reference_trace, level)
+    # level 11 rotates over the tower of symbol 3, which step 10 stacks
+    with pytest.raises(InvalidInput, match="not those of level 10"):
+        breaking_intervals(reference_trace, 11, rokhlin_towers(reference_trace, 9))
 
 
 def test_breaking_sequence_per_level_bound(reference_trace, reference_curves,

@@ -6,7 +6,9 @@ float views of exact lengths, and the JSON round trips of the exchange data.
 Random irreducible exchanges on 2 to 6 symbols with exact integer lengths
 (or, for the curves' domain end, Dirichlet float lengths), followed for up
 to 12 induction levels (60 for the step rule, the inverse and the lift).
-Runs are derandomized, so every run draws the same examples.
+Runs are derandomized, so every run draws the same examples.  The Rokhlin
+towers are checked on seeded Dirichlet exchanges on 2 to 7 symbols, at
+every level up to 30.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ietpwi.breaking import (TOL_UNIT_SPEED, breaking_intervals, breaking_sequence,
-                             segment_bound, sup_distance, theta_sequence)
-from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
+                             rokhlin_towers, segment_bound, sup_distance, theta_sequence)
+from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible, piece_orbit
 from ietpwi.rauzy import (InductionStep, identity_matrix, rauzy_iterate, return_word,
                           torus_project, undo_update, visit_counts_bruteforce)
+from tests_random_util import random_irreducible_iet
 
 DENOMINATOR = 2**40
 
@@ -98,7 +101,30 @@ def test_breaking_interval_count_is_return_time_of_last_top_symbol(run):
     iet, trace, depth = run
     for n in range(1, depth + 1):
         beta0 = trace.states[n - 1].perm.top[-1]
-        assert breaking_intervals(trace, n).count == sum(trace.cocycle[n - 1][beta0])
+        towers = rokhlin_towers(trace, n - 1)
+        assert breaking_intervals(trace, n, towers).count == sum(trace.cocycle[n - 1][beta0])
+
+
+def test_rokhlin_towers_are_the_sorted_first_return_orbits():
+    # each floor is an exact image of the level-n subinterval before it
+    # returns, as the direct orbit walk finds it, and the heights are row sums
+    rng = np.random.default_rng(14)
+    levels = 0
+    for d in range(2, 8):
+        for _ in range(6):
+            iet, _ = random_irreducible_iet(rng, d_choices=(d,))
+            trace = rauzy_iterate(iet, 30)
+            for n in range(trace.n_steps + 1):
+                towers = rokhlin_towers(trace, n)
+                state = trace.states[n]
+                for symbol in range(d):
+                    left = state.e0_num[state.perm.position0(symbol)]
+                    orbit = piece_orbit(iet, left, state.lengths.numerators[symbol],
+                                        state.total_num)
+                    assert towers[symbol] == sorted(a - left for a in orbit)
+                    assert len(towers[symbol]) == sum(trace.cocycle[n][symbol])
+                levels += 1
+    assert levels > 1000
 
 
 @PROPERTY

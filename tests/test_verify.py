@@ -17,6 +17,7 @@ from ietpwi.verify import (
     _cell_keys,
     _conjugacy_defect,
     _pairs_from_cells,
+    NARROW_BLOCK,
     VerificationReport,
     convergence_report,
     discontinuity_orbit,
@@ -381,12 +382,43 @@ def test_candidate_pairs_match_oracle_on_catalog_curves(reference_curves, depth)
     p, q = curve.z[:-1], curve.z[1:]
     mid = (p + q) / 2.0
     cell = float(np.max(np.abs(q - p)))
-    first, second = _pairs_from_cells(*_cell_keys(mid.real, mid.imag, cell))
+    key, width = _cell_keys(mid.real, mid.imag, cell)
+    blocks = list(_pairs_from_cells(key, width))
+    first = np.concatenate([i for i, _ in blocks])
+    second = np.concatenate([j for _, j in blocks])
     oracle = _pairs_oracle(mid.real, mid.imag, cell)
     assert len(first) == len(oracle) > curve.n_segments
     assert np.array_equal(_sorted_pairs(first, second),
                           _sorted_pairs(oracle[:, 0], oracle[:, 1]))
+    if depth == 45:
+        # 148,983 pairs; a block ends at a cell, so it may pass NARROW_BLOCK
+        # by at most what one cell emits (the oracle lists a pair under the
+        # cell of its first member)
+        _, cell_of = np.unique(key, return_inverse=True)
+        largest_cell = int(np.bincount(cell_of[oracle[:, 0]]).max())
+        assert len(blocks) > 2
+        assert max(len(i) for i, _ in blocks) <= NARROW_BLOCK + largest_cell
     assert injectivity(curve) == _injectivity_oracle(curve) == (True, None)
+
+
+def test_injectivity_matches_oracle_across_blocks():
+    # a seeded 3,000-segment random walk crosses itself and spreads its
+    # candidate pairs over several blocks
+    rng = np.random.default_rng(11)
+    steps = rng.uniform(0.2, 1.0, 3000) * np.exp(1j * rng.uniform(-pi, pi, 3000))
+    curve = make_polyline(np.concatenate([[0], np.cumsum(steps)]))
+    p, q = curve.z[:-1], curve.z[1:]
+    mid = (p + q) / 2.0
+    cell = float(np.max(np.abs(q - p)))
+    blocks = list(_pairs_from_cells(*_cell_keys(mid.real, mid.imag, cell)))
+    assert len(blocks) > 1
+    oracle = _pairs_oracle(mid.real, mid.imag, cell)
+    assert np.array_equal(_sorted_pairs(np.concatenate([i for i, _ in blocks]),
+                                        np.concatenate([j for _, j in blocks])),
+                          _sorted_pairs(oracle[:, 0], oracle[:, 1]))
+    got = injectivity(curve)
+    assert not got[0]
+    assert got == _injectivity_oracle(curve)
 
 
 def test_nontriviality_identity_is_trivial():
