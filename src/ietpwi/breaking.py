@@ -86,12 +86,16 @@ class PLCurve:
         if np.any(q < 0.0) or np.any(q > self.length):
             raise OutOfDomain("parameter outside [0, length]")
         idx = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, self.n_segments - 1)
+        out = self._on_segments(q, idx)
+        return out if np.ndim(params) else out[0]
+
+    def _on_segments(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Value at each parameter ``q[k]`` on the affine piece of segment ``idx[k]``."""
         nxt = idx + 1
         x0, z0 = self.x[idx], self.z[idx]
         # the tangents of the indexed segments only, each formed as tangents() forms it
         right = np.where(nxt < self.n_segments, self.x.take(nxt, mode="clip"), self.length)
-        out = z0 + (q - x0) * ((self.z[nxt] - z0) / (right - x0))
-        return out if np.ndim(params) else out[0]
+        return z0 + (q - x0) * ((self.z[nxt] - z0) / (right - x0))
 
     def arc_length(self) -> float:
         return float(np.sum(np.abs(np.diff(self.z))))
@@ -203,15 +207,22 @@ def breaking_offsets(curve: PLCurve, phi: float,
     recursion seeded by the curve values at the interval endpoints.
     """
     rot = complex(np.cos(phi), np.sin(phi))
-    one_minus = 1.0 - rot
-    g_left = curve.evaluate(intervals.y)
+    ends = intervals.bounds()
     # a piece ending at the domain's right end may round above it
-    g_right = curve.evaluate(np.minimum(intervals.y + intervals.delta, curve.length))
-    # upper[k] = lower[k-1] + g_left[k]*(1-rot), lower[k] = upper[k] - g_right[k]*(1-rot):
-    # one running sum over the interleaved steps, added in the same order
-    steps = np.empty(2 * intervals.count, dtype=complex)
-    steps[0::2] = _scalar_product(g_left, one_minus)
-    steps[1::2] = -_scalar_product(g_right, one_minus)
+    ends[1::2] = np.minimum(ends[1::2], curve.length)
+    return _offsets(curve.evaluate(ends), 1.0 - rot)
+
+
+def _offsets(g: np.ndarray, one_minus: complex) -> tuple[np.ndarray, np.ndarray]:
+    """``upper`` and ``lower`` from the curve values ``g`` at the interleaved interval ends.
+
+    With ``g[2k]`` the value at the k-th interval's left end and ``g[2k+1]``
+    at its right end, ``upper[k] = lower[k-1] + g[2k]*(1-rot)`` and
+    ``lower[k] = upper[k] - g[2k+1]*(1-rot)``: one running sum over the
+    interleaved steps, added in the same order.
+    """
+    steps = _scalar_product(g, one_minus)
+    np.negative(steps[1::2], out=steps[1::2])
     sums = np.cumsum(steps)
     return sums[0::2], sums[1::2]
 
@@ -233,7 +244,12 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     """Rotate the curve pieces over the intervals by ``phi``, keeping continuity.
 
     The output lives on the same domain, is continuous and keeps unit speed;
-    the interval endpoints are inserted as new breakpoints.
+    the interval endpoints are inserted as new breakpoints.  One stable sort
+    of the old breakpoints followed by the interval ends merges the two,
+    which need not be sorted against each other (nor the ends among
+    themselves, to the ulp): an end's segment is the count of old
+    breakpoints before it, so each end is evaluated once, and a parameter's
+    zone is the running count of ends.  Old vertices are carried as they are.
     """
     curve.require_unit_speed()
     if not -pi <= phi < pi:
@@ -241,23 +257,46 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     y = intervals.y
     if y[0] < 0.0 or y[-1] + intervals.delta > curve.length * (1 + 1e-12):
         raise IntervalOutOfRange("rotation intervals must lie inside the curve domain")
-
-    upper, lower = breaking_offsets(curve, phi, intervals)
     rot = complex(np.cos(phi), np.sin(phi))
-    bounds = intervals.bounds()
+    old = curve.n_segments
 
-    new_x = np.union1d(curve.x, bounds[bounds < curve.length])
+    # an old breakpoint sorts before an equal end, so it counts as before it;
+    # each temporary is released once used, which keeps the peak memory down
+    bounds = intervals.bounds()
+    params = np.concatenate([curve.x, bounds])
+    order = np.argsort(params, kind="stable")
+    params = params[order]
+    is_end = order >= old
+    at_end = np.flatnonzero(is_end)
+    # the old breakpoints before an end, less one, index its segment; a piece
+    # ending at the domain's right end may round above it
+    g = curve._on_segments(np.minimum(params[at_end], curve.length),
+                           at_end - np.arange(len(at_end)) - 1)
+    by_end = np.empty_like(g)
+    by_end[order[at_end] - old] = g
+    del order
+    upper, lower = _offsets(by_end, 1.0 - rot)
+    del by_end
+    values = np.empty(len(params), dtype=complex)
+    values[is_end] = g
+    values[~is_end] = curve.z[:-1]
+    del g, at_end
+    # zone 0 precedes every interval; odd zones are rotated, even translated
+    zone = np.cumsum(is_end)
+    del is_end
+
+    # of equal parameters the last one is kept: its zone counts every end equal to it
+    kept = np.flatnonzero(np.append(params[1:] != params[:-1], True) & (params < curve.length))
     # merge numerically coincident breakpoints: a zero-length segment carries
     # no geometry but fabricates spurious self-contacts downstream
     merge_tol = 1e-13 * max(1.0, curve.length)
-    keep = np.concatenate([[True], np.diff(new_x) > merge_tol])
-    new_x = new_x[keep]
-    if len(new_x) > 1 and new_x[-1] > curve.length - merge_tol:
-        new_x = new_x[:-1]
-    params = np.append(new_x, curve.length)
-    values = curve.evaluate(params)
-    # zone 0 precedes every interval; odd zones are rotated, even translated
-    zone = np.searchsorted(bounds, params, side="right")
+    kept = kept[np.concatenate([[True], np.diff(params[kept]) > merge_tol])]
+    if len(kept) > 1 and params[kept[-1]] > curve.length - merge_tol:
+        kept = kept[:-1]
+    new_x = params[kept]
+    # the right end is a limit of the last segment, evaluated as evaluate() does
+    values = np.append(values[kept], curve._on_segments(curve.length, old - 1))
+    zone = np.append(zone[kept], np.count_nonzero(bounds <= curve.length))
     out = values.copy()
     inside = (zone % 2) == 1
     k_in = (zone[inside] - 1) // 2

@@ -176,12 +176,16 @@ def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], thet
 # ---------------------------------------------------------------------------
 
 def lipschitz_constant(curve: PLCurve) -> float:
-    """Largest slope of the curve over its first coordinate; inf if vertical."""
+    """Largest slope of the curve over its first coordinate.
+
+    inf unless every segment moves right, so a vertical segment or one that
+    doubles back (the curve is then no graph over its first coordinate)
+    gets inf.
+    """
     t = curve.tangents()
-    re = np.abs(t.real)
-    if np.any(re < 1e-15):
+    if np.any(t.real < 1e-15):
         return float("inf")
-    return float(np.max(np.abs(t.imag) / re))
+    return float(np.max(np.abs(t.imag) / t.real))
 
 
 def convergence_report(curves: Sequence[PLCurve], theta_seq: ThetaSeq,
@@ -191,6 +195,9 @@ def convergence_report(curves: Sequence[PLCurve], theta_seq: ThetaSeq,
     Each increment must stay under ``4 |lambda| sin(|angle|/2)`` for the
     angle applied at that level; the report also carries the empirical
     telescoping constant and the divergence flag used by negative controls.
+    While the summed angles stay under ``0.49 pi``, the last curve's steepest
+    slope angle must stay under their sum (the Lipschitz cone); a curve that
+    is no graph over its first coordinate has slope angle ``pi/2`` and fails.
     """
     if len(curves) < 3:
         raise ValueError("need at least 3 curves")
@@ -227,7 +234,8 @@ def convergence_report(curves: Sequence[PLCurve], theta_seq: ThetaSeq,
                      "telescoping_constant": c_emp})
     angle_sum = float(np.sum(dists[:len(incs)]))
     lips = lipschitz_constant(curves[-1])
-    if angle_sum < 0.49 * pi and np.isfinite(lips):
+    if angle_sum < 0.49 * pi:
+        # atan(inf) is pi/2, so a curve that is no graph fails the cone
         report.add("lipschitz_cone", atan(lips), angle_sum + 1e-9,
                    meta={"angle_sum": angle_sum})
     else:
@@ -351,20 +359,24 @@ def _segments_meet(p: np.ndarray, q: np.ndarray, lengths: np.ndarray,
 def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
     """Segment-pair self-intersection test over the polyline.
 
-    A double-precision orientation test, not an exact one: float cross
-    products decide the side, and a contact counts as collinear when its
-    cross product is at most ``1e-14`` times the product of the two segment
-    lengths.  Non-adjacent segments may not meet at all; adjacent segments
-    may share only their common vertex (a fold-back onto the previous
-    segment counts as an intersection).
+    Non-adjacent segments may not meet at all; adjacent segments may share
+    only their common vertex (a fold-back onto the previous segment counts
+    as an intersection).  Fold-backs are scanned first.  A polyline whose
+    vertices' first coordinates strictly increase is then certified exactly,
+    since that compares stored floats: it is a graph, so non-adjacent
+    segments have disjoint projections on the first axis and adjacent ones
+    share only their common vertex.
 
-    The broad phase is array-only: segment midpoints are bucketed in a grid
-    whose cell is the longest segment, and only pairs in the same or a
-    neighbouring cell are tested.  Both phases run in blocks of about
-    ``NARROW_BLOCK`` pairs, cut at cell boundaries, and only the offending
-    pairs of each block are kept.  The returned witness is the first
-    fold-back, else the offending pair that the cell-by-cell scan of
-    ``_scan_first`` meets first.
+    Every other polyline gets a double-precision orientation test, not an
+    exact one: float cross products decide the side, and a contact counts
+    as collinear when its cross product is at most ``1e-14`` times the
+    product of the two segment lengths.  Its broad phase is array-only:
+    segment midpoints are bucketed in a grid whose cell is the longest
+    segment, and only pairs in the same or a neighbouring cell are tested.
+    Both phases run in blocks of about ``NARROW_BLOCK`` pairs, cut at cell
+    boundaries, and only the offending pairs of each block are kept.  The
+    returned witness is the first fold-back, else the offending pair that
+    the cell-by-cell scan of ``_scan_first`` meets first.
     """
     p = curve.z[:-1]
     q = curve.z[1:]
@@ -378,6 +390,8 @@ def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
     if np.any(folded):
         i = int(np.argmax(folded))
         return False, (i, i + 1)
+    if np.all(curve.z.real[1:] > curve.z.real[:-1]):
+        return True, None
     cell = max(float(np.max(lengths)), 1e-12)
     mid = (p + q) / 2.0
     key, width = _cell_keys(mid.real, mid.imag, cell)

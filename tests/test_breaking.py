@@ -27,8 +27,10 @@ from ietpwi.breaking import (
 )
 from ietpwi.errors import (BudgetExceeded, DomainMismatch, IntervalOutOfRange, InvalidInput,
                            NonUnitSpeed)
-from ietpwi.iet import PIECE_BUDGET, apply_array, piece_orbit
+from ietpwi.iet import (PIECE_BUDGET, Lengths, Permutation, apply_array, build_iet,
+                        is_irreducible, piece_orbit)
 from ietpwi.rauzy import rauzy_iterate, torus_project
+from ietpwi.spectral import sample_theta
 
 
 def random_unit_speed_curve(rng, length=None, pieces=6):
@@ -147,6 +149,123 @@ def test_operator_rejects_bad_inputs():
     crooked = PLCurve(1.0, np.array([0.0, 0.5]), np.array([0, 0.5, 1.5 + 0.2j]))
     with pytest.raises(NonUnitSpeed):
         breaking_operator(crooked, 0.3, IntervalSeq(np.array([0.1]), 0.05))
+
+
+def _operator_oracle(curve, phi, intervals):
+    """Reference for ``breaking_operator``: union of the breakpoints, then lookups.
+
+    Every parameter of the merged partition is evaluated on the old curve,
+    and its zone is found by bisection in the interval ends, which assumes
+    that they are sorted.
+    """
+    curve.require_unit_speed()
+    if not -pi <= phi < pi:
+        phi = angle_to_symmetric(phi)
+    upper, lower = breaking_offsets(curve, phi, intervals)
+    rot = complex(np.cos(phi), np.sin(phi))
+    bounds = intervals.bounds()
+    new_x = np.union1d(curve.x, bounds[bounds < curve.length])
+    merge_tol = 1e-13 * max(1.0, curve.length)
+    keep = np.concatenate([[True], np.diff(new_x) > merge_tol])
+    new_x = new_x[keep]
+    if len(new_x) > 1 and new_x[-1] > curve.length - merge_tol:
+        new_x = new_x[:-1]
+    params = np.append(new_x, curve.length)
+    values = curve.evaluate(params)
+    zone = np.searchsorted(bounds, params, side="right")
+    out = values.copy()
+    inside = (zone % 2) == 1
+    k_in = (zone[inside] - 1) // 2
+    out[inside] = values[inside] * rot + upper[k_in]
+    after = (zone > 0) & ~inside
+    k_after = zone[after] // 2 - 1
+    out[after] = values[after] + lower[k_after]
+    return PLCurve(curve.length, new_x, out)
+
+
+def _operator_levels(trace, theta, depth):
+    """Each level's input curve, angle and intervals, continued by ``breaking_operator``."""
+    seq = theta_sequence(trace, theta, depth)
+    curve = PLCurve.identity(trace.initial.total)
+    towers = rokhlin_towers(trace, 0)
+    for n in range(1, depth + 1):
+        intervals = breaking_intervals(trace, n, towers)
+        phi = seq.breaking_angle(n - 1)
+        yield curve, phi, intervals
+        curve = breaking_operator(curve, phi, intervals)
+        if n < depth:
+            breaking._stack_towers(trace, towers, n - 1)
+
+
+def test_operator_matches_oracle_on_catalog_levels(reference, reference_trace):
+    frame = reference.stable_frame_exact()
+    for seed in (0, 3):
+        sample = sample_theta(frame, 0.5, seed, upsilon=reference.iet.upsilon,
+                              trace=reference_trace)
+        for curve, phi, intervals in _operator_levels(reference_trace, sample.v, 56):
+            got = breaking_operator(curve, phi, intervals)
+            want = _operator_oracle(curve, phi, intervals)
+            assert np.array_equal(got.x, want.x)
+            assert got.z.tobytes() == want.z.tobytes()
+    assert got.n_segments == 232_796
+
+
+def test_operator_matches_oracle_on_random_exchanges():
+    # the ends of an interval family are sorted only to within rounding:
+    # IntervalSeq admits gaps down to delta - 1e-15, so a start can fall an
+    # ulp before the previous end; the oracle then bisects unsorted ends
+    rng = np.random.default_rng(21)
+    sorted_levels = inverted_levels = 0
+    for d in range(2, 8):
+        walks = 0
+        while walks < 4:
+            perm = Permutation.from_monodromy(list(rng.permutation(d) + 1))
+            if not is_irreducible(perm):
+                continue
+            trace = rauzy_iterate(build_iet(perm, Lengths.from_values(
+                list(rng.dirichlet(np.ones(d))))), 25)
+            depth = trace.n_steps
+            while depth > 1 and segment_bound(trace, depth) > 50_000:
+                depth -= 1
+            walks += 1
+            for curve, phi, intervals in _operator_levels(trace, rng.uniform(-0.3, 0.3, d),
+                                                          depth):
+                got = breaking_operator(curve, phi, intervals)
+                want = _operator_oracle(curve, phi, intervals)
+                assert np.array_equal(got.x, want.x)
+                if np.all(np.diff(intervals.bounds()) >= 0):
+                    sorted_levels += 1
+                    assert got.z.tobytes() == want.z.tobytes()
+                else:
+                    inverted_levels += 1
+                    assert np.max(np.abs(got.z - want.z)) <= 1e-15
+    assert sorted_levels > 300 and inverted_levels > 0
+
+
+def test_operator_takes_an_end_an_ulp_out_of_order():
+    # interval 1 starts one ulp before interval 0 ends
+    curve = random_unit_speed_curve(np.random.default_rng(5), length=1.0, pieces=12)
+    delta = 0.125
+    y0 = 0.3
+    y1 = float(np.nextafter(y0 + delta, -np.inf))
+    intervals = IntervalSeq(np.array([y0, y1]), delta)
+    assert intervals.bounds()[2] < intervals.bounds()[1]
+    phi = 0.7
+    rot = complex(np.cos(phi), np.sin(phi))
+    out = breaking_operator(curve, phi, intervals)
+    out.require_unit_speed()
+    for end in intervals.bounds():
+        assert abs(out.evaluate(end - 1e-9) - out.evaluate(end)) < 1e-8
+    # every segment inside an interval is the old one rotated by phi
+    mid = (out.segment_bounds()[:-1] + out.segment_bounds()[1:]) / 2
+    for lo in (y0, y1):
+        inner = (mid > lo) & (mid < lo + delta)
+        assert np.count_nonzero(inner) > 1
+        old = curve.tangents()[np.searchsorted(curve.x, mid[inner], side="right") - 1]
+        np.testing.assert_allclose(out.tangents()[inner], old * rot, rtol=0, atol=1e-12)
+    outside = (mid < y0) | (mid > y1 + delta)
+    old = curve.tangents()[np.searchsorted(curve.x, mid[outside], side="right") - 1]
+    np.testing.assert_allclose(out.tangents()[outside], old, rtol=0, atol=1e-12)
 
 
 def test_intervals_level_one_is_removed_piece(reference, reference_trace):

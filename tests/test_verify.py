@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from math import pi, tau
+from math import atan, pi, tau
 
 import numpy as np
 import pytest
@@ -366,6 +366,62 @@ def test_injectivity_detects_fold_back():
 @given(polylines())
 def test_injectivity_matches_oracle_on_polylines(curve):
     assert injectivity(curve) == _injectivity_oracle(curve)
+
+
+def test_graph_curves_are_certified_exactly():
+    # a graph whose segments 0 and 2 lie 1.3e-15 apart: the float test calls
+    # that a touch, the strictly increasing first coordinates rule it out
+    curve = make_polyline([3 - 1.0667317455693386j,
+                           3.0000000000000013 + 0.38346831981476814j,
+                           3.0000000000000027 + 0.38346831981476814j,
+                           3.000000000000004])
+    assert _injectivity_oracle(curve) == (False, (0, 2))
+    assert injectivity(curve) == (True, None)
+    # a graph that folds back on itself is still caught by the fold-back scan
+    assert injectivity(make_polyline([0, 1e-9 + 1j, 2e-9])) == (False, (0, 1))
+
+
+@st.composite
+def graph_polylines(draw):
+    steps = draw(st.lists(st.floats(1e-9, 3), min_size=1, max_size=40))
+    heights = draw(st.lists(st.one_of(st.integers(-3, 3), st.floats(-3, 3)),
+                            min_size=len(steps) + 1, max_size=len(steps) + 1))
+    xs = np.concatenate([[0.0], np.cumsum(steps)])
+    return make_polyline([complex(x, h) for x, h in zip(xs, heights)])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(graph_polylines())
+def test_graphs_without_fold_back_are_injective(curve):
+    assume(np.all(np.diff(curve.z.real) > 0))
+    verdict, witness = _injectivity_oracle(curve)
+    # the oracle flags a fold-back only as the pair of one segment and the next
+    assume(verdict or witness[1] - witness[0] != 1)
+    assert injectivity(curve) == (True, None)
+
+
+def _cone_check(curve, reference_trace, theta):
+    seq = theta_sequence(reference_trace, theta, 2)
+    report = convergence_report([curve] * 3, seq, reference_trace)
+    return [c for c in report.checks if c.check == "lipschitz_cone"][0]
+
+
+@pytest.mark.parametrize("points", [[0, 1 + 0.01j, 0.5 + 0.03j, 1.5 + 0.04j],  # doubles back
+                                    [0, 1 + 0.01j, 1 + 0.5j, 2 + 0.5j]])      # vertical
+def test_lipschitz_cone_fails_curves_that_are_no_graph(reference_trace, points):
+    check = _cone_check(make_polyline(points), reference_trace, [0.01] * 4)
+    assert check.meta["angle_sum"] < 0.49 * pi
+    assert check.defect == pi / 2 and not check.passed
+
+
+def test_lipschitz_cone_holds_a_graph_to_its_steepest_slope(reference_trace):
+    curve = make_polyline([0, 1 + 0.05j, 2 + 0.02j, 3 + 0.03j])
+    check = _cone_check(curve, reference_trace, [0.05] * 4)
+    # a graph keeps the value of the unsigned slope |Im t| / |Re t|, bit for bit
+    t = curve.tangents()
+    assert check.defect == atan(float(np.max(np.abs(t.imag) / np.abs(t.real))))
+    assert check.defect == pytest.approx(atan(0.05))
+    assert check.passed and "skipped" not in check.meta
 
 
 def test_injectivity_witness_is_first_in_scan_order():
