@@ -11,7 +11,6 @@ from .errors import (
     AtomMissesCurve,
     AtomsOverlap,
     BudgetExceeded,
-    DomainMismatch,
     ExhaustedResamples,
     IetPwiError,
     InsufficientGap,
@@ -56,7 +55,6 @@ from .breaking import (
     breaking_sequence,
     curve_levels,
     rokhlin_towers,
-    sup_distance,
     theta_sequence,
 )
 from .pwi import (

@@ -17,12 +17,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi, tau
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DomainMismatch, IntervalOutOfRange, InvalidInput,
-                     NonUnitSpeed, OutOfDomain)
+from .errors import (BudgetExceeded, IntervalOutOfRange, InvalidInput, NonUnitSpeed,
+                     OutOfDomain)
 from .iet import PIECE_BUDGET
 from .rauzy import InductionTrace, reduce_mod_tau, torus_distance_to_zero, torus_project
 
@@ -48,11 +48,14 @@ class PLCurve:
     breakpoint plus the limit value at the right end, so ``len(z) ==
     len(x) + 1``.  Unit speed (chord length equals parameter length on every
     segment) is an invariant of every constructor in this module.
+    ``increment`` is ``sup |self - previous|`` when ``breaking_operator``
+    made this curve from ``previous``, and ``None`` otherwise.
     """
 
     length: float
     x: np.ndarray
     z: np.ndarray
+    increment: Optional[float] = None
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -154,20 +157,6 @@ class PLCurve:
         )
 
 
-def sup_distance(a: PLCurve, b: PLCurve) -> float:
-    """Exact supremum distance between two curves on a shared domain.
-
-    The difference of two piecewise-linear maps is piecewise linear, so the
-    supremum of its modulus is attained at a breakpoint of the merged
-    partition; no sampling is involved.
-    """
-    if abs(a.length - b.length) > 1e-12 * max(1.0, a.length):
-        raise DomainMismatch(f"domain lengths differ: {a.length} vs {b.length}")
-    merged = np.union1d(a.segment_bounds(), b.segment_bounds())
-    merged = merged[merged <= min(a.length, b.length)]
-    return float(np.max(np.abs(a.evaluate(merged) - b.evaluate(merged))))
-
-
 # ---------------------------------------------------------------------------
 # rotation intervals
 # ---------------------------------------------------------------------------
@@ -196,21 +185,6 @@ class IntervalSeq:
         out[0::2] = self.y
         out[1::2] = self.y + self.delta
         return out
-
-
-def breaking_offsets(curve: PLCurve, phi: float,
-                     intervals: IntervalSeq) -> tuple[np.ndarray, np.ndarray]:
-    """Translation corrections that keep the rotated curve continuous.
-
-    ``upper[k]`` is added to the rotated piece over the k-th interval and
-    ``lower[k]`` to the translated piece after it; both follow the coupled
-    recursion seeded by the curve values at the interval endpoints.
-    """
-    rot = complex(np.cos(phi), np.sin(phi))
-    ends = intervals.bounds()
-    # a piece ending at the domain's right end may round above it
-    ends[1::2] = np.minimum(ends[1::2], curve.length)
-    return _offsets(curve.evaluate(ends), 1.0 - rot)
 
 
 def _offsets(g: np.ndarray, one_minus: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -250,6 +224,12 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     themselves, to the ulp): an end's segment is the count of old
     breakpoints before it, so each end is evaluated once, and a parameter's
     zone is the running count of ends.  Old vertices are carried as they are.
+
+    The output's ``increment`` is ``sup |output - curve|``, bit for bit the
+    maximum of the modulus over both curves' breakpoints and the right end:
+    the difference is affine in between.  At the kept parameters both curves
+    are at hand; at the old breakpoints that the merge tolerance drops and at
+    the right end, where the output is a limit, both are evaluated.
     """
     curve.require_unit_speed()
     if not -pi <= phi < pi:
@@ -290,13 +270,23 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     # merge numerically coincident breakpoints: a zero-length segment carries
     # no geometry but fabricates spurious self-contacts downstream
     merge_tol = 1e-13 * max(1.0, curve.length)
-    kept = kept[np.concatenate([[True], np.diff(params[kept]) > merge_tol])]
+    close = np.concatenate([[False], np.diff(params[kept]) <= merge_tol])
+    dropped = kept[close]
+    kept = kept[~close]
     if len(kept) > 1 and params[kept[-1]] > curve.length - merge_tol:
+        dropped = np.append(dropped, kept[-1])
         kept = kept[:-1]
+    # a parameter's old segment is its position less the ends up to it; the
+    # increment needs the dropped parameters that are old breakpoints
+    slot = dropped - zone[dropped]
+    old_dropped = curve.x[slot] == params[dropped]
+    dropped, slot = params[dropped[old_dropped]], slot[old_dropped]
     new_x = params[kept]
+    del params
     # the right end is a limit of the last segment, evaluated as evaluate() does
     values = np.append(values[kept], curve._on_segments(curve.length, old - 1))
     zone = np.append(zone[kept], np.count_nonzero(bounds <= curve.length))
+    del kept
     out = values.copy()
     inside = (zone % 2) == 1
     k_in = (zone[inside] - 1) // 2
@@ -304,7 +294,28 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     after = (zone > 0) & ~inside
     k_after = zone[after] // 2 - 1
     out[after] = values[after] + lower[k_after]
-    return PLCurve(curve.length, new_x, out)
+    del zone, inside, k_in, after, k_after
+    rotated = PLCurve(curve.length, new_x, out)
+    rotated.increment = _increment(curve, rotated, values, dropped, slot)
+    return rotated
+
+
+def _increment(curve: PLCurve, rotated: PLCurve, values: np.ndarray,
+               dropped: np.ndarray, slot: np.ndarray) -> float:
+    """``sup |rotated - curve|`` over the breakpoints of both curves and the right end.
+
+    ``values`` holds ``curve`` at the breakpoints of ``rotated``, where
+    ``rotated.z`` holds ``rotated``, and is overwritten.  ``dropped`` are
+    the breakpoints ``curve.x[slot]`` that ``rotated`` does not have; there
+    and at the right end both curves are evaluated on the segments
+    ``evaluate`` picks.
+    """
+    np.subtract(rotated.z[:-1], values[:-1], out=values[:-1])
+    kinks = np.append(dropped, curve.length)
+    new_at = np.searchsorted(rotated.x, kinks, side="right") - 1
+    elsewhere = (rotated._on_segments(kinks, new_at)
+                 - curve._on_segments(kinks, np.append(slot, curve.n_segments - 1)))
+    return float(max(np.max(np.abs(values[:-1])), np.max(np.abs(elsewhere))))
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +398,22 @@ def breaking_intervals(trace: InductionTrace, n: int, towers: list[list[int]]) -
     edges = ([state.total_num for state in trace.states[:n + 1]]
              + list(trace.initial.e0_num[1:-1]))
     _check_pieces(floors, delta_num, [edge - total_next for edge in edges])
-    # int / int is correctly rounded: each entry is float(Fraction(left end, den))
-    y = np.array([(total_next + o) / den for o in floors])
-    return IntervalSeq(y, delta_num / den)
+    return IntervalSeq(_to_floats(total_next, floors, den), delta_num / den)
+
+
+def _to_floats(shift: int, nums: Sequence[int], den: int) -> np.ndarray:
+    """``float(Fraction(shift + num, den))`` for each of the sorted ``nums``.
+
+    Every ``shift + num`` must be non-negative.  ``int / int`` is correctly
+    rounded.  So is ``float(int)``, and for ``den = 2**b`` the scaling by
+    ``2**-b`` is exact while the quotients stay normal doubles: ``b <= 1022``
+    and every numerator below ``2**1024``.
+    """
+    scaled = den & (den - 1) == 0 and den <= 1 << 1022 and shift + nums[-1] < 1 << 1024
+    if not scaled:
+        return np.fromiter(((shift + n) / den for n in nums), float, len(nums))
+    return (np.fromiter(map(float, map(shift.__add__, nums)), float, len(nums))
+            * 2.0 ** (1 - den.bit_length()))
 
 
 def _check_pieces(lefts: Sequence[int], width: int, edges: Sequence[int]) -> None:
@@ -476,28 +500,27 @@ def segment_bound(trace: InductionTrace, depth: int) -> int:
                        for k in range(depth))
 
 
-def curve_levels(trace: InductionTrace, seq: ThetaSeq, curves: Sequence[PLCurve],
+def curve_levels(trace: InductionTrace, seq: ThetaSeq, curve: PLCurve, level: int,
                  depth: int) -> Iterator[PLCurve]:
-    """Continue ``curves`` (levels ``0..k``), yielding the curves of levels ``k+1..depth``.
+    """Yield the curves of levels ``level+1..depth``, continuing ``curve`` of level ``level``.
 
     Each is the one before it with its level's rotation, at the angle ``seq``
     holds, over the intervals read off the Rokhlin towers, which are carried
-    one induction step per level.  ``curves`` is read when iteration starts,
-    so the caller may extend it with what this yields.  Before any level is
-    built, a depth beyond the trace raises ``InvalidInput``, and one whose
-    curve could hold more than ``PIECE_BUDGET`` segments, or whose towers
-    more than ``PIECE_BUDGET`` floors, raises ``BudgetExceeded``.
+    one induction step per level.  Each carries its increment over the one
+    before (``PLCurve.increment``), so a caller may keep only the curves it
+    reads.  Before any level is built, a depth beyond the trace raises
+    ``InvalidInput``, and one whose curve could hold more than
+    ``PIECE_BUDGET`` segments, or whose towers more than ``PIECE_BUDGET``
+    floors, raises ``BudgetExceeded``.
     """
     if depth > trace.n_steps:
         raise InvalidInput(f"level {depth} outside 1..{trace.n_steps}")
     _require_budget(segment_bound(trace, depth), f"the level-{depth} curve", "segments")
-    start = len(curves)
-    if start > depth:
+    if level >= depth:
         return
     _require_floors(trace, depth - 1)
-    towers = rokhlin_towers(trace, start - 1)
-    curve = curves[-1]
-    for n in range(start, depth + 1):
+    towers = rokhlin_towers(trace, level)
+    for n in range(level + 1, depth + 1):
         intervals = breaking_intervals(trace, n, towers)
         curve = breaking_operator(curve, seq.breaking_angle(n - 1), intervals)
         yield curve
@@ -508,5 +531,5 @@ def curve_levels(trace: InductionTrace, seq: ThetaSeq, curves: Sequence[PLCurve]
 def breaking_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> list[PLCurve]:
     """The curve sequence: identity parametrization, then one rotation per level."""
     curves = [PLCurve.identity(trace.initial.total)]
-    curves.extend(curve_levels(trace, theta_sequence(trace, theta, depth), curves, depth))
+    curves.extend(curve_levels(trace, theta_sequence(trace, theta, depth), curves[0], 0, depth))
     return curves

@@ -217,20 +217,25 @@ def cmd_sample_theta(cfg: RunConfig) -> int:
     return 0
 
 
-def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, depth: int):
-    """Rotation vector, its origin, its push over the trace and its curves of levels 0 to ``depth``.
+def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, depth: int,
+                    keep: int = 0):
+    """Rotation vector, its origin, its push over the trace, curves and increments to ``depth``.
 
     The vector is the configured one, or is sampled with the halving policy:
     starting at the configured radius, the radius is halved until the curve
     at the sampling depth (``--deep-levels``, else ``max(--steps, 25)``) passes
     the injectivity test (double-precision orientation, 1e-14 relative
     collinearity tolerance).  Each vector tried is pushed once over the whole
-    trace, and the curves of the one kept are continued from that push.
+    trace, and the curves of the one kept are continued from that push.  The
+    levels are built one at a time and only some curves are kept:
+    ``curves[n]`` is the level-``n`` curve for ``n <= keep`` and
+    ``curves[-1]`` the level-``depth`` one; ``increments[n]`` is
+    ``sup |curve_{n+1} - curve_n|`` for every ``n < depth``.
     """
     if cfg.theta is not None:
         theta, origin = list(cfg.theta), {"source": "config"}
         seq = breaking.theta_sequence(trace, theta, trace.n_steps)
-        curves = [breaking.PLCurve.identity(iet.total)]
+        curves, increments = [breaking.PLCurve.identity(iet.total)], []
     else:
         frame = _stable_frame(cfg, iet)
         delta = cfg.delta
@@ -239,8 +244,10 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
             sample = spectral.sample_theta(frame, delta, cfg.seed,
                                            upsilon=iet.upsilon, trace=trace)
             seq = breaking.theta_sequence(trace, sample.v, trace.n_steps)
-            curves = [breaking.PLCurve.identity(iet.total)]
-            curves.extend(breaking.curve_levels(trace, seq, curves, sampling))
+            curves, increments = [breaking.PLCurve.identity(iet.total)], []
+            # a sampling depth beyond ``depth`` keeps every level up to ``depth``
+            _continue(trace, seq, curves, increments, sampling,
+                      keep if sampling <= depth else depth)
             if verify.injectivity(curves[-1])[0]:
                 break
             delta /= 2.0
@@ -248,15 +255,30 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
             raise IetPwiError("no injective sample found by the halving policy")
         theta = sample.v
         origin = {"source": "sampled", "delta": delta, "attempts": sample.attempts}
-    curves.extend(breaking.curve_levels(trace, seq, curves, depth))
-    return theta, origin, seq, curves[:depth + 1]
+        del curves[depth + 1:], increments[depth:]
+    _continue(trace, seq, curves, increments, depth, keep)
+    return theta, origin, seq, curves, increments
+
+
+def _continue(trace: rauzy.InductionTrace, seq: breaking.ThetaSeq, curves: list,
+              increments: list, depth: int, keep: int) -> None:
+    """Continue ``curves`` to level ``depth``, keeping levels ``0..keep`` and the last.
+
+    ``curves[-1]`` is the level-``len(increments)`` curve; each new level's
+    increment is appended to ``increments``.
+    """
+    for curve in breaking.curve_levels(trace, seq, curves[-1], len(increments), depth):
+        if len(increments) > keep:
+            curves.pop()
+        curves.append(curve)
+        increments.append(curve.increment)
 
 
 def cmd_curve(cfg: RunConfig) -> int:
     iet = cfg.build()
     depth = cfg.levels
     trace = rauzy.rauzy_iterate(iet, max(depth, spectral.N_CHECK))
-    _, origin, _, curves = _sampled_curves(cfg, iet, trace, depth)
+    _, origin, _, curves, _ = _sampled_curves(cfg, iet, trace, depth)
     curve = curves[-1]
     base = cfg.out or "curve"
     svg_path = _write(None, f"{base}_level{depth}.svg", curve.to_svg())
@@ -272,7 +294,7 @@ def cmd_pwi(cfg: RunConfig) -> int:
     iet = cfg.build()
     depth = cfg.deep(max(cfg.levels, 25))
     trace = rauzy.rauzy_iterate(iet, max(depth, spectral.N_CHECK))
-    theta, origin, _, curves = _sampled_curves(cfg, iet, trace, depth)
+    theta, origin, _, curves, _ = _sampled_curves(cfg, iet, trace, depth)
     curve = curves[-1]
     theta_float = [float(t) % tau for t in theta]
     adapted = pwi_mod.adapted_pwi(curve, iet, theta_float)
@@ -295,10 +317,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise RauzyUndefined(f"the induction is undefined at step {trace.n_steps}; "
                              f"verify needs 2 levels")
     depth = min(cfg.levels, deep)
-    theta, origin, seq, curves = _sampled_curves(cfg, iet, trace, deep)
+    # the quasi suite reads levels 0 to depth, the rest only the deepest
+    theta, origin, seq, curves, increments = _sampled_curves(cfg, iet, trace, deep, depth)
 
     report = verify.quasi_embedding_suite(trace, curves, seq, depth)
-    conv = verify.convergence_report(curves, seq, trace)
+    conv = verify.convergence_report(increments, curves[-1], seq, trace)
     report.checks.extend(conv.checks)
 
     injective, witness = verify.injectivity(curves[-1])

@@ -39,10 +39,6 @@ class NonUnitSpeed(IetPwiError):
     """A curve does not satisfy the unit-speed invariant."""
 
 
-class DomainMismatch(IetPwiError):
-    """Two curves do not share the same parameter domain."""
-
-
 class LevelMismatch(IetPwiError):
     """Requested renormalization level is inconsistent with the data."""
 

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .breaking import PLCurve, ThetaSeq, sup_distance
+from .breaking import PLCurve, ThetaSeq
 from .iet import IETState, apply_exact
 from .pwi import AdaptedPWI, PlanarIsometry, hat_maps, inductive_maps, map_distance
 from .rauzy import InductionTrace
@@ -188,35 +188,35 @@ def lipschitz_constant(curve: PLCurve) -> float:
     return float(np.max(np.abs(t.imag) / t.real))
 
 
-def convergence_report(curves: Sequence[PLCurve], theta_seq: ThetaSeq,
+def convergence_report(increments: Sequence[float], curve: PLCurve, theta_seq: ThetaSeq,
                        trace: InductionTrace) -> VerificationReport:
     """Per-level increment bounds and cone control for the curve sequence.
 
-    Each increment must stay under ``4 |lambda| sin(|angle|/2)`` for the
-    angle applied at that level; the report also carries the empirical
-    telescoping constant and the divergence flag used by negative controls.
-    While the summed angles stay under ``0.49 pi``, the last curve's steepest
-    slope angle must stay under their sum (the Lipschitz cone); a curve that
-    is no graph over its first coordinate has slope angle ``pi/2`` and fails.
+    ``increments[n]`` is ``sup |curve_{n+1} - curve_n|``, as
+    ``breaking_operator`` reports it on ``curve_{n+1}``, and ``curve`` is the
+    last level.  Each increment must stay under ``4 |lambda| sin(|angle|/2)``
+    for the angle applied at that level; the report also carries the
+    empirical telescoping constant and the divergence flag used by negative
+    controls.  While the summed angles stay under ``0.49 pi``, the last
+    curve's steepest slope angle must stay under their sum (the Lipschitz
+    cone); a curve that is no graph over its first coordinate has slope
+    angle ``pi/2`` and fails.
     """
-    if len(curves) < 3:
-        raise ValueError("need at least 3 curves")
+    if len(increments) < 2:
+        raise ValueError("need at least 2 increments")
     total = trace.initial.total
     report = VerificationReport()
-    incs = []
     bounds = []
-    dists = theta_seq.distances()
-    for n in range(len(curves) - 1):
-        inc = sup_distance(curves[n + 1], curves[n])
+    dists = theta_seq.distances()[:len(increments)]
+    for n, inc in enumerate(increments):
         bound = 4.0 * total * abs(np.sin(theta_seq.breaking_angle(n) / 2.0))
-        incs.append(inc)
         bounds.append(float(bound))
         report.add("increment_bound", inc, bound + 1e-12, n=n,
                    meta={"bound": float(bound), "slack": float(bound - inc)})
-    incs_arr = np.array(incs)
+    incs_arr = np.array(increments, dtype=float)
     bounds_arr = np.array(bounds)
-    positive = dists[:len(incs)] > 0
-    c_emp = float(np.max(incs_arr[positive] / (total * dists[:len(incs)][positive]))) \
+    positive = dists > 0
+    c_emp = float(np.max(incs_arr[positive] / (total * dists[positive]))) \
         if np.any(positive) else 0.0
     # the realized increments can decay by chord cancellation even for wild
     # rotation data; what the telescoped estimate controls is the bound
@@ -232,8 +232,8 @@ def convergence_report(curves: Sequence[PLCurve], theta_seq: ThetaSeq,
                      "bound_tail_quarter_mean": tail,
                      "bound_head_quarter_mean": head,
                      "telescoping_constant": c_emp})
-    angle_sum = float(np.sum(dists[:len(incs)]))
-    lips = lipschitz_constant(curves[-1])
+    angle_sum = float(np.sum(dists))
+    lips = lipschitz_constant(curve)
     if angle_sum < 0.49 * pi:
         # atan(inf) is pi/2, so a curve that is no graph fails the cone
         report.add("lipschitz_cone", atan(lips), angle_sum + 1e-9,

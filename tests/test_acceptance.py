@@ -16,10 +16,8 @@ import pytest
 from ietpwi.breaking import (
     IntervalSeq,
     PLCurve,
-    breaking_offsets,
     breaking_operator,
     breaking_sequence,
-    sup_distance,
     theta_sequence,
 )
 from ietpwi.catalog import symmetric4_self_inducing
@@ -48,6 +46,7 @@ from ietpwi.verify import (
     quasi_embedding_suite,
 )
 
+from curve_oracles import breaking_offsets, sup_distance
 from tests_random_util import random_irreducible_iet
 
 

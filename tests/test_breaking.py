@@ -16,21 +16,20 @@ from ietpwi.breaking import (
     _check_pieces,
     angle_to_symmetric,
     breaking_intervals,
-    breaking_offsets,
     breaking_operator,
     breaking_sequence,
     curve_levels,
     rokhlin_towers,
     segment_bound,
-    sup_distance,
     theta_sequence,
 )
-from ietpwi.errors import (BudgetExceeded, DomainMismatch, IntervalOutOfRange, InvalidInput,
-                           NonUnitSpeed)
+from ietpwi.errors import BudgetExceeded, IntervalOutOfRange, InvalidInput, NonUnitSpeed
 from ietpwi.iet import (PIECE_BUDGET, Lengths, Permutation, apply_array, build_iet,
                         is_irreducible, piece_orbit)
 from ietpwi.rauzy import rauzy_iterate, torus_project
 from ietpwi.spectral import sample_theta
+
+from curve_oracles import breaking_offsets, sup_distance
 
 
 def random_unit_speed_curve(rng, length=None, pieces=6):
@@ -268,6 +267,23 @@ def test_operator_takes_an_end_an_ulp_out_of_order():
     np.testing.assert_allclose(out.tangents()[outside], old, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shift, nums, den", [
+    # a power of two: float(n) scaled by 2**-b, ties to even past 2**53
+    (0, [0, 1, 3, 2**53 + 1, 2**53 + 3, 2**400 - 1], 2**400),
+    (7, [-7, 0, 2**60 + 1], 1),
+    # not a power of two (exact rational lengths): int / int
+    (5, [0, 7, 10**30], 3 * 2**40),
+    # beyond 2**1022 a quotient could be subnormal, where scaling would round twice
+    (0, [1, 3, 2**80 + 1], 2**1075),
+    # a numerator of 2**1024 or more has no float
+    (2**1024, [-2**1024, -1, 0, 5], 2**60),
+])
+def test_interval_ends_convert_as_fractions(shift, nums, den):
+    got = breaking._to_floats(shift, nums, den)
+    want = [float(Fraction(shift + n, den)) for n in nums]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_intervals_level_one_is_removed_piece(reference, reference_trace):
     intervals = breaking_intervals(reference_trace, 1, rokhlin_towers(reference_trace, 0))
     assert intervals.count == 1
@@ -407,11 +423,12 @@ def test_curve_levels_continue_a_prefix(reference_trace, reference_sample, refer
     seq = theta_sequence(reference_trace, reference_sample.v, 60)
     for start in (1, 7, 45):
         curves = breaking_sequence(reference_trace, reference_sample.v, start - 1)
-        curves.extend(curve_levels(reference_trace, seq, curves, 45))
+        curves.extend(curve_levels(reference_trace, seq, curves[-1], start - 1, 45))
         assert len(curves) == 46
         for got, want in zip(curves, reference_curves):
             assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
-    assert list(curve_levels(reference_trace, seq, reference_curves[:10], 9)) == []
+            assert got.increment == want.increment
+    assert list(curve_levels(reference_trace, seq, reference_curves[9], 9, 9)) == []
 
 
 def test_curve_depth_is_checked_against_the_segment_budget(reference_trace):
@@ -419,15 +436,15 @@ def test_curve_depth_is_checked_against_the_segment_budget(reference_trace):
     assert segment_bound(reference_trace, 70) <= PIECE_BUDGET < segment_bound(reference_trace, 71)
     theta = [0.3, -0.2, 0.1, 0.05]
     seq = theta_sequence(reference_trace, theta, 71)
-    start = [PLCurve.identity(reference_trace.initial.total)]
+    start = PLCurve.identity(reference_trace.initial.total)
     level1 = breaking_sequence(reference_trace, theta, 1)[1]
-    got = next(curve_levels(reference_trace, seq, start, 70))
+    got = next(curve_levels(reference_trace, seq, start, 0, 70))
     assert np.array_equal(got.x, level1.x) and np.array_equal(got.z, level1.z)
     for depth in (71, 90):
         with pytest.raises(BudgetExceeded, match="budget"):
-            next(curve_levels(reference_trace, seq, start, depth))
+            next(curve_levels(reference_trace, seq, start, 0, depth))
     with pytest.raises(InvalidInput, match="outside"):
-        next(curve_levels(reference_trace, seq, start, reference_trace.n_steps + 1))
+        next(curve_levels(reference_trace, seq, start, 0, reference_trace.n_steps + 1))
 
 
 def test_towers_are_checked_against_the_piece_budget(reference_trace, monkeypatch):
@@ -441,9 +458,9 @@ def test_towers_are_checked_against_the_piece_budget(reference_trace, monkeypatc
     # the level-1 curve holds at most 3 segments, its level-0 towers 4 floors
     monkeypatch.setattr(breaking, "PIECE_BUDGET", 3)
     seq = theta_sequence(reference_trace, [0.3, -0.2, 0.1, 0.05], 1)
-    start = [PLCurve.identity(reference_trace.initial.total)]
+    start = PLCurve.identity(reference_trace.initial.total)
     with pytest.raises(BudgetExceeded, match="level-0 towers"):
-        next(curve_levels(reference_trace, seq, start, 1))
+        next(curve_levels(reference_trace, seq, start, 0, 1))
 
 
 def test_levels_beyond_the_trace_are_invalid_input(reference_trace):
@@ -489,13 +506,42 @@ def test_angle_reduction():
 
 def test_sup_distance_cases():
     c = PLCurve.identity(1.0)
+    assert c.increment is None
     assert sup_distance(c, c) == 0.0
     shifted = PLCurve(1.0, c.x.copy(), c.z + 0.25j)
     assert sup_distance(c, shifted) == pytest.approx(0.25)
     out = breaking_operator(c, pi / 2, IntervalSeq(np.array([0.5]), 0.1))
     assert sup_distance(out, c) == pytest.approx(0.1 * np.sqrt(2))
-    with pytest.raises(DomainMismatch):
+    assert out.increment == sup_distance(out, c)
+    with pytest.raises(AssertionError):
         sup_distance(c, PLCurve.identity(2.0))
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.5])
+def test_increment_is_sup_distance_on_catalog_levels(reference, reference_trace, delta):
+    frame = reference.stable_frame_exact()
+    for seed in range(6):
+        sample = sample_theta(frame, delta, seed, upsilon=reference.iet.upsilon,
+                              trace=reference_trace)
+        curves = breaking_sequence(reference_trace, sample.v, 46)
+        for before, after in zip(curves, curves[1:]):
+            assert after.increment == sup_distance(after, before)
+
+
+def test_increment_counts_an_old_breakpoint_the_merge_drops():
+    # a corner at 0.5; the interval ends 5e-14 before it, within the merge
+    # tolerance, so the corner leaves the breakpoints and the rotated curve
+    # takes a chord across it, which moves away from the old curve there
+    curve = PLCurve(1.0, np.array([0.0, 0.5]), np.array([0.0, 0.5, 0.5 + 0.5j]))
+    intervals = IntervalSeq(np.array([0.2]), 0.3 - 5e-14)
+    end = intervals.bounds()[1]
+    assert 0.0 < 0.5 - end <= 1e-13
+    out = breaking_operator(curve, pi / 2, intervals)
+    assert np.array_equal(out.x, [0.0, 0.2, end])
+    kept = np.abs(out.z[:-1] - curve.evaluate(out.x))
+    right_end = abs(out.evaluate(1.0) - curve.evaluate(1.0))
+    assert out.increment == sup_distance(out, curve)
+    assert out.increment > max(np.max(kept), right_end)
 
 
 def test_exports_roundtrip(reference_curves):

@@ -10,11 +10,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ietpwi import breaking, verify
 from ietpwi.cli import RunConfig, main
 
 from conftest import SRC_DIR
@@ -338,6 +340,32 @@ def test_main_entry_direct(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["blocks"] == [8]
     assert code == 1  # run stopped at the tie
+
+
+def test_verify_keeps_only_the_curves_it_reads(tmp_path, monkeypatch):
+    # every curve the operator makes is watched; when the deepest is certified,
+    # only levels 1 and 2 (the quasi suite's, besides the identity) and 63 are alive
+    made = []
+    operator, embedding_defect = breaking.breaking_operator, verify.embedding_defect
+
+    def watched(curve, phi, intervals):
+        out = operator(curve, phi, intervals)
+        made.append(weakref.ref(out))
+        return out
+
+    alive = []
+
+    def counting(curve, pwi, iet):
+        alive.append(sum(ref() is not None for ref in made))
+        return embedding_defect(curve, pwi, iet)
+
+    monkeypatch.setattr(breaking, "breaking_operator", watched)
+    monkeypatch.setattr(verify, "embedding_defect", counting)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--catalog", "--steps", "2", "--deep-levels", "63",
+                     "--json"]) == 0
+    assert len(made) >= 63 and alive == [3]
 
 
 #: sha256 of ``verify --catalog --steps 8 --delta 0.05 --seed S --json`` on

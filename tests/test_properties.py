@@ -21,10 +21,11 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ietpwi.breaking import (TOL_UNIT_SPEED, breaking_intervals, breaking_sequence,
-                             rokhlin_towers, segment_bound, sup_distance, theta_sequence)
+                             rokhlin_towers, segment_bound, theta_sequence)
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible, piece_orbit
 from ietpwi.rauzy import (InductionStep, identity_matrix, rauzy_iterate, return_word,
                           torus_project, undo_update, visit_counts_bruteforce)
+from curve_oracles import sup_distance
 from tests_random_util import random_irreducible_iet
 
 DENOMINATOR = 2**40
@@ -153,7 +154,8 @@ def test_rotation_operator_keeps_unit_speed_and_increment_bound(run, angles):
         assert curve.n_segments <= segment_bound(trace, n)
         if n:
             bound = 4 * iet.total * abs(sin(seq.breaking_angle(n - 1) / 2))
-            assert sup_distance(curve, curves[n - 1]) <= bound + 1e-12
+            assert curve.increment == sup_distance(curve, curves[n - 1])
+            assert curve.increment <= bound + 1e-12
 
 
 @st.composite

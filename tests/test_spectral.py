@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ietpwi.breaking import theta_sequence
+from ietpwi.breaking import breaking_sequence, theta_sequence
 from ietpwi.cli import RunConfig
 from ietpwi.errors import ExhaustedResamples, InvalidInput, RauzyUndefined, Reducible
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
@@ -24,6 +24,8 @@ from ietpwi.spectral import (
     stable_subspace,
     summability_check,
 )
+
+from curve_oracles import sup_distance
 
 
 def test_genus_values():
@@ -339,8 +341,6 @@ def test_sample_theta_clean_on_reference(reference, reference_trace):
 
 
 def test_sample_theta_delta_scaling_degenerates(reference, reference_trace):
-    from ietpwi.breaking import breaking_sequence, sup_distance
-
     sups = []
     for delta in (1e-2, 1e-4):
         sample = sample_theta(reference.stable_frame_exact(), delta, seed=3,

@@ -30,6 +30,11 @@ from ietpwi.verify import (
 )
 
 
+def increments(curves):
+    """The increment each curve after the first carries over the one before."""
+    return [curve.increment for curve in curves[1:]]
+
+
 def make_polyline(points):
     pts = [complex(p) for p in points]
     x = [0.0]
@@ -315,7 +320,7 @@ def test_quasi_suite_reference_within_scale(reference_trace, reference_curves,
 def test_convergence_zero_theta(reference_trace):
     curves = breaking_sequence(reference_trace, [0.0] * 4, 8)
     seq = theta_sequence(reference_trace, [0.0] * 4, 8)
-    report = convergence_report(curves, seq, reference_trace)
+    report = convergence_report(increments(curves), curves[-1], seq, reference_trace)
     for check in report.checks:
         if check.check == "increment_bound":
             assert check.defect == 0.0
@@ -324,8 +329,8 @@ def test_convergence_zero_theta(reference_trace):
 
 def test_convergence_reference_bounds_hold(reference_trace, reference_curves,
                                            reference_theta_seq):
-    report = convergence_report(reference_curves, reference_theta_seq,
-                                reference_trace)
+    report = convergence_report(increments(reference_curves), reference_curves[-1],
+                                reference_theta_seq, reference_trace)
     for check in report.checks:
         if check.check == "increment_bound":
             assert check.passed
@@ -337,7 +342,7 @@ def test_convergence_random_theta_flags_divergence(reference_trace):
     theta = rng.uniform(0, tau, 4)
     curves = breaking_sequence(reference_trace, theta, 16)
     seq = theta_sequence(reference_trace, theta, 16)
-    report = convergence_report(curves, seq, reference_trace)
+    report = convergence_report(increments(curves), curves[-1], seq, reference_trace)
     summable = [c for c in report.checks if c.check == "increments_summable"][0]
     assert summable.defect == 1.0  # divergence flag raised
 
@@ -402,7 +407,7 @@ def test_graphs_without_fold_back_are_injective(curve):
 
 def _cone_check(curve, reference_trace, theta):
     seq = theta_sequence(reference_trace, theta, 2)
-    report = convergence_report([curve] * 3, seq, reference_trace)
+    report = convergence_report([0.0, 0.0], curve, seq, reference_trace)
     return [c for c in report.checks if c.check == "lipschitz_cone"][0]
 
 
