@@ -43,7 +43,6 @@ from .rauzy import (
     rauzy_iterate,
     rauzy_step,
     torus_project,
-    visit_counts_bruteforce,
     zorich_iterate,
 )
 from .breaking import (

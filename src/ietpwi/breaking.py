@@ -8,15 +8,30 @@ them by a fixed angle and translates the pieces in between so the result
 stays continuous; iterating it along a renormalization trace with angles
 read off the torus cocycle produces the curve sequence that converges to an
 invariant curve of an adapted planar piecewise isometry.
+
+The intervals of each level are the floors of one exact Rokhlin tower.  A
+floor is stored as the visit counts of a return-word prefix (int32, 16 bytes
+at ``d = 4``); its exact offset is those counts times the level-0
+translation numerators.  Floats decide what they can and exact integers the
+rest, in the manner of Shewchuk's adaptive predicates: floors are ordered
+and pieces checked on float keys ``counts @ (translations / total)``, which
+err by at most ``(d + 2) 2**-53`` times a bound on their modulus, and any
+pair of floors, gap or edge within about twice that is decided on Python
+ints.  The left ends are rounded once from exact int64 limb sums of each
+translation's top 94 bits (Brent and Zimmermann, *Modern Computer
+Arithmetic*, treat rounding from limbs); an end whose rounding the cut-off
+bits leave open, and every end over a denominator that is not a power of
+two, is converted exactly.  So every interval is the one exact arithmetic
+gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import io
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi, tau
+from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -333,46 +348,157 @@ def _require_floors(trace: InductionTrace, n: int) -> None:
     _require_budget(sum(map(sum, trace.cocycle[n])), f"the level-{n} towers", "floors")
 
 
-def rokhlin_towers(trace: InductionTrace, n: int) -> list[list[int]]:
-    """Exact floors of the level-``n`` Rokhlin towers, one sorted list per symbol.
+#: a visit count is at most a tower height, so ``PIECE_BUDGET`` keeps it below
+#: ``2**_COUNT_BITS``; the counts are stored in int32
+_COUNT_BITS = 24
+#: the level-0 translations are cut into three signed limbs of this width; a
+#: limb sum of ``d`` count-by-limb products plus a shift limb stays below
+#: ``(d + 1) * 2**(_COUNT_BITS + _LIMB_BITS)``, within int64 for ``d`` up to
+#: ``_MAX_SYMBOLS``; more symbols convert exactly
+_LIMB_BITS = 32
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_MAX_SYMBOLS = (1 << (63 - _COUNT_BITS - _LIMB_BITS)) - 1
+#: bits of each translation the limbs keep: three limbs, less a sign margin
+_KEPT_BITS = 3 * _LIMB_BITS - 2
+_UNIT_ROUNDOFF = 2.0**-53
+#: floors converted at a time: the limb arithmetic's temporaries stay small
+_BLOCK = 1 << 14
+
+
+def _require_count_width(budget: int) -> None:
+    """The int32 visit counts and int64 limb sums hold every tower ``budget`` admits."""
+    if budget >= 1 << _COUNT_BITS:
+        raise ValueError(f"a budget of {budget} floors needs visit counts of more than "
+                         f"{_COUNT_BITS} bits: widen the int32 counts and int64 limb sums")
+
+
+_require_count_width(PIECE_BUDGET)
+
+
+class Towers:
+    """Rokhlin towers of one level, each floor stored as visit counts.
+
+    ``counts[s]`` is an int32 array of shape ``(height, d)``, one row per
+    floor of symbol ``s``'s tower in increasing order of offset.  A row
+    counts the letters of a prefix of the return word, so the floor's exact
+    offset ``T^k x - x`` (a numerator) is the row times ``ups``, the level-0
+    translation numerators.  Indexing a symbol gives those offsets as a
+    sorted list of ints.
+
+    ``keys`` gives each row's offset over ``scale`` (the level-0 length
+    numerator) as a float, and ``key_error`` a bound on how far differences
+    of such keys stray from the exact ones.
+    """
+
+    def __init__(self, ups: Sequence[int], scale: int, counts: list[np.ndarray]) -> None:
+        self.ups = tuple(ups)
+        self.scale = scale
+        self.unit = np.array([u / scale for u in self.ups])
+        self.counts = counts
+        # the translations' top _KEPT_BITS bits as limbs, one limb per row
+        self.cut = max(0, scale.bit_length() - _KEPT_BITS)
+        self.limbs = np.array([_limbs(u >> self.cut) for u in self.ups], dtype=np.int64).T.copy()
+
+    def __getitem__(self, symbol: int) -> list[int]:
+        return self.offsets(self.counts[symbol])
+
+    def offsets(self, rows: np.ndarray) -> list[int]:
+        """Exact offsets of the floors ``rows``."""
+        return [sum(map(mul, row, self.ups)) for row in rows.tolist()]
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """``offset / scale`` of each row, each within half of ``key_error``."""
+        keys = rows[:, 0] * self.unit[0]
+        for j in range(1, len(self.ups)):
+            keys += rows[:, j] * self.unit[j]
+        return keys
+
+    def key_error(self, rows: np.ndarray, width: float = 0.0) -> float:
+        """Bound on the error of a difference of two keys of ``rows`` less ``width``.
+
+        Let ``M`` be the sum over the symbols of the largest count times the
+        unit's modulus.  A key is a dot product of ``d`` terms with units
+        rounded once, so it errs by at most ``(d + 2) u M`` (``u = 2**-53``),
+        in any summation order.  Twice that, with room for the subtractions
+        of the comparison and the rounding of ``width`` and of an edge (at
+        most 1 in modulus), stays below ``2 (d + 5) u (M + width + 1)``.  The
+        last term covers units so small that they are subnormal.
+        """
+        d = len(self.ups)
+        magnitude = float(_largest_counts(rows) @ np.abs(self.unit))
+        return 2 * (d + 5) * _UNIT_ROUNDOFF * (magnitude + width + 1.0) + 2 * d * 2.0**-1050
+
+    def order(self, rows: np.ndarray) -> np.ndarray:
+        """The permutation that sorts ``rows`` by exact offset.
+
+        One stable sort of the keys orders every pair whose keys differ by
+        more than ``key_error``; runs of neighbours closer than that are
+        sorted again on their exact offsets.
+        """
+        keys = self.keys(rows)
+        order = np.argsort(keys, kind="stable")
+        close = np.flatnonzero(np.diff(keys[order]) <= self.key_error(rows))
+        if len(close):
+            breaks = np.flatnonzero(np.diff(close) > 1) + 1
+            for run in np.split(close, breaks):
+                part = order[run[0]:run[-1] + 2]
+                exact = self.offsets(rows[part])
+                order[run[0]:run[-1] + 2] = part[sorted(range(len(part)), key=exact.__getitem__)]
+        return order
+
+
+def _largest_counts(rows: np.ndarray) -> np.ndarray:
+    """The largest count of each symbol over ``rows`` (one reduction per column is faster)."""
+    return np.array([column.max() for column in rows.T], dtype=np.int64)
+
+
+def rokhlin_towers(trace: InductionTrace, n: int) -> Towers:
+    """Exact floors of the level-``n`` Rokhlin towers, one sorted tower per symbol.
 
     Entry ``s`` lists the offsets ``T^k x - x`` (numerators) of the level-``n``
     subinterval of ``s`` under the original exchange ``T``, for ``k`` below
     its return time: each image is a rigid translate, so the offsets hold for
-    every ``x`` of the subinterval.  Level 0 is ``[0]`` for every symbol, and
-    each induction step stacks two towers into the loser's.  The floor count
-    is the entry sum of ``trace.cocycle[n]``; above ``PIECE_BUDGET`` it raises
+    every ``x`` of the subinterval.  Each floor is stored as the visit counts
+    of its return-word prefix (see ``Towers``), 16 bytes a floor at ``d =
+    4``.  Level 0 is one zero row for every symbol, and each induction step
+    stacks two towers into the loser's (``_stack_towers``): one stable sort
+    of float keys orders the floors whose keys are further apart than
+    ``Towers.key_error`` (``2 (d + 5) 2**-53`` times a bound on the keys),
+    and the exact offsets order the rest.  The floor count is the entry sum of
+    ``trace.cocycle[n]``; above ``PIECE_BUDGET`` it raises
     ``BudgetExceeded`` before anything is built.  A level outside
     ``0..trace.n_steps`` raises ``InvalidInput``.
     """
     if not 0 <= n <= trace.n_steps:
         raise InvalidInput(f"level {n} outside 0..{trace.n_steps}")
     _require_floors(trace, n)
-    towers = [[0] for _ in range(trace.d)]
+    d = trace.d
+    towers = Towers(trace.initial.upsilon_num, trace.initial.total_num,
+                    [np.zeros((1, d), dtype=np.int32) for _ in range(d)])
     for k in range(n):
         _stack_towers(trace, towers, k)
     return towers
 
 
-def _stack_towers(trace: InductionTrace, towers: list[list[int]], k: int) -> None:
+def _stack_towers(trace: InductionTrace, towers: Towers, k: int) -> None:
     """Take the level-``k`` towers to level ``k + 1``, in place.
 
     A point of the new loser subinterval climbs the tower of the symbol it
-    starts in, lands (translated by that symbol's level-``k`` translation)
-    in the other one and climbs that: the loser then the winner for type 0,
-    the winner then the loser for type 1.  Both runs are sorted, so the sort
-    is one linear merge.
+    starts in, lands (translated by that symbol's level-``k`` translation,
+    whose visit counts are that symbol's row of ``trace.cocycle[k]``) in
+    the other one and climbs that: the loser then the winner for type 0,
+    the winner then the loser for type 1.  Both runs are sorted, so the
+    stable sort of their keys is one linear merge.
     """
     step = trace.steps[k]
     first, second = ((step.loser, step.winner) if step.type_eps == 0
                      else (step.winner, step.loser))
-    shift = trace.states[k].upsilon_num[first]
-    floors = towers[first] + [shift + o for o in towers[second]]
-    floors.sort()
-    towers[step.loser] = floors
+    shift = np.array(trace.cocycle[k][first], dtype=np.int32)
+    rows = np.concatenate([towers.counts[first], towers.counts[second] + shift])
+    towers.counts[step.loser] = np.take(rows, towers.order(rows), axis=0)
 
 
-def breaking_intervals(trace: InductionTrace, n: int, towers: list[list[int]]) -> IntervalSeq:
+def breaking_intervals(trace: InductionTrace, n: int, towers: Towers) -> IntervalSeq:
     """Forward orbit of the level-``n`` removed piece until its first return.
 
     The removed piece is the right part of the level ``n-1`` interval, inside
@@ -380,15 +506,17 @@ def breaking_intervals(trace: InductionTrace, n: int, towers: list[list[int]]) -
     return to the level ``n-1`` interval already lies in the level-``n`` one,
     so its images are the floors of that symbol's tower in ``towers``, the
     level ``n-1`` ones from ``rokhlin_towers``, shifted to the piece's left
-    end.  The pieces are checked on exact numerators: pairwise disjoint, and
-    none straddles a removed zone or a continuity boundary of the exchange.
-    A level outside ``1..trace.n_steps`` raises ``InvalidInput``.
+    end.  The pieces are checked exactly (``_check_pieces``): pairwise
+    disjoint, and none straddles a removed zone or a continuity boundary of
+    the exchange.  Their left ends are correctly rounded
+    (``_interval_floats``).  A level outside ``1..trace.n_steps`` raises
+    ``InvalidInput``.
     """
     if n < 1 or n > trace.n_steps:
         raise InvalidInput(f"level {n} outside 1..{trace.n_steps}")
     symbol = trace.states[n - 1].perm.top[-1]
-    floors = towers[symbol]
-    if len(floors) != sum(trace.cocycle[n - 1][symbol]):
+    rows = towers.counts[symbol]
+    if len(rows) != sum(trace.cocycle[n - 1][symbol]):
         raise InvalidInput(f"the towers given are not those of level {n - 1}")
     den = trace.initial.denominator
     total_next = trace.states[n].total_num
@@ -397,8 +525,80 @@ def breaking_intervals(trace: InductionTrace, n: int, towers: list[list[int]]) -
     # cuts, each taken relative to the piece's left end as the floors are
     edges = ([state.total_num for state in trace.states[:n + 1]]
              + list(trace.initial.e0_num[1:-1]))
-    _check_pieces(floors, delta_num, [edge - total_next for edge in edges])
-    return IntervalSeq(_to_floats(total_next, floors, den), delta_num / den)
+    _check_pieces(towers, rows, delta_num, [edge - total_next for edge in edges])
+    return IntervalSeq(_interval_floats(towers, rows, total_next, den), delta_num / den)
+
+
+def _check_pieces(towers: Towers, rows: np.ndarray, width: int, edges: Sequence[int]) -> None:
+    """The pieces ``[a, a + width)`` are pairwise disjoint and no edge is inside one.
+
+    ``a`` runs over the exact offsets of ``rows``, which must be sorted.  A
+    filter on the keys certifies each gap that exceeds ``width`` by more
+    than ``key_error``; any other gap is decided on exact offsets.  The
+    running maximum of the keys is sorted and as close to the offsets, so
+    only the floors whose keys lie within ``key_error`` of ``[edge - width,
+    edge]`` can hold an edge, and those are decided exactly.  A piece
+    partly overlaps a zone ``[lo, hi)`` exactly when ``lo`` or ``hi`` is
+    inside it, and crosses a continuity boundary when that cut is; touching
+    is allowed.
+    """
+    if not len(rows):
+        return
+    keys = np.maximum.accumulate(towers.keys(rows))
+    w = width / towers.scale
+    eps = towers.key_error(rows, w)
+    for k in np.flatnonzero(np.diff(keys) - w <= eps):
+        a, b = towers.offsets(rows[k:k + 2])
+        if b - a < width:
+            raise AssertionError("orbit pieces overlap")
+    at = np.array([edge / towers.scale for edge in edges])
+    lows = np.searchsorted(keys, at - w - eps, side="left")
+    highs = np.searchsorted(keys, at + eps, side="right")
+    for i in np.flatnonzero(highs > lows):
+        edge = edges[i]
+        for a in towers.offsets(rows[lows[i]:highs[i]]):
+            if a < edge < a + width:
+                raise AssertionError("orbit piece straddles a removed zone or a cut")
+
+
+def _interval_floats(towers: Towers, rows: np.ndarray, shift: int, den: int) -> np.ndarray:
+    """``float(Fraction(shift + a, den))`` for the exact offsets ``a`` of ``rows``.
+
+    Every ``shift + a`` must lie in ``[0, towers.scale]``.  For ``den =
+    2**b`` the sums are formed in int64 limbs: each translation, and the
+    shift, keeps its top ``_KEPT_BITS`` bits above a cut ``2**t``.  The parts
+    cut off, the shift's and each translation's times its count, are each
+    below one unit of ``2**t`` per count, so ``(shift + a) / 2**t`` lies in
+    ``[A, A + spread)`` with ``A`` the exact limb sum and ``spread`` one
+    more than the sum of the largest counts.  ``A`` is rounded once
+    (``_round_limbs``), and that rounding holds for the whole range unless
+    a rounding boundary lies within it: within ``spread`` units of ``2**t``
+    above ``A``, or ``A`` near zero.  Those entries and, when ``den`` is not
+    a power of two or is out of the range ``_to_floats`` scales, all entries
+    are converted exactly by ``_to_floats``.
+    """
+    top = towers.scale
+    d = len(towers.ups)
+    if not (den & (den - 1) == 0 and den <= 1 << 1022 and top < 1 << 1021
+            and d <= _MAX_SYMBOLS):
+        return _to_floats(shift, towers.offsets(rows), den)
+    cut = towers.cut
+    # one limb per row, one floor per column, in blocks that stay in cache
+    base = np.array(_limbs(shift >> cut), dtype=np.int64)[:, None]
+    scale = cut - (den.bit_length() - 1)
+    out = np.empty(len(rows))
+    room = np.empty(len(rows), dtype=np.int64)
+    for start in range(0, len(rows), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        sums = towers.limbs @ rows[block].T
+        sums += base
+        out[block], room[block] = _round_limbs(sums, scale)
+    # with nothing cut off, A is exact and so is its rounding
+    spread = int(_largest_counts(rows).sum()) + 1 if cut else 0
+    unsure = np.flatnonzero(room < 2 * spread)
+    if len(unsure):
+        out[unsure] = _to_floats(shift, towers.offsets(rows[unsure]), den)
+    return out
 
 
 def _to_floats(shift: int, nums: Sequence[int], den: int) -> np.ndarray:
@@ -416,21 +616,61 @@ def _to_floats(shift: int, nums: Sequence[int], den: int) -> np.ndarray:
             * 2.0 ** (1 - den.bit_length()))
 
 
-def _check_pieces(lefts: Sequence[int], width: int, edges: Sequence[int]) -> None:
-    """The pieces ``[a, a + width)`` are pairwise disjoint and no edge is inside one.
+def _limbs(value: int) -> tuple[int, int, int]:
+    """``value`` as ``l0 + l1 2**32 + l2 2**64`` with ``0 <= l0, l1 < 2**32``."""
+    return (value & _LIMB_MASK, (value >> _LIMB_BITS) & _LIMB_MASK, value >> 2 * _LIMB_BITS)
 
-    ``lefts`` must be sorted.  Only the last piece starting below an edge can
-    hold it in its interior, so each edge needs one bisection.  A piece
-    partly overlaps a zone ``[lo, hi)`` exactly when ``lo`` or ``hi`` is
-    inside it, and crosses a continuity boundary when that cut is.
+
+def _round_limbs(sums: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """``float(A * 2**scale)`` for the limb sums ``A``, one per column of ``sums``, and its room.
+
+    After the carries, ``A = hi 2**64 + lo`` with ``lo`` an unsigned 64-bit
+    word.  The window is ``A`` shifted right by ``drop`` bits until it fits
+    in 62, with the bits shifted out ORed into its lowest bit: a shifted
+    window keeps at least 60 bits, so rounding it once rounds ``A``.  The
+    power of two is then applied exactly, the result being a normal double.
+
+    The room is twice the distance from ``A`` up to the next rounding
+    boundary, half a spacing above the rounded value: every value in ``[A,
+    A + r)`` rounds as ``A`` does when the room is at least ``2 r``.  Below
+    2**52, where ``A`` is a double itself, the room reads 1, which certifies
+    no ``r`` of 1 or more.  It is negative where ``hi`` is negative or 2**31
+    or more, entries that are left unconverted.
     """
-    for a, b in zip(lefts, lefts[1:]):
-        if b - a < width:
-            raise AssertionError("orbit pieces overlap")
-    for edge in edges:
-        k = bisect_left(lefts, edge) - 1
-        if k >= 0 and lefts[k] + width > edge:
-            raise AssertionError("orbit piece straddles a removed zone or a cut")
+    s0, s1, s2 = sums
+    p1 = s1 + (s0 >> _LIMB_BITS)
+    hi = s2 + (p1 >> _LIMB_BITS)
+    valid = hi.view(np.uint64) < 1 << 31
+    lo = (p1.view(np.uint64) << np.uint64(_LIMB_BITS)) | (s0.view(np.uint64) & _LIMB_MASK)
+    hi = hi.view(np.uint64)
+    # A's float is within one bit of A's bit length; below 2**95 at most 35 bits drop
+    approx = hi * 2.0**64
+    approx += lo
+    drop = np.frexp(approx)[1].astype(np.int64)
+    drop -= 61
+    np.clip(drop, 0, 35, out=drop)
+    shift = drop.view(np.uint64)
+    # hi is 0 wherever nothing is dropped, so its shift may stop at 63
+    kept = hi << np.minimum(np.uint64(64) - shift, np.uint64(63))
+    kept |= lo >> shift
+    kept = kept.view(np.int64)
+    dropped = (lo & ((np.uint64(1) << shift) - np.uint64(1))).view(np.int64)
+    near = (kept | (dropped != 0)).astype(float)
+    # the spacing above the rounded window, read off its exponent bits; taken
+    # as 1 below 2**52, where the window is A itself and rounds exactly
+    spacing = np.int64(1) << np.maximum((near.view(np.int64) >> 52) - 1075, 0)
+    # the boundary lies (rounded - kept) units of 2**drop plus half a
+    # spacing above the window, less the dropped bits above A
+    room = near.astype(np.int64)
+    room -= kept
+    room *= 2
+    room += spacing
+    room <<= drop
+    room -= 2 * dropped
+    room = np.where(valid, room, -1)
+    # 2**(drop + scale) built from its exponent bits, a normal double
+    near *= ((drop + (scale + 1023)) << 52).view(float)
+    return near, room
 
 
 @dataclass
@@ -439,13 +679,19 @@ class ThetaSeq:
 
     entries: list[np.ndarray]
     image_last: list[int]
+    _distances: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     @property
     def depth(self) -> int:
         return len(self.entries) - 1
 
     def distances(self) -> np.ndarray:
-        return np.array([torus_distance_to_zero(t) for t in self.entries])
+        """Torus distance to zero of every level's entry, computed once and read-only."""
+        if self._distances is None:
+            self._distances = np.array([torus_distance_to_zero(t) for t in self.entries])
+            self._distances.setflags(write=False)
+        return self._distances
 
     def breaking_angle(self, n: int) -> float:
         """Rotation applied at level ``n+1``, reduced into ``[-pi, pi)``.

@@ -34,7 +34,10 @@ TOL_IDOC_REL = 1e-12
 
 #: most pieces one computation may hold: the images ``piece_orbit`` lists,
 #: the floors of the Rokhlin towers ``breaking.rokhlin_towers`` stacks, and
-#: the segments of a curve ``breaking.curve_levels`` is asked to build
+#: the segments of a curve ``breaking.curve_levels`` is asked to build.  It
+#: must stay below 2**24: the towers store visit counts, each at most a
+#: tower height, as int32 and sum them times 32-bit limbs in int64, and
+#: ``breaking`` refuses to import with a larger budget
 PIECE_BUDGET = 10**7
 
 LengthLike = Union[int, float, str, Fraction]

@@ -65,10 +65,6 @@ def undo_update(matrix: IntMatrix, loser: int, winner: int) -> IntMatrix:
     return tuple(row[:winner] + (row[winner] - row[loser],) + row[winner + 1:] for row in matrix)
 
 
-def matrix_to_float(matrix: Union[IntMatrix, np.ndarray]) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in matrix])
-
-
 def _as_int_rows(matrix: Union[IntMatrix, Sequence[Sequence[int]], np.ndarray]) -> IntMatrix:
     return tuple(tuple(int(v) for v in row) for row in matrix)
 
@@ -243,7 +239,7 @@ def zorich_iterate(iet: IETState, m: int) -> InductionTrace:
 
 
 # ---------------------------------------------------------------------------
-# first-return words and the visit-count oracle
+# first-return words
 # ---------------------------------------------------------------------------
 
 def return_word(trace: InductionTrace, n: int, symbol: int) -> list[int]:
@@ -258,21 +254,6 @@ def return_word(trace: InductionTrace, n: int, symbol: int) -> list[int]:
     left = deep.e0_num[deep.perm.position0(symbol)]
     lefts = piece_orbit(iet0, left, deep.lengths.numerators[symbol], deep.total_num)
     return [symbol_at_exact(iet0, a) for a in lefts]
-
-
-def visit_counts_bruteforce(iet: IETState, n: int) -> IntMatrix:
-    """Count subinterval visits of each level-``n`` piece by direct orbits.
-
-    Entry ``[a][b]`` counts the letters ``b`` in the return word of the
-    level-``n`` piece ``a``: its visits to the original piece ``b`` before
-    it returns to the shortened interval.  Independent of the matrix
-    product path.
-    """
-    trace = rauzy_iterate(iet, n)
-    if trace.error is not None:
-        raise RauzyUndefined(f"induction undefined before step {n}")
-    words = [return_word(trace, n, a) for a in range(iet.d)]
-    return tuple(tuple(word.count(b) for b in range(iet.d)) for word in words)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Reference implementations that the rotation operator is tested against."""
+"""Reference implementations the rotation operator and the interval families are tested against."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from typing import Sequence
+
 import numpy as np
 
-from ietpwi.breaking import IntervalSeq, PLCurve, _offsets
+from ietpwi.breaking import IntervalSeq, PLCurve, _offsets, _to_floats
+from ietpwi.rauzy import InductionTrace
 
 
 def sup_distance(a: PLCurve, b: PLCurve) -> float:
@@ -34,3 +38,44 @@ def breaking_offsets(curve: PLCurve, phi: float,
     # a piece ending at the domain's right end may round above it
     ends[1::2] = np.minimum(ends[1::2], curve.length)
     return _offsets(curve.evaluate(ends), 1.0 - rot)
+
+
+def list_towers(trace: InductionTrace, n: int) -> list[list[int]]:
+    """The level-``n`` Rokhlin towers as sorted lists of exact offsets.
+
+    Each induction step puts the tower the loser's points climb first, then
+    the other one translated by the first symbol's translation, into the
+    loser's, and sorts the floors as Python ints.
+    """
+    towers = [[0] for _ in range(trace.d)]
+    for k in range(n):
+        step = trace.steps[k]
+        first, second = ((step.loser, step.winner) if step.type_eps == 0
+                         else (step.winner, step.loser))
+        shift = trace.states[k].upsilon_num[first]
+        towers[step.loser] = sorted(towers[first] + [shift + o for o in towers[second]])
+    return towers
+
+
+def check_lefts(lefts: Sequence[int], width: int, edges: Sequence[int]) -> None:
+    """The sorted pieces ``[a, a + width)`` are disjoint and no edge is inside one."""
+    for a, b in zip(lefts, lefts[1:]):
+        if b - a < width:
+            raise AssertionError("orbit pieces overlap")
+    for edge in edges:
+        k = bisect_left(lefts, edge) - 1
+        if k >= 0 and lefts[k] + width > edge:
+            raise AssertionError("orbit piece straddles a removed zone or a cut")
+
+
+def list_intervals(trace: InductionTrace, n: int) -> IntervalSeq:
+    """The level-``n`` rotation intervals from ``list_towers``, checked and converted exactly."""
+    symbol = trace.states[n - 1].perm.top[-1]
+    floors = list_towers(trace, n - 1)[symbol]
+    total_next = trace.states[n].total_num
+    delta_num = trace.states[n - 1].total_num - total_next
+    edges = ([state.total_num for state in trace.states[:n + 1]]
+             + list(trace.initial.e0_num[1:-1]))
+    check_lefts(floors, delta_num, [edge - total_next for edge in edges])
+    den = trace.initial.denominator
+    return IntervalSeq(_to_floats(total_next, floors, den), delta_num / den)

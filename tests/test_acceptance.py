@@ -24,12 +24,7 @@ from ietpwi.catalog import symmetric4_self_inducing
 from ietpwi.errors import ExhaustedResamples
 from ietpwi.iet import Lengths, Permutation, build_iet, build_iet_from
 from ietpwi.pwi import adapted_pwi
-from ietpwi.rauzy import (
-    matrix_to_float,
-    rauzy_class,
-    rauzy_iterate,
-    visit_counts_bruteforce,
-)
+from ietpwi.rauzy import rauzy_class, rauzy_iterate
 from ietpwi.spectral import (
     genus,
     lyapunov_spectrum,
@@ -47,6 +42,7 @@ from ietpwi.verify import (
 )
 
 from curve_oracles import breaking_offsets, sup_distance
+from rauzy_oracles import matrix_to_float, visit_counts_bruteforce
 from tests_random_util import random_irreducible_iet
 
 

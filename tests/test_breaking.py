@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_right
 from fractions import Fraction
 from math import pi, sin, tau
@@ -13,6 +14,7 @@ from ietpwi import breaking
 from ietpwi.breaking import (
     IntervalSeq,
     PLCurve,
+    Towers,
     _check_pieces,
     angle_to_symmetric,
     breaking_intervals,
@@ -29,7 +31,11 @@ from ietpwi.iet import (PIECE_BUDGET, Lengths, Permutation, apply_array, build_i
 from ietpwi.rauzy import rauzy_iterate, torus_project
 from ietpwi.spectral import sample_theta
 
-from curve_oracles import breaking_offsets, sup_distance
+from curve_oracles import breaking_offsets, list_intervals, sup_distance
+
+#: sha256 over each level's ``y`` bytes then ``delta`` bytes of the catalog's
+#: rotation intervals of levels 1-56, recorded from towers of Python ints
+CATALOG_INTERVALS_DIGEST = "1b05ec401a6904549a3757a2c4b0be3cdb06b9621651ef94da2f10a9399f9565"
 
 
 def random_unit_speed_curve(rng, length=None, pieces=6):
@@ -284,6 +290,95 @@ def test_interval_ends_convert_as_fractions(shift, nums, den):
     assert got.tobytes() == np.array(want).tobytes()
 
 
+def _converted(nums, den, scale):
+    """``_interval_floats`` of one tower whose floors sit at the offsets ``nums``."""
+    # floor k visits letter k once, so its offset is nums[k]
+    towers = Towers(tuple(nums), scale, [np.eye(len(nums), dtype=np.int32)])
+    return breaking._interval_floats(towers, towers.counts[0], 0, den)
+
+
+MID_DOWN = 3 * 2**398 + 2**346             # halfway above 0.75, whose last bit is even
+MID_UP = 3 * 2**398 + 2**347 + 2**346      # halfway above 0.75 + 2**-53, odd
+
+
+def test_interval_ends_near_a_rounding_boundary_convert_exactly(monkeypatch):
+    # 2**400 keeps the top 94 bits of each offset, so every end is known to
+    # within a few units of 2**307 (one per count, and one).  At or just above a
+    # midpoint that ties down to even, or near zero, the limb sum cannot
+    # tell the rounding, and the exact conversion decides; a tie that rounds
+    # up rounds every value above it up as well
+    exact = []
+    to_floats = breaking._to_floats
+    monkeypatch.setattr(breaking, "_to_floats",
+                        lambda shift, nums, den: exact.extend(nums) or to_floats(shift, nums, den))
+    unsure = [MID_DOWN, MID_DOWN + 1, MID_DOWN + 2**300, 0, 1, 12345]
+    certain = [MID_UP, MID_UP + 1, MID_DOWN - 2**340, 2**399 + 12345678901234567,
+               2**400 - 2**350]
+    nums = unsure + certain + [MID_DOWN - 1, MID_DOWN - 2**300, MID_UP - 1]
+    got = _converted(nums, 2**400, 2**400)
+    assert got.tobytes() == np.array([float(Fraction(n, 2**400)) for n in nums]).tobytes()
+    assert got[0] == 0.75 and got[1] == got[2] == 0.75 + 2**-53
+    assert got[6] == got[7] == 0.75 + 2**-52
+    assert set(unsure) <= set(exact) and not set(certain) & set(exact)
+
+
+@pytest.mark.parametrize("nums, den", [
+    # nothing cut off: the window is exact and numpy rounds its ties to even
+    ([2**59 + 2**6, 2**59 + 3 * 2**6, 2**59 + 2**6 + 2**5, 0, 1, 2**60 - 1], 2**60),
+    # not a power of two: every end converts as int / int
+    ([0, 1, 2**41, 3 * 2**40 - 1], 3 * 2**40),
+])
+def test_interval_ends_convert_as_fractions_from_counts(nums, den):
+    got = _converted(nums, den, den)
+    assert got.tobytes() == np.array([float(Fraction(n, den)) for n in nums]).tobytes()
+
+
+def test_towers_order_floors_the_float_keys_cannot_separate():
+    # lengths 2**-80 and 1: from level 2 on, floors 2**-80 apart share a
+    # float key, so one stable sort of the keys leaves them out of order and
+    # the exact offsets order them
+    iet = build_iet(Permutation.from_monodromy("2 1"), Lengths((1, 2**80), 2**80))
+    trace = rauzy_iterate(iet, 12)
+    assert trace.n_steps == 12
+    for n in range(trace.n_steps + 1):
+        towers = rokhlin_towers(trace, n)
+        state = trace.states[n]
+        for symbol in range(2):
+            left = state.e0_num[state.perm.position0(symbol)]
+            orbit = piece_orbit(iet, left, state.lengths.numerators[symbol], state.total_num)
+            assert towers[symbol] == sorted(a - left for a in orbit)
+        if n:
+            got, want = breaking_intervals(trace, n, rokhlin_towers(trace, n - 1)), \
+                list_intervals(trace, n)
+            assert got.y.tobytes() == want.y.tobytes() and got.delta == want.delta
+    keys = towers.keys(towers.counts[0])
+    assert len(keys) == 13 and len(np.unique(keys)) == 2
+
+
+def test_catalog_intervals_match_their_digest(reference_trace):
+    towers = rokhlin_towers(reference_trace, 0)
+    digest = hashlib.sha256()
+    for n in range(1, 57):
+        intervals = breaking_intervals(reference_trace, n, towers)
+        digest.update(intervals.y.tobytes())
+        digest.update(np.float64(intervals.delta).tobytes())
+        if n < 56:
+            breaking._stack_towers(reference_trace, towers, n - 1)
+    assert intervals.count == 74_029
+    assert digest.hexdigest() == CATALOG_INTERVALS_DIGEST
+
+
+def test_count_width_follows_the_piece_budget():
+    # every count is at most a tower height, below 2**_COUNT_BITS and int32;
+    # a limb sum of up to _MAX_SYMBOLS + 1 count-by-limb products is int64
+    assert PIECE_BUDGET < 1 << breaking._COUNT_BITS <= np.iinfo(np.int32).max
+    assert (breaking._MAX_SYMBOLS + 1) << (breaking._COUNT_BITS + breaking._LIMB_BITS) \
+        <= 1 << 63
+    breaking._require_count_width(PIECE_BUDGET)
+    with pytest.raises(ValueError, match="widen"):
+        breaking._require_count_width(1 << breaking._COUNT_BITS)
+
+
 def test_intervals_level_one_is_removed_piece(reference, reference_trace):
     intervals = breaking_intervals(reference_trace, 1, rokhlin_towers(reference_trace, 0))
     assert intervals.count == 1
@@ -341,25 +436,34 @@ def test_intervals_match_bruteforce_oracle(reference_trace):
         assert intervals.delta == float(Fraction(width, den))
 
 
+def _check_lefts(lefts, width, edges, scale):
+    """``_check_pieces`` on the pieces ``[a, a + width)``, as one-symbol visit counts."""
+    towers = Towers((1,), scale, [np.array(lefts, dtype=np.int32).reshape(-1, 1)])
+    _check_pieces(towers, towers.counts[0], width, edges)
+
+
 def test_removed_zone_check_fires_on_straddles():
+    # at scale 64 the float filter decides the gaps far from the edges; at
+    # 2**80 the keys are all within their error, so every case is exact
     zone = [10, 20]     # the edges of the zone [10, 20)
-    for lefts, width in (([5], 10),         # across lo
-                         ([15], 10),        # across hi
-                         ([8], 15),         # contains the whole zone
-                         ([0, 18, 40], 3),  # one bad piece among good ones
-                         ([9], 2),          # narrow pieces across each edge
-                         ([19], 2)):
-        with pytest.raises(AssertionError, match="straddles"):
-            _check_pieces(lefts, width, zone)
-    for lefts, width in (([10], 5),             # a == lo
-                         ([15], 5),             # a + width == hi
-                         ([10], 10),            # the zone itself
-                         ([2, 7, 20, 25], 3),   # touching from both sides
-                         ([0, 10, 13, 17], 3),  # inside, touching each other
-                         ([], 4)):
-        _check_pieces(lefts, width, zone)
-    with pytest.raises(AssertionError, match="overlap"):
-        _check_pieces([0, 2], 3, zone)
+    for scale in (64, 2**80):
+        for lefts, width in (([5], 10),         # across lo
+                             ([15], 10),        # across hi
+                             ([8], 15),         # contains the whole zone
+                             ([0, 18, 40], 3),  # one bad piece among good ones
+                             ([9], 2),          # narrow pieces across each edge
+                             ([19], 2)):
+            with pytest.raises(AssertionError, match="straddles"):
+                _check_lefts(lefts, width, zone, scale)
+        for lefts, width in (([10], 5),             # a == lo
+                             ([15], 5),             # a + width == hi
+                             ([10], 10),            # the zone itself
+                             ([2, 7, 20, 25], 3),   # touching from both sides
+                             ([0, 10, 13, 17], 3),  # inside, touching each other
+                             ([], 4)):
+            _check_lefts(lefts, width, zone, scale)
+        with pytest.raises(AssertionError, match="overlap"):
+            _check_lefts([0, 2], 3, zone, scale)
 
 
 def test_intervals_count_equals_cocycle_row_sum(reference, reference_trace):

@@ -8,7 +8,9 @@ Random irreducible exchanges on 2 to 6 symbols with exact integer lengths
 to 12 induction levels (60 for the step rule, the inverse and the lift).
 Runs are derandomized, so every run draws the same examples.  The Rokhlin
 towers are checked on seeded Dirichlet exchanges on 2 to 7 symbols, at
-every level up to 30.
+every level up to 30, and the visit-count towers and their interval
+families against Python-int stacking on exchanges over dyadic and
+non-dyadic denominators up to 2**400, some with lengths of a few units.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from ietpwi.breaking import (TOL_UNIT_SPEED, breaking_intervals, breaking_sequen
                              rokhlin_towers, segment_bound, theta_sequence)
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible, piece_orbit
 from ietpwi.rauzy import (InductionStep, identity_matrix, rauzy_iterate, return_word,
-                          torus_project, undo_update, visit_counts_bruteforce)
-from curve_oracles import sup_distance
+                          torus_project, undo_update)
+from curve_oracles import list_intervals, list_towers, sup_distance
+from rauzy_oracles import visit_counts_bruteforce
 from tests_random_util import random_irreducible_iet
 
 DENOMINATOR = 2**40
@@ -126,6 +129,35 @@ def test_rokhlin_towers_are_the_sorted_first_return_orbits():
                     assert len(towers[symbol]) == sum(trace.cocycle[n][symbol])
                 levels += 1
     assert levels > 1000
+
+
+@st.composite
+def interval_runs(draw):
+    """An irreducible exchange over a dyadic or non-dyadic denominator, some lengths tiny."""
+    d = draw(st.integers(2, 6))
+    perm = Permutation.from_monodromy(draw(st.permutations(range(1, d + 1))))
+    assume(is_irreducible(perm))
+    den = draw(st.sampled_from([2**12, DENOMINATOR, 3 * 2**40, 2**400]))
+    nums = draw(st.lists(st.one_of(st.integers(1, 2**8), st.integers(1, den)),
+                         min_size=d, max_size=d))
+    trace = rauzy_iterate(build_iet(perm, Lengths(tuple(nums), den)), draw(st.integers(1, 16)))
+    assume(trace.n_steps >= 1)
+    return trace
+
+
+@PROPERTY
+@given(interval_runs())
+# floors 2**-80 apart whose float keys tie, so the exact order decides
+@example(rauzy_iterate(build_iet(Permutation.from_monodromy("2 1"),
+                                 Lengths((1, 2**80), 2**80)), 12))
+def test_count_towers_and_intervals_match_the_int_list_stacking(trace):
+    # the visit-count towers, their filtered checks and limb conversion
+    # against the towers stacked, checked and converted on Python ints
+    for n in range(1, trace.n_steps + 1):
+        towers = rokhlin_towers(trace, n - 1)
+        assert [towers[s] for s in range(trace.d)] == list_towers(trace, n - 1)
+        got, want = breaking_intervals(trace, n, towers), list_intervals(trace, n)
+        assert got.y.tobytes() == want.y.tobytes() and got.delta == want.delta
 
 
 @PROPERTY

@@ -14,17 +14,17 @@ from ietpwi.iet import Lengths, Permutation, build_iet, build_iet_from
 from ietpwi.errors import RauzyUndefined, Reducible
 from ietpwi.rauzy import (
     identity_matrix,
-    matrix_to_float,
     rauzy_class,
     rauzy_iterate,
     rauzy_step,
     reduce_mod_tau,
     torus_distance_to_zero,
     torus_project,
-    visit_counts_bruteforce,
     zorich_iterate,
 )
 from ietpwi.spectral import h_pi_basis
+
+from rauzy_oracles import matrix_to_float, visit_counts_bruteforce
 
 
 def test_step_type1_hand_values():

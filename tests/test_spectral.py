@@ -13,7 +13,7 @@ from ietpwi.breaking import breaking_sequence, theta_sequence
 from ietpwi.cli import RunConfig
 from ietpwi.errors import ExhaustedResamples, InvalidInput, RauzyUndefined, Reducible
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
-from ietpwi.rauzy import matrix_to_float, rauzy_class, rauzy_iterate
+from ietpwi.rauzy import rauzy_class, rauzy_iterate
 from ietpwi.spectral import (
     _blocks,
     _FloatInduction,
@@ -26,6 +26,7 @@ from ietpwi.spectral import (
 )
 
 from curve_oracles import sup_distance
+from rauzy_oracles import matrix_to_float
 
 
 def test_genus_values():
