@@ -574,8 +574,8 @@ def _interval_floats(towers: Towers, rows: np.ndarray, shift: int, den: int) -> 
     (``_round_limbs``), and that rounding holds for the whole range unless
     a rounding boundary lies within it: within ``spread`` units of ``2**t``
     above ``A``, or ``A`` near zero.  Those entries and, when ``den`` is not
-    a power of two or is out of the range ``_to_floats`` scales, all entries
-    are converted exactly by ``_to_floats``.
+    a power of two or the quotients could leave the normal doubles, all
+    entries are converted exactly by ``_to_floats``.
     """
     top = towers.scale
     d = len(towers.ups)
@@ -602,18 +602,8 @@ def _interval_floats(towers: Towers, rows: np.ndarray, shift: int, den: int) -> 
 
 
 def _to_floats(shift: int, nums: Sequence[int], den: int) -> np.ndarray:
-    """``float(Fraction(shift + num, den))`` for each of the sorted ``nums``.
-
-    Every ``shift + num`` must be non-negative.  ``int / int`` is correctly
-    rounded.  So is ``float(int)``, and for ``den = 2**b`` the scaling by
-    ``2**-b`` is exact while the quotients stay normal doubles: ``b <= 1022``
-    and every numerator below ``2**1024``.
-    """
-    scaled = den & (den - 1) == 0 and den <= 1 << 1022 and shift + nums[-1] < 1 << 1024
-    if not scaled:
-        return np.fromiter(((shift + n) / den for n in nums), float, len(nums))
-    return (np.fromiter(map(float, map(shift.__add__, nums)), float, len(nums))
-            * 2.0 ** (1 - den.bit_length()))
+    """``float(Fraction(shift + num, den))`` for each of the ``nums``; ``int / int`` is correctly rounded."""
+    return np.fromiter(((shift + n) / den for n in nums), float, len(nums))
 
 
 def _limbs(value: int) -> tuple[int, int, int]:

@@ -31,7 +31,7 @@ from ietpwi.iet import (PIECE_BUDGET, Lengths, Permutation, apply_array, build_i
 from ietpwi.rauzy import rauzy_iterate, torus_project
 from ietpwi.spectral import sample_theta
 
-from curve_oracles import breaking_offsets, list_intervals, sup_distance
+from curve_oracles import breaking_offsets, list_intervals, list_towers, sup_distance
 
 #: sha256 over each level's ``y`` bytes then ``delta`` bytes of the catalog's
 #: rotation intervals of levels 1-56, recorded from towers of Python ints
@@ -342,11 +342,7 @@ def test_towers_order_floors_the_float_keys_cannot_separate():
     assert trace.n_steps == 12
     for n in range(trace.n_steps + 1):
         towers = rokhlin_towers(trace, n)
-        state = trace.states[n]
-        for symbol in range(2):
-            left = state.e0_num[state.perm.position0(symbol)]
-            orbit = piece_orbit(iet, left, state.lengths.numerators[symbol], state.total_num)
-            assert towers[symbol] == sorted(a - left for a in orbit)
+        assert [towers[s] for s in range(2)] == list_towers(trace, n)
         if n:
             got, want = breaking_intervals(trace, n, rokhlin_towers(trace, n - 1)), \
                 list_intervals(trace, n)
