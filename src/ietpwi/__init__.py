@@ -28,10 +28,8 @@ from .iet import (
     Lengths,
     Permutation,
     apply,
-    apply_inverse,
     build_iet,
     build_iet_from,
-    check_idoc_depth,
     is_irreducible,
     omega_matrix,
 )
@@ -61,7 +59,6 @@ from .pwi import (
     PlanarIsometry,
     adapted_pwi,
     hat_maps,
-    induced_pwi,
     inductive_maps,
     iterate,
 )

@@ -141,22 +141,14 @@ class PLCurve:
             buf.write(f"{float(xv)!r},{float(zv.real)!r},{float(zv.imag)!r}\n")
         return buf.getvalue()
 
-    def to_json(self) -> dict:
-        return {
-            "length": self.length,
-            "x": [float(v) for v in self.segment_bounds()],
-            "re": [float(v.real) for v in self.z],
-            "im": [float(v.imag) for v in self.z],
-        }
-
-    def to_svg(self, width: int = 800, stroke: str = "black",
-               stroke_width: float = 1.0, margin: float = 0.05) -> str:
-        """Standalone SVG with the viewport fit to the bounding box."""
+    def to_svg(self) -> str:
+        """Standalone SVG, 800 pixels wide, with the viewport fit to the bounding box."""
+        width = 800
         re, im = self.z.real, self.z.imag
         x0, x1 = float(re.min()), float(re.max())
         y0, y1 = float(im.min()), float(im.max())
         span = max(x1 - x0, y1 - y0, 1e-9)
-        pad = margin * span
+        pad = 0.05 * span
         x0, x1 = x0 - pad, x1 + pad
         y0, y1 = y0 - pad, y1 + pad
         scale = width / (x1 - x0)
@@ -167,8 +159,8 @@ class PLCurve:
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">\n'
-            f'  <polyline points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{stroke_width}"/>\n</svg>\n'
+            f'  <polyline points="{pts}" fill="none" stroke="black" '
+            f'stroke-width="1.0"/>\n</svg>\n'
         )
 
 

@@ -12,7 +12,7 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import pi, tau
 from typing import Optional, Sequence
 
@@ -44,9 +44,12 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
+            names = [f.name for f in fields(cls)]
             for key, value in _read_config(args.config).items():
-                if hasattr(cfg, key):
-                    setattr(cfg, key, value)
+                if key not in names:
+                    raise InvalidInput(f"unknown config key {key!r}; the keys are "
+                                       f"{', '.join(names)}")
+                setattr(cfg, key, value)
         for key in ("perm", "levels", "zorich_steps", "delta", "seed",
                     "deep_levels", "out", "use_catalog"):
             value = getattr(args, key, None)
@@ -78,8 +81,9 @@ class RunConfig:
         if cfg.theta is not None and not (_is_list_of(cfg.theta, (int, float)) and all(
                 abs(v) <= sys.float_info.max for v in cfg.theta)):
             raise InvalidInput(f"theta must be a list of finite numbers, got {cfg.theta!r}")
-        if not isinstance(cfg.use_catalog, bool):
-            raise InvalidInput(f"use_catalog must be true or false, got {cfg.use_catalog!r}")
+        for key in ("use_catalog", "json_output"):
+            if not isinstance(getattr(cfg, key), bool):
+                raise InvalidInput(f"{key} must be true or false, got {getattr(cfg, key)!r}")
         if cfg.out is not None and not isinstance(cfg.out, str):
             raise InvalidInput(f"out must be a path, got {cfg.out!r}")
         return cfg

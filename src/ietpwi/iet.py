@@ -9,8 +9,8 @@ intervals are closed on the left and open on the right.
 Lengths are stored twice: as double-precision floats and as exact integer
 numerators over a common denominator.  Every float is a dyadic rational, so
 the exact form represents float input with no error; downstream orbit
-computations (visit counts, interval orbits, endpoint-collision checks) run
-on integers and are free of rounding decisions.
+computations (visit counts, interval orbits) run on integers and are free of
+rounding decisions.
 """
 
 from __future__ import annotations
@@ -25,19 +25,14 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidInput, NonPositiveLength, OutOfDomain
+from .errors import InvalidInput, NonPositiveLength, OutOfDomain
 
-#: relative tolerance for endpoint-orbit coincidence in the finite
-#: distinct-orbit check; distances below ``TOL_IDOC_REL * |lambda|``
-#: count as collisions (conservative failure)
-TOL_IDOC_REL = 1e-12
-
-#: most pieces one computation may hold: the images ``piece_orbit`` lists,
-#: the floors of the Rokhlin towers ``breaking.rokhlin_towers`` stacks, and
-#: the segments of a curve ``breaking.curve_levels`` is asked to build.  It
-#: must stay below 2**24: the towers store visit counts, each at most a
-#: tower height, as int32 and sum them times 32-bit limbs in int64, and
-#: ``breaking`` refuses to import with a larger budget
+#: most pieces one computation may hold: the floors of the Rokhlin towers
+#: ``breaking.rokhlin_towers`` stacks and the segments of a curve
+#: ``breaking.curve_levels`` is asked to build.  It must stay below 2**24:
+#: the towers store visit counts, each at most a tower height, as int32 and
+#: sum them times 32-bit limbs in int64, and ``breaking`` refuses to import
+#: with a larger budget
 PIECE_BUDGET = 10**7
 
 LengthLike = Union[int, float, str, Fraction]
@@ -83,14 +78,6 @@ class Permutation:
         pos1 = {s: i for i, s in enumerate(self.bottom)}
         return tuple(pos1[s] + 1 for s in self.top)
 
-    def monodromy_inverse(self) -> tuple[int, ...]:
-        """Inverse of :meth:`monodromy`, also 1-based."""
-        tilde = self.monodromy()
-        inv = [0] * self.d
-        for j, v in enumerate(tilde):
-            inv[v - 1] = j + 1
-        return tuple(inv)
-
     @classmethod
     def from_monodromy(cls, values: Union[str, Sequence[int]]) -> "Permutation":
         """Build with identity top row from 1-based targets, e.g. ``"4 3 2 1"``."""
@@ -110,18 +97,13 @@ class Permutation:
             bottom[v - 1] = j
         return cls(top, tuple(bottom))
 
-    def to_json(self) -> dict:
-        pi0 = [0] * self.d
-        pi1 = [0] * self.d
-        for i, s in enumerate(self.top):
-            pi0[s] = i + 1
-        for i, s in enumerate(self.bottom):
-            pi1[s] = i + 1
-        return {"d": self.d, "pi0": pi0, "pi1": pi1}
-
     @classmethod
     def from_json(cls, data: Union[dict, str]) -> "Permutation":
-        """Accept the ``{"d","pi0","pi1"}`` schema or a monodromy one-liner."""
+        """Accept the ``{"d","pi0","pi1"}`` schema or a monodromy one-liner.
+
+        ``pi0`` and ``pi1`` give each symbol's 1-based position in the top
+        and bottom rows, so each must list the ints ``1..d`` in some order.
+        """
         if isinstance(data, str):
             stripped = data.strip()
             if not stripped.startswith("{"):
@@ -129,22 +111,23 @@ class Permutation:
         try:
             if isinstance(data, str):
                 data = json.loads(data)
-            d = int(data["d"])
-            pi0 = list(data["pi0"])
-            pi1 = list(data["pi1"])
+            d, pi0, pi1 = data["d"], data["pi0"], data["pi1"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(
                 f"malformed permutation: {type(exc).__name__}: {exc}") from None
-        if len(pi0) != d or len(pi1) != d:
-            raise InvalidInput("pi0/pi1 must have d entries")
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise InvalidInput(f"d must be an integer, got {d!r}")
+        for name, row in (("pi0", pi0), ("pi1", pi1)):
+            if not (isinstance(row, list) and len(row) == d
+                    and all(isinstance(p, int) and not isinstance(p, bool) for p in row)
+                    and sorted(row) == list(range(1, d + 1))):
+                raise InvalidInput(f"{name} must list the positions 1..{d} once each, "
+                                   f"got {row!r}")
         top = [0] * d
         bottom = [0] * d
-        try:
-            for s in range(d):
-                top[pi0[s] - 1] = s
-                bottom[pi1[s] - 1] = s
-        except (IndexError, TypeError):
-            raise InvalidInput("pi0/pi1 must hold positions 1..d") from None
+        for s in range(d):
+            top[pi0[s] - 1] = s
+            bottom[pi1[s] - 1] = s
         return cls(tuple(top), tuple(bottom))
 
 
@@ -218,14 +201,6 @@ class Lengths:
     def total(self) -> float:
         return self.total_numerator() / self.denominator
 
-    def to_json(self) -> dict:
-        return {"lambda": [f"{n}/{self.denominator}" for n in self.numerators]}
-
-    @classmethod
-    def from_json(cls, data: Union[dict, Sequence[LengthLike]]) -> "Lengths":
-        values = data["lambda"] if isinstance(data, dict) else data
-        return cls.from_values(values)
-
 
 # ---------------------------------------------------------------------------
 # the exchange map
@@ -279,9 +254,6 @@ class IETState:
     @property
     def denominator(self) -> int:
         return self.lengths.denominator
-
-    def to_json(self) -> dict:
-        return {**self.perm.to_json(), **self.lengths.to_json()}
 
 
 def build_iet(perm: Permutation, lengths: Lengths) -> IETState:
@@ -339,78 +311,9 @@ def apply(iet: IETState, x: float) -> float:
     return x + float(iet.upsilon[symbol_at(iet, x)])
 
 
-def apply_inverse(iet: IETState, y: float) -> float:
-    """Evaluate the inverse exchange at ``y``."""
-    if y < 0.0 or y >= iet.total:
-        raise OutOfDomain(f"y={y!r} outside [0, {iet.total!r})")
-    return y - float(iet.upsilon[iet.perm.bottom[int(slot_at(iet.endpoints1, y))]])
-
-
-def apply_array(iet: IETState, x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`apply` for sample grids already inside the domain."""
-    return x + iet.upsilon[np.asarray(iet.perm.top)[slot_at(iet.endpoints0, x)]]
-
-
-def symbol_at_exact(iet: IETState, x_num: int) -> int:
-    """Exact atom lookup for a point given as ``x_num / denominator``."""
+def apply_exact(iet: IETState, x_num: int) -> int:
+    """Exact integer evaluation of the exchange on numerators over ``denominator``."""
     grid = iet.e0_num
     if x_num < 0 or x_num >= grid[-1]:
         raise OutOfDomain(f"numerator {x_num} outside [0, {grid[-1]})")
-    return iet.perm.top[bisect_right(grid, x_num) - 1]
-
-
-def apply_exact(iet: IETState, x_num: int) -> int:
-    """Exact integer evaluation of the exchange on numerators."""
-    return x_num + iet.upsilon_num[symbol_at_exact(iet, x_num)]
-
-
-def piece_orbit(iet: IETState, a: int, width: int, bound: int,
-                budget: int = PIECE_BUDGET) -> list[int]:
-    """Left ends of the piece ``[a, a + width)`` and its images before the return.
-
-    The piece is translated rigidly on exact numerators until an image lies
-    in ``[0, bound)``; that image is not listed.  Every listed piece must lie
-    in one continuity interval, and at most ``budget`` images are taken.
-    """
-    grid = iet.e0_num
-    ups = iet.upsilon_num
-    top = iet.perm.top
-    lefts = []
-    while True:
-        lefts.append(a)
-        if len(lefts) > budget:
-            raise BudgetExceeded(f"piece orbit exceeded {budget} steps")
-        j = bisect_right(grid, a) - 1
-        if a + width > grid[j + 1]:
-            raise AssertionError("piece straddles a continuity boundary")
-        a += ups[top[j]]
-        if a + width <= bound:
-            return lefts
-
-
-def check_idoc_depth(iet: IETState, n_max: int) -> bool:
-    """Finite-depth distinct-orbit check on subinterval endpoints.
-
-    Follows every left endpoint for ``n_max`` exact iterations and reports
-    False as soon as an orbit point lands within ``TOL_IDOC_REL * |lambda|``
-    of a nonzero left endpoint.  A True result certifies nothing beyond depth
-    ``n_max``: the full condition is not decidable numerically.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    targets = iet.e0_num[1:-1]  # nonzero interior left endpoints
-    tol_scaled = iet.total_num  # |x - t| < 1e-12 |lambda|  <=>  |x - t| * 1e12 < total
-    orbit = list(iet.e0_num[:-1])
-    for _ in range(n_max):
-        orbit = [apply_exact(iet, x) for x in orbit]
-        for x in orbit:
-            for t in targets:
-                if abs(x - t) * 10**12 < tol_scaled:
-                    return False
-    return True
-
-
-def parse_iet_json(text: str) -> IETState:
-    """Parse a combined ``{"d","pi0","pi1","lambda"}`` JSON document."""
-    data = json.loads(text)
-    return build_iet(Permutation.from_json(data), Lengths.from_json(data))
+    return x_num + iet.upsilon_num[iet.perm.top[bisect_right(grid, x_num) - 1]]

@@ -18,11 +18,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .breaking import PLCurve, ThetaSeq, theta_sequence
+from .breaking import PLCurve, ThetaSeq
 from .errors import (AtomMissesCurve, AtomsOverlap, InvalidInput, LevelMismatch,
                      UnclassifiablePoint)
 from .iet import IETState, apply as iet_apply, slot_at
-from .rauzy import InductionTrace, return_word
+from .rauzy import InductionTrace
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def map_distance(s: PlanarIsometry, t: PlanarIsometry,
 # ---------------------------------------------------------------------------
 
 def hat_maps(curve: PLCurve, trace: InductionTrace, m: int,
-             theta_m: Sequence[float], n: Optional[int] = None) -> list[PlanarIsometry]:
+             theta_m: Sequence[float], n: int) -> list[PlanarIsometry]:
     """Direct level-``m`` family of a level-``n`` curve: rotate each piece onto its slot.
 
     The curve is read on the level-``m`` top-row endpoint grid.  The chain
@@ -88,7 +88,7 @@ def hat_maps(curve: PLCurve, trace: InductionTrace, m: int,
     """
     if m > trace.n_steps:
         raise LevelMismatch(f"trace holds {trace.n_steps} levels, need {m}")
-    if n is not None and m > n:
+    if m > n:
         raise LevelMismatch(f"grid level {m} exceeds curve level {n}")
     state = trace.states[m]
     if state.total > curve.length * (1 + 1e-12):
@@ -301,33 +301,8 @@ def adapted_pwi(curve_limit: PLCurve, iet: IETState,
 
 
 # ---------------------------------------------------------------------------
-# induced family and orbits
+# orbits
 # ---------------------------------------------------------------------------
-
-def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int) -> AdaptedPWI:
-    """First-return family on the level-``n`` subinterval's curve piece.
-
-    Each induced map composes the original per-symbol maps along the atom
-    itinerary of the corresponding level-``n`` subinterval; the induced
-    rotation vector is the cocycle push of the original one, and its atoms
-    classify by curve parameter on the level-``n`` grid.
-    """
-    if n == 0:
-        return pwi
-    if n > trace.n_steps:
-        raise LevelMismatch(f"trace holds {trace.n_steps} levels, need {n}")
-    deep = trace.states[n]
-    maps = []
-    for symbol in range(pwi.d):
-        word = return_word(trace, n, symbol)
-        composed = pwi.maps[word[0]]
-        for letter in word[1:]:
-            composed = pwi.maps[letter].compose(composed)
-        maps.append(composed)
-    theta_n = theta_sequence(trace, pwi.theta, n).entries[n]
-    return AdaptedPWI(theta_n, maps, deep, pwi.curve,
-                      CurveParameterAtoms(pwi.curve, deep.endpoints0.copy()))
-
 
 def iterate(pwi: AdaptedPWI, z: complex, k: int) -> tuple[np.ndarray, list[int]]:
     """Orbit of length ``k+1`` with its atom itinerary."""

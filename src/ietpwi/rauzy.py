@@ -31,8 +31,7 @@ from typing import IO, Optional, Sequence, Union
 import numpy as np
 
 from .errors import RauzyUndefined, Reducible
-from .iet import (IETState, Lengths, Permutation, build_iet, is_irreducible, piece_orbit,
-                  symbol_at_exact)
+from .iet import IETState, Lengths, Permutation, build_iet, is_irreducible
 
 #: relative tie tolerance: induction aborts when the two candidate lengths
 #: agree to within ``TOL_TIE_REL`` times the current total length
@@ -236,24 +235,6 @@ def zorich_iterate(iet: IETState, m: int) -> InductionTrace:
         raise ValueError("m must be >= 0")
     # no blocks takes no step, not even one that would tie
     return _iterate(iet, max_steps=None if m else 0, max_blocks=m)
-
-
-# ---------------------------------------------------------------------------
-# first-return words
-# ---------------------------------------------------------------------------
-
-def return_word(trace: InductionTrace, n: int, symbol: int) -> list[int]:
-    """Atom itinerary of the level-``n`` subinterval until its first return.
-
-    Follows the subinterval's exact left end under the original exchange;
-    the word length equals the corresponding row sum of the exact cocycle
-    product.
-    """
-    iet0 = trace.initial
-    deep = trace.states[n]
-    left = deep.e0_num[deep.perm.position0(symbol)]
-    lefts = piece_orbit(iet0, left, deep.lengths.numerators[symbol], deep.total_num)
-    return [symbol_at_exact(iet0, a) for a in lefts]
 
 
 # ---------------------------------------------------------------------------

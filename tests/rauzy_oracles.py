@@ -1,18 +1,67 @@
-"""Reference implementations that the exact cocycle is tested against."""
+"""Reference implementations that the exchange and the exact cocycle are tested against."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Union
 
 import numpy as np
 
-from ietpwi.errors import RauzyUndefined
-from ietpwi.iet import IETState
-from ietpwi.rauzy import IntMatrix, rauzy_iterate, return_word
+from ietpwi.errors import BudgetExceeded, RauzyUndefined
+from ietpwi.iet import PIECE_BUDGET, IETState, slot_at
+from ietpwi.rauzy import IntMatrix, InductionTrace, rauzy_iterate
 
 
 def matrix_to_float(matrix: Union[IntMatrix, np.ndarray]) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in matrix])
+
+
+def apply_array(iet: IETState, x: np.ndarray) -> np.ndarray:
+    """The exchange on an array of points already inside the domain, in floats."""
+    return x + iet.upsilon[np.asarray(iet.perm.top)[slot_at(iet.endpoints0, x)]]
+
+
+def symbol_at_exact(iet: IETState, x_num: int) -> int:
+    """Exact atom lookup for a point of the domain given as ``x_num / denominator``."""
+    return iet.perm.top[bisect_right(iet.e0_num, x_num) - 1]
+
+
+def piece_orbit(iet: IETState, a: int, width: int, bound: int,
+                budget: int = PIECE_BUDGET) -> list[int]:
+    """Left ends of the piece ``[a, a + width)`` and its images before the return.
+
+    The piece is translated rigidly on exact numerators until an image lies
+    in ``[0, bound)``; that image is not listed.  Every listed piece must lie
+    in one continuity interval, and at most ``budget`` images are taken.
+    """
+    grid = iet.e0_num
+    ups = iet.upsilon_num
+    top = iet.perm.top
+    lefts = []
+    while True:
+        lefts.append(a)
+        if len(lefts) > budget:
+            raise BudgetExceeded(f"piece orbit exceeded {budget} steps")
+        j = bisect_right(grid, a) - 1
+        if a + width > grid[j + 1]:
+            raise AssertionError("piece straddles a continuity boundary")
+        a += ups[top[j]]
+        if a + width <= bound:
+            return lefts
+
+
+def return_word(trace: InductionTrace, n: int, symbol: int) -> list[int]:
+    """Atom itinerary of the level-``n`` subinterval until its first return.
+
+    Follows the subinterval's exact left end under the original exchange;
+    the word length equals the corresponding row sum of the exact cocycle
+    product.
+    """
+    iet0 = trace.initial
+    deep = trace.states[n]
+    left = deep.e0_num[deep.perm.position0(symbol)]
+    lefts = piece_orbit(iet0, left, deep.lengths.numerators[symbol], deep.total_num)
+    return [symbol_at_exact(iet0, a) for a in lefts]
 
 
 def visit_counts_bruteforce(iet: IETState, n: int) -> IntMatrix:

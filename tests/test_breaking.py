@@ -26,12 +26,12 @@ from ietpwi.breaking import (
     theta_sequence,
 )
 from ietpwi.errors import BudgetExceeded, IntervalOutOfRange, InvalidInput, NonUnitSpeed
-from ietpwi.iet import (PIECE_BUDGET, Lengths, Permutation, apply_array, build_iet,
-                        is_irreducible, piece_orbit)
+from ietpwi.iet import PIECE_BUDGET, Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.rauzy import rauzy_iterate, torus_project
 from ietpwi.spectral import sample_theta
 
 from curve_oracles import breaking_offsets, list_intervals, list_towers, sup_distance
+from rauzy_oracles import apply_array, piece_orbit
 
 #: sha256 over each level's ``y`` bytes then ``delta`` bytes of the catalog's
 #: rotation intervals of levels 1-56, recorded from towers of Python ints
@@ -649,7 +649,5 @@ def test_exports_roundtrip(reference_curves):
     csv = curve.to_csv()
     assert csv.splitlines()[0] == "x,re,im"
     assert len(csv.splitlines()) == curve.n_segments + 2
-    svg = curve.to_svg(stroke="red")
-    assert svg.startswith("<svg") and "polyline" in svg and "red" in svg
-    data = curve.to_json()
-    assert len(data["x"]) == len(data["re"]) == curve.n_segments + 1
+    svg = curve.to_svg()
+    assert svg.startswith("<svg") and "polyline" in svg and 'stroke="black"' in svg

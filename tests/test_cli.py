@@ -287,8 +287,15 @@ def test_config_depth_must_be_nonnegative_integer(tmp_path):
     {"theta": "0,0,0,0"},
     {"theta": [0, None, 0, 0]},
     {"use_catalog": "yes"},
+    {"json_output": "no"},
     {"out": 3},
     {"theta": [float("nan"), 0, 0, 0], "use_catalog": True},
+    # keys that name methods or nothing at all
+    {"build": 1},
+    {"deep": 3},
+    {"steps": 3},
+    # position 0 would wrap to the last slot and read as "4 3 2 1"
+    {"perm": {"d": 4, "pi0": [1, 2, 3, 0], "pi1": [4, 3, 2, 1]}},
 ])
 def test_config_values_are_type_checked(tmp_path, values):
     config = tmp_path / "run.json"

@@ -10,20 +10,42 @@ import pytest
 from ietpwi.breaking import PLCurve, breaking_sequence, theta_sequence
 from ietpwi.errors import (AtomMissesCurve, AtomsOverlap, InvalidInput, LevelMismatch,
                            UnclassifiablePoint)
-from ietpwi.iet import (Lengths, Permutation, apply, apply_array, build_iet, build_iet_from,
-                        symbol_at)
+from ietpwi.iet import Lengths, Permutation, apply, build_iet, build_iet_from, symbol_at
 from ietpwi.pwi import (
+    AdaptedPWI,
+    CurveParameterAtoms,
     PlanarIsometry,
     adapted_pwi,
     hat_maps,
-    induced_pwi,
     inductive_maps,
     iterate,
     map_distance,
     orbit_to_csv,
-    return_word,
 )
-from ietpwi.rauzy import rauzy_iterate, torus_project
+from ietpwi.rauzy import InductionTrace, torus_project
+
+from rauzy_oracles import apply_array, return_word
+
+
+def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int) -> AdaptedPWI:
+    """First-return family on the level-``n`` subinterval's curve piece.
+
+    Each induced map composes the original per-symbol maps along the atom
+    itinerary of the corresponding level-``n`` subinterval; the induced
+    rotation vector is the cocycle push of the original one, and its atoms
+    classify by curve parameter on the level-``n`` grid.
+    """
+    deep = trace.states[n]
+    maps = []
+    for symbol in range(pwi.d):
+        word = return_word(trace, n, symbol)
+        composed = pwi.maps[word[0]]
+        for letter in word[1:]:
+            composed = pwi.maps[letter].compose(composed)
+        maps.append(composed)
+    theta_n = theta_sequence(trace, pwi.theta, n).entries[n]
+    return AdaptedPWI(theta_n, maps, deep, pwi.curve,
+                      CurveParameterAtoms(pwi.curve, deep.endpoints0.copy()))
 
 
 def test_isometry_algebra():
@@ -277,12 +299,6 @@ def test_return_word_letter_counts_match_cocycle(reference_trace):
             assert counts == list(reference_trace.cocycle[n][symbol])
 
 
-def test_induced_level_zero_identity(reference, reference_curves, reference_sample):
-    theta = [float(x) % tau for x in reference_sample.v]
-    pwi = adapted_pwi(reference_curves[-1], reference.iet, theta)
-    assert induced_pwi(pwi, rauzy_iterate(reference.iet, 3), 0) is pwi
-
-
 def test_induced_rotation_vector_is_pushed(reference, reference_trace,
                                            reference_curves, reference_sample):
     theta = [float(x) % tau for x in reference_sample.v]
@@ -292,21 +308,6 @@ def test_induced_rotation_vector_is_pushed(reference, reference_trace,
         pushed = torus_project(reference_trace.cocycle[n], theta)
         wrapped = np.mod(ind.theta - pushed + np.pi, tau) - np.pi
         assert np.max(np.abs(wrapped)) < 1e-10
-
-
-def test_induced_composition_two_symbols(golden_iet):
-    trace = rauzy_iterate(golden_iet, 8)
-    theta = [0.3, 0.4]
-    curves = breaking_sequence(trace, theta, 8)
-    pwi = adapted_pwi(curves[-1], golden_iet, theta)
-    ind = induced_pwi(pwi, trace, 1)
-    zs = np.array([0.1 + 0.2j, -0.3 + 0.05j])
-    for symbol in range(2):
-        word = return_word(trace, 1, symbol)
-        composed = pwi.maps[word[0]]
-        for letter in word[1:]:
-            composed = pwi.maps[letter].compose(composed)
-        assert map_distance(composed, ind.maps[symbol], zs) < 1e-12
 
 
 def test_induced_conjugacy_defect(reference, reference_trace, reference_curves,
