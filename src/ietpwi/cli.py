@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from math import pi, tau
@@ -391,10 +392,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return handlers[args.command](RunConfig.from_args(args))
+        status = handlers[args.command](RunConfig.from_args(args))
+        # a reader that closed the pipe must show up here, not at exit
+        sys.stdout.flush()
+        return status
     except IetPwiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

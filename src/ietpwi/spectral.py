@@ -12,14 +12,16 @@ of the carried frame, and only the last partial cycle runs step by step
 subspace (spanned by the antisymmetric pairing matrix's columns), which the
 elementary factors map onto the corresponding subspace of the next
 permutation; projecting at every re-orthonormalization keeps rounding noise
-from leaking into the transverse zero modes.
+from leaking into the transverse zero modes.  Blocks are driven a chunk
+ahead of the QR: the Python driver records a chunk of blocks and their
+restricted matrices are formed in one numpy pass, while there is still one
+QR per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import tau
 from typing import Iterator, Sequence, Union
 
@@ -150,31 +152,70 @@ class _FloatInduction:
         return winner, losers, [count[s] for s in losers]
 
 
-def _blocks(iet: IETState, m: int) -> Iterator[np.ndarray]:
-    """Drive up to ``m`` Zorich blocks, yielding each block's restricted matrix.
+#: blocks driven ahead of the QR by ``lyapunov_spectrum``, in one pass each
+_CHUNK = 256
+
+
+def _block_chunks(iet: IETState, m: int, size: int) -> Iterator[np.ndarray]:
+    """Drive up to ``m`` Zorich blocks, ``size`` at a time, yielding each
+    chunk's restricted matrices as one stacked array.
 
     A block is a maximal run of Rauzy steps of one type, taken by one
     division (``_FloatInduction.block``).  Its cocycle adds ``counts[i]``
     times the winner's row to the row of ``losers[i]``: a rank-one update
-    of the carried frame.  The yielded matrix expresses it from the
+    of the carried frame.  Each matrix expresses it from the
     invariant-subspace coordinates at the block start to those at the block
-    end.  A block is driven only when the consumer asks for it.
+    end.  The Python driver records each block's permutation state, winner
+    and loser counts; the chunk's updates and basis changes then run as a
+    few numpy calls over the whole chunk.  A chunk is driven only when the
+    consumer asks for it.
     """
-
-    @lru_cache(maxsize=None)
-    def basis(top: tuple[int, ...], bottom: tuple[int, ...]) -> np.ndarray:
-        return h_pi_basis(Permutation(top, bottom))
-
     driver = _FloatInduction(iet)
-    q = basis(tuple(driver.top), tuple(driver.bottom))
-    for _ in range(m):
-        winner, losers, counts = driver.block()
-        carried = q.copy()  # d x 2g block image
-        row = q[winner]
-        for loser, count in zip(losers, counts):
-            carried[loser] += count * row
-        q = basis(tuple(driver.top), tuple(driver.bottom))
-        yield q.T @ carried
+    index: dict[tuple, int] = {}
+    bases = []
+
+    def state() -> int:
+        key = (tuple(driver.top), tuple(driver.bottom))
+        if key not in index:
+            index[key] = len(bases)
+            bases.append(h_pi_basis(Permutation(*key)))
+        return index[key]
+
+    states = [state()]
+    for start in range(0, m, size):
+        n = min(size, m - start)
+        winners, losers, counts = [], [], []
+        for _ in range(n):
+            winner, block_losers, block_counts = driver.block()
+            winners.append(winner)
+            losers.append(block_losers)
+            counts += block_counts
+            states.append(state())
+        q = np.stack(bases)[states]  # bases at the n + 1 block boundaries
+        old, new = q[:-1], q[1:]
+        blocks = np.arange(n)
+        cells = (np.repeat(blocks, [len(row) for row in losers]),
+                 [s for row in losers for s in row])
+        scale = np.zeros((n, iet.d))
+        scale[cells] = counts
+        is_loser = np.zeros((n, iet.d), dtype=bool)
+        is_loser[cells] = True
+        # only the losers' rows move; masking the others keeps their zeros' signs
+        carried = old.copy()  # n x d x 2g block images
+        np.add(old, scale[:, :, None] * old[blocks, winners][:, None, :],
+               out=carried, where=is_loser[:, :, None])
+        yield np.matmul(new.transpose(0, 2, 1), carried)
+        states = states[-1:]
+
+
+def _blocks(iet: IETState, m: int) -> Iterator[np.ndarray]:
+    """Drive up to ``m`` Zorich blocks, yielding each block's restricted matrix.
+
+    These are ``_block_chunks`` of one block each, so a block is driven only
+    when the consumer asks for its matrix.
+    """
+    for chunk in _block_chunks(iet, m, 1):
+        yield chunk[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +243,24 @@ def lyapunov_spectrum(iet: IETState, m: int) -> LyapunovEstimate:
     sorted diagonal logs average to the growth rates, and the means of
     ``min(BATCHES, m)`` batches of contiguous blocks give the error bars, so
     fewer than 2 blocks, which have no spread, raise ``InvalidInput``.
+    Blocks are driven ``_CHUNK`` at a time, ahead of the QR, and their logs
+    are added per chunk, in block order; there is still one QR per block.
     """
     if m < 2:
         raise InvalidInput(f"need at least 2 blocks for error bars, got {m}")
     batches = min(BATCHES, m)
     dim = 2 * genus(iet.perm)
     batch_sums = np.zeros((batches, dim))
-    frame = None
-    for k, matrix in enumerate(_blocks(iet, m)):
-        frame, r = np.linalg.qr(matrix if frame is None else matrix @ frame)
-        batch_sums[k * batches // m] += np.log(np.abs(r.diagonal()))
+    frame, done = None, 0
+    for chunk in _block_chunks(iet, m, _CHUNK):
+        rs = []
+        for matrix in chunk:
+            frame, r = np.linalg.qr(matrix if frame is None else matrix @ frame)
+            rs.append(r)
+        logs = np.log(np.abs(np.array(rs).diagonal(axis1=1, axis2=2)))
+        # np.add.at adds repeated indices in order, as one += per block would
+        np.add.at(batch_sums, np.arange(done, done + len(rs)) * batches // m, logs)
+        done += len(rs)
     exponents = batch_sums.sum(axis=0) / m
     order = np.argsort(-exponents)
     per_batch = batch_sums * (batches / m)

@@ -30,13 +30,17 @@ def run_cli(args, tmp_path, timeout=None):
     no longer resolves, and ``ietpwi`` may not be installed at all.  A run
     longer than ``timeout`` seconds fails the test.
     """
+    proc = subprocess.run(
+        [sys.executable, "-m", "ietpwi.cli", *args],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env(), timeout=timeout)
+    return proc
+
+
+def cli_env():
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ietpwi.cli", *args],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=timeout)
-    return proc
+    return env
 
 
 def fibonacci_set(limit):
@@ -257,6 +261,24 @@ def test_curves_beyond_the_segment_budget_exit_2(tmp_path, args):
     assert "BudgetExceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["lyapunov", "--catalog", "--zorich-steps", "2000", "--json"],
+    ["zorich", "--catalog", "--zorich-steps", "400", "--json"],
+    ["curve", "--catalog", "--steps", "20", "--json"],
+])
+def test_closed_output_pipe_exits_1_quietly(tmp_path, args):
+    # the pipe is closed before the child has imported the package, so its
+    # first write to stdout meets a reader that is gone
+    err = tmp_path / "stderr.txt"
+    with err.open("w") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "ietpwi.cli", *args],
+                                stdout=subprocess.PIPE, stderr=stderr, cwd=tmp_path,
+                                env=cli_env())
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    assert err.read_text() == ""  # no traceback, nor the exit flush's complaint
 
 
 def test_config_depth_must_be_nonnegative_integer(tmp_path):

@@ -15,7 +15,9 @@ from ietpwi.errors import ExhaustedResamples, InvalidInput, RauzyUndefined, Redu
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.rauzy import rauzy_class, rauzy_iterate
 from ietpwi.spectral import (
+    _block_chunks,
     _blocks,
+    _CHUNK,
     _FloatInduction,
     genus,
     h_pi_basis,
@@ -25,6 +27,7 @@ from ietpwi.spectral import (
     summability_check,
 )
 
+import spectral_oracles
 from curve_oracles import sup_distance
 from rauzy_oracles import matrix_to_float
 
@@ -248,6 +251,65 @@ def test_lyapunov_error_bars_are_batch_standard_errors(reference, m):
     if m == 5:
         np.testing.assert_allclose(est.errors, np.std(logs[:, order], axis=0, ddof=1)
                                    / np.sqrt(5), rtol=1e-12)
+
+
+def _drive(items):
+    """What a generator yields before it stops, and the ``RauzyUndefined``
+    it stops with (None if it runs out)."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except RauzyUndefined as exc:
+        return got, exc
+    return got, None
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(float_exchanges())
+def test_chunked_matrices_match_the_per_block_oracle(iet):
+    m = _CHUNK + 4
+    expected, error = _drive(spectral_oracles.block_matrices(iet, m))
+    for size in (1, 3, _CHUNK):
+        chunks, chunk_error = _drive(_block_chunks(iet, m, size))
+        assert all(len(chunk) == size for chunk in chunks[:-1])
+        got = [matrix for chunk in chunks for matrix in chunk]
+        if error is None:
+            assert chunk_error is None and len(got) == m
+        else:
+            # a failing block ends its chunk before the chunk is yielded
+            assert (type(chunk_error), str(chunk_error)) == (type(error), str(error))
+            assert len(got) == len(expected) // size * size
+        for matrix, oracle in zip(got, expected):
+            assert matrix.shape == oracle.shape
+            assert matrix.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 19, 20, 47, 255, 256, 257, 3 * 256 + 7])
+def test_lyapunov_matches_the_per_block_oracle_bit_for_bit(m):
+    # these block counts cross the batch edges and the chunk edges
+    rng = np.random.default_rng(3)
+    iet = build_iet(Permutation.from_monodromy("4 3 2 1"),
+                    Lengths.from_values(list(rng.dirichlet(np.ones(4)))))
+    est = lyapunov_spectrum(iet, m)
+    expected = spectral_oracles.lyapunov_spectrum(iet, m)
+    assert est.exponents.tobytes() == expected.exponents.tobytes()
+    assert est.errors.tobytes() == expected.errors.tobytes()
+    assert est.steps_used == m
+
+
+def test_lyapunov_raises_the_oracle_error_in_mid_chunk():
+    # rounder decimals than the CLI's default tie after 8 blocks
+    iet = build_iet(Permutation.from_monodromy("4 3 2 1"),
+                    Lengths.from_values([0.43, 0.34, 0.12, 0.11]))
+    expected, error = _drive(spectral_oracles.block_matrices(iet, 1000))
+    assert isinstance(error, RauzyUndefined) and 0 < len(expected) < _CHUNK
+    with pytest.raises(RauzyUndefined) as oracle:
+        spectral_oracles.lyapunov_spectrum(iet, 1000)
+    with pytest.raises(RauzyUndefined) as chunked:
+        lyapunov_spectrum(iet, 1000)
+    assert type(chunked.value) is type(oracle.value)
+    assert str(chunked.value) == str(oracle.value) == str(error)
 
 
 @pytest.mark.parametrize("m", [-1, 0, 1])
