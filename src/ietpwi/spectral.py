@@ -171,39 +171,33 @@ def _block_chunks(iet: IETState, m: int, size: int) -> Iterator[np.ndarray]:
     consumer asks for it.
     """
     driver = _FloatInduction(iet)
-    index: dict[tuple, int] = {}
-    bases = []
+    first = (tuple(driver.top), tuple(driver.bottom))
+    index = {first: 0}
+    bases = h_pi_basis(Permutation(*first))[None]  # stacked, one per state
 
     def state() -> int:
+        nonlocal bases
         key = (tuple(driver.top), tuple(driver.bottom))
         if key not in index:
             index[key] = len(bases)
-            bases.append(h_pi_basis(Permutation(*key)))
+            bases = np.concatenate([bases, h_pi_basis(Permutation(*key))[None]])
         return index[key]
 
-    states = [state()]
+    states = [0]
     for start in range(0, m, size):
         n = min(size, m - start)
-        winners, losers, counts = [], [], []
-        for _ in range(n):
+        blocks, losers, winners, counts = [], [], [], []  # one entry per loser
+        for k in range(n):
             winner, block_losers, block_counts = driver.block()
-            winners.append(winner)
-            losers.append(block_losers)
+            blocks += [k] * len(block_losers)
+            losers += block_losers
+            winners += [winner] * len(block_losers)
             counts += block_counts
             states.append(state())
-        q = np.stack(bases)[states]  # bases at the n + 1 block boundaries
+        q = bases[states]  # bases at the n + 1 block boundaries
         old, new = q[:-1], q[1:]
-        blocks = np.arange(n)
-        cells = (np.repeat(blocks, [len(row) for row in losers]),
-                 [s for row in losers for s in row])
-        scale = np.zeros((n, iet.d))
-        scale[cells] = counts
-        is_loser = np.zeros((n, iet.d), dtype=bool)
-        is_loser[cells] = True
-        # only the losers' rows move; masking the others keeps their zeros' signs
         carried = old.copy()  # n x d x 2g block images
-        np.add(old, scale[:, :, None] * old[blocks, winners][:, None, :],
-               out=carried, where=is_loser[:, :, None])
+        carried[blocks, losers] += np.array(counts, dtype=float)[:, None] * old[blocks, winners]
         yield np.matmul(new.transpose(0, 2, 1), carried)
         states = states[-1:]
 
