@@ -41,8 +41,17 @@ from .errors import (BudgetExceeded, IntervalOutOfRange, InvalidInput, NonUnitSp
 from .iet import PIECE_BUDGET
 from .rauzy import InductionTrace, reduce_mod_tau, torus_distance_to_zero, torus_project
 
-#: per-segment absolute tolerance for the unit-speed invariant
+#: per-segment tolerance for the unit-speed invariant, per unit of domain length
 TOL_UNIT_SPEED = 1e-12
+#: floors converted, or curve parameters placed, at a time: temporaries stay small
+_BLOCK = 1 << 14
+
+
+def _speed_defect(chords: np.ndarray, widths: np.ndarray) -> float:
+    """Largest ``| |chord| - width |`` over the segments."""
+    lengths = np.abs(chords)
+    lengths -= widths
+    return float(np.max(np.abs(lengths, out=lengths)))
 
 
 def angle_to_symmetric(angle: float) -> float:
@@ -92,7 +101,10 @@ class PLCurve:
         return np.append(self.x, self.length)
 
     def segment_lengths(self) -> np.ndarray:
-        return np.diff(self.segment_bounds())
+        widths = np.empty(len(self.x))
+        np.subtract(self.x[1:], self.x[:-1], out=widths[:-1])
+        widths[-1] = self.length - self.x[-1]
+        return widths
 
     def tangents(self) -> np.ndarray:
         """Unit tangent of each segment."""
@@ -124,12 +136,23 @@ class PLCurve:
 
     def unit_speed_defect(self) -> float:
         """Largest deviation of chord length from parameter length."""
-        return float(np.max(np.abs(np.abs(np.diff(self.z)) - self.segment_lengths())))
+        return _speed_defect(np.diff(self.z), self.segment_lengths())
 
     def require_unit_speed(self) -> None:
-        defect = self.unit_speed_defect()
-        if defect > TOL_UNIT_SPEED:
-            raise NonUnitSpeed(f"unit-speed defect {defect:.3e} exceeds {TOL_UNIT_SPEED}")
+        self._unit_chords()
+
+    def _unit_chords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each segment's chord ``z[i+1] - z[i]`` and width, once their lengths agree.
+
+        The tolerance is ``TOL_UNIT_SPEED`` per unit of domain length (and
+        never less than it), as the rounding of the vertices grows with it.
+        """
+        chords, widths = np.diff(self.z), self.segment_lengths()
+        defect = _speed_defect(chords, widths)
+        tol = TOL_UNIT_SPEED * max(1.0, self.length)
+        if defect > tol:
+            raise NonUnitSpeed(f"unit-speed defect {defect:.3e} exceeds {tol:.3g}")
+        return chords, widths
 
     # -- exports ----------------------------------------------------------
 
@@ -177,10 +200,14 @@ class IntervalSeq:
 
     def __post_init__(self) -> None:
         self.y = np.asarray(self.y, dtype=float)
-        if self.delta <= 0:
-            raise ValueError("interval width must be positive")
-        if np.any(np.diff(self.y) < self.delta - 1e-15):
-            raise ValueError("intervals must be ordered and disjoint")
+        if not self.delta > 0:
+            raise InvalidInput(f"interval width must be positive, got {self.delta}")
+        # touching ends, each correctly rounded, may sit up to two spacings
+        # of the largest end too close; never less than 1e-15
+        top = float(np.max(np.abs(self.y), initial=0.0)) + self.delta
+        slack = max(1e-15, 2.0 * float(np.spacing(top)))
+        if np.any(np.diff(self.y) < self.delta - slack):
+            raise InvalidInput("intervals must be ordered and disjoint")
 
     @property
     def count(self) -> int:
@@ -190,47 +217,60 @@ class IntervalSeq:
         """Interleaved endpoints ``y_0, y_0+delta, y_1, ...`` for zone lookup."""
         out = np.empty(2 * self.count)
         out[0::2] = self.y
-        out[1::2] = self.y + self.delta
+        np.add(self.y, self.delta, out=out[1::2])
         return out
 
 
-def _offsets(g: np.ndarray, one_minus: complex) -> tuple[np.ndarray, np.ndarray]:
-    """``upper`` and ``lower`` from the curve values ``g`` at the interleaved interval ends.
+def _shift_table(g: np.ndarray, index: np.ndarray, one_minus: complex) -> np.ndarray:
+    """``[-0, upper_0, lower_0, upper_1, ...]`` from the curve values at the interval ends.
 
-    With ``g[2k]`` the value at the k-th interval's left end and ``g[2k+1]``
-    at its right end, ``upper[k] = lower[k-1] + g[2k]*(1-rot)`` and
-    ``lower[k] = upper[k] - g[2k+1]*(1-rot)``: one running sum over the
-    interleaved steps, added in the same order.
+    ``g[r]`` is the value at the interleaved end ``index[r]``: with ``v[2k]``
+    the value at the k-th interval's left end and ``v[2k+1]`` at its right
+    end, ``upper[k] = lower[k-1] + v[2k]*(1-rot)`` and ``lower[k] = upper[k]
+    - v[2k+1]*(1-rot)``: one running sum over the interleaved steps, added in
+    the same order.  Each product is rounded as the scalar complex product
+    rounds it (numpy's vectorized complex multiply can differ from it in the
+    last ulp), from separately rounded real multiplies and adds.  The leading
+    ``-0.0`` is the shift of zone 0, the identity of floating-point addition.
     """
-    steps = _scalar_product(g, one_minus)
+    table = np.empty(len(g) + 1, dtype=complex)
+    table[0] = complex(-0.0, -0.0)
+    steps = table[1:]
+    steps[index] = g
+    re, im = steps.real, steps.imag
+    im_w = im * one_minus.imag
+    re_w = re * one_minus.imag
+    re *= one_minus.real
+    re -= im_w
+    im *= one_minus.real
+    np.add(re_w, im, out=im)
+    del im_w, re_w
     np.negative(steps[1::2], out=steps[1::2])
-    sums = np.cumsum(steps)
-    return sums[0::2], sums[1::2]
-
-
-def _scalar_product(z: np.ndarray, w: complex) -> np.ndarray:
-    """``z * w`` rounded exactly as the scalar complex product rounds it.
-
-    numpy's vectorized complex multiply can differ from the scalar product
-    in the last ulp; separately rounded real multiplies and adds reproduce
-    the scalar product, so the offsets match the one-term-at-a-time recursion.
-    """
-    out = np.empty(len(z), dtype=complex)
-    out.real = z.real * w.real - z.imag * w.imag
-    out.imag = z.real * w.imag + z.imag * w.real
-    return out
+    np.cumsum(steps, out=steps)
+    return table
 
 
 def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLCurve:
     """Rotate the curve pieces over the intervals by ``phi``, keeping continuity.
 
     The output lives on the same domain, is continuous and keeps unit speed;
-    the interval endpoints are inserted as new breakpoints.  One stable sort
-    of the old breakpoints followed by the interval ends merges the two,
-    which need not be sorted against each other (nor the ends among
-    themselves, to the ulp): an end's segment is the count of old
-    breakpoints before it, so each end is evaluated once, and a parameter's
-    zone is the running count of ends.  Old vertices are carried as they are.
+    the interval endpoints are inserted as new breakpoints.
+
+    Merge: one stable sort of the old breakpoints followed by the interval
+    ends merges the two, which need not be sorted against each other (nor
+    the ends among themselves, to the ulp).  An end's segment is the count
+    of old breakpoints before it, so each end is evaluated once, on the
+    unit tangent formed from the chord that the unit-speed check takes, and
+    a parameter's zone is the running count of ends.  Each kept parameter
+    reads its value straight from the old vertices or from the evaluated
+    ends, a block of ``_BLOCK`` parameters at a time, so no merged array of
+    values is formed; old vertices are carried as they are.
+
+    Shifts: zone ``j`` is rotated by ``phi`` when ``j`` is odd and then
+    moved by ``shifts[j]``, one lookup in the table ``[-0, upper_0, lower_0,
+    upper_1, ...]`` of ``_shift_table``.  Zone 0 lies before every interval
+    and must stay as it is: ``v + (-0.0)`` is ``v`` bit for bit, ``-0.0``
+    included, where ``+0.0`` would turn a ``-0.0`` into ``+0.0``.
 
     The output's ``increment`` is ``sup |output - curve|``, bit for bit the
     maximum of the modulus over both curves' breakpoints and the right end:
@@ -238,7 +278,10 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     are at hand; at the old breakpoints that the merge tolerance drops and at
     the right end, where the output is a limit, both are evaluated.
     """
-    curve.require_unit_speed()
+    # the unit tangents, formed as tangents() forms them
+    tangents, widths = curve._unit_chords()
+    tangents /= widths
+    del widths
     if not -pi <= phi < pi:
         phi = angle_to_symmetric(phi)
     y = intervals.y
@@ -250,79 +293,124 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     # an old breakpoint sorts before an equal end, so it counts as before it;
     # each temporary is released once used, which keeps the peak memory down
     bounds = intervals.bounds()
+    right_zone = np.count_nonzero(bounds <= curve.length)
     params = np.concatenate([curve.x, bounds])
+    del bounds
     order = np.argsort(params, kind="stable")
-    params = params[order]
+    params = params.take(order)
     is_end = order >= old
     at_end = np.flatnonzero(is_end)
-    # the old breakpoints before an end, less one, index its segment; a piece
-    # ending at the domain's right end may round above it
-    g = curve._on_segments(np.minimum(params[at_end], curve.length),
-                           at_end - np.arange(len(at_end)) - 1)
-    by_end = np.empty_like(g)
-    by_end[order[at_end] - old] = g
+    by_end = order.take(at_end)
     del order
-    upper, lower = _offsets(by_end, 1.0 - rot)
+    by_end -= old
+    q = params.take(at_end)
+    # the old breakpoints before an end, less one, index its segment
+    at_end -= np.arange(1, len(at_end) + 1)
+    g = _on_tangents(curve, tangents, q, at_end)
+    del tangents, at_end, q
+    shifts = _shift_table(g, by_end, 1.0 - rot)
     del by_end
-    values = np.empty(len(params), dtype=complex)
-    values[is_end] = g
-    values[~is_end] = curve.z[:-1]
-    del g, at_end
     # zone 0 precedes every interval; odd zones are rotated, even translated
-    zone = np.cumsum(is_end)
-    del is_end
+    zone = np.cumsum(is_end, dtype=np.int32)
 
-    # of equal parameters the last one is kept: its zone counts every end equal to it
-    kept = np.flatnonzero(np.append(params[1:] != params[:-1], True) & (params < curve.length))
+    # of equal parameters the last one below the right end is kept: its zone
+    # counts every end equal to it; the parameters below the right end are a prefix
+    below = int(np.searchsorted(params, curve.length))
+    last = np.empty(below, dtype=bool)
+    np.not_equal(params[1:below], params[:below - 1], out=last[:-1])
+    last[-1] = True
+    kept = np.flatnonzero(last)
+    del last
+    new_x = params.take(kept)
     # merge numerically coincident breakpoints: a zero-length segment carries
     # no geometry but fabricates spurious self-contacts downstream
     merge_tol = 1e-13 * max(1.0, curve.length)
-    close = np.concatenate([[False], np.diff(params[kept]) <= merge_tol])
-    dropped = kept[close]
-    kept = kept[~close]
-    if len(kept) > 1 and params[kept[-1]] > curve.length - merge_tol:
+    far = np.empty(len(kept), dtype=bool)
+    far[0] = True
+    np.greater(np.diff(new_x), merge_tol, out=far[1:])
+    new_at = np.flatnonzero(~far)
+    dropped = kept.take(new_at)
+    # a dropped parameter lies on the last new segment that starts before it
+    new_at -= np.arange(1, len(new_at) + 1)
+    kept = kept[far]
+    new_x = new_x[far]
+    del far
+    if len(kept) > 1 and new_x[-1] > curve.length - merge_tol:
         dropped = np.append(dropped, kept[-1])
-        kept = kept[:-1]
-    # a parameter's old segment is its position less the ends up to it; the
-    # increment needs the dropped parameters that are old breakpoints
+        new_at = np.append(new_at, len(kept) - 2)
+        kept, new_x = kept[:-1], new_x[:-1]
+    # a parameter's position less the ends up to it is the last old
+    # breakpoint up to it; the increment needs the dropped parameters that
+    # are old breakpoints
     slot = dropped - zone[dropped]
     old_dropped = curve.x[slot] == params[dropped]
-    dropped, slot = params[dropped[old_dropped]], slot[old_dropped]
-    new_x = params[kept]
-    del params
-    # the right end is a limit of the last segment, evaluated as evaluate() does
-    values = np.append(values[kept], curve._on_segments(curve.length, old - 1))
-    zone = np.append(zone[kept], np.count_nonzero(bounds <= curve.length))
-    del kept
-    out = values.copy()
-    inside = (zone % 2) == 1
-    k_in = (zone[inside] - 1) // 2
-    out[inside] = values[inside] * rot + upper[k_in]
-    after = (zone > 0) & ~inside
-    k_after = zone[after] // 2 - 1
-    out[after] = values[after] + lower[k_after]
-    del zone, inside, k_in, after, k_after
+    kinks = (params[dropped[old_dropped]], slot[old_dropped], new_at[old_dropped])
+    del params, dropped, slot, new_at
+    # a kept old breakpoint reads its vertex, a kept end its value, the one
+    # of rank zone - 1; the right end is a limit of the last segment,
+    # evaluated as evaluate() does; the kept parameters go a block at a time,
+    # so no temporary holds more than a block
+    k = len(kept)
+    out = np.empty(k + 1, dtype=complex)
+    increment = 0.0
+    for start in range(0, k, _BLOCK):
+        block = kept[start:start + _BLOCK]
+        zone_b = zone.take(block)
+        values = curve.z.take(block - zone_b)
+        ends = np.flatnonzero(is_end.take(block))
+        values[ends] = g.take(zone_b.take(ends) - 1)
+        increment = max(increment, _shift_block(values, zone_b, rot, shifts,
+                                                out[start:start + len(block)]))
+    del zone, is_end, g, kept
+    right = curve._on_segments(curve.length, old - 1)
+    _shift_block(np.array([right]), np.array([right_zone]), rot, shifts, out[k:])
     rotated = PLCurve(curve.length, new_x, out)
-    rotated.increment = _increment(curve, rotated, values, dropped, slot)
+    rotated.increment = max(increment, _kink_increment(curve, rotated, *kinks))
     return rotated
 
 
-def _increment(curve: PLCurve, rotated: PLCurve, values: np.ndarray,
-               dropped: np.ndarray, slot: np.ndarray) -> float:
-    """``sup |rotated - curve|`` over the breakpoints of both curves and the right end.
+def _shift_block(values: np.ndarray, zone: np.ndarray, rot: complex, shifts: np.ndarray,
+                 out: np.ndarray) -> float:
+    """Write the zones' images of ``values`` to ``out``; the largest distance moved.
 
-    ``values`` holds ``curve`` at the breakpoints of ``rotated``, where
-    ``rotated.z`` holds ``rotated``, and is overwritten.  ``dropped`` are
-    the breakpoints ``curve.x[slot]`` that ``rotated`` does not have; there
-    and at the right end both curves are evaluated on the segments
-    ``evaluate`` picks.
+    Odd zones rotate by ``rot``, and zone ``j`` then adds ``shifts[j]``.
+    ``values`` is overwritten.
     """
-    np.subtract(rotated.z[:-1], values[:-1], out=values[:-1])
-    kinks = np.append(dropped, curve.length)
-    new_at = np.searchsorted(rotated.x, kinks, side="right") - 1
-    elsewhere = (rotated._on_segments(kinks, new_at)
-                 - curve._on_segments(kinks, np.append(slot, curve.n_segments - 1)))
-    return float(max(np.max(np.abs(values[:-1])), np.max(np.abs(elsewhere))))
+    moved = np.where((zone & 1) == 0, values, values * rot)
+    np.add(moved, shifts.take(zone), out=out)
+    values -= out
+    return float(np.max(np.abs(values)))
+
+
+def _on_tangents(curve: PLCurve, tangents: np.ndarray, q: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
+    """``curve._on_segments(q, idx)`` bit for bit, from the segments' unit tangents.
+
+    A parameter above the domain's right end (a piece ending there may round
+    above it) is taken at the right end.  ``q`` is overwritten.
+    """
+    np.minimum(q, curve.length, out=q)
+    q -= curve.x.take(idx)
+    g = tangents.take(idx)
+    np.multiply(q, g, out=g)
+    return np.add(curve.z.take(idx), g, out=g)
+
+
+def _kink_increment(curve: PLCurve, rotated: PLCurve, x: np.ndarray, slot: np.ndarray,
+                    new_at: np.ndarray) -> float:
+    """``|rotated - curve|`` at most at the right end and the kinks ``rotated`` lacks.
+
+    The kinks are the old breakpoints ``x = curve.x[slot]``, on the segments
+    ``new_at`` of ``rotated``; there and at the right end both curves are
+    evaluated on the segments ``evaluate`` picks.  At a kink ``curve`` is
+    its vertex: evaluation adds ``0 * tangent``, which may change only the
+    sign of a zero, and no modulus.
+    """
+    at = np.append(x, curve.length)
+    moved = rotated._on_segments(at, np.append(new_at, rotated.n_segments - 1))
+    moved[:-1] -= curve.z.take(slot)
+    moved[-1] -= curve._on_segments(curve.length, curve.n_segments - 1)
+    return float(np.max(np.abs(moved)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +441,6 @@ _MAX_SYMBOLS = (1 << (63 - _COUNT_BITS - _LIMB_BITS)) - 1
 #: bits of each translation the limbs keep: three limbs, less a sign margin
 _KEPT_BITS = 3 * _LIMB_BITS - 2
 _UNIT_ROUNDOFF = 2.0**-53
-#: floors converted at a time: the limb arithmetic's temporaries stay small
-_BLOCK = 1 << 14
 
 
 def _require_count_width(budget: int) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from math import pi, sin, tau
@@ -156,6 +157,44 @@ def test_operator_rejects_bad_inputs():
         breaking_operator(crooked, 0.3, IntervalSeq(np.array([0.1]), 0.05))
 
 
+def test_unit_speed_tolerance_scales_with_the_domain_length():
+    # one ulp of 5e5 is 5.8e-11: above 1e-12, but a relative error of 1e-16
+    far = float(np.nextafter(5e5, np.inf))
+    rounded = PLCurve(1e6, np.array([0.0, 5e5]), np.array([0.0, far, far + 5e5]))
+    assert rounded.unit_speed_defect() > breaking.TOL_UNIT_SPEED
+    out = breaking_operator(rounded, 0.3, IntervalSeq(np.array([1e5]), 5e4))
+    out.require_unit_speed()
+    bent = PLCurve(1e6, np.array([0.0, 5e5]), np.array([0.0, 5e5 + 1e-3, 1e6 + 1e-3]))
+    with pytest.raises(NonUnitSpeed):
+        breaking_operator(bent, 0.3, IntervalSeq(np.array([1e5]), 5e4))
+
+
+def test_intervals_admit_touching_ends_of_long_domains():
+    # [999.0003, 999.0006) and [999.0006, 999.0009) touch; rounded, the
+    # ends lie 7.5e-14 closer than the rounded width
+    touching = IntervalSeq(np.array([999.0003, 999.0006]), 0.0003)
+    assert touching.delta - np.diff(touching.y)[0] > 7e-14
+    with pytest.raises(InvalidInput, match="disjoint"):
+        IntervalSeq(np.array([999.0003, 999.0005]), 0.0003)
+    # at length 1 the slack stays 1e-15
+    with pytest.raises(InvalidInput, match="disjoint"):
+        IntervalSeq(np.array([0.5, 0.6 - 2e-15]), 0.1)
+    with pytest.raises(InvalidInput, match="disjoint"):
+        IntervalSeq(np.array([0.3, 0.2]), 0.05)
+    for width in (0.0, -0.1, float("nan")):
+        with pytest.raises(InvalidInput, match="positive"):
+            IntervalSeq(np.array([0.1]), width)
+
+
+def test_operator_keeps_the_bytes_of_a_negative_zero():
+    # zone 0 adds the shift -0.0, which keeps -0.0 as it is; +0.0 would not
+    curve = PLCurve(1.0, np.array([0.0, 0.25]),
+                    np.array([complex(-0.0, -0.0), complex(-0.0, 0.25), complex(0.75, 0.25)]))
+    out = breaking_operator(curve, 0.4, IntervalSeq(np.array([0.5]), 0.1))
+    assert np.array_equal(out.x[:2], curve.x)
+    assert out.z[:2].tobytes() == curve.z[:2].tobytes()
+
+
 def _operator_oracle(curve, phi, intervals):
     """Reference for ``breaking_operator``: union of the breakpoints, then lookups.
 
@@ -221,14 +260,16 @@ def test_operator_matches_oracle_on_random_exchanges():
     # ulp before the previous end; the oracle then bisects unsorted ends
     rng = np.random.default_rng(21)
     sorted_levels = inverted_levels = 0
-    for d in range(2, 8):
+    # four walks on each of 2..7 symbols, then one on lengths a thousand
+    # times larger, whose ends round a thousand times coarser
+    for d, count, scale in [(d, 4, 1) for d in range(2, 8)] + [(4, 1, 1000)]:
         walks = 0
-        while walks < 4:
+        while walks < count:
             perm = Permutation.from_monodromy(list(rng.permutation(d) + 1))
             if not is_irreducible(perm):
                 continue
             trace = rauzy_iterate(build_iet(perm, Lengths.from_values(
-                list(rng.dirichlet(np.ones(d))))), 25)
+                list(scale * rng.dirichlet(np.ones(d))))), 25)
             depth = trace.n_steps
             while depth > 1 and segment_bound(trace, depth) > 50_000:
                 depth -= 1
@@ -243,8 +284,25 @@ def test_operator_matches_oracle_on_random_exchanges():
                     assert got.z.tobytes() == want.z.tobytes()
                 else:
                     inverted_levels += 1
-                    assert np.max(np.abs(got.z - want.z)) <= 1e-15
+                    assert np.max(np.abs(got.z - want.z)) <= 1e-15 * scale
     assert sorted_levels > 300 and inverted_levels > 0
+
+
+def test_operator_peak_memory_is_a_small_multiple_of_its_output(reference, reference_trace):
+    # the traced peak of the level-56 catalog call: 23.2 MB, 4.1 times its
+    # output, when every temporary was as long as the merged breakpoints
+    sample = sample_theta(reference.stable_frame_exact(), 0.5, 0,
+                          upsilon=reference.iet.upsilon, trace=reference_trace)
+    for curve, phi, intervals in _operator_levels(reference_trace, sample.v, 56):
+        pass
+    tracemalloc.start()
+    try:
+        out = breaking_operator(curve, phi, intervals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n_segments == 232_796
+    assert peak < 3.5 * (out.x.nbytes + out.z.nbytes)
 
 
 def test_operator_takes_an_end_an_ulp_out_of_order():

@@ -263,6 +263,16 @@ def test_curves_beyond_the_segment_budget_exit_2(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("lengths", ["394.9407,592.2364,11.5048,1.3181",
+                                     "394940.7,592236.4,11504.8,1318.1"])
+def test_curves_of_long_exchanges_build(tmp_path, lengths):
+    # the rounding of interval ends and vertices grows with the domain length
+    proc = run_cli(["curve", "--perm", "4 3 2 1", "--lambda", lengths, "--steps", "20",
+                    "--theta", "0.1,-0.05,0.03,0.02", "--json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["segments"] > 1
+
+
 @pytest.mark.parametrize("args", [
     ["lyapunov", "--catalog", "--zorich-steps", "2000", "--json"],
     ["zorich", "--catalog", "--zorich-steps", "400", "--json"],
