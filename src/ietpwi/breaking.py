@@ -85,9 +85,9 @@ class PLCurve:
         self.x = np.asarray(self.x, dtype=float)
         self.z = np.asarray(self.z, dtype=complex)
         if self.x.ndim != 1 or self.z.ndim != 1 or len(self.z) != len(self.x) + 1:
-            raise ValueError("need one vertex per breakpoint plus the right-end value")
-        if self.x[0] != 0.0:
-            raise ValueError("breakpoints must start at 0")
+            raise InvalidInput("need one vertex per breakpoint plus the right-end value")
+        if not len(self.x) or self.x[0] != 0.0:
+            raise InvalidInput("breakpoints must start at 0")
 
     @classmethod
     def identity(cls, length: float) -> "PLCurve":

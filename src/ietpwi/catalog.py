@@ -19,6 +19,7 @@ from math import gcd
 
 import numpy as np
 
+from .errors import InvalidInput
 from .iet import IETState, Lengths, Permutation, build_iet
 from .rauzy import (IntMatrix, InductionStep, _combinatorial_step, elementary_update,
                     identity_matrix, undo_update)
@@ -71,7 +72,7 @@ def loop_matrix_for(start: Permutation, types: tuple[int, ...]) -> tuple[IntMatr
         inverse = undo_update(inverse, step.loser, step.winner)
         perm = _combinatorial_step(perm, eps)
     if (perm.top, perm.bottom) != (start.top, start.bottom):
-        raise ValueError("type word does not close up in the Rauzy graph")
+        raise InvalidInput("type word does not close up in the Rauzy graph")
     return matrix, inverse
 
 

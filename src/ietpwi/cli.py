@@ -1,9 +1,9 @@
 """Command-line pipeline: induct, accelerate, analyze, sample, build, verify.
 
-Every command accepts ``--config FILE`` (JSON) with individual flags taking
-precedence, honors ``--seed`` for bit-reproducible output and ``--json``
-for machine-readable results.  Malformed input ends in a typed error and
-exit code 2.
+Each command accepts only the options ``COMMANDS`` lists for it, and
+``--config FILE`` (JSON; flags override it, and a command ignores the keys
+it does not read).  ``--seed`` makes output bit-reproducible.  Malformed
+input, an unlisted option included, ends in exit code 2.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class RunConfig:
                                        f"{', '.join(names)}")
                 setattr(cfg, key, value)
         for key in ("perm", "levels", "zorich_steps", "delta", "seed",
-                    "deep_levels", "out", "use_catalog"):
+                    "deep_levels", "out", "json_output", "use_catalog"):
             value = getattr(args, key, None)
             if value is not None:
                 setattr(cfg, key, value)
@@ -63,8 +63,6 @@ class RunConfig:
                 cfg.theta = [float(p) for p in args.theta.split(",")]
             except ValueError:
                 raise InvalidInput(f"--theta entries must be numbers: {args.theta!r}") from None
-        if getattr(args, "json_output", False):
-            cfg.json_output = True
         for key, flag, low in (("levels", "--steps", 0), ("deep_levels", "--deep-levels", 0),
                                ("zorich_steps", "--zorich-steps", 1), ("seed", "--seed", 0)):
             value = getattr(cfg, key)
@@ -155,8 +153,7 @@ def cmd_induct(cfg: RunConfig) -> int:
     else:
         sys.stdout.write(buf.getvalue())
     if trace.error is not None:
-        print(f"stopped early after {trace.n_steps} steps: {trace.error}",
-              file=sys.stderr)
+        print(f"stopped early after {trace.n_steps} steps: {trace.error}", file=sys.stderr)
         return 1
     return 0
 
@@ -199,15 +196,19 @@ def cmd_lyapunov(cfg: RunConfig) -> int:
     return 0
 
 
+#: cap on the float frame's blocks; it stops at its rounding floor first (114 blocks by default)
+FRAME_BLOCKS = 1000
+
+
 def _stable_frame(cfg: RunConfig, iet: IETState):
     if cfg.use_catalog:
         return catalog.symmetric4_self_inducing().stable_frame_exact()
-    return spectral.stable_subspace(iet, max(40, cfg.zorich_steps)).frame
+    return spectral.stable_subspace(iet, FRAME_BLOCKS).frame
 
 
 def cmd_sample_theta(cfg: RunConfig) -> int:
     iet = cfg.build()
-    trace = rauzy.rauzy_iterate(iet, max(cfg.levels, spectral.N_CHECK))
+    trace = rauzy.rauzy_iterate(iet, spectral.N_CHECK)
     frame = _stable_frame(cfg, iet)
     sample = spectral.sample_theta(frame, cfg.delta, cfg.seed,
                                    upsilon=iet.upsilon, trace=trace)
@@ -282,7 +283,8 @@ def _continue(trace: rauzy.InductionTrace, seq: breaking.ThetaSeq, curves: list,
 def cmd_curve(cfg: RunConfig) -> int:
     iet = cfg.build()
     depth = cfg.levels
-    trace = rauzy.rauzy_iterate(iet, max(depth, spectral.N_CHECK))
+    sampling = depth if cfg.theta is not None else cfg.deep(max(depth, 25))
+    trace = rauzy.rauzy_iterate(iet, max(sampling, depth, spectral.N_CHECK))
     _, origin, _, curves, _ = _sampled_curves(cfg, iet, trace, depth)
     curve = curves[-1]
     base = cfg.out or "curve"
@@ -352,6 +354,36 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report.all_pass else 1
 
 
+#: argparse's keywords for each command option, by flag
+OPTIONS = {
+    "perm": dict(help='monodromy string, e.g. "4 3 2 1", or JSON'),
+    "lambda": dict(dest="lengths", help="comma-separated lengths; fractions like 43/100 allowed"),
+    "theta": dict(help="comma-separated rotation coordinates"),
+    "steps": dict(dest="levels", type=int, help="induction levels"),
+    "zorich-steps": dict(type=int, help="Zorich blocks the growth rates average over"),
+    "delta": dict(type=float, help="sampling radius start value"),
+    "seed": dict(type=int, help="random seed"),
+    "deep-levels": dict(type=int, help="level of the limit-proxy curve"),
+    "out": dict(help="output path"),
+    "json": dict(dest="json_output", action="store_true", default=None,
+                 help="machine-readable output only"),
+    "catalog": dict(dest="use_catalog", action="store_true", default=None,
+                    help="use the built-in self-inducing 4-symbol exchange"),
+}
+
+#: each command's handler and the options it reads, the only ones it accepts
+COMMANDS = {
+    "induct": (cmd_induct, "perm lambda steps out catalog"),
+    "zorich": (cmd_zorich, "perm lambda steps json catalog"),
+    "rauzy-graph": (cmd_rauzy_graph, "perm out json"),
+    "lyapunov": (cmd_lyapunov, "perm lambda zorich-steps json catalog"),
+    "sample-theta": (cmd_sample_theta, "perm lambda delta seed json catalog"),
+    "curve": (cmd_curve, "perm lambda theta steps delta seed deep-levels out json catalog"),
+    "pwi": (cmd_pwi, "perm lambda theta steps delta seed deep-levels out json catalog"),
+    "verify": (cmd_verify, "perm lambda theta steps delta seed deep-levels json catalog"),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ietpwi",
@@ -359,40 +391,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "piecewise isometry embeddings")
     parser.add_argument("--config", help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--perm", help='monodromy string, e.g. "4 3 2 1", or JSON')
-        p.add_argument("--lambda", dest="lengths",
-                       help="comma-separated lengths; fractions like 43/100 allowed")
-        p.add_argument("--theta", help="comma-separated rotation coordinates")
-        p.add_argument("--steps", dest="levels", type=int, help="induction levels")
-        p.add_argument("--zorich-steps", dest="zorich_steps", type=int)
-        p.add_argument("--delta", type=float, help="sampling radius start value")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--deep-levels", dest="deep_levels", type=int,
-                       help="level of the limit-proxy curve")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--json", dest="json_output", action="store_true",
-                       help="machine-readable output only")
-        p.add_argument("--catalog", dest="use_catalog", action="store_true", default=None,
-                       help="use the built-in self-inducing 4-symbol exchange")
-
-    handlers = {
-        "induct": cmd_induct,
-        "zorich": cmd_zorich,
-        "rauzy-graph": cmd_rauzy_graph,
-        "lyapunov": cmd_lyapunov,
-        "sample-theta": cmd_sample_theta,
-        "curve": cmd_curve,
-        "pwi": cmd_pwi,
-        "verify": cmd_verify,
-    }
-    for name in handlers:
-        common(sub.add_parser(name))
+    for name, (_, options) in COMMANDS.items():
+        command = sub.add_parser(name)
+        for option in options.split():
+            command.add_argument(f"--{option}", **OPTIONS[option])
 
     args = parser.parse_args(argv)
     try:
-        status = handlers[args.command](RunConfig.from_args(args))
+        status = COMMANDS[args.command][0](RunConfig.from_args(args))
         # a reader that closed the pipe must show up here, not at exit
         sys.stdout.flush()
         return status

@@ -30,7 +30,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import RauzyUndefined, Reducible
+from .errors import InvalidInput, RauzyUndefined, Reducible
 from .iet import IETState, Lengths, Permutation, build_iet, is_irreducible
 
 #: relative tie tolerance: induction aborts when the two candidate lengths
@@ -221,7 +221,7 @@ def rauzy_iterate(iet: IETState, n: int) -> InductionTrace:
     ``error == "RauzyUndefined"``.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidInput(f"n must be >= 0, got {n}")
     return _iterate(iet, max_steps=n, max_blocks=None)
 
 
@@ -232,7 +232,7 @@ def zorich_iterate(iet: IETState, m: int) -> InductionTrace:
     tie ``trace.n_steps`` equals the sum of the ``m`` acceleration times.
     """
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise InvalidInput(f"m must be >= 0, got {m}")
     # no blocks takes no step, not even one that would tie
     return _iterate(iet, max_steps=None if m else 0, max_blocks=m)
 

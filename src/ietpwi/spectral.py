@@ -202,16 +202,6 @@ def _block_chunks(iet: IETState, m: int, size: int) -> Iterator[np.ndarray]:
         states = states[-1:]
 
 
-def _blocks(iet: IETState, m: int) -> Iterator[np.ndarray]:
-    """Drive up to ``m`` Zorich blocks, yielding each block's restricted matrix.
-
-    These are ``_block_chunks`` of one block each, so a block is driven only
-    when the consumer asks for its matrix.
-    """
-    for chunk in _block_chunks(iet, m, 1):
-        yield chunk[0]
-
-
 # ---------------------------------------------------------------------------
 # growth rates
 # ---------------------------------------------------------------------------
@@ -292,7 +282,7 @@ def stable_subspace(iet: IETState, m: int) -> StableFrame:
     product, window = np.eye(2 * g), 0
     bottom = previous = None
     gap = np.inf
-    for window, matrix in enumerate(_blocks(iet, m), 1):
+    for window, (matrix,) in enumerate(_block_chunks(iet, m, 1), 1):
         product = matrix @ product
         product = product / np.linalg.norm(product)
         _, s, vt = np.linalg.svd(product)
@@ -351,7 +341,7 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
     Exact rational frames are combined exactly so deep pushes stay faithful.
     """
     if not 0 < delta < np.pi:
-        raise ValueError("delta must lie in (0, pi)")
+        raise InvalidInput(f"delta must lie in (0, pi), got {delta!r}")
     columns = _frame_columns(frame)
     g = len(columns)
     rng = np.random.default_rng(seed)

@@ -20,6 +20,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .breaking import PLCurve, ThetaSeq
+from .errors import InvalidInput
 from .iet import IETState, apply_exact
 from .pwi import AdaptedPWI, PlanarIsometry, hat_maps, inductive_maps, map_distance
 from .rauzy import InductionTrace
@@ -203,7 +204,7 @@ def convergence_report(increments: Sequence[float], curve: PLCurve, theta_seq: T
     angle ``pi/2`` and fails.
     """
     if len(increments) < 2:
-        raise ValueError("need at least 2 increments")
+        raise InvalidInput(f"need at least 2 increments, got {len(increments)}")
     total = trace.initial.total
     report = VerificationReport()
     bounds = []

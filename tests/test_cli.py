@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ietpwi import breaking, verify
-from ietpwi.cli import RunConfig, main
+from ietpwi.cli import COMMANDS, RunConfig, main
 
 from conftest import SRC_DIR
 
@@ -225,7 +225,6 @@ def test_config_file_and_flag_override(tmp_path):
     ["verify", "--catalog", "--theta", "0,0,0,0,0", "--steps", "2"],
     ["sample-theta", "--catalog", "--seed", "-1"],
     ["verify", "--catalog", "--steps", "300"],
-    ["curve", "--catalog", "--steps", "5", "--deep-levels", "100"],
     ["lyapunov", "--catalog", "--zorich-steps", "1"],
     ["curve", "--perm", "2 1", "--lambda", "0.618,0.382", "--theta", "nan,0.2",
      "--steps", "3"],
@@ -253,6 +252,7 @@ def test_malformed_input_exits_2(tmp_path, args):
     ["pwi", "--catalog", "--deep-levels", "90"],
     ["verify", "--catalog", "--deep-levels", "90"],
     ["verify", "--catalog", "--steps", "40"],  # deep level 80
+    ["curve", "--catalog", "--steps", "5", "--deep-levels", "100"],  # sampled at level 100
 ])
 def test_curves_beyond_the_segment_budget_exit_2(tmp_path, args):
     # the catalog's level-71 curve may hold more than 10**7 segments
@@ -261,6 +261,15 @@ def test_curves_beyond_the_segment_budget_exit_2(tmp_path, args):
     assert "BudgetExceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_curve_samples_deeper_than_it_draws(tmp_path):
+    # the sampled theta is tested on the level-50 curve, so the trace must
+    # reach level 50, not only level 3, where the curve is drawn
+    proc = run_cli(["curve", "--catalog", "--steps", "3", "--deep-levels", "50", "--seed", "1",
+                    "--json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["segments"] > 1
 
 
 @pytest.mark.parametrize("lengths", ["394.9407,592.2364,11.5048,1.3181",
@@ -275,7 +284,7 @@ def test_curves_of_long_exchanges_build(tmp_path, lengths):
 
 @pytest.mark.parametrize("args", [
     ["lyapunov", "--catalog", "--zorich-steps", "2000", "--json"],
-    ["zorich", "--catalog", "--zorich-steps", "400", "--json"],
+    ["zorich", "--catalog", "--json"],
     ["curve", "--catalog", "--steps", "20", "--json"],
 ])
 def test_closed_output_pipe_exits_1_quietly(tmp_path, args):
@@ -407,6 +416,50 @@ def test_verify_keeps_only_the_curves_it_reads(tmp_path, monkeypatch):
     assert len(made) >= 63 and alive == [3]
 
 
+#: the options each command does not read, which it refuses
+DROPPED = {
+    "induct": "theta zorich-steps delta seed deep-levels json",
+    "zorich": "theta zorich-steps delta seed deep-levels out",
+    "rauzy-graph": "lambda theta steps zorich-steps delta seed deep-levels catalog",
+    "lyapunov": "theta steps delta seed deep-levels out",
+    "sample-theta": "theta steps zorich-steps deep-levels out",
+    "curve": "zorich-steps",
+    "pwi": "zorich-steps",
+    "verify": "zorich-steps out",
+}
+#: a value for each option that takes one
+OPTION_VALUES = {"perm": "4 3 2 1", "lambda": "0.5,0.3,0.1,0.1", "theta": "0,0,0,0",
+                 "steps": "3", "zorich-steps": "400", "delta": "0.1", "seed": "1",
+                 "deep-levels": "5", "out": "out.txt"}
+
+
+def test_each_command_accepts_the_options_it_reads():
+    every = {"perm", "lambda", "theta", "steps", "zorich-steps", "delta", "seed",
+             "deep-levels", "out", "json", "catalog"}
+    assert sorted(COMMANDS) == sorted(DROPPED)
+    for command, (_, options) in COMMANDS.items():
+        accepted, dropped = options.split(), DROPPED[command].split()
+        assert set(accepted).isdisjoint(dropped) and set(accepted) | set(dropped) == every
+    assert sum(len(options.split()) for _, options in COMMANDS.values()) == 53
+    assert sum(len(options.split()) for options in DROPPED.values()) == 35
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in DROPPED.items() for option in options.split()])
+def test_an_option_the_command_does_not_read_exits_2(command, option, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    value = [OPTION_VALUES[option]] if option in OPTION_VALUES else []
+    with pytest.raises(SystemExit) as info:
+        main([command, f"--{option}", *value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: --{option}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 #: sha256 of ``verify --catalog --steps 8 --delta 0.05 --seed S --json`` on
 #: stdout, recorded when the map agreement and conjugacy defects became
 #: maxima over corner and kink sets instead of random samples
@@ -458,8 +511,6 @@ def test_run_bytes_are_pinned(command, tmp_path, monkeypatch):
 #: values a user may mistype: non-finite, beyond double range, empty, not a
 #: number, out of range
 GARBAGE = st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-400", "", "abc", "-1", "0"])
-COMMANDS = ["induct", "zorich", "rauzy-graph", "lyapunov", "sample-theta", "curve",
-            "pwi", "verify"]
 MONODROMIES = ["4 3 2 1", "3 2 1", "2 1", "4 1 3 2", "5 4 3 2 1"]
 
 
@@ -492,9 +543,10 @@ def _number(token):
 
 @st.composite
 def cli_runs(draw):
-    """An argv of one command with valid and garbage flag values, and perhaps
-    a config file's object built the same way."""
-    command = draw(st.sampled_from(COMMANDS))
+    """An argv of one command with valid and garbage values of the options it
+    accepts, and perhaps a config file's object built the same way."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = COMMANDS[command][1].split()
     catalog = draw(st.booleans())
     monodromy = draw(st.sampled_from(MONODROMIES))
     d = 4 if catalog else len(monodromy.split())
@@ -502,23 +554,24 @@ def cli_runs(draw):
     depth = st.integers(0, 6)
     values = {
         "perm": perm,
-        "lengths": _vector(draw, st.floats(1e-3, 1.0), d),
+        "lambda": _vector(draw, st.floats(1e-3, 1.0), d),
         "theta": _vector(draw, st.floats(-1.0, 1.0), d),
-        "levels": _or_garbage(draw, depth, st.just(-1)),
-        "deep_levels": _or_garbage(draw, depth, st.just(-1)),
-        "zorich_steps": _or_garbage(draw, st.integers(1, 60), st.integers(-1, 0)),
+        "steps": _or_garbage(draw, depth, st.just(-1)),
+        "deep-levels": _or_garbage(draw, depth, st.just(-1)),
+        "zorich-steps": _or_garbage(draw, st.integers(1, 60), st.integers(-1, 0)),
         "delta": _or_garbage(draw, st.floats(0.01, 1.0), st.sampled_from([0.0, 4.0])),
         "seed": _or_garbage(draw, st.integers(0, 9), st.just(-1)),
     }
-    names = draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=6))
-    flags = {"lengths": "lambda", "levels": "steps"}
-    argv = [command] + [f"--{flags.get(k, k).replace('_', '-')}={values[k]}" for k in names]
+    names = draw(st.lists(st.sampled_from([o for o in options if o in values]), unique=True,
+                          max_size=6))
+    argv = [command] + [f"--{name}={values[name]}" for name in names]
     argv += [flag for flag, on in (("--catalog", catalog), ("--json", draw(st.booleans())))
-             if on]
+             if on and flag[2:] in options]
     config = None
     if draw(st.booleans()):
         keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=3))
-        config = {k: values[k] for k in keys}
+        fields = {"lambda": "lengths", "steps": "levels"}
+        config = {fields.get(k, k).replace("-", "_"): values[k] for k in keys}
         for key in ("lengths", "theta"):
             if key in config:  # lists of numbers, JSON's NaN and Infinity included
                 config[key] = [_number(v) for v in config[key].split(",")]

@@ -16,7 +16,6 @@ from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.rauzy import rauzy_class, rauzy_iterate
 from ietpwi.spectral import (
     _block_chunks,
-    _blocks,
     _CHUNK,
     _FloatInduction,
     genus,
@@ -218,7 +217,7 @@ def test_lyapunov_matches_singular_value_slope(golden_iet):
     """Independent oracle: top growth rate from the accumulated product norm."""
     est = lyapunov_spectrum(golden_iet, 6000)
     log, P, count = 0.0, np.eye(2), 0
-    for matrix in _blocks(golden_iet, 6000):
+    for matrix in spectral_oracles.block_matrices(golden_iet, 6000):
         P = matrix @ P
         norm = np.linalg.norm(P, 2)
         P = P / norm
@@ -236,7 +235,7 @@ def test_lyapunov_error_bars_are_batch_standard_errors(reference, m):
     # so no batch is empty
     logs = []
     frame = None
-    for matrix in _blocks(reference.iet, m):
+    for matrix in spectral_oracles.block_matrices(reference.iet, m):
         frame, r = np.linalg.qr(matrix if frame is None else matrix @ frame)
         logs.append(np.log(np.abs(r.diagonal())))
     logs = np.array(logs)
