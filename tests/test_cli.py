@@ -238,6 +238,8 @@ def test_config_file_and_flag_override(tmp_path):
     # a wrong-length theta is caught even where no level past 0 is built
     ["pwi", "--catalog", "--steps", "2", "--deep-levels", "0", "--theta", "0.1,0.2"],
     ["curve", "--catalog", "--steps", "0", "--theta", "0.1,0.2"],
+    # and where the trace runs past the drawn level to the sampling depth
+    ["curve", "--catalog", "--steps", "3", "--deep-levels", "50", "--theta", "0.1,0.2"],
 ])
 def test_malformed_input_exits_2(tmp_path, args):
     proc = run_cli(args, tmp_path)
