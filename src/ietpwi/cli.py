@@ -122,11 +122,8 @@ def _read_config(path: str) -> dict:
     return data
 
 
-def _emit(cfg: RunConfig, text: str, payload: Optional[dict] = None) -> None:
-    if cfg.json_output and payload is not None:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+def _emit(cfg: RunConfig, text: str, payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True) if cfg.json_output else text)
 
 
 def _write(path: Optional[str], default_name: str, content: str) -> str:
@@ -167,7 +164,7 @@ def cmd_zorich(cfg: RunConfig) -> int:
         "steps": trace.n_steps,
         "error": trace.error,
     }
-    _emit(cfg, json.dumps(payload, sort_keys=True), payload)
+    print(json.dumps(payload, sort_keys=True))
     return 0 if trace.error is None else 1
 
 
@@ -192,7 +189,7 @@ def cmd_lyapunov(cfg: RunConfig) -> int:
         "steps": estimate.steps_used,
         "symmetric_defects": [float(v) for v in estimate.symmetric_defects()],
     }
-    _emit(cfg, json.dumps(payload, sort_keys=True), payload)
+    print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -219,7 +216,7 @@ def cmd_sample_theta(cfg: RunConfig) -> int:
         "exclusions": sample.exclusion_report,
         "seed": cfg.seed,
     }
-    _emit(cfg, json.dumps(payload, sort_keys=True), payload)
+    print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -374,10 +371,10 @@ OPTIONS = {
 #: each command's handler and the options it reads, the only ones it accepts
 COMMANDS = {
     "induct": (cmd_induct, "perm lambda steps out catalog"),
-    "zorich": (cmd_zorich, "perm lambda steps json catalog"),
+    "zorich": (cmd_zorich, "perm lambda steps catalog"),
     "rauzy-graph": (cmd_rauzy_graph, "perm out json"),
-    "lyapunov": (cmd_lyapunov, "perm lambda zorich-steps json catalog"),
-    "sample-theta": (cmd_sample_theta, "perm lambda delta seed json catalog"),
+    "lyapunov": (cmd_lyapunov, "perm lambda zorich-steps catalog"),
+    "sample-theta": (cmd_sample_theta, "perm lambda delta seed catalog"),
     "curve": (cmd_curve, "perm lambda theta steps delta seed deep-levels out json catalog"),
     "pwi": (cmd_pwi, "perm lambda theta steps delta seed deep-levels out json catalog"),
     "verify": (cmd_verify, "perm lambda theta steps delta seed deep-levels json catalog"),

@@ -12,10 +12,10 @@ factors undone in reverse order, one ``undo_update`` each.
 
 The same factors act on the torus ``R^d / 2*pi*Z^d``.  ``reduce_mod_tau``
 reduces an exact rational angle modulo ``2*pi`` with an adaptive-precision
-integer value of pi, so huge lifts lose no accuracy.  ``torus_project``
-applies a stored product to a rotation vector; along a trace, one factor
-moves the exact lift by a single add (``lift[loser] += lift[winner]``), which
-is how ``breaking.theta_sequence`` pushes a vector level by level.
+integer value of pi, so huge lifts lose no accuracy.  Each push along a
+trace (``breaking.theta_sequence``, for sampling and curves) moves the exact
+lift one add per factor, ``lift[loser] += lift[winner]``; ``torus_project``
+applies a stored product, only at level 0 of a push and as the tests' oracle.
 """
 
 from __future__ import annotations

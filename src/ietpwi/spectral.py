@@ -1,4 +1,4 @@
-"""Spectral analysis of the renormalization cocycle restricted to its
+"""Spectral analysis of the renormalization matrices restricted to their
 invariant subspace: growth rates, the contracting subspace, and sampling of
 admissible rotation vectors.
 
@@ -8,7 +8,7 @@ exact induction steps.  The induction advances by Zorich blocks (maximal
 runs of Rauzy steps of one type): within a block the winner is fixed and its
 losers cycle, so the full cycles are one division and one rank-one update
 of the carried frame, and only the last partial cycle runs step by step
-(Zorich 1996).  The cocycle is handled in coordinates of the invariant
+(Zorich 1996).  The matrices are handled in coordinates of the invariant
 subspace (spanned by the antisymmetric pairing matrix's columns), which the
 elementary factors map onto the corresponding subspace of the next
 permutation; projecting at every re-orthonormalization keeps rounding noise
@@ -27,10 +27,10 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .breaking import ThetaSeq
+from .breaking import ThetaSeq, theta_sequence
 from .errors import ExhaustedResamples, InsufficientGap, InvalidInput, RauzyUndefined, Reducible
 from .iet import IETState, Permutation, is_irreducible, omega_matrix
-from .rauzy import InductionTrace, torus_distance_to_zero, torus_project
+from .rauzy import InductionTrace, torus_project  # bench/test_tracer.py pins torus_project here
 
 #: resample when the candidate direction is this close (radians) to the
 #: most-contracted direction
@@ -161,7 +161,7 @@ def _block_chunks(iet: IETState, m: int, size: int) -> Iterator[np.ndarray]:
     chunk's restricted matrices as one stacked array.
 
     A block is a maximal run of Rauzy steps of one type, taken by one
-    division (``_FloatInduction.block``).  Its cocycle adds ``counts[i]``
+    division (``_FloatInduction.block``).  Its matrix adds ``counts[i]``
     times the winner's row to the row of ``losers[i]``: a rank-one update
     of the carried frame.  Each matrix expresses it from the
     invariant-subspace coordinates at the block start to those at the block
@@ -258,7 +258,7 @@ def lyapunov_spectrum(iet: IETState, m: int) -> LyapunovEstimate:
 
 @dataclass
 class StableFrame:
-    """Estimated contracting subspace of the restricted cocycle."""
+    """Estimated contracting subspace of the restricted renormalization matrices."""
 
     frame: np.ndarray          # d x g, orthonormal columns
     gap: float                 # sigma_g / sigma_{g+1} at the chosen window
@@ -335,9 +335,9 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
     The candidate is a random combination of the frame columns scaled to a
     norm uniform in ``(0.1, 1) * delta``.  Candidates are rejected when they
     align with the translation-vector direction (the most contracted one,
-    where the limit curve degenerates to circle arcs) or when its push to
-    some level 1 to ``N_CHECK`` of ``trace`` hits zero on the torus (where
-    it degenerates to line segments).
+    where the limit curve degenerates to circle arcs) or when its push
+    (``breaking.theta_sequence``) to some level 1 to ``N_CHECK`` of ``trace``
+    hits zero on the torus (where it degenerates to line segments).
     Exact rational frames are combined exactly so deep pushes stay faithful.
     """
     if not 0 < delta < np.pi:
@@ -369,11 +369,11 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
                  * Fraction(float(scale)) for i in range(len(columns[0]))]
         else:
             v = [float(x * scale) for x in vec_f]
-        theta = np.array([float(x) % tau for x in v])
-        if any(torus_distance_to_zero(torus_project(trace.cocycle[n], v)) < TOL_ZERO_PREIMAGE
-               for n in range(1, min(N_CHECK, trace.n_steps) + 1)):
+        pushed = theta_sequence(trace, v, min(N_CHECK, trace.n_steps))
+        if np.any(pushed.distances()[1:] < TOL_ZERO_PREIMAGE):
             report["zero_preimage_hits"] += 1
             continue
+        theta = np.array([float(x) % tau for x in v])
         return ThetaSample(list(v), theta, delta, attempt, report)
     raise ExhaustedResamples(
         f"no admissible rotation vector in {MAX_ATTEMPTS} draws: {report}")

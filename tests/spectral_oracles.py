@@ -1,14 +1,21 @@
-"""Reference implementations that the chunked float spectral driver is tested against."""
+"""Reference implementations that the chunked float spectral driver and the
+rotation-vector sampler are tested against."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from math import tau
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from ietpwi.errors import ExhaustedResamples
 from ietpwi.iet import IETState, Permutation
-from ietpwi.spectral import BATCHES, LyapunovEstimate, _FloatInduction, genus, h_pi_basis
+from ietpwi.rauzy import InductionTrace, torus_distance_to_zero, torus_project
+from ietpwi.spectral import (BATCHES, MAX_ATTEMPTS, N_CHECK, TOL_STRONG_STABLE_ANGLE,
+                             TOL_ZERO_PREIMAGE, FrameLike, LyapunovEstimate, ThetaSample,
+                             _FloatInduction, _frame_columns, genus, h_pi_basis)
 
 
 def block_matrices(iet: IETState, m: int) -> Iterator[np.ndarray]:
@@ -48,3 +55,43 @@ def lyapunov_spectrum(iet: IETState, m: int) -> LyapunovEstimate:
     per_batch = batch_sums * (batches / m)
     errors = np.std(per_batch[:, order], axis=0, ddof=1) / np.sqrt(batches)
     return LyapunovEstimate(exponents[order], errors, m)
+
+
+def sample_theta(frame: FrameLike, delta: float, seed: int, *, upsilon: Sequence[float],
+                 trace: InductionTrace) -> ThetaSample:
+    """The sampler's draws, each checked level by level against the stored
+    cocycle products: ``torus_project(trace.cocycle[n], v)`` for every
+    ``n`` in 1..``N_CHECK``, stopping at the first push near zero.
+    """
+    columns = _frame_columns(frame)
+    rng = np.random.default_rng(seed)
+    ups = np.asarray([float(u) for u in upsilon], dtype=float)
+    ups_unit = ups / np.linalg.norm(ups)
+    report = {"strong_stable_hits": 0, "zero_preimage_hits": 0}
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        coeff = rng.standard_normal(len(columns))
+        radius = delta * rng.uniform(0.1, 1.0)
+        vec_f = np.zeros(len(columns[0]))
+        for c, col in zip(coeff, columns):
+            vec_f = vec_f + c * np.array([float(x) for x in col])
+        norm = np.linalg.norm(vec_f)
+        if norm == 0.0:
+            continue
+        residual = vec_f - (vec_f @ ups_unit) * ups_unit
+        if np.linalg.norm(residual) / norm < TOL_STRONG_STABLE_ANGLE:
+            report["strong_stable_hits"] += 1
+            continue
+        scale = radius / norm
+        if any(isinstance(col[0], Fraction) for col in columns):
+            v = [sum(Fraction(float(c)) * Fraction(col[i]) for c, col in zip(coeff, columns))
+                 * Fraction(float(scale)) for i in range(len(columns[0]))]
+        else:
+            v = [float(x * scale) for x in vec_f]
+        if any(torus_distance_to_zero(torus_project(trace.cocycle[n], v)) < TOL_ZERO_PREIMAGE
+               for n in range(1, min(N_CHECK, trace.n_steps) + 1)):
+            report["zero_preimage_hits"] += 1
+            continue
+        theta = np.array([float(x) % tau for x in v])
+        return ThetaSample(list(v), theta, delta, attempt, report)
+    raise ExhaustedResamples(
+        f"no admissible rotation vector in {MAX_ATTEMPTS} draws: {report}")

@@ -83,7 +83,7 @@ def test_induct_tie_nonzero_exit(tmp_path):
 
 def test_zorich_grouping(tmp_path):
     proc = run_cli(["zorich", "--perm", "2 1", "--lambda", "0.618034,0.381966",
-                    "--steps", "5", "--json"], tmp_path)
+                    "--steps", "5"], tmp_path)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["blocks"] == [1, 1, 1, 1, 1]
@@ -100,7 +100,7 @@ def test_rauzy_graph_seven_vertices(tmp_path):
 
 def test_lyapunov_symmetric_pair(tmp_path):
     proc = run_cli(["lyapunov", "--perm", "2 1", "--lambda", "0.618034,0.381966",
-                    "--zorich-steps", "2000", "--json"], tmp_path)
+                    "--zorich-steps", "2000"], tmp_path)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     exps = payload["exponents"]
@@ -109,7 +109,7 @@ def test_lyapunov_symmetric_pair(tmp_path):
 
 
 def test_sample_theta_reproducible(tmp_path):
-    args = ["sample-theta", "--catalog", "--delta", "0.1", "--seed", "7", "--json"]
+    args = ["sample-theta", "--catalog", "--delta", "0.1", "--seed", "7"]
     first = run_cli(args, tmp_path)
     second = run_cli(args, tmp_path)
     assert first.returncode == second.returncode == 0
@@ -285,8 +285,8 @@ def test_curves_of_long_exchanges_build(tmp_path, lengths):
 
 
 @pytest.mark.parametrize("args", [
-    ["lyapunov", "--catalog", "--zorich-steps", "2000", "--json"],
-    ["zorich", "--catalog", "--json"],
+    ["lyapunov", "--catalog", "--zorich-steps", "2000"],
+    ["zorich", "--catalog"],
     ["curve", "--catalog", "--steps", "20", "--json"],
 ])
 def test_closed_output_pipe_exits_1_quietly(tmp_path, args):
@@ -385,8 +385,7 @@ def test_config_use_catalog_kept(tmp_path, reference):
 
 def test_main_entry_direct(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code = main(["zorich", "--perm", "2 1", "--lambda", "0.9,0.1", "--steps", "1",
-                 "--json"])
+    code = main(["zorich", "--perm", "2 1", "--lambda", "0.9,0.1", "--steps", "1"])
     out = json.loads(capsys.readouterr().out)
     assert out["blocks"] == [8]
     assert code == 1  # run stopped at the tie
@@ -421,10 +420,10 @@ def test_verify_keeps_only_the_curves_it_reads(tmp_path, monkeypatch):
 #: the options each command does not read, which it refuses
 DROPPED = {
     "induct": "theta zorich-steps delta seed deep-levels json",
-    "zorich": "theta zorich-steps delta seed deep-levels out",
+    "zorich": "theta zorich-steps delta seed deep-levels out json",
     "rauzy-graph": "lambda theta steps zorich-steps delta seed deep-levels catalog",
-    "lyapunov": "theta steps delta seed deep-levels out",
-    "sample-theta": "theta steps zorich-steps deep-levels out",
+    "lyapunov": "theta steps delta seed deep-levels out json",
+    "sample-theta": "theta steps zorich-steps deep-levels out json",
     "curve": "zorich-steps",
     "pwi": "zorich-steps",
     "verify": "zorich-steps out",
@@ -442,8 +441,8 @@ def test_each_command_accepts_the_options_it_reads():
     for command, (_, options) in COMMANDS.items():
         accepted, dropped = options.split(), DROPPED[command].split()
         assert set(accepted).isdisjoint(dropped) and set(accepted) | set(dropped) == every
-    assert sum(len(options.split()) for _, options in COMMANDS.values()) == 53
-    assert sum(len(options.split()) for options in DROPPED.values()) == 35
+    assert sum(len(options.split()) for _, options in COMMANDS.values()) == 50
+    assert sum(len(options.split()) for options in DROPPED.values()) == 38
 
 
 @pytest.mark.parametrize("command, option", [

@@ -18,6 +18,7 @@ from ietpwi.spectral import (
     _block_chunks,
     _CHUNK,
     _FloatInduction,
+    N_CHECK,
     genus,
     h_pi_basis,
     lyapunov_spectrum,
@@ -411,6 +412,43 @@ def test_sample_theta_delta_scaling_degenerates(reference, reference_trace):
         sups.append(sup_distance(curves[-1], curves[0]))
     assert sups[1] < 1e-3
     assert sups[1] < sups[0] * 0.05
+
+
+@pytest.fixture(scope="module")
+def sampling_inputs(reference):
+    """Frame, exchange and ``N_CHECK``-step trace of the catalog's exact frame
+    and of the float frame on the CLI's default lengths."""
+    default = RunConfig().build()
+    return {
+        "exact": (reference.stable_frame_exact(), reference.iet,
+                  rauzy_iterate(reference.iet, N_CHECK)),
+        "float": (stable_subspace(default, 1000).frame, default,
+                  rauzy_iterate(default, N_CHECK)),
+    }
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.05, 1e-11])
+@pytest.mark.parametrize("frame_kind", ["exact", "float"])
+def test_sample_theta_matches_the_per_level_oracle(sampling_inputs, frame_kind, delta):
+    # at 1e-11 some seeds need several draws, so rejections are compared too
+    frame, iet, trace = sampling_inputs[frame_kind]
+    for seed in range(10):
+        got = sample_theta(frame, delta, seed, upsilon=iet.upsilon, trace=trace)
+        want = spectral_oracles.sample_theta(frame, delta, seed, upsilon=iet.upsilon,
+                                             trace=trace)
+        assert got.v == want.v
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert (got.attempts, got.exclusion_report) == (want.attempts, want.exclusion_report)
+
+
+def test_sample_theta_rejects_zero_preimages(sampling_inputs):
+    frame, iet, trace = sampling_inputs["exact"]
+    sample = sample_theta(frame, 1e-11, 0, upsilon=iet.upsilon, trace=trace)
+    assert sample.attempts == 2
+    assert sample.exclusion_report == {"strong_stable_hits": 0, "zero_preimage_hits": 1}
+    # every draw this small pushes to within TOL_ZERO_PREIMAGE of zero somewhere
+    with pytest.raises(ExhaustedResamples, match="'zero_preimage_hits': 100"):
+        sample_theta(frame, 1e-12, 0, upsilon=iet.upsilon, trace=trace)
 
 
 def test_summability_zero_theta(reference_trace):
