@@ -51,7 +51,19 @@ def _speed_defect(chords: np.ndarray, widths: np.ndarray) -> float:
     """Largest ``| |chord| - width |`` over the segments."""
     lengths = np.abs(chords)
     lengths -= widths
-    return float(np.max(np.abs(lengths, out=lengths)))
+    return float(np.abs(lengths, out=lengths).max())
+
+
+def _require_unit_speed(defect: float, length: float) -> None:
+    """Raise ``NonUnitSpeed`` unless a curve on ``[0, length)`` with this speed defect passes.
+
+    The tolerance is ``TOL_UNIT_SPEED`` per unit of domain length (and never
+    less than it), as the rounding of the vertices grows with it.  A NaN
+    defect, from a non-finite vertex, fails.
+    """
+    tol = TOL_UNIT_SPEED * max(1.0, length)
+    if not defect <= tol:
+        raise NonUnitSpeed(f"unit-speed defect {defect:.3e} exceeds {tol:.3g}")
 
 
 def angle_to_symmetric(angle: float) -> float:
@@ -122,10 +134,17 @@ class PLCurve:
     def _on_segments(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Value at each parameter ``q[k]`` on the affine piece of segment ``idx[k]``."""
         nxt = idx + 1
-        x0, z0 = self.x[idx], self.z[idx]
+        x0, z0 = self.x.take(idx), self.z.take(idx)
         # the tangents of the indexed segments only, each formed as tangents() forms it
-        right = np.where(nxt < self.n_segments, self.x.take(nxt, mode="clip"), self.length)
-        return z0 + (q - x0) * ((self.z[nxt] - z0) / (right - x0))
+        width = np.where(nxt < self.n_segments, self.x.take(nxt, mode="clip"), self.length)
+        width -= x0
+        value = self.z.take(nxt)
+        value -= z0
+        value /= width
+        del width
+        value *= q - x0
+        value += z0
+        return value
 
     def arc_length(self) -> float:
         return float(np.sum(np.abs(np.diff(self.z))))
@@ -134,25 +153,33 @@ class PLCurve:
         """Arc length from 0 to each breakpoint (and to the right end)."""
         return np.concatenate([[0.0], np.cumsum(np.abs(np.diff(self.z)))])
 
+    def segment_blocks(self, overlap: int = 0) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(start, chords, widths)`` of the segments, ``_BLOCK`` (plus ``overlap``) at a time.
+
+        A block holds the segments ``start`` to ``start + _BLOCK + overlap -
+        1`` (fewer at the end): their chords ``z[i+1] - z[i]`` and widths, so
+        consecutive blocks share ``overlap`` segments and no array is longer
+        than a block.
+        """
+        for start in range(0, self.n_segments, _BLOCK):
+            # formed in a call, so that no block stays referenced between yields
+            yield (start, *self._segments(start, min(start + _BLOCK + overlap, self.n_segments)))
+
+    def _segments(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Chords and widths of the segments ``start..stop-1``."""
+        widths = np.empty(stop - start)
+        np.subtract(self.x[start + 1:stop], self.x[start:stop - 1], out=widths[:-1])
+        widths[-1] = (self.length if stop == self.n_segments else self.x[stop]) - self.x[stop - 1]
+        return np.subtract(self.z[start + 1:stop + 1], self.z[start:stop]), widths
+
     def unit_speed_defect(self) -> float:
-        """Largest deviation of chord length from parameter length."""
-        return _speed_defect(np.diff(self.z), self.segment_lengths())
+        """Largest deviation of chord length from parameter length (NaN if any is NaN)."""
+        return float(np.max([_speed_defect(chords, widths)
+                             for _, chords, widths in self.segment_blocks()]))
 
     def require_unit_speed(self) -> None:
-        self._unit_chords()
-
-    def _unit_chords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each segment's chord ``z[i+1] - z[i]`` and width, once their lengths agree.
-
-        The tolerance is ``TOL_UNIT_SPEED`` per unit of domain length (and
-        never less than it), as the rounding of the vertices grows with it.
-        """
-        chords, widths = np.diff(self.z), self.segment_lengths()
-        defect = _speed_defect(chords, widths)
-        tol = TOL_UNIT_SPEED * max(1.0, self.length)
-        if defect > tol:
-            raise NonUnitSpeed(f"unit-speed defect {defect:.3e} exceeds {tol:.3g}")
-        return chords, widths
+        """Raise ``NonUnitSpeed`` unless every chord length is its parameter length."""
+        _require_unit_speed(self.unit_speed_defect(), self.length)
 
     # -- exports ----------------------------------------------------------
 
@@ -200,8 +227,10 @@ class IntervalSeq:
 
     def __post_init__(self) -> None:
         self.y = np.asarray(self.y, dtype=float)
-        if not self.delta > 0:
-            raise InvalidInput(f"interval width must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise InvalidInput(f"interval width must be positive and finite, got {self.delta}")
+        if not np.all(np.isfinite(self.y)):
+            raise InvalidInput("interval ends must be finite")
         # touching ends, each correctly rounded, may sit up to two spacings
         # of the largest end too close; never less than 1e-15
         top = float(np.max(np.abs(self.y), initial=0.0)) + self.delta
@@ -228,15 +257,30 @@ def _shift_table(g: np.ndarray, index: np.ndarray, one_minus: complex) -> np.nda
     the value at the k-th interval's left end and ``v[2k+1]`` at its right
     end, ``upper[k] = lower[k-1] + v[2k]*(1-rot)`` and ``lower[k] = upper[k]
     - v[2k+1]*(1-rot)``: one running sum over the interleaved steps, added in
-    the same order.  Each product is rounded as the scalar complex product
-    rounds it (numpy's vectorized complex multiply can differ from it in the
-    last ulp), from separately rounded real multiplies and adds.  The leading
-    ``-0.0`` is the shift of zone 0, the identity of floating-point addition.
+    the same order (``_shifts``).  The leading ``-0.0`` is the shift of zone
+    0, the identity of floating-point addition.
     """
-    table = np.empty(len(g) + 1, dtype=complex)
-    table[0] = complex(-0.0, -0.0)
+    values = np.empty(len(g), dtype=complex)
+    values[index] = g
+    return _shifts(values, 0, len(values), one_minus, complex(-0.0, -0.0))
+
+
+def _shifts(values: np.ndarray, lo: int, hi: int, one_minus: complex,
+            carry: complex) -> np.ndarray:
+    """Entries ``lo..hi`` of the ``_shift_table`` of ``values``, given entry ``lo``.
+
+    ``values`` holds the curve values at the ends in interleaved order, and
+    ``carry`` is entry ``lo``; each later entry adds one end's step to the
+    one before, so ranges taken in turn, each from the last entry of the one
+    before, give the whole table bit for bit.  Each step's product is rounded
+    as the scalar complex product rounds it (numpy's vectorized complex
+    multiply can differ from it in the last ulp), from separately rounded
+    real multiplies and adds.
+    """
+    table = np.empty(hi - lo + 1, dtype=complex)
+    table[0] = carry
     steps = table[1:]
-    steps[index] = g
+    steps[:] = values[lo:hi]
     re, im = steps.real, steps.imag
     im_w = im * one_minus.imag
     re_w = re * one_minus.imag
@@ -245,31 +289,39 @@ def _shift_table(g: np.ndarray, index: np.ndarray, one_minus: complex) -> np.nda
     im *= one_minus.real
     np.add(re_w, im, out=im)
     del im_w, re_w
-    np.negative(steps[1::2], out=steps[1::2])
-    np.cumsum(steps, out=steps)
-    return table
+    # a right end, of odd interleaved index, steps down
+    down = steps[(lo + 1) % 2::2]
+    np.negative(down, out=down)
+    return np.cumsum(table, out=table)
 
 
 def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLCurve:
     """Rotate the curve pieces over the intervals by ``phi``, keeping continuity.
 
     The output lives on the same domain, is continuous and keeps unit speed;
-    the interval endpoints are inserted as new breakpoints.
+    the interval endpoints are inserted as new breakpoints.  A non-finite
+    angle or an empty family raises ``InvalidInput``, and a curve off unit
+    speed ``NonUnitSpeed``.
 
-    Merge: one stable sort of the old breakpoints followed by the interval
-    ends merges the two, which need not be sorted against each other (nor
-    the ends among themselves, to the ulp).  An end's segment is the count
-    of old breakpoints before it, so each end is evaluated once, on the
-    unit tangent formed from the chord that the unit-speed check takes, and
-    a parameter's zone is the running count of ends.  Each kept parameter
-    reads its value straight from the old vertices or from the evaluated
-    ends, a block of ``_BLOCK`` parameters at a time, so no merged array of
-    values is formed; old vertices are carried as they are.
+    Merge: the ``2m`` interval ends are sorted once, stably (they need not
+    be sorted to the ulp).  The old breakpoints are then taken ``_BLOCK`` at
+    a time with the ends that a search puts among them, and one stable sort
+    of those two sorted runs merges them, an old breakpoint before an equal
+    end (``_merged_blocks``).  The block's chords and widths give its
+    unit-speed defect.  Each of its ends is evaluated on its segment, the
+    one that starts at the last old breakpoint up to it, with the tangent
+    formed from that segment's chord and width only.  Each parameter reads
+    its value from the old vertices or from its end's value, its zone being
+    the count of ends up to it.  No array but the ends' and the output's is
+    longer than a block, and old vertices are carried as they are.
 
     Shifts: zone ``j`` is rotated by ``phi`` when ``j`` is odd and then
     moved by ``shifts[j]``, one lookup in the table ``[-0, upper_0, lower_0,
-    upper_1, ...]`` of ``_shift_table``.  Zone 0 lies before every interval
-    and must stay as it is: ``v + (-0.0)`` is ``v`` bit for bit, ``-0.0``
+    upper_1, ...]`` of ``_shift_table``, whose entries are formed a block's
+    zones at a time (``_shifts``).  Entry ``j`` reads the ends of
+    interleaved index below ``j``; one an ulp out of order that a later
+    block holds is evaluated ahead.  Zone 0 lies before every interval and
+    must stay as it is: ``v + (-0.0)`` is ``v`` bit for bit, ``-0.0``
     included, where ``+0.0`` would turn a ``-0.0`` into ``+0.0``.
 
     The output's ``increment`` is ``sup |output - curve|``, bit for bit the
@@ -278,139 +330,210 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     are at hand; at the old breakpoints that the merge tolerance drops and at
     the right end, where the output is a limit, both are evaluated.
     """
-    # the unit tangents, formed as tangents() forms them
-    tangents, widths = curve._unit_chords()
-    tangents /= widths
-    del widths
+    if not np.isfinite(phi):
+        raise InvalidInput(f"rotation angle must be finite, got {phi}")
+    if not intervals.count:
+        raise InvalidInput("no rotation intervals")
     if not -pi <= phi < pi:
         phi = angle_to_symmetric(phi)
     y = intervals.y
-    if y[0] < 0.0 or y[-1] + intervals.delta > curve.length * (1 + 1e-12):
+    length, old = curve.length, curve.n_segments
+    if y[0] < 0.0 or y[-1] + intervals.delta > length * (1 + 1e-12):
         raise IntervalOutOfRange("rotation intervals must lie inside the curve domain")
     rot = complex(np.cos(phi), np.sin(phi))
-    old = curve.n_segments
+    one_minus = 1.0 - rot
 
-    # an old breakpoint sorts before an equal end, so it counts as before it;
     # each temporary is released once used, which keeps the peak memory down
     bounds = intervals.bounds()
-    right_zone = np.count_nonzero(bounds <= curve.length)
-    params = np.concatenate([curve.x, bounds])
+    by_end = np.argsort(bounds, kind="stable")
+    ends = bounds.take(by_end)
     del bounds
-    order = np.argsort(params, kind="stable")
-    params = params.take(order)
-    is_end = order >= old
-    at_end = np.flatnonzero(is_end)
-    by_end = order.take(at_end)
-    del order
-    by_end -= old
-    q = params.take(at_end)
-    # the old breakpoints before an end, less one, index its segment
-    at_end -= np.arange(1, len(at_end) + 1)
-    g = _on_tangents(curve, tangents, q, at_end)
-    del tangents, at_end, q
-    shifts = _shift_table(g, by_end, 1.0 - rot)
-    del by_end
-    # zone 0 precedes every interval; odd zones are rotated, even translated
-    zone = np.cumsum(is_end, dtype=np.int32)
+    by_end = by_end.astype(np.int32)
+    right_zone = int(np.searchsorted(ends, length, side="right"))
+    # the curve at each end in interleaved order, filled a block at a time;
+    # ``top`` is the largest interleaved index of an end filled so far
+    at_ends = np.empty(len(ends), dtype=complex)
+    top = -1
 
-    # of equal parameters the last one below the right end is kept: its zone
-    # counts every end equal to it; the parameters below the right end are a prefix
-    below = int(np.searchsorted(params, curve.length))
-    last = np.empty(below, dtype=bool)
-    np.not_equal(params[1:below], params[:below - 1], out=last[:-1])
-    last[-1] = True
-    kept = np.flatnonzero(last)
-    del last
-    new_x = params.take(kept)
     # merge numerically coincident breakpoints: a zero-length segment carries
     # no geometry but fabricates spurious self-contacts downstream
-    merge_tol = 1e-13 * max(1.0, curve.length)
-    far = np.empty(len(kept), dtype=bool)
-    far[0] = True
-    np.greater(np.diff(new_x), merge_tol, out=far[1:])
-    new_at = np.flatnonzero(~far)
-    dropped = kept.take(new_at)
-    # a dropped parameter lies on the last new segment that starts before it
-    new_at -= np.arange(1, len(new_at) + 1)
-    kept = kept[far]
-    new_x = new_x[far]
-    del far
-    if len(kept) > 1 and new_x[-1] > curve.length - merge_tol:
-        dropped = np.append(dropped, kept[-1])
-        new_at = np.append(new_at, len(kept) - 2)
-        kept, new_x = kept[:-1], new_x[:-1]
-    # a parameter's position less the ends up to it is the last old
-    # breakpoint up to it; the increment needs the dropped parameters that
-    # are old breakpoints
-    slot = dropped - zone[dropped]
-    old_dropped = curve.x[slot] == params[dropped]
-    kinks = (params[dropped[old_dropped]], slot[old_dropped], new_at[old_dropped])
-    del params, dropped, slot, new_at
-    # a kept old breakpoint reads its vertex, a kept end its value, the one
-    # of rank zone - 1; the right end is a limit of the last segment,
-    # evaluated as evaluate() does; the kept parameters go a block at a time,
-    # so no temporary holds more than a block
-    k = len(kept)
-    out = np.empty(k + 1, dtype=complex)
+    merge_tol = 1e-13 * max(1.0, length)
+    new_x, new_z, defects = [], [], []
+    kinks = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
+    kept = 0                # new breakpoints placed so far
+    previous = -np.inf      # the last distinct parameter placed so far
     increment = 0.0
-    for start in range(0, k, _BLOCK):
-        block = kept[start:start + _BLOCK]
-        zone_b = zone.take(block)
-        values = curve.z.take(block - zone_b)
-        ends = np.flatnonzero(is_end.take(block))
-        values[ends] = g.take(zone_b.take(ends) - 1)
-        increment = max(increment, _shift_block(values, zone_b, rot, shifts,
-                                                out[start:start + len(block)]))
-    del zone, is_end, g, kept
-    right = curve._on_segments(curve.length, old - 1)
-    _shift_block(np.array([right]), np.array([right_zone]), rot, shifts, out[k:])
-    rotated = PLCurve(curve.length, new_x, out)
-    rotated.increment = max(increment, _kink_increment(curve, rotated, *kinks))
+    shifts = np.array([complex(-0.0, -0.0)])
+    for start, first, olds, merged, order in _merged_blocks(curve.x, ends):
+        params = merged.take(order)
+        is_end = order >= olds
+        del merged, order
+        # the chords and widths give the speed defect; each end lies on the
+        # segment that starts at the last old breakpoint up to it, and is
+        # evaluated there as evaluate() does
+        chords, widths = curve._segments(start, start + olds)
+        defects.append(_speed_defect(chords, widths))
+        seg = is_end.nonzero()[0]
+        last = first + len(seg)
+        seg -= np.arange(1, len(seg) + 1)
+        on_ends = _on_block(curve, start, chords, widths, ends[first:last], seg)
+        del chords, widths, seg
+        at_ends[by_end[first:last]] = on_ends
+        # the zones ``first..last`` read the ends of interleaved index below
+        # ``last``; unless those are the ends so far, some an ulp out of
+        # order lie in a later block
+        if last > first:
+            top = max(top, int(by_end[first:last].max()))
+        if top >= last:
+            ahead = by_end[last:]
+            ahead = ahead[ahead < last]
+            q = y.take(ahead // 2)
+            q[ahead % 2 == 1] += intervals.delta
+            at_ends[ahead] = curve._on_segments(
+                np.minimum(q, length), np.searchsorted(curve.x, q, side="right") - 1)
+        shifts = _shifts(at_ends, first, last, one_minus, shifts[-1])
+        # a parameter's zone (less ``first``) counts the block's ends up to
+        # it; its position in the block, plus ``start``, less that is the
+        # last old breakpoint up to it; zone ``j`` reads ``shifts[j - first]``
+        zone = is_end.cumsum()
+
+        # of equal parameters the last one below the right end is kept: its
+        # zone counts every end equal to it; those below it are a prefix
+        below = int(np.searchsorted(params, length))
+        if not below:
+            continue
+        distinct = np.empty(below, dtype=bool)
+        np.not_equal(params[1:below], params[:below - 1], out=distinct[:-1])
+        distinct[-1] = True
+        at = distinct.nonzero()[0]
+        near = params.take(at)
+        far = np.empty(len(at), dtype=bool)
+        far[0] = near[0] - previous > merge_tol
+        np.greater(near[1:] - near[:-1], merge_tol, out=far[1:])
+        previous = near[-1]
+        del near
+        keep = at[far]
+        # the last new breakpoint is dropped within merge_tol of the right end;
+        # any later one would lie beyond it
+        if len(keep) and kept + len(keep) > 1 and params[keep[-1]] > length - merge_tol:
+            far[np.searchsorted(at, keep[-1])] = False
+            keep = keep[:-1]
+        if not far.all():
+            # the increment needs the dropped parameters that are old
+            # breakpoints, on the last new segment that starts before each
+            new_at = (~far).nonzero()[0]
+            drop = at.take(new_at)
+            new_at -= np.arange(1 - kept, len(new_at) + 1 - kept)
+            dropped = params.take(drop)
+            slot = drop + start
+            slot -= zone.take(drop)
+            is_old = curve.x.take(slot) == dropped
+            kinks.append((dropped[is_old], slot[is_old], new_at[is_old]))
+            del drop, new_at, dropped, slot, is_old
+        new_x.append(params.take(keep))
+        del at, far, params
+
+        # a kept old breakpoint reads its vertex, a kept end its value
+        keep_zone = zone.take(keep)
+        at_end = is_end.take(keep).nonzero()[0]
+        del zone, is_end
+        values = curve.z.take(keep + start - keep_zone)
+        values[at_end] = on_ends.take(keep_zone.take(at_end) - 1)
+        del at_end, on_ends
+        new_z.append(np.empty(len(keep), dtype=complex))
+        increment = max(increment, _shift_block(values, keep_zone, first, rot, shifts,
+                                                new_z[-1]))
+        kept += len(keep)
+    del ends, by_end, at_ends
+    _require_unit_speed(float(np.max(defects)), length)
+    # the right end is a limit of the last segment, evaluated as evaluate() does
+    right = curve._on_segments(length, old - 1)
+    new_z.append(np.empty(1, dtype=complex))
+    _shift_block(np.array([right]), np.array([right_zone - first]), first, rot, shifts,
+                 new_z[-1])
+    del shifts
+    new_z = np.concatenate(new_z)
+    rotated = PLCurve(length, np.concatenate(new_x), new_z)
+    del new_x, new_z
+    kink_x, kink_slot, kink_at = (np.concatenate(part) for part in zip(*kinks))
+    rotated.increment = max(increment, _kink_increment(curve, rotated, right, kink_x,
+                                                       kink_slot, kink_at))
     return rotated
 
 
-def _shift_block(values: np.ndarray, zone: np.ndarray, rot: complex, shifts: np.ndarray,
-                 out: np.ndarray) -> float:
+def _shift_block(values: np.ndarray, zone: np.ndarray, first: int, rot: complex,
+                 shifts: np.ndarray, out: np.ndarray) -> float:
     """Write the zones' images of ``values`` to ``out``; the largest distance moved.
 
-    Odd zones rotate by ``rot``, and zone ``j`` then adds ``shifts[j]``.
-    ``values`` is overwritten.
+    Zone ``first + j`` rotates by ``rot`` when it is odd and then adds
+    ``shifts[j]``, for each ``j`` in ``zone``.  ``values`` is overwritten.
     """
-    moved = np.where((zone & 1) == 0, values, values * rot)
+    moved = np.where((zone & 1) == (first & 1), values, values * rot)
     np.add(moved, shifts.take(zone), out=out)
+    del moved
     values -= out
-    return float(np.max(np.abs(values)))
+    return float(np.abs(values).max(initial=0.0))
 
 
-def _on_tangents(curve: PLCurve, tangents: np.ndarray, q: np.ndarray,
-                 idx: np.ndarray) -> np.ndarray:
-    """``curve._on_segments(q, idx)`` bit for bit, from the segments' unit tangents.
+def _merged_blocks(x: np.ndarray, ends: np.ndarray
+                   ) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray]]:
+    """The stable merge of the breakpoints ``x`` and the sorted ``ends``, a block at a time.
 
-    A parameter above the domain's right end (a piece ending there may round
-    above it) is taken at the right end.  ``q`` is overwritten.
+    A block holds the ``olds`` breakpoints from ``x[start]`` on, ``_BLOCK``
+    of them but in the last block, and the ends from ``ends[first]`` on that
+    lie below the next block's first breakpoint (every end in the first and
+    the last block), so equal parameters share a block.  Yields ``start,
+    first, olds, merged, order``: ``merged`` holds the block's breakpoints
+    then its ends, and ``order`` is their stable sort, one linear merge of
+    two sorted runs, in which a breakpoint sorts before an equal end.
     """
-    np.minimum(q, curve.length, out=q)
-    q -= curve.x.take(idx)
-    g = tangents.take(idx)
-    np.multiply(q, g, out=g)
-    return np.add(curve.z.take(idx), g, out=g)
+    n = len(x)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        first = 0 if start == 0 else int(np.searchsorted(ends, x[start]))
+        last = len(ends) if stop == n else int(np.searchsorted(ends, x[stop]))
+        # formed in a call, so that no block stays referenced between yields
+        yield (start, first, stop - start, *_merge(x[start:stop], ends[first:last]))
 
 
-def _kink_increment(curve: PLCurve, rotated: PLCurve, x: np.ndarray, slot: np.ndarray,
-                    new_at: np.ndarray) -> float:
+def _merge(olds: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``olds`` then ``ends``, and their stable sort."""
+    merged = np.concatenate([olds, ends])
+    return merged, merged.argsort(kind="stable")
+
+
+def _on_block(curve: PLCurve, start: int, chords: np.ndarray, widths: np.ndarray,
+              q: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """The curve at each ``q[k]`` on segment ``start + seg[k]``, bit for bit as ``evaluate`` gives it.
+
+    ``chords`` and ``widths`` are those of the segments from ``start`` on;
+    the tangents are formed on the indexed segments only, as ``tangents()``
+    forms them.  A parameter above the domain's right end (a piece ending
+    there may round above it) is taken at the right end.
+    """
+    q = np.minimum(q, curve.length)
+    q -= curve.x[start:].take(seg)
+    value = chords.take(seg)
+    value /= widths.take(seg)
+    np.multiply(q, value, out=value)
+    return np.add(curve.z[start:].take(seg), value, out=value)
+
+
+def _kink_increment(curve: PLCurve, rotated: PLCurve, right: complex, x: np.ndarray,
+                    slot: np.ndarray, new_at: np.ndarray) -> float:
     """``|rotated - curve|`` at most at the right end and the kinks ``rotated`` lacks.
 
     The kinks are the old breakpoints ``x = curve.x[slot]``, on the segments
-    ``new_at`` of ``rotated``; there and at the right end both curves are
-    evaluated on the segments ``evaluate`` picks.  At a kink ``curve`` is
-    its vertex: evaluation adds ``0 * tangent``, which may change only the
-    sign of a zero, and no modulus.
+    ``new_at`` of ``rotated``; there and at the right end, where ``curve``
+    is ``right``, ``rotated`` is evaluated on the segments ``evaluate``
+    picks.  At a kink ``curve`` is its vertex: evaluation adds ``0 *
+    tangent``, which may change only the sign of a zero, and no modulus.
     """
     at = np.append(x, curve.length)
     moved = rotated._on_segments(at, np.append(new_at, rotated.n_segments - 1))
     moved[:-1] -= curve.z.take(slot)
-    moved[-1] -= curve._on_segments(curve.length, curve.n_segments - 1)
-    return float(np.max(np.abs(moved)))
+    moved[-1] -= right
+    return float(np.abs(moved).max())
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +866,15 @@ def _round_limbs(sums: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ThetaSeq:
-    """Torus rotation coordinates pushed through the renormalization cocycle."""
+    """Torus rotation coordinates pushed through the renormalization cocycle.
+
+    ``lifts`` holds the exact lift of the deepest entry, from which
+    ``extend`` continues the push.
+    """
 
     entries: list[np.ndarray]
     image_last: list[int]
+    lifts: list[Fraction] = field(default_factory=list, repr=False)
     _distances: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                              compare=False)
 
@@ -769,6 +897,27 @@ class ThetaSeq:
         """
         return angle_to_symmetric(float(self.entries[n][self.image_last[n]]))
 
+    def extend(self, trace: InductionTrace, depth: int) -> None:
+        """Continue the push along ``trace``, the trace it was pushed along, to level ``depth``.
+
+        Each step's factor ``I + E[loser, winner]`` moves the exact lift by
+        one rational add, ``lift[loser] += lift[winner]``, so each level
+        reduces just that one coordinate; the others carry over.  A depth
+        below the current one or beyond the trace raises ``InvalidInput``.
+        """
+        if not self.depth <= depth <= trace.n_steps:
+            raise InvalidInput(f"cannot push level {self.depth} on to {depth}: "
+                               f"the trace holds {trace.n_steps} steps")
+        lifts, point = self.lifts, self.entries[-1]
+        for step in trace.steps[self.depth:depth]:
+            lifts[step.loser] += lifts[step.winner]
+            point = point.copy()
+            point[step.loser] = reduce_mod_tau(lifts[step.loser])
+            self.entries.append(point)
+        self.image_last.extend(trace.image_last_symbol(n)
+                               for n in range(len(self.image_last), depth))
+        self._distances = None
+
 
 ThetaLike = Union[Sequence[float], Sequence[Fraction], np.ndarray]
 
@@ -776,30 +925,26 @@ ThetaLike = Union[Sequence[float], Sequence[Fraction], np.ndarray]
 def theta_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> ThetaSeq:
     """Push ``theta`` through the cocycle by a running exact lift, reduced mod ``2*pi``.
 
-    Each step's factor ``I + E[loser, winner]`` moves the exact lift of
-    ``theta`` by one rational add, ``lift[loser] += lift[winner]``, so each
-    level reduces just that one coordinate; the others carry over.  Every
-    entry equals ``torus_project(trace.cocycle[n], theta)`` bit for bit.
-    Float coordinates are consumed as the dyadic rationals they are, exact
+    Level 0 is ``torus_project(trace.cocycle[0], theta)`` and the push goes
+    on one step at a time (``ThetaSeq.extend``); every entry equals
+    ``torus_project(trace.cocycle[n], theta)`` bit for bit.  Float
+    coordinates are consumed as the dyadic rationals they are, exact
     rational ones exactly, so deep levels lose no precision to the
-    reduction.  A wrong number of coordinates, or a depth outside the trace,
-    raises ``InvalidInput``.
+    reduction.  A wrong number of coordinates, a non-finite one, or a depth
+    outside the trace raises ``InvalidInput``.
     """
     if not 0 <= depth <= trace.n_steps:
         raise InvalidInput(f"trace holds {trace.n_steps} steps, need {depth}")
     if len(theta) != trace.initial.d:
         raise InvalidInput(f"rotation vector has {len(theta)} entries, "
                            f"the exchange has {trace.initial.d} symbols")
-    lifts = [t if isinstance(t, Fraction) else Fraction(float(t)) for t in theta]
-    point = torus_project(trace.cocycle[0], lifts)
-    entries = [point]
-    for step in trace.steps[:depth]:
-        lifts[step.loser] += lifts[step.winner]
-        point = point.copy()
-        point[step.loser] = reduce_mod_tau(lifts[step.loser])
-        entries.append(point)
-    image_last = [trace.image_last_symbol(n) for n in range(depth)]
-    return ThetaSeq(entries, image_last)
+    try:
+        lifts = [t if isinstance(t, Fraction) else Fraction(float(t)) for t in theta]
+    except (ValueError, OverflowError):
+        raise InvalidInput(f"rotation vector entries must be finite, got {list(theta)}") from None
+    seq = ThetaSeq([torus_project(trace.cocycle[0], lifts)], [], lifts)
+    seq.extend(trace, depth)
+    return seq
 
 
 def segment_bound(trace: InductionTrace, depth: int) -> int:
@@ -836,6 +981,9 @@ def curve_levels(trace: InductionTrace, seq: ThetaSeq, curve: PLCurve, level: in
     towers = rokhlin_towers(trace, level)
     for n in range(level + 1, depth + 1):
         intervals = breaking_intervals(trace, n, towers)
+        if n == depth:
+            # the last operator runs without the towers, which nothing reads after it
+            del towers
         curve = breaking_operator(curve, seq.breaking_angle(n - 1), intervals)
         yield curve
         if n < depth:

@@ -229,7 +229,8 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
     at the sampling depth (``--deep-levels``, else ``max(--steps, 25)``) passes
     the injectivity test (double-precision orientation, 1e-14 relative
     collinearity tolerance).  Each vector tried is pushed once over the whole
-    trace, and the curves of the one kept are continued from that push.  The
+    trace (a sampled one continues the push that admitted it), and the
+    curves of the one kept are continued from that push.  The
     levels are built one at a time and only some curves are kept:
     ``curves[n]`` is the level-``n`` curve for ``n <= keep`` and
     ``curves[-1]`` the level-``depth`` one; ``increments[n]`` is
@@ -246,7 +247,8 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
         for _ in range(10):
             sample = spectral.sample_theta(frame, delta, cfg.seed,
                                            upsilon=iet.upsilon, trace=trace)
-            seq = breaking.theta_sequence(trace, sample.v, trace.n_steps)
+            seq = sample.pushed
+            seq.extend(trace, trace.n_steps)
             curves, increments = [breaking.PLCurve.identity(iet.total)], []
             # a sampling depth beyond ``depth`` keeps every level up to ``depth``
             _continue(trace, seq, curves, increments, sampling,

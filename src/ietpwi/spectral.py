@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import tau
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -319,6 +319,9 @@ class ThetaSample:
     delta: float
     attempts: int
     exclusion_report: dict = field(default_factory=dict)
+    #: the push of ``v`` to level ``min(N_CHECK, trace.n_steps)`` that
+    #: admitted it; ``ThetaSeq.extend`` continues it
+    pushed: Optional[ThetaSeq] = field(default=None, repr=False, compare=False)
 
 
 def _frame_columns(frame: FrameLike) -> list[list]:
@@ -337,8 +340,9 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
     align with the translation-vector direction (the most contracted one,
     where the limit curve degenerates to circle arcs) or when its push
     (``breaking.theta_sequence``) to some level 1 to ``N_CHECK`` of ``trace``
-    hits zero on the torus (where it degenerates to line segments).
-    Exact rational frames are combined exactly so deep pushes stay faithful.
+    hits zero on the torus (where it degenerates to line segments); the
+    sample carries that push.  Exact rational frames are combined exactly so
+    deep pushes stay faithful.
     """
     if not 0 < delta < np.pi:
         raise InvalidInput(f"delta must lie in (0, pi), got {delta!r}")
@@ -374,7 +378,7 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
             report["zero_preimage_hits"] += 1
             continue
         theta = np.array([float(x) % tau for x in v])
-        return ThetaSample(list(v), theta, delta, attempt, report)
+        return ThetaSample(list(v), theta, delta, attempt, report, pushed)
     raise ExhaustedResamples(
         f"no admissible rotation vector in {MAX_ATTEMPTS} draws: {report}")
 

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .breaking import PLCurve, ThetaSeq
+from .breaking import _BLOCK, PLCurve, ThetaSeq
 from .errors import InvalidInput
 from .iet import IETState, apply_exact
 from .pwi import AdaptedPWI, PlanarIsometry, hat_maps, inductive_maps, map_distance
@@ -112,7 +112,9 @@ def _conjugacy_defect(curve: PLCurve, maps: Sequence[PlanarIsometry], state: IET
     On a region the defect is affine between kinks, so its supremum is the
     maximum over the region's two ends (the right one as a limit), the curve
     breakpoints inside it and their preimages ``curve.x - u_s``; 0 when no
-    region is kept.
+    region is kept.  The kinks are taken ``_BLOCK`` at a time (half a block
+    of breakpoints and their preimages, with the region's ends), so no
+    temporary is longer than a block.
     """
     den = state.denominator
     worst = 0.0
@@ -123,11 +125,15 @@ def _conjugacy_defect(curve: PLCurve, maps: Sequence[PlanarIsometry], state: IET
             continue
         lo, hi = lo / den, hi / den
         shift = state.upsilon[symbol]
-        kinks = np.concatenate([curve.x, curve.x - shift])
-        xs = np.concatenate([[lo], kinks[(kinks > lo) & (kinks < hi)], [hi]])
-        fx = np.minimum(xs + shift, curve.length)
-        gap = maps[symbol](curve.evaluate(xs)) - curve.evaluate(fx)
-        worst = max(worst, float(np.max(np.abs(gap))))
+        gaps = []
+        for start in range(0, curve.n_segments, _BLOCK // 2):
+            x = curve.x[start:start + _BLOCK // 2]
+            xs = np.concatenate([[lo, hi], x, x - shift])
+            xs = xs[(xs >= lo) & (xs <= hi)]
+            fx = np.minimum(xs + shift, curve.length)
+            gap = maps[symbol](curve.evaluate(xs)) - curve.evaluate(fx)
+            gaps.append(np.max(np.abs(gap)))
+        worst = max(worst, float(np.max(gaps)))
     return worst
 
 
@@ -181,12 +187,15 @@ def lipschitz_constant(curve: PLCurve) -> float:
 
     inf unless every segment moves right, so a vertical segment or one that
     doubles back (the curve is then no graph over its first coordinate)
-    gets inf.
+    gets inf.  The tangents are formed ``_BLOCK`` segments at a time.
     """
-    t = curve.tangents()
-    if np.any(t.real < 1e-15):
-        return float("inf")
-    return float(np.max(np.abs(t.imag) / t.real))
+    slopes = []
+    for _, tangents, widths in curve.segment_blocks():
+        tangents /= widths
+        if np.any(tangents.real < 1e-15):
+            return float("inf")
+        slopes.append(np.max(np.abs(tangents.imag) / tangents.real))
+    return float(np.max(slopes))
 
 
 def convergence_report(increments: Sequence[float], curve: PLCurve, theta_seq: ThetaSeq,
@@ -362,11 +371,14 @@ def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
 
     Non-adjacent segments may not meet at all; adjacent segments may share
     only their common vertex (a fold-back onto the previous segment counts
-    as an intersection).  Fold-backs are scanned first.  A polyline whose
-    vertices' first coordinates strictly increase is then certified exactly,
-    since that compares stored floats: it is a graph, so non-adjacent
-    segments have disjoint projections on the first axis and adjacent ones
-    share only their common vertex.
+    as an intersection).  Fold-backs are scanned first, ``_BLOCK`` segments
+    at a time with consecutive blocks sharing a segment, so each pair of
+    neighbours lies in one block.  A polyline whose vertices' first
+    coordinates strictly increase is then certified exactly, since that
+    compares stored floats (a difference of doubles is positive exactly
+    when the first is larger, so the same scan reads it off the chords): it
+    is a graph, so non-adjacent segments have disjoint projections on the
+    first axis and adjacent ones share only their common vertex.
 
     Every other polyline gets a double-precision orientation test, not an
     exact one: float cross products decide the side, and a contact counts
@@ -379,20 +391,23 @@ def injectivity(curve: PLCurve) -> tuple[bool, Optional[tuple[int, int]]]:
     returned witness is the first fold-back, else the offending pair that
     the cell-by-cell scan of ``_scan_first`` meets first.
     """
+    if curve.n_segments < 2:
+        return True, None
+    graph = True
+    for start, t, _ in curve.segment_blocks(overlap=1):
+        lengths = np.abs(t)
+        dots = np.real(t[1:] * np.conj(t[:-1]))
+        norms = lengths[1:] * lengths[:-1]
+        folded = (norms > 0) & (dots / np.where(norms > 0, norms, 1.0) < -1 + 1e-12)
+        if np.any(folded):
+            i = start + int(np.argmax(folded))
+            return False, (i, i + 1)
+        graph = graph and bool(np.all(t.real > 0))
+    if graph:
+        return True, None
     p = curve.z[:-1]
     q = curve.z[1:]
-    if len(p) < 2:
-        return True, None
-    t = q - p
-    lengths = np.abs(t)
-    dots = np.real(t[1:] * np.conj(t[:-1]))
-    norms = lengths[1:] * lengths[:-1]
-    folded = (norms > 0) & (dots / np.where(norms > 0, norms, 1.0) < -1 + 1e-12)
-    if np.any(folded):
-        i = int(np.argmax(folded))
-        return False, (i, i + 1)
-    if np.all(curve.z.real[1:] > curve.z.real[:-1]):
-        return True, None
+    lengths = np.abs(q - p)
     cell = max(float(np.max(lengths)), 1e-12)
     mid = (p + q) / 2.0
     key, width = _cell_keys(mid.real, mid.imag, cell)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+import weakref
 from bisect import bisect_right
 from fractions import Fraction
 from math import pi, sin, tau
@@ -157,6 +158,44 @@ def test_operator_rejects_bad_inputs():
         breaking_operator(crooked, 0.3, IntervalSeq(np.array([0.1]), 0.05))
 
 
+def test_non_finite_and_empty_input_is_invalid(reference_trace):
+    line = PLCurve.identity(1.0)
+    nan_vertex = PLCurve(1.0, np.array([0.0, 0.5]), np.array([0.0, complex(np.nan, 0.0), 1.0]))
+    with pytest.raises(NonUnitSpeed, match="nan"):
+        nan_vertex.require_unit_speed()
+    with pytest.raises(NonUnitSpeed):
+        breaking_operator(nan_vertex, 0.3, IntervalSeq(np.array([0.1]), 0.05))
+    for y in ([np.nan], [0.1, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(InvalidInput, match="finite"):
+            IntervalSeq(np.array(y), 0.1)
+    with pytest.raises(InvalidInput, match="positive and finite"):
+        IntervalSeq(np.array([0.1]), np.inf)
+    with pytest.raises(InvalidInput, match="no rotation intervals"):
+        breaking_operator(line, 0.3, IntervalSeq(np.array([]), 0.1))
+    for phi in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInput, match="angle must be finite"):
+            breaking_operator(line, phi, IntervalSeq(np.array([0.1]), 0.1))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            theta_sequence(reference_trace, [0.1, bad, 0.2, 0.3], 3)
+
+
+@pytest.mark.parametrize("worst", [breaking._BLOCK - 1, breaking._BLOCK, 2 * breaking._BLOCK + 4])
+def test_unit_speed_defect_takes_the_worst_segment_at_a_block_edge(worst):
+    # segments of width and chord 2**-20 but two: the worst ends a block,
+    # starts one or is the last segment
+    n = 2 * breaking._BLOCK + 5
+    z = np.arange(n + 1) * 2.0**-20 + 0j
+    z[4:] += 1e-13
+    z[worst + 1:] += 1e-11
+    curve = PLCurve(n * 2.0**-20, np.arange(n) * 2.0**-20, z)
+    each = np.abs(np.abs(np.diff(curve.z)) - curve.segment_lengths())
+    assert int(np.argmax(each)) == worst
+    assert curve.unit_speed_defect() == float(np.max(each))
+    with pytest.raises(NonUnitSpeed, match="exceeds"):
+        curve.require_unit_speed()
+
+
 def test_unit_speed_tolerance_scales_with_the_domain_length():
     # one ulp of 5e5 is 5.8e-11: above 1e-12, but a relative error of 1e-16
     far = float(np.nextafter(5e5, np.inf))
@@ -290,7 +329,9 @@ def test_operator_matches_oracle_on_random_exchanges():
 
 def test_operator_peak_memory_is_a_small_multiple_of_its_output(reference, reference_trace):
     # the traced peak of the level-56 catalog call: 23.2 MB, 4.1 times its
-    # output, when every temporary was as long as the merged breakpoints
+    # output, when every temporary was as long as the merged breakpoints;
+    # 2.84 times with the tangents and one merge of every breakpoint, 2.08
+    # times with a block at a time
     sample = sample_theta(reference.stable_frame_exact(), 0.5, 0,
                           upsilon=reference.iet.upsilon, trace=reference_trace)
     for curve, phi, intervals in _operator_levels(reference_trace, sample.v, 56):
@@ -302,7 +343,7 @@ def test_operator_peak_memory_is_a_small_multiple_of_its_output(reference, refer
     finally:
         tracemalloc.stop()
     assert out.n_segments == 232_796
-    assert peak < 3.5 * (out.x.nbytes + out.z.nbytes)
+    assert peak < 2.2 * (out.x.nbytes + out.z.nbytes)
 
 
 def test_operator_takes_an_end_an_ulp_out_of_order():
@@ -329,6 +370,40 @@ def test_operator_takes_an_end_an_ulp_out_of_order():
     outside = (mid < y0) | (mid > y1 + delta)
     old = curve.tangents()[np.searchsorted(curve.x, mid[outside], side="right") - 1]
     np.testing.assert_allclose(out.tangents()[outside], old, rtol=0, atol=1e-12)
+
+
+def _same_curve(got, want):
+    return (np.array_equal(got.x, want.x) and got.z.tobytes() == want.z.tobytes()
+            and got.increment == want.increment)
+
+
+def test_operator_output_does_not_depend_on_the_block_size(reference, reference_trace,
+                                                          monkeypatch):
+    # catalog levels of up to 874 segments, placed in blocks of 97 old
+    # breakpoints and then in one block
+    sample = sample_theta(reference.stable_frame_exact(), 0.5, 3,
+                          upsilon=reference.iet.upsilon, trace=reference_trace)
+    levels = list(_operator_levels(reference_trace, sample.v, 30))
+    want = [breaking_operator(*level) for level in levels]
+    monkeypatch.setattr(breaking, "_BLOCK", 97)
+    assert levels[-1][0].n_segments > 8 * 97
+    for level, curve in zip(levels, want):
+        assert _same_curve(breaking_operator(*level), curve)
+
+
+def test_operator_takes_ends_out_of_order_across_a_block_edge(monkeypatch):
+    # interval 1 starts one ulp before interval 0 ends, at the first old
+    # breakpoint of the second block: block 0 holds the start, whose zone
+    # reads the shift of the end that block 1 holds
+    curve = random_unit_speed_curve(np.random.default_rng(8), length=1.0, pieces=40)
+    assert curve.n_segments > 16
+    delta = 0.02
+    edge = float(curve.x[8])
+    intervals = IntervalSeq(np.array([edge - delta, float(np.nextafter(edge, -np.inf))]), delta)
+    assert intervals.bounds()[1] == edge > intervals.bounds()[2]
+    want = breaking_operator(curve, 0.7, intervals)
+    monkeypatch.setattr(breaking, "_BLOCK", 8)
+    assert _same_curve(breaking_operator(curve, 0.7, intervals), want)
 
 
 @pytest.mark.parametrize("shift, nums, den", [
@@ -587,6 +662,42 @@ def test_curve_levels_continue_a_prefix(reference_trace, reference_sample, refer
             assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
             assert got.increment == want.increment
     assert list(curve_levels(reference_trace, seq, reference_curves[9], 9, 9)) == []
+
+
+def test_curve_levels_release_the_towers_before_the_last_operator(reference_trace,
+                                                                  monkeypatch):
+    # the level-(depth-1) towers are as large as the curve that the last
+    # operator builds, and nothing reads them after its intervals
+    towers, alive = [], []
+
+    def traced_towers(trace, n):
+        made = rokhlin_towers(trace, n)
+        towers.append(weakref.ref(made))
+        return made
+
+    def traced_operator(curve, phi, intervals):
+        alive.append(towers[0]() is not None)
+        return breaking_operator(curve, phi, intervals)
+
+    monkeypatch.setattr(breaking, "rokhlin_towers", traced_towers)
+    monkeypatch.setattr(breaking, "breaking_operator", traced_operator)
+    seq = theta_sequence(reference_trace, [0.3, -0.2, 0.1, 0.05], 12)
+    start = PLCurve.identity(reference_trace.initial.total)
+    assert len(list(curve_levels(reference_trace, seq, start, 0, 12))) == 12
+    assert alive == [True] * 11 + [False]
+
+
+def test_theta_sequence_extends_its_push(reference_trace, reference_sample):
+    whole = theta_sequence(reference_trace, reference_sample.v, 200)
+    seq = theta_sequence(reference_trace, reference_sample.v, 40)
+    assert len(seq.distances()) == 41
+    seq.extend(reference_trace, 200)
+    assert seq.image_last == whole.image_last and seq.lifts == whole.lifts
+    assert all(np.array_equal(a, b) for a, b in zip(seq.entries, whole.entries))
+    assert len(seq.entries) == 201 and np.array_equal(seq.distances(), whole.distances())
+    for depth in (199, reference_trace.n_steps + 1):
+        with pytest.raises(InvalidInput, match="cannot push"):
+            seq.extend(reference_trace, depth)
 
 
 def test_curve_depth_is_checked_against_the_segment_budget(reference_trace):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ietpwi import breaking, verify
+from ietpwi import breaking, spectral, verify
 from ietpwi.cli import COMMANDS, RunConfig, main
 
 from conftest import SRC_DIR
@@ -415,6 +415,23 @@ def test_verify_keeps_only_the_curves_it_reads(tmp_path, monkeypatch):
         assert main(["verify", "--catalog", "--steps", "2", "--deep-levels", "63",
                      "--json"]) == 0
     assert len(made) >= 63 and alive == [3]
+
+
+def test_verify_pushes_the_sampled_vector_once(tmp_path, monkeypatch):
+    # the sample carries its push to level N_CHECK, which the curves continue
+    depths = []
+    push = breaking.theta_sequence
+
+    def counting(trace, theta, depth):
+        depths.append(depth)
+        return push(trace, theta, depth)
+
+    monkeypatch.setattr(breaking, "theta_sequence", counting)
+    monkeypatch.setattr(spectral, "theta_sequence", counting)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--catalog", "--steps", "8", "--delta", "0.05", "--json"]) == 0
+    assert depths == [spectral.N_CHECK]
 
 
 #: the options each command does not read, which it refuses

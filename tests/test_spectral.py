@@ -441,6 +441,14 @@ def test_sample_theta_matches_the_per_level_oracle(sampling_inputs, frame_kind, 
         assert (got.attempts, got.exclusion_report) == (want.attempts, want.exclusion_report)
 
 
+def test_sample_theta_carries_the_push_that_admitted_it(sampling_inputs):
+    frame, iet, trace = sampling_inputs["exact"]
+    sample = sample_theta(frame, 0.05, 0, upsilon=iet.upsilon, trace=trace)
+    want = theta_sequence(trace, sample.v, N_CHECK)
+    assert sample.pushed.depth == N_CHECK and sample.pushed.image_last == want.image_last
+    assert all(np.array_equal(a, b) for a, b in zip(sample.pushed.entries, want.entries))
+
+
 def test_sample_theta_rejects_zero_preimages(sampling_inputs):
     frame, iet, trace = sampling_inputs["exact"]
     sample = sample_theta(frame, 1e-11, 0, upsilon=iet.upsilon, trace=trace)

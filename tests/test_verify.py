@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from math import atan, pi, tau
 
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, find, given, settings, strategies as st
 
-from ietpwi.breaking import PLCurve, breaking_sequence, theta_sequence
+from ietpwi.breaking import _BLOCK, PLCurve, breaking_sequence, curve_levels, theta_sequence
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.pwi import PlanarIsometry, adapted_pwi, inductive_maps, map_distance
 from ietpwi.rauzy import rauzy_iterate
+from ietpwi.spectral import sample_theta
 from ietpwi.verify import (
     _cell_keys,
     _conjugacy_defect,
@@ -244,6 +246,24 @@ def test_each_kink_class_can_hold_the_maximum(kind):
     find(conjugacy_cases(), needs, settings=settings(CONJUGACY, phases=[Phase.generate]))
 
 
+@pytest.mark.parametrize("kink", [_BLOCK - 1, _BLOCK])
+def test_conjugacy_kink_at_a_block_edge(kink):
+    # a straight curve that the translations u_s conjugate exactly, but for
+    # two bumps: the larger one, at the breakpoint that ends a block or
+    # starts one, and its preimage hold the maximum
+    iet = build_iet(Permutation.from_monodromy("2 1"), Lengths((3, 5), 8))
+    maps = [PlanarIsometry(0.0, 0j, complex(u)) for u in iet.upsilon]
+    n = 2 * _BLOCK + 3
+    x = np.arange(n) / n
+    z = np.append(x, 1.0) + 0j
+    z[[kink, 2 * _BLOCK - kink - 1]] += [2e-3j, 1e-3j]
+    curve = PLCurve(1.0, x, z)
+    found = _conjugacy_oracle(curve, maps, iet, 0)
+    defect = _conjugacy_defect(curve, maps, iet)
+    assert defect == max(found[kind] for kind in KINK_CLASSES)
+    assert defect == pytest.approx(2e-3, abs=1e-12)
+
+
 def test_map_distance_peaks_at_a_box_corner():
     # two isometries differ by an affine map, whose modulus is convex
     rng = np.random.default_rng(7)
@@ -429,6 +449,20 @@ def test_lipschitz_cone_holds_a_graph_to_its_steepest_slope(reference_trace):
     assert check.passed and "skipped" not in check.meta
 
 
+@pytest.mark.parametrize("fold", [_BLOCK - 2, _BLOCK - 1, _BLOCK])
+def test_fold_back_at_a_block_edge(fold):
+    # a straight run that folds back between segments ``fold`` and ``fold +
+    # 1``: the pair ends a block, straddles its edge or starts the next
+    n = _BLOCK + 10
+    points = np.append(np.arange(fold + 2), fold + 0.5 + 1j + np.arange(n - fold - 1))
+    points[fold + 2] = fold + 0.5
+    curve = make_polyline(points)
+    assert injectivity(curve) == _injectivity_oracle(curve) == (False, (fold, fold + 1))
+    # without the fold the run is a graph across the block edges
+    zigzag = np.arange(n + 1) + 1j * (np.arange(n + 1) % 2)
+    assert injectivity(make_polyline(zigzag)) == (True, None)
+
+
 def test_injectivity_witness_is_first_in_scan_order():
     # segment 0 has a cell of its own; segments 1-3 share the cell below it,
     # whose scan pairs its members with segment 0 before pairing them with
@@ -539,3 +573,36 @@ def test_isometry_defect_proxy_cauchy(reference_trace, reference_sample):
     curves = breaking_sequence(reference_trace, reference_sample.v, 30)
     assert isometry_defect(curves[30]) < 1e-8
     assert isometry_defect(curves[25]) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def deep_catalog(reference, reference_trace):
+    """The level-56 catalog curve (232,796 segments), its increments, push and maps."""
+    sample = sample_theta(reference.stable_frame_exact(), 0.5, 0, upsilon=reference.iet.upsilon,
+                          trace=reference_trace)
+    seq = theta_sequence(reference_trace, sample.v, 56)
+    increments = []
+    for curve in curve_levels(reference_trace, seq, PLCurve.identity(reference.iet.total), 0, 56):
+        increments.append(curve.increment)
+    adapted = adapted_pwi(curve, reference.iet, [float(t) % tau for t in sample.v])
+    return curve, increments, seq, adapted
+
+
+@pytest.mark.parametrize("check", ["injectivity", "embedding_defect", "convergence_report"])
+def test_checks_of_a_deep_curve_run_in_bounded_memory(deep_catalog, reference, reference_trace,
+                                                      check):
+    # each takes its maximum a block at a time; with curve-sized temporaries
+    # the traced peaks were 2.7, 4.7 and 1.0 times the curve
+    curve, increments, seq, adapted = deep_catalog
+    calls = {"injectivity": lambda: injectivity(curve),
+             "embedding_defect": lambda: embedding_defect(curve, adapted, reference.iet),
+             "convergence_report": lambda: convergence_report(increments, curve, seq,
+                                                              reference_trace)}
+    assert curve.n_segments == 232_796
+    tracemalloc.start()
+    try:
+        calls[check]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * (curve.x.nbytes + curve.z.nbytes)
