@@ -250,32 +250,21 @@ class IntervalSeq:
         return out
 
 
-def _shift_table(g: np.ndarray, index: np.ndarray, one_minus: complex) -> np.ndarray:
-    """``[-0, upper_0, lower_0, upper_1, ...]`` from the curve values at the interval ends.
+def _shifts(values: np.ndarray, lo: int, hi: int, one_minus: complex,
+            carry: complex) -> np.ndarray:
+    """Entries ``lo..hi`` of the shift table ``[-0, upper_0, lower_0, upper_1, ...]``.
 
-    ``g[r]`` is the value at the interleaved end ``index[r]``: with ``v[2k]``
+    ``values[r]`` is the curve at the interleaved end ``r``: with ``v[2k]``
     the value at the k-th interval's left end and ``v[2k+1]`` at its right
     end, ``upper[k] = lower[k-1] + v[2k]*(1-rot)`` and ``lower[k] = upper[k]
     - v[2k+1]*(1-rot)``: one running sum over the interleaved steps, added in
-    the same order (``_shifts``).  The leading ``-0.0`` is the shift of zone
-    0, the identity of floating-point addition.
-    """
-    values = np.empty(len(g), dtype=complex)
-    values[index] = g
-    return _shifts(values, 0, len(values), one_minus, complex(-0.0, -0.0))
-
-
-def _shifts(values: np.ndarray, lo: int, hi: int, one_minus: complex,
-            carry: complex) -> np.ndarray:
-    """Entries ``lo..hi`` of the ``_shift_table`` of ``values``, given entry ``lo``.
-
-    ``values`` holds the curve values at the ends in interleaved order, and
-    ``carry`` is entry ``lo``; each later entry adds one end's step to the
-    one before, so ranges taken in turn, each from the last entry of the one
-    before, give the whole table bit for bit.  Each step's product is rounded
-    as the scalar complex product rounds it (numpy's vectorized complex
-    multiply can differ from it in the last ulp), from separately rounded
-    real multiplies and adds.
+    the same order.  ``carry`` is entry ``lo``, so ranges taken in turn, each
+    from the last entry of the one before, give the whole table bit for bit;
+    entry 0 is ``-0.0``, the shift of zone 0 and the identity of
+    floating-point addition.  Each step's product is rounded as the scalar
+    complex product rounds it (numpy's vectorized complex multiply can
+    differ from it in the last ulp), from separately rounded real multiplies
+    and adds.
     """
     table = np.empty(hi - lo + 1, dtype=complex)
     table[0] = carry
@@ -301,28 +290,28 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     The output lives on the same domain, is continuous and keeps unit speed;
     the interval endpoints are inserted as new breakpoints.  A non-finite
     angle or an empty family raises ``InvalidInput``, and a curve off unit
-    speed ``NonUnitSpeed``.
+    speed ``NonUnitSpeed`` (before ``IntervalOutOfRange``).
 
     Merge: the ``2m`` interval ends are sorted once, stably (they need not
     be sorted to the ulp).  The old breakpoints are then taken ``_BLOCK`` at
     a time with the ends that a search puts among them, and one stable sort
     of those two sorted runs merges them, an old breakpoint before an equal
-    end (``_merged_blocks``).  The block's chords and widths give its
-    unit-speed defect.  Each of its ends is evaluated on its segment, the
-    one that starts at the last old breakpoint up to it, with the tangent
-    formed from that segment's chord and width only.  Each parameter reads
-    its value from the old vertices or from its end's value, its zone being
-    the count of ends up to it.  No array but the ends' and the output's is
-    longer than a block, and old vertices are carried as they are.
+    end (``_merged_blocks``).  A first pass over the merge checks each
+    block's unit-speed defect from its chords and widths, and evaluates each
+    of its ends as ``evaluate()`` does, on the segment that starts at the
+    last old breakpoint up to it, with the tangent formed from that
+    segment's chord and width only.  The second pass places the parameters:
+    each reads its value from the old vertices or from its end's value, its
+    zone being the count of ends up to it.  No array but the ends' and the
+    output's is longer than a block, and old vertices are carried as they
+    are.
 
     Shifts: zone ``j`` is rotated by ``phi`` when ``j`` is odd and then
     moved by ``shifts[j]``, one lookup in the table ``[-0, upper_0, lower_0,
-    upper_1, ...]`` of ``_shift_table``, whose entries are formed a block's
-    zones at a time (``_shifts``).  Entry ``j`` reads the ends of
-    interleaved index below ``j``; one an ulp out of order that a later
-    block holds is evaluated ahead.  Zone 0 lies before every interval and
-    must stay as it is: ``v + (-0.0)`` is ``v`` bit for bit, ``-0.0``
-    included, where ``+0.0`` would turn a ``-0.0`` into ``+0.0``.
+    upper_1, ...]`` of ``_shifts``, whose entries are formed a block's
+    zones at a time.  Zone 0 lies before every interval and must stay as it
+    is: ``v + (-0.0)`` is ``v`` bit for bit, ``-0.0`` included, where
+    ``+0.0`` would turn a ``-0.0`` into ``+0.0``.
 
     The output's ``increment`` is ``sup |output - curve|``, bit for bit the
     maximum of the modulus over both curves' breakpoints and the right end:
@@ -339,6 +328,8 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     y = intervals.y
     length, old = curve.length, curve.n_segments
     if y[0] < 0.0 or y[-1] + intervals.delta > length * (1 + 1e-12):
+        # a curve off unit speed is refused first, whatever the intervals
+        curve.require_unit_speed()
         raise IntervalOutOfRange("rotation intervals must lie inside the curve domain")
     rot = complex(np.cos(phi), np.sin(phi))
     one_minus = 1.0 - rot
@@ -350,15 +341,24 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     del bounds
     by_end = by_end.astype(np.int32)
     right_zone = int(np.searchsorted(ends, length, side="right"))
-    # the curve at each end in interleaved order, filled a block at a time;
-    # ``top`` is the largest interleaved index of an end filled so far
+    # the curve at each end in interleaved order, once every block's speed
+    # defect passes: an end's segment is the count of old breakpoints before
+    # it in the merge, less one
     at_ends = np.empty(len(ends), dtype=complex)
-    top = -1
+    for start, first, olds, _, order in _merged_blocks(curve.x, ends):
+        chords, widths = curve._segments(start, start + olds)
+        _require_unit_speed(_speed_defect(chords, widths), length)
+        seg = (order >= olds).nonzero()[0]
+        last = first + len(seg)
+        seg -= np.arange(1, len(seg) + 1)
+        at_ends[by_end[first:last]] = _on_block(curve, start, chords, widths,
+                                                ends[first:last], seg)
+        del order, chords, widths, seg
 
     # merge numerically coincident breakpoints: a zero-length segment carries
     # no geometry but fabricates spurious self-contacts downstream
     merge_tol = 1e-13 * max(1.0, length)
-    new_x, new_z, defects = [], [], []
+    new_x, new_z = [], []
     kinks = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
     kept = 0                # new breakpoints placed so far
     previous = -np.inf      # the last distinct parameter placed so far
@@ -368,29 +368,7 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
         params = merged.take(order)
         is_end = order >= olds
         del merged, order
-        # the chords and widths give the speed defect; each end lies on the
-        # segment that starts at the last old breakpoint up to it, and is
-        # evaluated there as evaluate() does
-        chords, widths = curve._segments(start, start + olds)
-        defects.append(_speed_defect(chords, widths))
-        seg = is_end.nonzero()[0]
-        last = first + len(seg)
-        seg -= np.arange(1, len(seg) + 1)
-        on_ends = _on_block(curve, start, chords, widths, ends[first:last], seg)
-        del chords, widths, seg
-        at_ends[by_end[first:last]] = on_ends
-        # the zones ``first..last`` read the ends of interleaved index below
-        # ``last``; unless those are the ends so far, some an ulp out of
-        # order lie in a later block
-        if last > first:
-            top = max(top, int(by_end[first:last].max()))
-        if top >= last:
-            ahead = by_end[last:]
-            ahead = ahead[ahead < last]
-            q = y.take(ahead // 2)
-            q[ahead % 2 == 1] += intervals.delta
-            at_ends[ahead] = curve._on_segments(
-                np.minimum(q, length), np.searchsorted(curve.x, q, side="right") - 1)
+        last = first + int(np.count_nonzero(is_end))
         shifts = _shifts(at_ends, first, last, one_minus, shifts[-1])
         # a parameter's zone (less ``first``) counts the block's ends up to
         # it; its position in the block, plus ``start``, less that is the
@@ -438,14 +416,13 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
         at_end = is_end.take(keep).nonzero()[0]
         del zone, is_end
         values = curve.z.take(keep + start - keep_zone)
-        values[at_end] = on_ends.take(keep_zone.take(at_end) - 1)
-        del at_end, on_ends
+        values[at_end] = at_ends.take(by_end.take(keep_zone.take(at_end) + (first - 1)))
+        del at_end
         new_z.append(np.empty(len(keep), dtype=complex))
         increment = max(increment, _shift_block(values, keep_zone, first, rot, shifts,
                                                 new_z[-1]))
         kept += len(keep)
     del ends, by_end, at_ends
-    _require_unit_speed(float(np.max(defects)), length)
     # the right end is a limit of the last segment, evaluated as evaluate() does
     right = curve._on_segments(length, old - 1)
     new_z.append(np.empty(1, dtype=complex))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import tau
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -318,10 +318,10 @@ class ThetaSample:
     theta: np.ndarray
     delta: float
     attempts: int
-    exclusion_report: dict = field(default_factory=dict)
+    exclusion_report: dict
     #: the push of ``v`` to level ``min(N_CHECK, trace.n_steps)`` that
-    #: admitted it; ``ThetaSeq.extend`` continues it
-    pushed: Optional[ThetaSeq] = field(default=None, repr=False, compare=False)
+    #: admitted it; ``ThetaSeq.extend`` may continue this push in place
+    pushed: ThetaSeq = field(repr=False, compare=False)
 
 
 def _frame_columns(frame: FrameLike) -> list[list]:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ietpwi.breaking import IntervalSeq, PLCurve, _shift_table, _to_floats
+from ietpwi.breaking import IntervalSeq, PLCurve, _shifts, _to_floats
 from ietpwi.rauzy import InductionTrace
 
 
@@ -37,7 +37,7 @@ def breaking_offsets(curve: PLCurve, phi: float,
     ends = intervals.bounds()
     # a piece ending at the domain's right end may round above it
     ends[1::2] = np.minimum(ends[1::2], curve.length)
-    shifts = _shift_table(curve.evaluate(ends), np.arange(len(ends)), 1.0 - rot)
+    shifts = _shifts(curve.evaluate(ends), 0, len(ends), 1.0 - rot, complex(-0.0, -0.0))
     return shifts[1::2], shifts[2::2]
 
 

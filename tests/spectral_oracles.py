@@ -10,6 +10,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ietpwi.breaking import theta_sequence
 from ietpwi.errors import ExhaustedResamples
 from ietpwi.iet import IETState, Permutation
 from ietpwi.rauzy import InductionTrace, torus_distance_to_zero, torus_project
@@ -61,7 +62,8 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *, upsilon: Sequence
                  trace: InductionTrace) -> ThetaSample:
     """The sampler's draws, each checked level by level against the stored
     cocycle products: ``torus_project(trace.cocycle[n], v)`` for every
-    ``n`` in 1..``N_CHECK``, stopping at the first push near zero.
+    ``n`` in 1..``N_CHECK``, stopping at the first push near zero.  The
+    sample carries the push to level ``min(N_CHECK, trace.n_steps)``.
     """
     columns = _frame_columns(frame)
     rng = np.random.default_rng(seed)
@@ -92,6 +94,7 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *, upsilon: Sequence
             report["zero_preimage_hits"] += 1
             continue
         theta = np.array([float(x) % tau for x in v])
-        return ThetaSample(list(v), theta, delta, attempt, report)
+        return ThetaSample(list(v), theta, delta, attempt, report,
+                           theta_sequence(trace, v, min(N_CHECK, trace.n_steps)))
     raise ExhaustedResamples(
         f"no admissible rotation vector in {MAX_ATTEMPTS} draws: {report}")

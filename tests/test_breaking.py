@@ -156,6 +156,9 @@ def test_operator_rejects_bad_inputs():
     crooked = PLCurve(1.0, np.array([0.0, 0.5]), np.array([0, 0.5, 1.5 + 0.2j]))
     with pytest.raises(NonUnitSpeed):
         breaking_operator(crooked, 0.3, IntervalSeq(np.array([0.1]), 0.05))
+    # off unit speed and out of range: the curve is refused first
+    with pytest.raises(NonUnitSpeed):
+        breaking_operator(crooked, 0.3, IntervalSeq(np.array([0.95]), 0.1))
 
 
 def test_non_finite_and_empty_input_is_invalid(reference_trace):
@@ -330,7 +333,7 @@ def test_operator_matches_oracle_on_random_exchanges():
 def test_operator_peak_memory_is_a_small_multiple_of_its_output(reference, reference_trace):
     # the traced peak of the level-56 catalog call: 23.2 MB, 4.1 times its
     # output, when every temporary was as long as the merged breakpoints;
-    # 2.84 times with the tangents and one merge of every breakpoint, 2.08
+    # 2.84 times with the tangents and one merge of every breakpoint, 2.05
     # times with a block at a time
     sample = sample_theta(reference.stable_frame_exact(), 0.5, 0,
                           upsilon=reference.iet.upsilon, trace=reference_trace)
