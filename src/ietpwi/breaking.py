@@ -9,20 +9,21 @@ stays continuous; iterating it along a renormalization trace with angles
 read off the torus cocycle produces the curve sequence that converges to an
 invariant curve of an adapted planar piecewise isometry.
 
-The intervals of each level are the floors of one exact Rokhlin tower.  A
-floor is stored as the visit counts of a return-word prefix (int32, 16 bytes
-at ``d = 4``); its exact offset is those counts times the level-0
-translation numerators.  Floats decide what they can and exact integers the
-rest, in the manner of Shewchuk's adaptive predicates: floors are ordered
-and pieces checked on float keys ``counts @ (translations / total)``, which
-err by at most ``(d + 2) 2**-53`` times a bound on their modulus, and any
-pair of floors, gap or edge within about twice that is decided on Python
-ints.  The left ends are rounded once from exact int64 limb sums of each
-translation's top 94 bits (Brent and Zimmermann, *Modern Computer
-Arithmetic*, treat rounding from limbs); an end whose rounding the cut-off
-bits leave open, and every end over a denominator that is not a power of
-two, is converted exactly.  So every interval is the one exact arithmetic
-gives, bit for bit.
+The intervals of each level are the floors of one exact Rokhlin tower (Veech
+1982), kept in return-time order.  A floor is stored as the visit counts of
+a return-word prefix (int32, 16 bytes at ``d = 4``); its exact offset is
+those counts times the level-0 translation numerators.  The left ends are
+rounded once from exact int64 limb sums of each translation's top 94 bits
+(Brent and Zimmermann, *Modern Computer Arithmetic*, treat rounding from
+limbs); an end whose rounding the cut-off bits leave open, and every end
+over a denominator that is not a power of two, is converted exactly.  So
+every interval is the one exact arithmetic gives, bit for bit.  Floats then
+decide what they can and exact integers the rest, in the manner of
+Shewchuk's adaptive predicates: correct rounding is monotone, so one sort
+of the rounded ends orders the floors of the tower a level reads but for
+ends that round equal, which are ordered on Python ints; and the pieces
+are checked on those ends, every gap or edge within four spacings of the
+largest value compared being decided on Python ints.
 """
 
 from __future__ import annotations
@@ -145,9 +146,6 @@ class PLCurve:
         value *= q - x0
         value += z0
         return value
-
-    def arc_length(self) -> float:
-        return float(np.sum(np.abs(np.diff(self.z))))
 
     def cumulative_arc_length(self) -> np.ndarray:
         """Arc length from 0 to each breakpoint (and to the right end)."""
@@ -540,7 +538,6 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _MAX_SYMBOLS = (1 << (63 - _COUNT_BITS - _LIMB_BITS)) - 1
 #: bits of each translation the limbs keep: three limbs, less a sign margin
 _KEPT_BITS = 3 * _LIMB_BITS - 2
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _require_count_width(budget: int) -> None:
@@ -557,72 +554,24 @@ class Towers:
     """Rokhlin towers of one level, each floor stored as visit counts.
 
     ``counts[s]`` is an int32 array of shape ``(height, d)``, one row per
-    floor of symbol ``s``'s tower in increasing order of offset.  A row
-    counts the letters of a prefix of the return word, so the floor's exact
-    offset ``T^k x - x`` (a numerator) is the row times ``ups``, the level-0
-    translation numerators.  Indexing a symbol gives those offsets as a
-    sorted list of ints.
-
-    ``keys`` gives each row's offset over ``scale`` (the level-0 length
-    numerator) as a float, and ``key_error`` a bound on how far differences
-    of such keys stray from the exact ones.
+    floor of symbol ``s``'s tower in return-time order: row ``k`` holds the
+    visit counts of the first ``k`` letters of the return word, so the
+    floor's exact offset ``T^k x - x`` (a numerator) is the row times
+    ``ups``, the level-0 translation numerators.  ``scale`` is the level-0
+    length numerator, which bounds every offset.
     """
 
     def __init__(self, ups: Sequence[int], scale: int, counts: list[np.ndarray]) -> None:
         self.ups = tuple(ups)
         self.scale = scale
-        self.unit = np.array([u / scale for u in self.ups])
         self.counts = counts
         # the translations' top _KEPT_BITS bits as limbs, one limb per row
         self.cut = max(0, scale.bit_length() - _KEPT_BITS)
         self.limbs = np.array([_limbs(u >> self.cut) for u in self.ups], dtype=np.int64).T.copy()
 
-    def __getitem__(self, symbol: int) -> list[int]:
-        return self.offsets(self.counts[symbol])
-
     def offsets(self, rows: np.ndarray) -> list[int]:
         """Exact offsets of the floors ``rows``."""
         return [sum(map(mul, row, self.ups)) for row in rows.tolist()]
-
-    def keys(self, rows: np.ndarray) -> np.ndarray:
-        """``offset / scale`` of each row, each within half of ``key_error``."""
-        keys = rows[:, 0] * self.unit[0]
-        for j in range(1, len(self.ups)):
-            keys += rows[:, j] * self.unit[j]
-        return keys
-
-    def key_error(self, rows: np.ndarray, width: float = 0.0) -> float:
-        """Bound on the error of a difference of two keys of ``rows`` less ``width``.
-
-        Let ``M`` be the sum over the symbols of the largest count times the
-        unit's modulus.  A key is a dot product of ``d`` terms with units
-        rounded once, so it errs by at most ``(d + 2) u M`` (``u = 2**-53``),
-        in any summation order.  Twice that, with room for the subtractions
-        of the comparison and the rounding of ``width`` and of an edge (at
-        most 1 in modulus), stays below ``2 (d + 5) u (M + width + 1)``.  The
-        last term covers units so small that they are subnormal.
-        """
-        d = len(self.ups)
-        magnitude = float(_largest_counts(rows) @ np.abs(self.unit))
-        return 2 * (d + 5) * _UNIT_ROUNDOFF * (magnitude + width + 1.0) + 2 * d * 2.0**-1050
-
-    def order(self, rows: np.ndarray) -> np.ndarray:
-        """The permutation that sorts ``rows`` by exact offset.
-
-        One stable sort of the keys orders every pair whose keys differ by
-        more than ``key_error``; runs of neighbours closer than that are
-        sorted again on their exact offsets.
-        """
-        keys = self.keys(rows)
-        order = np.argsort(keys, kind="stable")
-        close = np.flatnonzero(np.diff(keys[order]) <= self.key_error(rows))
-        if len(close):
-            breaks = np.flatnonzero(np.diff(close) > 1) + 1
-            for run in np.split(close, breaks):
-                part = order[run[0]:run[-1] + 2]
-                exact = self.offsets(rows[part])
-                order[run[0]:run[-1] + 2] = part[sorted(range(len(part)), key=exact.__getitem__)]
-        return order
 
 
 def _largest_counts(rows: np.ndarray) -> np.ndarray:
@@ -631,7 +580,7 @@ def _largest_counts(rows: np.ndarray) -> np.ndarray:
 
 
 def rokhlin_towers(trace: InductionTrace, n: int) -> Towers:
-    """Exact floors of the level-``n`` Rokhlin towers, one sorted tower per symbol.
+    """Exact floors of the level-``n`` Rokhlin towers, one tower per symbol in return-time order.
 
     Entry ``s`` lists the offsets ``T^k x - x`` (numerators) of the level-``n``
     subinterval of ``s`` under the original exchange ``T``, for ``k`` below
@@ -639,12 +588,10 @@ def rokhlin_towers(trace: InductionTrace, n: int) -> Towers:
     every ``x`` of the subinterval.  Each floor is stored as the visit counts
     of its return-word prefix (see ``Towers``), 16 bytes a floor at ``d =
     4``.  Level 0 is one zero row for every symbol, and each induction step
-    stacks two towers into the loser's (``_stack_towers``): one stable sort
-    of float keys orders the floors whose keys are further apart than
-    ``Towers.key_error`` (``2 (d + 5) 2**-53`` times a bound on the keys),
-    and the exact offsets order the rest.  The floor count is the entry sum of
-    ``trace.cocycle[n]``; above ``PIECE_BUDGET`` it raises
-    ``BudgetExceeded`` before anything is built.  A level outside
+    stacks two towers into the loser's (``_stack_towers``).  No tower is
+    sorted: ``breaking_intervals`` orders the one it reads.  The floor count
+    is the entry sum of ``trace.cocycle[n]``; above ``PIECE_BUDGET`` it
+    raises ``BudgetExceeded`` before anything is built.  A level outside
     ``0..trace.n_steps`` raises ``InvalidInput``.
     """
     if not 0 <= n <= trace.n_steps:
@@ -665,15 +612,15 @@ def _stack_towers(trace: InductionTrace, towers: Towers, k: int) -> None:
     starts in, lands (translated by that symbol's level-``k`` translation,
     whose visit counts are that symbol's row of ``trace.cocycle[k]``) in
     the other one and climbs that: the loser then the winner for type 0,
-    the winner then the loser for type 1.  Both runs are sorted, so the
-    stable sort of their keys is one linear merge.
+    the winner then the loser for type 1.  The new tower is the two in that
+    order, so it stays in return-time order.
     """
     step = trace.steps[k]
     first, second = ((step.loser, step.winner) if step.type_eps == 0
                      else (step.winner, step.loser))
     shift = np.array(trace.cocycle[k][first], dtype=np.int32)
-    rows = np.concatenate([towers.counts[first], towers.counts[second] + shift])
-    towers.counts[step.loser] = np.take(rows, towers.order(rows), axis=0)
+    towers.counts[step.loser] = np.concatenate([towers.counts[first],
+                                                towers.counts[second] + shift])
 
 
 def breaking_intervals(trace: InductionTrace, n: int, towers: Towers) -> IntervalSeq:
@@ -684,10 +631,11 @@ def breaking_intervals(trace: InductionTrace, n: int, towers: Towers) -> Interva
     return to the level ``n-1`` interval already lies in the level-``n`` one,
     so its images are the floors of that symbol's tower in ``towers``, the
     level ``n-1`` ones from ``rokhlin_towers``, shifted to the piece's left
-    end.  The pieces are checked exactly (``_check_pieces``): pairwise
-    disjoint, and none straddles a removed zone or a continuity boundary of
-    the exchange.  Their left ends are correctly rounded
-    (``_interval_floats``).  A level outside ``1..trace.n_steps`` raises
+    end.  Their left ends are correctly rounded (``_interval_floats``) and
+    put in increasing order (``_sorted_ends``); this is the one tower a level
+    reads sorted.  The pieces are checked exactly (``_check_pieces``):
+    pairwise disjoint, and none straddles a removed zone or a continuity
+    boundary of the exchange.  A level outside ``1..trace.n_steps`` raises
     ``InvalidInput``.
     """
     if n < 1 or n > trace.n_steps:
@@ -699,42 +647,71 @@ def breaking_intervals(trace: InductionTrace, n: int, towers: Towers) -> Interva
     den = trace.initial.denominator
     total_next = trace.states[n].total_num
     delta_num = trace.states[n - 1].total_num - total_next
-    # the removed zones [total_m, total_m-1) for m <= n, then the exchange's
-    # cuts, each taken relative to the piece's left end as the floors are
+    ends, order = _sorted_ends(towers, rows, total_next, den)
+    # the removed zones [total_m, total_m-1) for m <= n, then the exchange's cuts
     edges = ([state.total_num for state in trace.states[:n + 1]]
              + list(trace.initial.e0_num[1:-1]))
-    _check_pieces(towers, rows, delta_num, [edge - total_next for edge in edges])
-    return IntervalSeq(_interval_floats(towers, rows, total_next, den), delta_num / den)
+    _check_pieces(towers, rows, order, ends, total_next, delta_num, edges, den)
+    return IntervalSeq(ends, delta_num / den)
 
 
-def _check_pieces(towers: Towers, rows: np.ndarray, width: int, edges: Sequence[int]) -> None:
-    """The pieces ``[a, a + width)`` are pairwise disjoint and no edge is inside one.
+def _sorted_ends(towers: Towers, rows: np.ndarray, shift: int,
+                 den: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ends ``float(Fraction(shift + a, den))`` sorted, and the order of the exact ``a``.
 
-    ``a`` runs over the exact offsets of ``rows``, which must be sorted.  A
-    filter on the keys certifies each gap that exceeds ``width`` by more
-    than ``key_error``; any other gap is decided on exact offsets.  The
-    running maximum of the keys is sorted and as close to the offsets, so
-    only the floors whose keys lie within ``key_error`` of ``[edge - width,
-    edge]`` can hold an edge, and those are decided exactly.  A piece
-    partly overlaps a zone ``[lo, hi)`` exactly when ``lo`` or ``hi`` is
-    inside it, and crosses a continuity boundary when that cut is; touching
-    is allowed.
+    ``a`` runs over the exact offsets of ``rows``, and ``rows[order]`` sorts
+    them.  Correct rounding is monotone, so one sort of the ends orders
+    every pair of floors whose ends differ.  The floors whose ends round
+    equal to a neighbour's are sorted again on their exact offsets, all in
+    one sort: the runs of equal ends already lie in exact order among
+    themselves.
+    """
+    ends = _interval_floats(towers, rows, shift, den)
+    order = np.argsort(ends)
+    ends = ends.take(order)
+    equal = np.flatnonzero(ends[1:] == ends[:-1])
+    if len(equal):
+        tied = np.union1d(equal, equal + 1)
+        part = order.take(tied)
+        exact = towers.offsets(rows.take(part, axis=0))
+        order[tied] = part.take(sorted(range(len(part)), key=exact.__getitem__))
+    return ends, order
+
+
+def _check_pieces(towers: Towers, rows: np.ndarray, order: np.ndarray, ends: np.ndarray,
+                  shift: int, width: int, edges: Sequence[int], den: int) -> None:
+    """The pieces ``[shift + a, shift + a + width)`` are disjoint and no edge is inside one.
+
+    ``a`` runs over the exact offsets of ``rows``, ``rows[order]`` sorts
+    them and ``ends`` holds their ``float(Fraction(shift + a, den))`` in that
+    order (``_sorted_ends``).  Each float compared, an end, ``width / den``
+    or an edge over ``den``, is correctly rounded, so it errs by at most
+    ``s / 2``, with ``s`` the spacing of the largest of them, and so does
+    each rounded difference of two.  A gap less the width then errs by at
+    most ``2.5 s``; a piece holding an edge has its end within ``1.5 s`` of
+    ``[edge - width, edge]``, and the window ``eps`` wider on each side
+    loses at most ``1.5 s`` to its own roundings.  So ``eps = 4 s`` covers
+    every comparison: each gap that exceeds the width by more than ``eps``
+    is certified, and only the pieces whose ends lie in the window can hold
+    an edge.  The other gaps and those pieces are decided on exact
+    offsets, the only rows read.  A piece partly overlaps a zone ``[lo,
+    hi)`` exactly when ``lo`` or ``hi`` is inside it, and crosses a
+    continuity boundary when that cut is; touching is allowed.
     """
     if not len(rows):
         return
-    keys = np.maximum.accumulate(towers.keys(rows))
-    w = width / towers.scale
-    eps = towers.key_error(rows, w)
-    for k in np.flatnonzero(np.diff(keys) - w <= eps):
-        a, b = towers.offsets(rows[k:k + 2])
+    w = width / den
+    at = np.array([edge / den for edge in edges])
+    eps = 4 * np.spacing(max(ends[-1], w, at.max()))
+    for k in np.flatnonzero(np.diff(ends) - w <= eps):
+        a, b = towers.offsets(rows.take(order[k:k + 2], axis=0))
         if b - a < width:
             raise AssertionError("orbit pieces overlap")
-    at = np.array([edge / towers.scale for edge in edges])
-    lows = np.searchsorted(keys, at - w - eps, side="left")
-    highs = np.searchsorted(keys, at + eps, side="right")
+    lows = np.searchsorted(ends, at - w - eps, side="left")
+    highs = np.searchsorted(ends, at + eps, side="right")
     for i in np.flatnonzero(highs > lows):
-        edge = edges[i]
-        for a in towers.offsets(rows[lows[i]:highs[i]]):
+        edge = edges[i] - shift
+        for a in towers.offsets(rows.take(order[lows[i]:highs[i]], axis=0)):
             if a < edge < a + width:
                 raise AssertionError("orbit piece straddles a removed zone or a cut")
 

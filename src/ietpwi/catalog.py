@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from .errors import InvalidInput
 from .iet import IETState, Lengths, Permutation, build_iet
 from .rauzy import (IntMatrix, InductionStep, _combinatorial_step, elementary_update,
@@ -50,12 +48,6 @@ class SelfInducingIET:
     def stable_frame_exact(self) -> list[tuple[Fraction, ...]]:
         """Contracting-plane basis ordered strong first."""
         return [self.strong_stable, self.weak_stable]
-
-    def stable_frame(self) -> np.ndarray:
-        """Float orthonormal basis of the contracting plane, strong first."""
-        raw = np.array([[float(c) for c in v] for v in self.stable_frame_exact()]).T
-        q, _ = np.linalg.qr(raw)
-        return q
 
 
 def loop_matrix_for(start: Permutation, types: tuple[int, ...]) -> tuple[IntMatrix, IntMatrix]:

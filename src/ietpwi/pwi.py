@@ -52,17 +52,6 @@ class PlanarIsometry:
             rot * (other.b - self.a) + self.b,
         )
 
-    @property
-    def translation(self) -> complex:
-        """Offset of the ``z -> e^{i angle} z + translation`` normal form."""
-        return self.b - np.exp(1j * self.angle) * self.a
-
-    def fixed_point(self) -> complex:
-        rot = np.exp(1j * self.angle)
-        if abs(1.0 - rot) < 1e-14:
-            raise ValueError("translations have no fixed point")
-        return self.translation / (1.0 - rot)
-
 
 def map_distance(s: PlanarIsometry, t: PlanarIsometry,
                  points: np.ndarray) -> float:

@@ -406,12 +406,6 @@ class SummabilityReport:
         """The verdict: strict decay, or genuine decay down to a horizon of 15 or more levels."""
         return self.decays or (self.horizon >= 15 and self.ratio_to_initial <= 0.05)
 
-    @property
-    def empirical_constant(self) -> float:
-        """Observed ratio of the distance sum to the initial distance."""
-        first = float(self.distances[0])
-        return self.total / first if first > 0 else 0.0
-
 
 def summability_check(seq: ThetaSeq) -> SummabilityReport:
     """Distances to zero of the pushed rotation vectors ``seq``, and their decay.

@@ -82,10 +82,6 @@ class VerificationReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def max_defect(self, prefix: str = "") -> float:
-        vals = [c.defect for c in self.checks if c.check.startswith(prefix)]
-        return max(vals) if vals else 0.0
-
     def to_json(self) -> str:
         return json.dumps([c.to_json() for c in self.checks], sort_keys=True)
 
@@ -513,10 +509,6 @@ def nontriviality(curve: PLCurve, cut_params: Sequence[float]) -> VerificationRe
     # defect = margin still missing below the threshold (0 when non-trivial)
     report.add("nontrivial", max(0.0, TOL_NONTRIVIAL - best), 0.0, meta=meta)
     return report
-
-
-def is_nontrivial(report: VerificationReport) -> bool:
-    return report.checks[0].defect == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ def sup_distance(a: PLCurve, b: PLCurve) -> float:
     return float(np.max(np.abs(a.evaluate(merged) - b.evaluate(merged))))
 
 
+def arc_length(curve: PLCurve) -> float:
+    """Sum of the chord lengths, the curve's arc length."""
+    return float(np.sum(np.abs(np.diff(curve.z))))
+
+
 def breaking_offsets(curve: PLCurve, phi: float,
                      intervals: IntervalSeq) -> tuple[np.ndarray, np.ndarray]:
     """Translation corrections that keep the rotated curve continuous.
@@ -42,11 +47,11 @@ def breaking_offsets(curve: PLCurve, phi: float,
 
 
 def list_towers(trace: InductionTrace, n: int) -> list[list[int]]:
-    """The level-``n`` Rokhlin towers as sorted lists of exact offsets.
+    """The level-``n`` Rokhlin towers as lists of exact offsets in return-time order.
 
     Each induction step puts the tower the loser's points climb first, then
     the other one translated by the first symbol's translation, into the
-    loser's, and sorts the floors as Python ints.
+    loser's.
     """
     towers = [[0] for _ in range(trace.d)]
     for k in range(n):
@@ -54,7 +59,7 @@ def list_towers(trace: InductionTrace, n: int) -> list[list[int]]:
         first, second = ((step.loser, step.winner) if step.type_eps == 0
                          else (step.winner, step.loser))
         shift = trace.states[k].upsilon_num[first]
-        towers[step.loser] = sorted(towers[first] + [shift + o for o in towers[second]])
+        towers[step.loser] = towers[first] + [shift + o for o in towers[second]]
     return towers
 
 
@@ -70,9 +75,12 @@ def check_lefts(lefts: Sequence[int], width: int, edges: Sequence[int]) -> None:
 
 
 def list_intervals(trace: InductionTrace, n: int) -> IntervalSeq:
-    """The level-``n`` rotation intervals from ``list_towers``, checked and converted exactly."""
+    """The level-``n`` rotation intervals from ``list_towers``, checked and converted exactly.
+
+    The tower read is in return-time order, so its floors are sorted first.
+    """
     symbol = trace.states[n - 1].perm.top[-1]
-    floors = list_towers(trace, n - 1)[symbol]
+    floors = sorted(list_towers(trace, n - 1)[symbol])
     total_next = trace.states[n].total_num
     delta_num = trace.states[n - 1].total_num - total_next
     edges = ([state.total_num for state in trace.states[:n + 1]]

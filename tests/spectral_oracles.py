@@ -1,5 +1,6 @@
 """Reference implementations that the chunked float spectral driver and the
-rotation-vector sampler are tested against."""
+rotation-vector sampler are tested against, and float readings of the
+catalog's contracting plane and of a summability report."""
 
 from __future__ import annotations
 
@@ -11,12 +12,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ietpwi.breaking import theta_sequence
+from ietpwi.catalog import SelfInducingIET
 from ietpwi.errors import ExhaustedResamples
 from ietpwi.iet import IETState, Permutation
 from ietpwi.rauzy import InductionTrace, torus_distance_to_zero, torus_project
 from ietpwi.spectral import (BATCHES, MAX_ATTEMPTS, N_CHECK, TOL_STRONG_STABLE_ANGLE,
                              TOL_ZERO_PREIMAGE, FrameLike, LyapunovEstimate, ThetaSample,
-                             _FloatInduction, _frame_columns, genus, h_pi_basis)
+                             SummabilityReport, _FloatInduction, _frame_columns, genus,
+                             h_pi_basis)
 
 
 def block_matrices(iet: IETState, m: int) -> Iterator[np.ndarray]:
@@ -98,3 +101,16 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *, upsilon: Sequence
                            theta_sequence(trace, v, min(N_CHECK, trace.n_steps)))
     raise ExhaustedResamples(
         f"no admissible rotation vector in {MAX_ATTEMPTS} draws: {report}")
+
+
+def stable_frame(catalog: SelfInducingIET) -> np.ndarray:
+    """Float orthonormal basis of the catalog's contracting plane, strong first."""
+    raw = np.array([[float(c) for c in v] for v in catalog.stable_frame_exact()]).T
+    q, _ = np.linalg.qr(raw)
+    return q
+
+
+def empirical_constant(report: SummabilityReport) -> float:
+    """Observed ratio of the distance sum to the initial distance."""
+    first = float(report.distances[0])
+    return report.total / first if first > 0 else 0.0

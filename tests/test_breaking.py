@@ -32,7 +32,8 @@ from ietpwi.iet import PIECE_BUDGET, Lengths, Permutation, build_iet, is_irreduc
 from ietpwi.rauzy import rauzy_iterate, torus_project
 from ietpwi.spectral import sample_theta
 
-from curve_oracles import breaking_offsets, list_intervals, list_towers, sup_distance
+from curve_oracles import (arc_length, breaking_offsets, list_intervals, list_towers,
+                           sup_distance)
 from rauzy_oracles import apply_array, piece_orbit
 
 #: sha256 over each level's ``y`` bytes then ``delta`` bytes of the catalog's
@@ -65,7 +66,7 @@ def random_intervals(rng, ell, r=None):
 
 def test_identity_curve_basics():
     c = PLCurve.identity(1.0)
-    assert c.arc_length() == pytest.approx(1.0)
+    assert arc_length(c) == pytest.approx(1.0)
     assert c.evaluate(0.37) == pytest.approx(0.37)
     c.require_unit_speed()
 
@@ -115,7 +116,7 @@ def test_operator_preserves_class_and_bound_randomized():
         assert float(np.max(np.abs(lower))) <= bound
         out = breaking_operator(curve, phi, intervals)
         out.require_unit_speed()
-        assert abs(out.arc_length() - curve.length) <= 1e-12 * max(1, out.n_segments)
+        assert abs(arc_length(out) - curve.length) <= 1e-12 * max(1, out.n_segments)
         assert out.length == curve.length
 
 
@@ -469,22 +470,24 @@ def test_interval_ends_convert_as_fractions_from_counts(nums, den):
     assert got.tobytes() == np.array([float(Fraction(n, den)) for n in nums]).tobytes()
 
 
-def test_towers_order_floors_the_float_keys_cannot_separate():
-    # lengths 2**-80 and 1: from level 2 on, floors 2**-80 apart share a
-    # float key, so one stable sort of the keys leaves them out of order and
-    # the exact offsets order them
-    iet = build_iet(Permutation.from_monodromy("2 1"), Lengths((1, 2**80), 2**80))
-    trace = rauzy_iterate(iet, 12)
-    assert trace.n_steps == 12
-    for n in range(trace.n_steps + 1):
-        towers = rokhlin_towers(trace, n)
-        assert [towers[s] for s in range(2)] == list_towers(trace, n)
-        if n:
-            got, want = breaking_intervals(trace, n, rokhlin_towers(trace, n - 1)), \
-                list_intervals(trace, n)
-            assert got.y.tobytes() == want.y.tobytes() and got.delta == want.delta
-    keys = towers.keys(towers.counts[0])
-    assert len(keys) == 13 and len(np.unique(keys)) == 2
+def test_intervals_order_floors_whose_ends_round_equal():
+    # lengths 2**-80 and 1, then 1 and 2**-80: the towers match the int-list
+    # stacking, and in the second exchange the floors of the tower each level
+    # reads lie 2**-80 apart, so from level 2 on all their ends round equal and
+    # only the exact offsets order them
+    for nums, tied in (((1, 2**80), False), ((2**80, 1), True)):
+        iet = build_iet(Permutation.from_monodromy("2 1"), Lengths(nums, 2**80))
+        trace = rauzy_iterate(iet, 12)
+        assert trace.n_steps == 12
+        for n in range(trace.n_steps + 1):
+            towers = rokhlin_towers(trace, n)
+            assert [towers.offsets(rows) for rows in towers.counts] == list_towers(trace, n)
+            if n:
+                got, want = breaking_intervals(trace, n, rokhlin_towers(trace, n - 1)), \
+                    list_intervals(trace, n)
+                assert got.y.tobytes() == want.y.tobytes() and got.delta == want.delta
+                if tied:
+                    assert got.count == n and len(np.unique(got.y)) == 1
 
 
 def test_catalog_intervals_match_their_digest(reference_trace):
@@ -568,17 +571,25 @@ def test_intervals_match_bruteforce_oracle(reference_trace):
         assert intervals.delta == float(Fraction(width, den))
 
 
-def _check_lefts(lefts, width, edges, scale):
-    """``_check_pieces`` on the pieces ``[a, a + width)``, as one-symbol visit counts."""
-    towers = Towers((1,), scale, [np.array(lefts, dtype=np.int32).reshape(-1, 1)])
-    _check_pieces(towers, towers.counts[0], width, edges)
+def _check_lefts(lefts, width, edges, base):
+    """``_check_pieces`` on the pieces ``[base + a, base + a + width)`` over ``2**80``.
+
+    The offsets ``a`` are one-symbol visit counts, stored in reverse, as a
+    tower need not be sorted; the pieces are ordered by ``_sorted_ends``.
+    """
+    den = 2**80
+    towers = Towers((1,), 2**81, [np.array(lefts[::-1], dtype=np.int32).reshape(-1, 1)])
+    rows = towers.counts[0]
+    ends, order = breaking._sorted_ends(towers, rows, base, den)
+    _check_pieces(towers, rows, order, ends, base, width, [base + edge for edge in edges], den)
 
 
 def test_removed_zone_check_fires_on_straddles():
-    # at scale 64 the float filter decides the gaps far from the edges; at
-    # 2**80 the keys are all within their error, so every case is exact
+    # at base 0 the ends are 2**-80 apart and the float filter decides the
+    # gaps far from the edges; at base 2**80 every end rounds to 1, so the
+    # order and every case are exact
     zone = [10, 20]     # the edges of the zone [10, 20)
-    for scale in (64, 2**80):
+    for base in (0, 2**80):
         for lefts, width in (([5], 10),         # across lo
                              ([15], 10),        # across hi
                              ([8], 15),         # contains the whole zone
@@ -586,16 +597,24 @@ def test_removed_zone_check_fires_on_straddles():
                              ([9], 2),          # narrow pieces across each edge
                              ([19], 2)):
             with pytest.raises(AssertionError, match="straddles"):
-                _check_lefts(lefts, width, zone, scale)
+                _check_lefts(lefts, width, zone, base)
         for lefts, width in (([10], 5),             # a == lo
                              ([15], 5),             # a + width == hi
                              ([10], 10),            # the zone itself
                              ([2, 7, 20, 25], 3),   # touching from both sides
                              ([0, 10, 13, 17], 3),  # inside, touching each other
                              ([], 4)):
-            _check_lefts(lefts, width, zone, scale)
+            _check_lefts(lefts, width, zone, base)
         with pytest.raises(AssertionError, match="overlap"):
-            _check_lefts([0, 2], 3, zone, scale)
+            _check_lefts([0, 2], 3, zone, base)
+    # the end at 0 rounds down by about 2**-54 and the one at 2**28 - 1 up by as
+    # much: in floats the pieces lie 1.5 widths apart, and the edge 2**28 - 1
+    # half a width past the first piece
+    base = 2**80 - 2**26 - 1
+    with pytest.raises(AssertionError, match="straddles"):
+        _check_lefts([0], 2**28, [2**28 - 1], base)
+    with pytest.raises(AssertionError, match="overlap"):
+        _check_lefts([0, 2**28 - 1], 2**28, [2**29], base)
 
 
 def test_intervals_count_equals_cocycle_row_sum(reference, reference_trace):
@@ -765,7 +784,7 @@ def test_breaking_sequence_arc_length_and_anchor(reference_curves):
     total = reference_curves[0].length
     for n, curve in enumerate(reference_curves):
         curve.require_unit_speed()
-        assert abs(curve.arc_length() - total) <= 1e-10 * max(1, n)
+        assert abs(arc_length(curve) - total) <= 1e-10 * max(1, n)
         assert curve.evaluate(0.0) == 0.0
 
 

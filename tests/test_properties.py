@@ -109,8 +109,8 @@ def test_breaking_interval_count_is_return_time_of_last_top_symbol(run):
         assert breaking_intervals(trace, n, towers).count == sum(trace.cocycle[n - 1][beta0])
 
 
-def test_rokhlin_towers_are_the_sorted_first_return_orbits():
-    # each floor is an exact image of the level-n subinterval before it
+def test_rokhlin_towers_are_the_first_return_orbits():
+    # floor k is the exact k-th image of the level-n subinterval before it
     # returns, as the direct orbit walk finds it, and the heights are row sums
     rng = np.random.default_rng(14)
     levels = 0
@@ -125,8 +125,9 @@ def test_rokhlin_towers_are_the_sorted_first_return_orbits():
                     left = state.e0_num[state.perm.position0(symbol)]
                     orbit = piece_orbit(iet, left, state.lengths.numerators[symbol],
                                         state.total_num)
-                    assert towers[symbol] == sorted(a - left for a in orbit)
-                    assert len(towers[symbol]) == sum(trace.cocycle[n][symbol])
+                    floors = towers.offsets(towers.counts[symbol])
+                    assert floors == [a - left for a in orbit]
+                    assert len(floors) == sum(trace.cocycle[n][symbol])
                 levels += 1
     assert levels > 1000
 
@@ -152,7 +153,7 @@ def test_count_towers_and_intervals_match_the_int_list_stacking(trace):
     # against the towers stacked, checked and converted on Python ints
     for n in range(1, trace.n_steps + 1):
         towers = rokhlin_towers(trace, n - 1)
-        assert [towers[s] for s in range(trace.d)] == list_towers(trace, n - 1)
+        assert [towers.offsets(rows) for rows in towers.counts] == list_towers(trace, n - 1)
         got, want = breaking_intervals(trace, n, towers), list_intervals(trace, n)
         assert got.y.tobytes() == want.y.tobytes() and got.delta == want.delta
 
