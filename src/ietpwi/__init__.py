@@ -64,7 +64,6 @@ from .pwi import (
 )
 from .spectral import (
     LyapunovEstimate,
-    StableFrame,
     ThetaSample,
     genus,
     h_pi_basis,

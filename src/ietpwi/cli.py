@@ -200,7 +200,7 @@ FRAME_BLOCKS = 1000
 def _stable_frame(cfg: RunConfig, iet: IETState):
     if cfg.use_catalog:
         return catalog.symmetric4_self_inducing().stable_frame_exact()
-    return spectral.stable_subspace(iet, FRAME_BLOCKS).frame
+    return spectral.stable_subspace(iet, FRAME_BLOCKS)
 
 
 def cmd_sample_theta(cfg: RunConfig) -> int:

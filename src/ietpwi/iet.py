@@ -6,11 +6,12 @@ determined by a positive length vector ``lambda`` and a pair of bijections
 ``(pi0, pi1)`` ordering the subintervals before and after the exchange.  All
 intervals are closed on the left and open on the right.
 
-Lengths are stored twice: as double-precision floats and as exact integer
-numerators over a common denominator.  Every float is a dyadic rational, so
-the exact form represents float input with no error; downstream orbit
-computations (visit counts, interval orbits) run on integers and are free of
-rounding decisions.
+Lengths are stored once, as exact integer numerators over a common
+denominator.  Every float is a dyadic rational, so the exact form represents
+float input with no error; downstream orbit computations (visit counts,
+interval orbits) run on integers and are free of rounding decisions.  The
+float translations and left ends of an exchange are correctly rounded views
+of its numerators, formed on first read.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -195,12 +198,6 @@ class Lengths:
     def values(self) -> np.ndarray:
         return np.array([n / self.denominator for n in self.numerators])
 
-    def total_numerator(self) -> int:
-        return sum(self.numerators)
-
-    def total(self) -> float:
-        return self.total_numerator() / self.denominator
-
 
 # ---------------------------------------------------------------------------
 # the exchange map
@@ -228,20 +225,29 @@ def omega_matrix(perm: Permutation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IETState:
-    """Fully derived, immutable state of an interval exchange transformation."""
+    """Immutable exchange, kept exactly: the permutation, the lengths, and the
+    translations and top-row left ends as numerators over ``denominator``.
+
+    ``upsilon`` and ``endpoints0`` are their float views, each numerator over
+    the denominator correctly rounded, formed on first read and kept.
+    """
 
     perm: Permutation
     lengths: Lengths
-    upsilon: np.ndarray
     upsilon_num: tuple[int, ...]
-    endpoints0: np.ndarray
-    endpoints1: np.ndarray
     e0_num: tuple[int, ...]
-    e1_num: tuple[int, ...]
 
     @property
     def d(self) -> int:
         return self.perm.d
+
+    @cached_property
+    def upsilon(self) -> np.ndarray:
+        return np.array([u / self.denominator for u in self.upsilon_num])
+
+    @cached_property
+    def endpoints0(self) -> np.ndarray:
+        return np.array([e / self.denominator for e in self.e0_num])
 
     @property
     def total(self) -> float:
@@ -257,7 +263,7 @@ class IETState:
 
 
 def build_iet(perm: Permutation, lengths: Lengths) -> IETState:
-    """Derive translations and endpoint grids for the exchange ``(lengths, perm)``.
+    """The exchange ``(lengths, perm)`` with its translations and top-row grid.
 
     Symbol ``s`` translates by the distance from its top-row left end to its
     bottom-row left end, ``e1[pi1(s)] - e0[pi0(s)]`` on exact numerators.
@@ -265,21 +271,10 @@ def build_iet(perm: Permutation, lengths: Lengths) -> IETState:
     if lengths.d != perm.d:
         raise InvalidInput("lengths and permutation have different sizes")
     nums = lengths.numerators
-    den = lengths.denominator
-
-    def grid(row: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
-        acc = [0]
-        for s in row:
-            acc.append(acc[-1] + nums[s])
-        floats = np.array([a / den for a in acc])
-        return tuple(acc), floats
-
-    e0_num, endpoints0 = grid(perm.top)
-    e1_num, endpoints1 = grid(perm.bottom)
-    ups_num = tuple(e1_num[perm.position1(s)] - e0_num[perm.position0(s)]
-                    for s in range(perm.d))
-    upsilon = np.array([u / den for u in ups_num])
-    return IETState(perm, lengths, upsilon, ups_num, endpoints0, endpoints1, e0_num, e1_num)
+    e0 = tuple(accumulate((nums[s] for s in perm.top), initial=0))
+    e1 = tuple(accumulate((nums[s] for s in perm.bottom), initial=0))
+    ups_num = tuple(e1[perm.position1(s)] - e0[perm.position0(s)] for s in range(perm.d))
+    return IETState(perm, lengths, ups_num, e0)
 
 
 def build_iet_from(perm: Union[Permutation, str, Sequence[int]],

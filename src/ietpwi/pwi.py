@@ -21,7 +21,7 @@ import numpy as np
 from .breaking import PLCurve, ThetaSeq
 from .errors import (AtomMissesCurve, AtomsOverlap, InvalidInput, LevelMismatch,
                      UnclassifiablePoint)
-from .iet import IETState, apply as iet_apply, slot_at
+from .iet import IETState, slot_at
 from .rauzy import InductionTrace
 
 
@@ -264,7 +264,9 @@ def adapted_pwi(curve_limit: PLCurve, iet: IETState,
     for symbol in range(iet.d):
         pos = iet.perm.position0(symbol)
         x_left = float(iet.endpoints0[pos])
-        image = iet_apply(iet, x_left)
+        # the symbol's own translation: a lookup of x_left on the float grid
+        # finds another atom where this one is narrower than a spacing
+        image = x_left + float(iet.upsilon[symbol])
         maps.append(PlanarIsometry(
             float(theta_arr[symbol]),
             complex(curve_limit.evaluate(x_left)),

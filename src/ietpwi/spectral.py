@@ -256,17 +256,7 @@ def lyapunov_spectrum(iet: IETState, m: int) -> LyapunovEstimate:
 # contracting subspace
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StableFrame:
-    """Estimated contracting subspace of the restricted renormalization matrices."""
-
-    frame: np.ndarray          # d x g, orthonormal columns
-    gap: float                 # sigma_g / sigma_{g+1} at the chosen window
-    window: int                # blocks driven
-    drift: float               # principal-angle change over the last windows
-
-
-def stable_subspace(iet: IETState, m: int) -> StableFrame:
+def stable_subspace(iet: IETState, m: int) -> np.ndarray:
     """Right-singular bottom subspace of the accumulated restricted product.
 
     The product is renormalized to unit Frobenius norm every block.  Blocks
@@ -274,15 +264,15 @@ def stable_subspace(iet: IETState, m: int) -> StableFrame:
     under the double-precision floor of the leading one, since beyond that
     the contracting directions are rounding noise; the frame is the one
     before that block, and no later block is driven, so ``m`` only caps the
-    window.  The reported frame is expressed back in the ambient
-    coordinates at the starting permutation.
+    window.  The frame (``d x g``, orthonormal columns) is expressed back in
+    the ambient coordinates at the starting permutation.
     """
     g = genus(iet.perm)
     q0 = h_pi_basis(iet.perm)
-    product, window = np.eye(2 * g), 0
-    bottom = previous = None
+    product = np.eye(2 * g)
+    bottom = None
     gap = np.inf
-    for window, (matrix,) in enumerate(_block_chunks(iet, m, 1), 1):
+    for (matrix,) in _block_chunks(iet, m, 1):
         product = matrix @ product
         product = product / np.linalg.norm(product)
         _, s, vt = np.linalg.svd(product)
@@ -290,17 +280,13 @@ def stable_subspace(iet: IETState, m: int) -> StableFrame:
         # noise; stopping here roughly balances truncation and roundoff
         if s[g - 1] / s[0] < 1e-11:
             break
-        previous, bottom = bottom, vt[g:, :].T
+        bottom = vt[g:, :].T
         gap = s[g - 1] / s[g]
     if bottom is None:
         raise InsufficientGap("no usable window accumulated")
     if gap < MIN_GAP:
         raise InsufficientGap(f"singular-value gap {gap:.2f} below {MIN_GAP}")
-    drift = 0.0
-    if previous is not None:
-        sv = np.linalg.svd(previous.T @ bottom, compute_uv=False)
-        drift = float(np.arccos(np.clip(sv[-1], 0.0, 1.0)))
-    return StableFrame(q0 @ bottom, float(gap), window, drift)
+    return q0 @ bottom
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ TOL_NONTRIVIAL = 1e-3
 #: uniform samples per curve piece of the non-triviality fits
 PIECE_SAMPLES = 512
 
+#: the quasi-embedding suite holds each pair ``m <= n`` to ``TOL_QUASI * (1 + n)``
+TOL_QUASI = 1e-9
+
 
 def _jsonify(value):
     """Plain-Python view of numpy scalars/arrays for the report schema."""
@@ -148,7 +151,7 @@ def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState) -> float:
 # ---------------------------------------------------------------------------
 
 def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], theta_seq: ThetaSeq,
-                          depth: int, tol_scale: float = 1e-9) -> VerificationReport:
+                          depth: int) -> VerificationReport:
     """Map agreement and conjugacy defects for every level pair.
 
     For levels ``m <= n <= depth`` the inductively built family must equal
@@ -157,7 +160,7 @@ def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], thet
     the level-``n`` interval.  Two isometries differ by an affine map, whose
     modulus peaks at a corner of the compared box ``[-b, b]^2`` (``b`` the
     larger of 1 and the domain length); the conjugacy defect is a maximum
-    over its kink set.  Both defects carry tolerance ``tol_scale * (1 + n)``.
+    over its kink set.  Both defects carry tolerance ``TOL_QUASI * (1 + n)``.
     """
     report = VerificationReport()
     corners = max(1.0, trace.initial.total) * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
@@ -167,10 +170,10 @@ def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], thet
         for m in range(n + 1):
             direct = hat_maps(curve, trace, m, theta_seq.entries[m], n)
             agree = max(map_distance(a, b, corners) for a, b in zip(direct, families[m]))
-            report.add("map_agreement", agree, tol_scale * (1 + n), n=n, m=m)
+            report.add("map_agreement", agree, TOL_QUASI * (1 + n), n=n, m=m)
             defect = _conjugacy_defect(curve, families[m], trace.states[m],
                                        trace.states[n].total_num)
-            report.add("quasi_embedding", defect, tol_scale * (1 + n), n=n, m=m)
+            report.add("quasi_embedding", defect, TOL_QUASI * (1 + n), n=n, m=m)
     return report
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -19,6 +20,12 @@ def matrix_to_float(matrix: Union[IntMatrix, np.ndarray]) -> np.ndarray:
 def apply_array(iet: IETState, x: np.ndarray) -> np.ndarray:
     """The exchange on an array of points already inside the domain, in floats."""
     return x + iet.upsilon[np.asarray(iet.perm.top)[slot_at(iet.endpoints0, x)]]
+
+
+def bottom_grid(iet: IETState) -> np.ndarray:
+    """Float left ends of the bottom row, the image order, and the total."""
+    ends = accumulate((iet.lengths.numerators[s] for s in iet.perm.bottom), initial=0)
+    return np.array([e / iet.denominator for e in ends])
 
 
 def symbol_at_exact(iet: IETState, x_num: int) -> int:

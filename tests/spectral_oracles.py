@@ -1,6 +1,7 @@
 """Reference implementations that the chunked float spectral driver and the
 rotation-vector sampler are tested against, and float readings of the
-catalog's contracting plane and of a summability report."""
+catalog's contracting plane, of the float frame's drift and of a
+summability report."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from ietpwi.rauzy import InductionTrace, torus_distance_to_zero, torus_project
 from ietpwi.spectral import (BATCHES, MAX_ATTEMPTS, N_CHECK, TOL_STRONG_STABLE_ANGLE,
                              TOL_ZERO_PREIMAGE, FrameLike, LyapunovEstimate, ThetaSample,
                              SummabilityReport, _FloatInduction, _frame_columns, genus,
-                             h_pi_basis)
+                             h_pi_basis, stable_subspace)
 
 
 def block_matrices(iet: IETState, m: int) -> Iterator[np.ndarray]:
@@ -108,6 +109,15 @@ def stable_frame(catalog: SelfInducingIET) -> np.ndarray:
     raw = np.array([[float(c) for c in v] for v in catalog.stable_frame_exact()]).T
     q, _ = np.linalg.qr(raw)
     return q
+
+
+def frame_drift(iet: IETState, m: int) -> float:
+    """Largest principal angle between the float frames after ``m - 1`` and
+    ``m`` blocks; ``m`` must lie below the frame's rounding floor, so the cap
+    ends both drives."""
+    sv = np.linalg.svd(stable_subspace(iet, m - 1).T @ stable_subspace(iet, m),
+                       compute_uv=False)
+    return float(np.arccos(np.clip(sv[-1], 0.0, 1.0)))
 
 
 def empirical_constant(report: SummabilityReport) -> float:

@@ -284,6 +284,14 @@ def test_curves_of_long_exchanges_build(tmp_path, lengths):
     assert json.loads(proc.stdout)["segments"] > 1
 
 
+def test_verify_reports_on_an_atom_narrower_than_a_spacing(tmp_path):
+    # lengths 1 and 2**-80: the short atom's left end rounds to the total
+    proc = run_cli(["verify", "--perm", "2 1", "--lambda", "1,1/1208925819614629174706176",
+                    "--theta", "0.1,0.2", "--steps", "4", "--deep-levels", "12"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "embedding_defect (n=12)" in proc.stdout
+
+
 @pytest.mark.parametrize("args", [
     ["lyapunov", "--catalog", "--zorich-steps", "2000"],
     ["zorich", "--catalog"],

@@ -17,14 +17,14 @@ from ietpwi.iet import (
     omega_matrix,
 )
 
-from rauzy_oracles import apply_array, piece_orbit
+from rauzy_oracles import apply_array, bottom_grid, piece_orbit
 
 
 def test_build_two_symbols_translations():
     iet = build_iet_from("2 1", [0.6, 0.4])
     np.testing.assert_allclose(iet.upsilon, [0.4, -0.6])
     np.testing.assert_allclose(iet.endpoints0, [0.0, 0.6, 1.0])
-    np.testing.assert_allclose(iet.endpoints1, [0.0, 0.4, 1.0])
+    np.testing.assert_allclose(bottom_grid(iet), [0.0, 0.4, 1.0])
 
 
 def test_identity_permutation_is_identity_map():
@@ -83,7 +83,7 @@ def test_apply_hand_values():
 def test_images_tile_interval():
     iet = build_iet_from("4 2 3 1", [0.31, 0.27, 0.22, 0.2])
     lefts = sorted(apply(iet, float(e)) for e in iet.endpoints0[:-1])
-    np.testing.assert_allclose(lefts, iet.endpoints1[:-1], atol=1e-12)
+    np.testing.assert_allclose(lefts, bottom_grid(iet)[:-1], atol=1e-12)
 
 
 def test_omega_antisymmetric_integer():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import tau
 
 import numpy as np
@@ -24,7 +25,7 @@ from ietpwi.pwi import (
 )
 from ietpwi.rauzy import InductionTrace, torus_project
 
-from rauzy_oracles import apply_array, return_word
+from rauzy_oracles import apply_array, bottom_grid, return_word
 
 
 def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int) -> AdaptedPWI:
@@ -82,7 +83,7 @@ def test_hat_maps_zero_theta_is_grid(reference_trace):
             p0 = state.perm.position0(symbol)
             p1 = state.perm.position1(symbol)
             ends = maps[symbol](state.endpoints0[p0:p0 + 2].astype(complex))
-            np.testing.assert_allclose(ends.real, state.endpoints1[p1:p1 + 2], atol=1e-12)
+            np.testing.assert_allclose(ends.real, bottom_grid(state)[p1:p1 + 2], atol=1e-12)
             np.testing.assert_allclose(ends.imag, 0.0, atol=1e-15)
 
 
@@ -208,6 +209,15 @@ def test_adapted_pwi_rotation_vector_and_isometry(reference, reference_curves,
     for m in pwi.maps:
         w = m(zs)
         assert np.max(np.abs(np.abs(np.diff(w)) - np.abs(np.diff(zs)))) < 1e-12
+
+
+def test_adapted_pwi_maps_an_atom_narrower_than_a_spacing():
+    # the second atom's left end rounds to the total, where no atom of the
+    # float grid starts
+    iet = build_iet_from("2 1", [1, Fraction(1, 2**80)])
+    pwi = adapted_pwi(PLCurve.identity(iet.total), iet, [0.1, 0.2])
+    assert [m.a for m in pwi.maps] == [0j, 1 + 0j]
+    assert [m.b for m in pwi.maps] == [complex(2.0**-80), 0j]
 
 
 def test_orbit_matches_exchange_itinerary(reference, reference_curves,

@@ -321,20 +321,20 @@ def test_lyapunov_needs_two_blocks(reference, m):
 def test_stable_direction_two_symbols_is_translation_vector(golden_iet):
     frame = stable_subspace(golden_iet, 60)
     unit = golden_iet.upsilon / np.linalg.norm(golden_iet.upsilon)
-    residual = frame.frame[:, 0] - (frame.frame[:, 0] @ unit) * unit
+    residual = frame[:, 0] - (frame[:, 0] @ unit) * unit
     assert np.linalg.norm(residual) < 1e-6
 
 
 def test_stable_frame_contracts_and_complement_expands(reference, reference_trace):
     frame = stable_subspace(reference.iet, 150)
     rng = np.random.default_rng(8)
-    v = frame.frame @ rng.standard_normal(2)
+    v = frame @ rng.standard_normal(2)
     v /= np.linalg.norm(v)
     norms = [np.linalg.norm(matrix_to_float(reference_trace.cocycle[n]) @ v)
              for n in (0, 10, 20, 30)]
     assert norms[-1] < norms[0] * 0.5
     # a direction orthogonal to the frame expands
-    q, _ = np.linalg.qr(np.hstack([frame.frame,
+    q, _ = np.linalg.qr(np.hstack([frame,
                                    rng.standard_normal((4, 2))]))
     w = q[:, 2]
     grow = [np.linalg.norm(matrix_to_float(reference_trace.cocycle[n]) @ w)
@@ -364,11 +364,13 @@ def test_stable_subspace_insufficient_gap():
 def test_stable_frame_matches_exact_plane(reference):
     frame = stable_subspace(reference.iet, 150)
     exact = spectral_oracles.stable_frame(reference)
-    overlap = np.linalg.svd(exact.T @ frame.frame, compute_uv=False)
+    overlap = np.linalg.svd(exact.T @ frame, compute_uv=False)
     angles = np.arccos(np.clip(overlap, 0, 1))
     assert np.max(angles) < 5e-3
-    assert frame.gap >= 10
-    assert frame.drift <= 1e-4
+    # the product reaches its floor at block 114, so the frame is the one
+    # after 113 blocks, and it has settled by then
+    assert np.array_equal(stable_subspace(reference.iet, 113), frame)
+    assert spectral_oracles.frame_drift(reference.iet, 113) <= 1e-4
 
 
 def test_stable_subspace_stops_driving_at_its_floor(monkeypatch):
@@ -383,15 +385,15 @@ def test_stable_subspace_stops_driving_at_its_floor(monkeypatch):
         return block(self)
 
     monkeypatch.setattr(_FloatInduction, "block", counted)
-    frame = stable_subspace(RunConfig().build(), 1000)
-    assert calls == frame.window == 114
+    stable_subspace(RunConfig().build(), 1000)
+    assert calls == 114
 
 
 def test_sample_theta_exhausts_for_genus_one(golden_iet):
     frame = stable_subspace(golden_iet, 60)
     trace = rauzy_iterate(golden_iet, 30)
     with pytest.raises(ExhaustedResamples):
-        sample_theta(frame.frame, 0.3, seed=1, upsilon=golden_iet.upsilon,
+        sample_theta(frame, 0.3, seed=1, upsilon=golden_iet.upsilon,
                      trace=trace)
 
 
@@ -422,7 +424,7 @@ def sampling_inputs(reference):
     return {
         "exact": (reference.stable_frame_exact(), reference.iet,
                   rauzy_iterate(reference.iet, N_CHECK)),
-        "float": (stable_subspace(default, 1000).frame, default,
+        "float": (stable_subspace(default, 1000), default,
                   rauzy_iterate(default, N_CHECK)),
     }
 

@@ -321,6 +321,22 @@ def test_quasi_suite_zero_theta(reference_trace):
     assert report.all_pass
 
 
+def test_float_views_are_formed_only_where_read(reference, reference_sample):
+    # the curves are built on exact numerators; of the states, only the
+    # levels the suite compares read their float translations and left ends
+    trace = rauzy_iterate(reference.iet, 60)
+    seq = theta_sequence(trace, reference_sample.v, 12)
+    curves = [PLCurve.identity(trace.initial.total)]
+    curves += curve_levels(trace, seq, curves[0], 0, 12)
+    quasi_embedding_suite(trace, curves, seq, 4)
+    held = [n for n, state in enumerate(trace.states)
+            if {"upsilon", "endpoints0"} & vars(state).keys()]
+    assert held and max(held) <= 4
+    deepest = trace.states[-1]
+    assert deepest.upsilon is deepest.upsilon
+    assert deepest.endpoints0 is deepest.endpoints0
+
+
 def test_quasi_suite_diagonal_levels_exact(reference_trace, reference_curves,
                                            reference_theta_seq):
     report = quasi_embedding_suite(reference_trace, reference_curves,
