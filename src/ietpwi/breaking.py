@@ -839,7 +839,7 @@ class ThetaSeq:
     def distances(self) -> np.ndarray:
         """Torus distance to zero of every level's entry, computed once and read-only."""
         if self._distances is None:
-            self._distances = np.array([torus_distance_to_zero(t) for t in self.entries])
+            self._distances = torus_distance_to_zero(np.array(self.entries))
             self._distances.setflags(write=False)
         return self._distances
 

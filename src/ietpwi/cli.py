@@ -220,6 +220,13 @@ def cmd_sample_theta(cfg: RunConfig) -> int:
     return 0
 
 
+def _require_levels(trace: rauzy.InductionTrace, command: str, levels: int) -> None:
+    """Raise ``RauzyUndefined`` naming the step where ``trace`` stopped short of ``levels``."""
+    if trace.n_steps < levels:
+        raise RauzyUndefined(f"the induction is undefined at step {trace.n_steps}; "
+                             f"{command} needs {levels} levels")
+
+
 def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, depth: int,
                     keep: int = 0):
     """Rotation vector, its origin, its push over the trace, curves and increments to ``depth``.
@@ -284,6 +291,7 @@ def cmd_curve(cfg: RunConfig) -> int:
     depth = cfg.levels
     sampling = depth if cfg.theta is not None else cfg.deep(max(depth, 25))
     trace = rauzy.rauzy_iterate(iet, max(sampling, depth, spectral.N_CHECK))
+    _require_levels(trace, "curve", max(sampling, depth))
     _, origin, _, curves, _ = _sampled_curves(cfg, iet, trace, depth)
     curve = curves[-1]
     base = cfg.out or "curve"
@@ -300,6 +308,7 @@ def cmd_pwi(cfg: RunConfig) -> int:
     iet = cfg.build()
     depth = cfg.deep(max(cfg.levels, 25))
     trace = rauzy.rauzy_iterate(iet, max(depth, spectral.N_CHECK))
+    _require_levels(trace, "pwi", depth)
     theta, origin, _, curves, _ = _sampled_curves(cfg, iet, trace, depth)
     curve = curves[-1]
     theta_float = [float(t) % tau for t in theta]
@@ -318,10 +327,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise InvalidInput(f"verify needs --deep-levels >= 2, got {cfg.deep_levels}")
     iet = cfg.build()
     trace = rauzy.rauzy_iterate(iet, max(cfg.deep(0), 200))
+    _require_levels(trace, "verify", 2)
     deep = min(cfg.deep(max(2 * cfg.levels, 45)), trace.n_steps)
-    if deep < 2:
-        raise RauzyUndefined(f"the induction is undefined at step {trace.n_steps}; "
-                             f"verify needs 2 levels")
     depth = min(cfg.levels, deep)
     # the quasi suite reads levels 0 to depth, the rest only the deepest
     theta, origin, seq, curves, increments = _sampled_curves(cfg, iet, trace, deep, depth)

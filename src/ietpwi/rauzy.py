@@ -360,8 +360,12 @@ def torus_project(matrix: Union[IntMatrix, Sequence[Sequence[int]], np.ndarray],
     return np.array(out)
 
 
-def torus_distance_to_zero(theta: Union[Sequence[float], np.ndarray]) -> float:
-    """Flat-torus distance from ``theta`` to the origin."""
+def torus_distance_to_zero(
+        theta: Union[Sequence[float], np.ndarray]) -> Union[float, np.ndarray]:
+    """Flat-torus distance from ``theta`` to the origin, along its last axis.
+
+    A single point gives a float; a stack of points, one array of their distances.
+    """
     arr = np.mod(np.asarray(theta, dtype=float), tau)
     folded = np.minimum(arr, tau - arr)
-    return float(np.sqrt(np.sum(folded * folded)))
+    return np.sqrt(np.sum(folded * folded, axis=-1))

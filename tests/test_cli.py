@@ -370,6 +370,23 @@ def test_verify_needs_two_levels_of_the_trace(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, theta, steps, needed", [
+    ("curve", "3.14159,3.14159,3.14159,3.14159", "30", "curve needs 30 levels"),
+    # pwi builds its curve at the sampling depth, max(--steps, 25)
+    ("pwi", "0.1,0.1,0.1,0.1", "3", "pwi needs 25 levels"),
+])
+def test_curve_commands_name_the_step_where_the_induction_stops(tmp_path, command, theta,
+                                                                 steps, needed):
+    # the exact induction of these lengths ties at step 4
+    proc = run_cli([command, "--perm", "4 3 2 1", "--lambda", "0.4,0.3,0.2,0.1",
+                    "--theta", theta, "--steps", steps], tmp_path)
+    assert proc.returncode == 2
+    assert "RauzyUndefined" in proc.stderr and "step 4" in proc.stderr
+    assert needed in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_deep_levels_zero_is_honored(tmp_path):
     # level 0 is the identity curve on the real axis, unlike the default level 25
     args = ["pwi", "--catalog", "--theta", "0.01,0,0,0", "--steps", "2", "--json"]

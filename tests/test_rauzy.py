@@ -226,6 +226,17 @@ def test_torus_project_matches_stepwise(reference):
         assert torus_distance_to_zero(direct - current) < 1e-9
 
 
+@pytest.mark.parametrize("d", [2, 4, 9, 17])
+def test_torus_distance_of_a_stack_is_each_point_s(d):
+    # one reduction along the last axis, as ThetaSeq.distances() takes it
+    # over every level; past 8 coordinates numpy's sums go pairwise
+    rng = np.random.default_rng(d)
+    points = rng.uniform(-20, 20, (30, d)) * rng.choice([1.0, 1e-8, 1e5], (30, d))
+    stacked = torus_distance_to_zero(points)
+    assert stacked.shape == (30,)
+    assert stacked.tolist() == [float(torus_distance_to_zero(p)) for p in points]
+
+
 def test_reduce_mod_tau_huge_argument():
     huge = Fraction(10**400 + 12345, 7)
     r = reduce_mod_tau(huge)

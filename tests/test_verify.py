@@ -5,20 +5,23 @@ from __future__ import annotations
 import json
 import tracemalloc
 from math import atan, pi, tau
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, find, given, settings, strategies as st
 
+from ietpwi import verify
 from ietpwi.breaking import _BLOCK, PLCurve, breaking_sequence, curve_levels, theta_sequence
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
-from ietpwi.pwi import PlanarIsometry, adapted_pwi, inductive_maps, map_distance
+from ietpwi.pwi import PlanarIsometry, adapted_pwi, hat_maps, inductive_maps, map_distance
 from ietpwi.rauzy import rauzy_iterate
 from ietpwi.spectral import sample_theta
 from ietpwi.verify import (
     _cell_keys,
     _conjugacy_defect,
     _pairs_from_cells,
+    _preimage_runs,
     NARROW_BLOCK,
     VerificationReport,
     convergence_report,
@@ -30,7 +33,7 @@ from ietpwi.verify import (
     quasi_embedding_suite,
 )
 
-from verify_oracles import is_nontrivial, max_defect
+from verify_oracles import conjugacy_defect, is_nontrivial, max_defect
 
 
 def increments(curves):
@@ -263,6 +266,133 @@ def test_conjugacy_kink_at_a_block_edge(kink):
     defect = _conjugacy_defect(curve, maps, iet)
     assert defect == max(found[kind] for kind in KINK_CLASSES)
     assert defect == pytest.approx(2e-3, abs=1e-12)
+
+
+@CONJUGACY
+@given(conjugacy_cases())
+def test_conjugacy_kernel_equals_the_evaluate_oracle(case):
+    assert _conjugacy_defect(*case) == conjugacy_defect(*case)
+
+
+@settings(CONJUGACY, max_examples=60)
+@given(conjugacy_cases(), st.sampled_from([1, 2, 3, 7]))
+def test_conjugacy_kernel_does_not_depend_on_the_block(case, block):
+    # blocks this small cut the runs of breakpoints and of preimages, so
+    # search windows and settled images straddle their boundaries
+    with mock.patch.object(verify, "_BLOCK", block):
+        assert _conjugacy_defect(*case) == conjugacy_defect(*case)
+
+
+@pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+def test_conjugacy_preimages_within_ulps_of_a_region_end(ulps):
+    # a breakpoint ``ulps`` doubles from each region end translated by u_s,
+    # so x_j - u_s rounds onto, just inside or just outside the region
+    iet = build_iet(Permutation.from_monodromy("4 3 2 1"), Lengths((3, 5, 7, 11), 26))
+    den = iet.denominator
+    targets = []
+    for slot, symbol in enumerate(iet.perm.top):
+        for end in iet.e0_num[slot:slot + 2]:
+            target = end / den + iet.upsilon[symbol]
+            for _ in range(abs(ulps)):
+                target = np.nextafter(target, np.sign(ulps) * np.inf)
+            targets.append(target)
+    rng = np.random.default_rng(abs(ulps))
+    # a breakpoint a subnormal step from 0 would overflow its segment's tangent
+    targets = [t for t in targets if np.finfo(float).tiny < t < iet.total]
+    x = np.unique([0.0, *targets, *rng.uniform(0, iet.total, 40)])
+    steps = np.diff(np.append(x, iet.total)) * np.exp(1j * rng.uniform(-pi, pi, len(x)))
+    curve = PLCurve(iet.total, x, np.concatenate([[0.0], np.cumsum(steps)]))
+    lo = np.array(iet.e0_num[:-1]) / den
+    hi = np.array(iet.e0_num[1:]) / den
+    shift = iet.upsilon[list(iet.perm.top)]
+    first, stop = _preimage_runs(curve.x, lo, hi, shift)
+    for k in range(iet.d):
+        inside = np.flatnonzero((curve.x - shift[k] >= lo[k]) & (curve.x - shift[k] <= hi[k]))
+        assert np.array_equal(np.arange(first[k], stop[k]), inside)
+    maps = [PlanarIsometry(0.3 * s, 0.1j * s, complex(u)) for s, u in enumerate(iet.upsilon)]
+    assert _conjugacy_defect(curve, maps, iet) == conjugacy_defect(curve, maps, iet)
+
+
+@pytest.mark.parametrize("share", [0, 1 / 3, 1 / 2, 25 / 26, 1])
+def test_conjugacy_floor_that_empties_regions(share):
+    # above 25/26 of the domain only the atom whose image ends at the total
+    # keeps a region; at the total none does and the defect is 0
+    iet = build_iet(Permutation.from_monodromy("4 3 2 1"), Lengths((3, 5, 7, 11), 26))
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 30))])
+    curve = PLCurve(1.0, x, rng.normal(size=32) + 1j * rng.normal(size=32))
+    maps = [PlanarIsometry(0.5, 0j, complex(u)) for u in iet.upsilon]
+    floor = round(share * iet.total_num)
+    defect = _conjugacy_defect(curve, maps, iet, floor)
+    assert defect == conjugacy_defect(curve, maps, iet, floor)
+    assert (defect == 0.0) == (share == 1)
+
+
+def test_conjugacy_of_a_one_kink_block_rounds_as_the_maps_do():
+    # the preimage 1/62 of the only breakpoint is a block of one kink; numpy
+    # rounds an in-place product of one-element arrays differently from the
+    # product PlanarIsometry takes, here in the last bit of the maximum
+    iet = build_iet(Permutation((0, 1, 2, 3, 4), (1, 4, 2, 3, 0)), Lengths((1, 1, 1, 1, 58), 62))
+    curve = PLCurve(1.0, np.array([0.0]), np.array([0j, np.exp(2j)]))
+    maps = [PlanarIsometry(0.0, 0j, complex(u * np.exp(2j))) for u in iet.upsilon]
+    maps[1] = PlanarIsometry(1.0, -0.013424091501520722 + 0.02933217505889296j,
+                             -0.006712045750760398 + 0.014666087529446648j)
+    assert _conjugacy_defect(curve, maps, iet) == conjugacy_defect(curve, maps, iet)
+
+
+def test_conjugacy_images_past_the_domain_end_read_its_limit():
+    # on lengths 1/10 and 2/10 the first atom's right end plus its
+    # translation rounds above the float total, at the region end and at
+    # the breakpoint there; the image is the total
+    iet = build_iet(Permutation.from_monodromy("2 1"), Lengths((1, 2), 10))
+    end = iet.e0_num[1] / iet.denominator
+    assert end + iet.upsilon[0] > iet.total
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0], np.sort([end, *rng.uniform(0, iet.total, 20)])])
+    steps = np.diff(np.append(x, iet.total)) * np.exp(1j * rng.uniform(-pi, pi, len(x)))
+    curve = PLCurve(iet.total, x, np.concatenate([[0.0], np.cumsum(steps)]))
+    maps = [PlanarIsometry(0.2, 0j, complex(u)) for u in iet.upsilon]
+    assert _conjugacy_defect(curve, maps, iet) == conjugacy_defect(curve, maps, iet)
+
+
+@st.composite
+def quasi_cases(draw):
+    """The quasi-embedding suite's inputs on a random exchange of 3 to 6 symbols.
+
+    The exchange is followed for 1 to 6 levels; the curves and rotation data
+    are those of a random rotation vector, to the last level.
+    """
+    d = draw(st.integers(3, 6))
+    perm = Permutation.from_monodromy(draw(st.permutations(range(1, d + 1))))
+    assume(is_irreducible(perm))
+    nums = draw(st.lists(st.integers(1, 2**40), min_size=d, max_size=d))
+    trace = rauzy_iterate(build_iet(perm, Lengths(tuple(nums), sum(nums))),
+                          draw(st.integers(1, 6)))
+    assume(trace.n_steps >= 1)
+    theta = draw(st.lists(st.floats(-pi, pi), min_size=d, max_size=d))
+    depth = trace.n_steps
+    curves = breaking_sequence(trace, theta, depth)
+    return trace, curves, theta_sequence(trace, theta, depth), depth
+
+
+@settings(CONJUGACY, max_examples=40)
+@given(quasi_cases())
+def test_quasi_suite_equals_the_per_pair_oracles(case):
+    # one kernel pass and one map expression per curve level give each
+    # pair's own maxima, in the pairs' order
+    trace, curves, seq, depth = case
+    report = quasi_embedding_suite(*case)
+    pairs = [(n, m) for n in range(depth + 1) for m in range(n + 1)]
+    assert [(c.check, c.n, c.m) for c in report.checks] == [
+        (check, n, m) for n, m in pairs for check in ("map_agreement", "quasi_embedding")]
+    corners = max(1.0, trace.initial.total) * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    defects = iter(c.defect for c in report.checks)
+    for n, m in pairs:
+        family = inductive_maps(trace, curves[n], seq, n)[m]
+        direct = hat_maps(curves[n], trace, m, seq.entries[m], n)
+        assert next(defects) == max(map_distance(a, b, corners) for a, b in zip(direct, family))
+        assert next(defects) == conjugacy_defect(curves[n], family, trace.states[m],
+                                                 trace.states[n].total_num)
 
 
 def test_map_distance_peaks_at_a_box_corner():
