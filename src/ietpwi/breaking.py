@@ -31,7 +31,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import pi, tau
+from math import lcm, pi, tau
 from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import (BudgetExceeded, IntervalOutOfRange, InvalidInput, NonUnitSpeed,
                      OutOfDomain)
 from .iet import PIECE_BUDGET
-from .rauzy import InductionTrace, reduce_mod_tau, torus_distance_to_zero, torus_project
+from .rauzy import InductionTrace, _mod_tau, torus_distance_to_zero, torus_project
 
 #: per-segment tolerance for the unit-speed invariant, per unit of domain length
 TOL_UNIT_SPEED = 1e-12
@@ -822,13 +822,15 @@ def _round_limbs(sums: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
 class ThetaSeq:
     """Torus rotation coordinates pushed through the renormalization cocycle.
 
-    ``lifts`` holds the exact lift of the deepest entry, from which
-    ``extend`` continues the push.
+    ``lifts`` holds the exact lift of the deepest entry as integer numerators
+    over ``denominator``, the least common denominator of the pushed vector
+    (a power of two for float input), from which ``extend`` continues the push.
     """
 
     entries: list[np.ndarray]
     image_last: list[int]
-    lifts: list[Fraction] = field(default_factory=list, repr=False)
+    lifts: list[int] = field(default_factory=list, repr=False)
+    denominator: int = field(default=1, repr=False)
     _distances: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                              compare=False)
 
@@ -855,18 +857,18 @@ class ThetaSeq:
         """Continue the push along ``trace``, the trace it was pushed along, to level ``depth``.
 
         Each step's factor ``I + E[loser, winner]`` moves the exact lift by
-        one rational add, ``lift[loser] += lift[winner]``, so each level
+        one integer add, ``lift[loser] += lift[winner]``, so each level
         reduces just that one coordinate; the others carry over.  A depth
         below the current one or beyond the trace raises ``InvalidInput``.
         """
         if not self.depth <= depth <= trace.n_steps:
             raise InvalidInput(f"cannot push level {self.depth} on to {depth}: "
                                f"the trace holds {trace.n_steps} steps")
-        lifts, point = self.lifts, self.entries[-1]
+        lifts, den, point = self.lifts, self.denominator, self.entries[-1]
         for step in trace.steps[self.depth:depth]:
             lifts[step.loser] += lifts[step.winner]
             point = point.copy()
-            point[step.loser] = reduce_mod_tau(lifts[step.loser])
+            point[step.loser] = _mod_tau(lifts[step.loser], den)
             self.entries.append(point)
         self.image_last.extend(trace.image_last_symbol(n)
                                for n in range(len(self.image_last), depth))
@@ -896,7 +898,9 @@ def theta_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> Theta
         lifts = [t if isinstance(t, Fraction) else Fraction(float(t)) for t in theta]
     except (ValueError, OverflowError):
         raise InvalidInput(f"rotation vector entries must be finite, got {list(theta)}") from None
-    seq = ThetaSeq([torus_project(trace.cocycle[0], lifts)], [], lifts)
+    den = lcm(*(t.denominator for t in lifts))
+    seq = ThetaSeq([torus_project(trace.cocycle[0], lifts)], [],
+                   [t.numerator * (den // t.denominator) for t in lifts], den)
     seq.extend(trace, depth)
     return seq
 

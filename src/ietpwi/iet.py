@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
+from operator import sub
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -68,17 +69,25 @@ class Permutation:
     def d(self) -> int:
         return len(self.top)
 
+    @cached_property
+    def positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """0-based position tables of the two rows: entry ``s`` is where symbol ``s`` sits."""
+        pos0, pos1 = [0] * self.d, [0] * self.d
+        for i, (a, b) in enumerate(zip(self.top, self.bottom)):
+            pos0[a] = pos1[b] = i
+        return tuple(pos0), tuple(pos1)
+
     def position0(self, symbol: int) -> int:
         """0-based position of ``symbol`` in the top row."""
-        return self.top.index(symbol)
+        return self.positions[0][symbol]
 
     def position1(self, symbol: int) -> int:
         """0-based position of ``symbol`` in the bottom row."""
-        return self.bottom.index(symbol)
+        return self.positions[1][symbol]
 
     def monodromy(self) -> tuple[int, ...]:
         """1-based positions: entry ``j`` is where domain slot ``j+1`` lands."""
-        pos1 = {s: i for i, s in enumerate(self.bottom)}
+        pos1 = self.positions[1]
         return tuple(pos1[s] + 1 for s in self.top)
 
     @classmethod
@@ -171,7 +180,7 @@ class Lengths:
     def __post_init__(self) -> None:
         if self.denominator <= 0:
             raise InvalidInput("denominator must be positive")
-        if any(n <= 0 for n in self.numerators):
+        if min(self.numerators, default=1) <= 0:
             raise NonPositiveLength(f"lengths must be positive, got {self.values()}")
 
     @classmethod
@@ -210,12 +219,7 @@ def omega_matrix(perm: Permutation) -> np.ndarray:
     applied to the length vector it yields the per-symbol translations.
     """
     d = perm.d
-    pos0 = [0] * d
-    pos1 = [0] * d
-    for i, s in enumerate(perm.top):
-        pos0[s] = i
-    for i, s in enumerate(perm.bottom):
-        pos1[s] = i
+    pos0, pos1 = perm.positions
     omega = np.zeros((d, d), dtype=np.int64)
     for a in range(d):
         for b in range(d):
@@ -270,10 +274,11 @@ def build_iet(perm: Permutation, lengths: Lengths) -> IETState:
     """
     if lengths.d != perm.d:
         raise InvalidInput("lengths and permutation have different sizes")
-    nums = lengths.numerators
-    e0 = tuple(accumulate((nums[s] for s in perm.top), initial=0))
-    e1 = tuple(accumulate((nums[s] for s in perm.bottom), initial=0))
-    ups_num = tuple(e1[perm.position1(s)] - e0[perm.position0(s)] for s in range(perm.d))
+    length = lengths.numerators.__getitem__
+    e0 = tuple(accumulate(map(length, perm.top), initial=0))
+    e1 = tuple(accumulate(map(length, perm.bottom), initial=0))
+    pos0, pos1 = perm.positions
+    ups_num = tuple(map(sub, map(e1.__getitem__, pos1), map(e0.__getitem__, pos0)))
     return IETState(perm, lengths, ups_num, e0)
 
 

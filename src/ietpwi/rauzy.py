@@ -3,19 +3,26 @@
 One induction step removes the shorter of the two final subintervals (the
 loser) and takes the first-return map to what is left; the step is type 0
 when the top row's final subinterval wins and type 1 otherwise, a rule that
-``InductionStep.of_type`` alone applies.  Each step contributes the
-unimodular factor ``I + E[loser, winner]``, and the running left-product of
-these factors is maintained in exact arbitrary-precision integers: its
-entries count subinterval visits and grow exponentially, so 64-bit
-arithmetic would overflow almost immediately.  Its exact inverse is the
-factors undone in reverse order, one ``undo_update`` each.
+``InductionStep.of_type`` alone applies.  A Rauzy class is finite, so each
+arrow out of a permutation, its step and the permutation it leads to, is
+built once and then taken from a cache (``_arrows``), which also checks
+irreducibility once per permutation.  Each step contributes the unimodular
+factor ``I + E[loser, winner]``, and the running left-product of these
+factors is maintained in exact arbitrary-precision integers: its entries
+count subinterval visits and grow exponentially, so 64-bit arithmetic would
+overflow almost immediately.  Each stored product shares its ``d - 1``
+unchanged rows with the one before.  Its exact inverse is the factors undone
+in reverse order, one ``undo_update`` each.
 
-The same factors act on the torus ``R^d / 2*pi*Z^d``.  ``reduce_mod_tau``
-reduces an exact rational angle modulo ``2*pi`` with an adaptive-precision
-integer value of pi, so huge lifts lose no accuracy.  Each push along a
-trace (``breaking.theta_sequence``, for sampling and curves) moves the exact
-lift one add per factor, ``lift[loser] += lift[winner]``; ``torus_project``
-applies a stored product, only at level 0 of a push and as the tests' oracle.
+The same factors act on the torus ``R^d / 2*pi*Z^d``.  One integer kernel,
+``_mod_tau``, reduces an exact rational angle modulo ``2*pi`` with an
+adaptive-precision integer value of pi, so huge lifts lose no accuracy;
+``reduce_mod_tau`` is that kernel on a ``Fraction``.  Each push along a
+trace (``breaking.theta_sequence``, for sampling and curves) keeps its exact
+lift as integer numerators over one denominator and moves it one integer
+add per factor, ``lift[loser] += lift[winner]``; ``torus_project`` applies a
+stored product in ``Fraction`` arithmetic, only at level 0 of a push and as
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import tau
+from math import gcd, tau
+from operator import add
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
@@ -49,10 +57,12 @@ def identity_matrix(d: int) -> IntMatrix:
 
 
 def elementary_update(matrix: IntMatrix, loser: int, winner: int) -> IntMatrix:
-    """Left-multiply by ``I + E[loser, winner]``: add the winner row into the loser row."""
-    rows = [list(r) for r in matrix]
-    rows[loser] = [a + b for a, b in zip(rows[loser], rows[winner])]
-    return tuple(tuple(r) for r in rows)
+    """Left-multiply by ``I + E[loser, winner]``: add the winner row into the loser row.
+
+    The product shares its other ``d - 1`` rows with ``matrix``.
+    """
+    row = tuple(map(add, matrix[loser], matrix[winner]))
+    return matrix[:loser] + (row,) + matrix[loser + 1:]
 
 
 def undo_update(matrix: IntMatrix, loser: int, winner: int) -> IntMatrix:
@@ -109,22 +119,32 @@ def _combinatorial_step(perm: Permutation, type_eps: int) -> Permutation:
     return Permutation(tuple(new_top), bottom)
 
 
+@lru_cache(maxsize=1 << 12)
+def _arrows(perm: Permutation) -> tuple[tuple[InductionStep, Permutation], ...]:
+    """The two arrows out of ``perm``, by type: each step and the permutation it leads to.
+
+    The Rauzy class is finite, so a run takes every arrow from here after
+    its first pass round the class.  A reducible ``perm`` raises and is not kept.
+    """
+    if not is_irreducible(perm):
+        raise Reducible(f"monodromy {perm.monodromy()} is reducible")
+    return tuple((InductionStep.of_type(perm, eps), _combinatorial_step(perm, eps))
+                 for eps in (0, 1))
+
+
 def rauzy_step(iet: IETState) -> tuple[IETState, InductionStep]:
     """One induction step; raises when the final subintervals tie."""
-    if not is_irreducible(iet.perm):
-        raise Reducible(f"monodromy {iet.perm.monodromy()} is reducible")
+    arrows = _arrows(iet.perm)
     nums = list(iet.lengths.numerators)
-    step = InductionStep.of_type(iet.perm, 0)
-    if _tied(nums[step.winner], nums[step.loser], iet.total_num):
+    # the type-0 step is won by the top row's final subinterval
+    top_last, bottom_last = nums[arrows[0][0].winner], nums[arrows[0][0].loser]
+    if _tied(top_last, bottom_last, iet.total_num):
         raise RauzyUndefined(
             f"final subintervals tie within {TOL_TIE_REL} * |lambda|"
         )
-    if nums[step.winner] < nums[step.loser]:
-        step = InductionStep.of_type(iet.perm, 1)
+    step, perm = arrows[top_last < bottom_last]
     nums[step.winner] -= nums[step.loser]
-    new_state = build_iet(_combinatorial_step(iet.perm, step.type_eps),
-                          Lengths(tuple(nums), iet.lengths.denominator))
-    return new_state, step
+    return build_iet(perm, Lengths(tuple(nums), iet.lengths.denominator)), step
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +214,7 @@ class InductionTrace:
 
 
 def _iterate(iet: IETState, *, max_steps: Optional[int], max_blocks: Optional[int]) -> InductionTrace:
-    if not is_irreducible(iet.perm):
-        raise Reducible(f"monodromy {iet.perm.monodromy()} is reducible")
+    _arrows(iet.perm)  # a reducible start raises before any step
     trace = InductionTrace(states=[iet], cocycle=[identity_matrix(iet.d)])
     opened = 0  # maximal same-type blocks begun
     while max_steps is None or trace.n_steps < max_steps:
@@ -317,25 +336,39 @@ def _pi_scaled(bits: int) -> int:
     return (value + (1 << (guard - 1))) >> guard
 
 
+def _mod_tau(num: int, den: int) -> float:
+    """``num / den`` reduced modulo ``2*pi`` into ``[0, 2*pi)``, for ``den > 0``.
+
+    The fraction need not be in lowest terms.  The quotient is extracted with
+    an integer value of pi carrying enough bits for the magnitude of the
+    reduced fraction, so that cancellation in ``x - k*2*pi`` costs no
+    precision even when ``x`` is astronomically large.  Dividing both terms by
+    a power of two shortens both by the same number of bits, so a power-of-two
+    ``den`` needs no gcd to size that precision; another takes one.  The
+    remainder is one correctly rounded integer division, so the result does
+    not depend on the terms the fraction is given in.
+    """
+    if not num:
+        return 0.0
+    if den & (den - 1):
+        g = gcd(num, den)
+        mag_bits = (abs(num) // g).bit_length() - (den // g).bit_length()
+    else:
+        mag_bits = abs(num).bit_length() - den.bit_length()
+    bits = 128 * ((max(mag_bits, 0) + 192) // 128)
+    # (num / den) mod 2*pi as an integer over den * 2**bits, which the floor
+    # modulo leaves non-negative
+    remainder = ((num << bits) % (2 * _pi_scaled(bits) * den)) / (den << bits)
+    return remainder - tau if remainder >= tau else remainder
+
+
 def reduce_mod_tau(x: Fraction) -> float:
     """Reduce an exact rational angle modulo ``2*pi`` into ``[0, 2*pi)``.
 
-    The quotient is extracted with an integer value of pi carrying enough
-    bits for the magnitude of ``x``, so that cancellation in ``x - k*2*pi``
-    costs no precision even when ``x`` is astronomically large.
+    The one reduction kernel, ``_mod_tau``, on its numerator and
+    denominator; a push calls the kernel on its running numerators directly.
     """
-    if x == 0:
-        return 0.0
-    mag_bits = abs(x.numerator).bit_length() - x.denominator.bit_length()
-    bits = 128 * ((max(mag_bits, 0) + 192) // 128)
-    pi_s = _pi_scaled(bits)
-    k = (x.numerator << bits) // (2 * pi_s * x.denominator)
-    remainder = float(x - Fraction(2 * pi_s * k, 1 << bits))
-    if remainder >= tau:
-        remainder -= tau
-    if remainder < 0.0:
-        remainder += tau
-    return remainder
+    return _mod_tau(x.numerator, x.denominator)
 
 
 def torus_project(matrix: Union[IntMatrix, Sequence[Sequence[int]], np.ndarray],

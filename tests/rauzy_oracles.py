@@ -1,16 +1,20 @@
-"""Reference implementations that the exchange and the exact cocycle are tested against."""
+"""Reference implementations that the exchange, the exact cocycle and the
+torus reduction are tested against."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate
+from math import tau
 from typing import Union
 
 import numpy as np
 
-from ietpwi.errors import BudgetExceeded, RauzyUndefined
-from ietpwi.iet import PIECE_BUDGET, IETState, slot_at
-from ietpwi.rauzy import IntMatrix, InductionTrace, rauzy_iterate
+from ietpwi.errors import BudgetExceeded, RauzyUndefined, Reducible
+from ietpwi.iet import PIECE_BUDGET, IETState, Lengths, build_iet, is_irreducible, slot_at
+from ietpwi.rauzy import (IntMatrix, InductionStep, InductionTrace, _combinatorial_step,
+                          _pi_scaled, _tied, identity_matrix, rauzy_iterate)
 
 
 def matrix_to_float(matrix: Union[IntMatrix, np.ndarray]) -> np.ndarray:
@@ -84,3 +88,50 @@ def visit_counts_bruteforce(iet: IETState, n: int) -> IntMatrix:
         raise RauzyUndefined(f"induction undefined before step {n}")
     words = [return_word(trace, n, a) for a in range(iet.d)]
     return tuple(tuple(word.count(b) for b in range(iet.d)) for word in words)
+
+
+def replayed_iterate(iet: IETState, n: int) -> InductionTrace:
+    """``rauzy_iterate`` with nothing kept between steps.
+
+    Each step applies the step rule (``InductionStep.of_type``), the
+    permutation update (``_combinatorial_step``) and ``build_iet`` afresh,
+    and each stored product is a full copy of the one before with the
+    winner row added into the loser row.
+    """
+    if not is_irreducible(iet.perm):
+        raise Reducible(f"monodromy {iet.perm.monodromy()} is reducible")
+    trace = InductionTrace(states=[iet], cocycle=[identity_matrix(iet.d)])
+    state = iet
+    while trace.n_steps < n:
+        nums = list(state.lengths.numerators)
+        step = InductionStep.of_type(state.perm, 0)
+        if _tied(nums[step.winner], nums[step.loser], state.total_num):
+            trace.error = "RauzyUndefined"
+            break
+        if nums[step.winner] < nums[step.loser]:
+            step = InductionStep.of_type(state.perm, 1)
+        nums[step.winner] -= nums[step.loser]
+        state = build_iet(_combinatorial_step(state.perm, step.type_eps),
+                          Lengths(tuple(nums), state.denominator))
+        rows = [list(row) for row in trace.cocycle[-1]]
+        rows[step.loser] = [a + b for a, b in zip(rows[step.loser], rows[step.winner])]
+        trace.steps.append(step)
+        trace.states.append(state)
+        trace.cocycle.append(tuple(tuple(row) for row in rows))
+    return trace
+
+
+def reduce_mod_tau_fraction(x: Fraction) -> float:
+    """``x`` modulo ``2*pi`` by ``Fraction`` arithmetic on the lowest-terms fraction."""
+    if x == 0:
+        return 0.0
+    mag_bits = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    bits = 128 * ((max(mag_bits, 0) + 192) // 128)
+    pi_s = _pi_scaled(bits)
+    k = (x.numerator << bits) // (2 * pi_s * x.denominator)
+    remainder = float(x - Fraction(2 * pi_s * k, 1 << bits))
+    if remainder >= tau:
+        remainder -= tau
+    if remainder < 0.0:
+        remainder += tau
+    return remainder

@@ -649,9 +649,13 @@ def test_theta_sequence_lift_matches_the_stored_products(reference, reference_tr
     strong, weak = reference.stable_frame_exact()
     float_theta = rng.uniform(-tau, tau, 4)
     exact_theta = [Fraction(1, 5) * s + Fraction(-3, 7) * w for s, w in zip(strong, weak)]
+    # a common denominator that is not a power of two, which lifts share factors with
+    mixed_theta = [Fraction(1, 6), Fraction(-1, 10), Fraction(1, 15), 0.7]
+    # lifts of 1,000 to 2,000 bits, across several of the reduction's precision steps
+    huge_theta = [1e300, -1e300, 3e299, 2e-300]
     depth = reference_trace.n_steps
     assert depth == 420
-    for theta in (float_theta, exact_theta):
+    for theta in (float_theta, exact_theta, mixed_theta, huge_theta):
         seq = theta_sequence(reference_trace, theta, depth)
         assert seq.depth == depth
         for n, entry in enumerate(seq.entries):

@@ -9,10 +9,12 @@ from math import pi, tau
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ietpwi.iet import Lengths, Permutation, build_iet, build_iet_from
+from ietpwi.iet import Lengths, Permutation, build_iet, build_iet_from, omega_matrix
 from ietpwi.errors import RauzyUndefined, Reducible
 from ietpwi.rauzy import (
+    _mod_tau,
     identity_matrix,
     rauzy_class,
     rauzy_iterate,
@@ -24,7 +26,8 @@ from ietpwi.rauzy import (
 )
 from ietpwi.spectral import h_pi_basis
 
-from rauzy_oracles import matrix_to_float, visit_counts_bruteforce
+from rauzy_oracles import (matrix_to_float, reduce_mod_tau_fraction, replayed_iterate,
+                           visit_counts_bruteforce)
 
 
 def test_step_type1_hand_values():
@@ -51,6 +54,46 @@ def test_step_tie_is_undefined():
 def test_step_rejects_reducible():
     with pytest.raises(Reducible):
         rauzy_step(build_iet_from("2 1 4 3", [0.2, 0.3, 0.1, 0.4]))
+
+
+def test_cached_arrows_replay_the_uncached_steps(reference):
+    # every arrow taken from the per-permutation cache is the one the step
+    # rule, the permutation update and build_iet give afresh
+    runs = [reference.iet]
+    for mono in ("4 3 2 1", "5 4 3 2 1", "6 5 4 3 2 1"):
+        d = len(mono.split())
+        runs += [build_iet_from(mono, list(np.random.default_rng(seed).dirichlet(np.ones(d))))
+                 for seed in range(4)]
+    # integer lengths end in a tie: at once, or after some steps
+    tied = [build_iet_from("2 1", [1, 1]), build_iet_from("4 3 2 1", [3, 5, 2, 7]),
+            build_iet_from("5 4 3 2 1", [13, 8, 5, 3, 2])]
+    traces = [rauzy_iterate(iet, 420) for iet in runs + tied]
+    for iet, got in zip(runs + tied, traces):
+        want = replayed_iterate(iet, 420)
+        assert got.states == want.states and got.steps == want.steps
+        assert got.cocycle == want.cocycle and got.error == want.error
+        for state in got.states:
+            # translations are the intersection form applied to the lengths
+            nums = state.lengths.numerators
+            assert state.upsilon_num == tuple(sum(int(w) * n for w, n in zip(row, nums))
+                                              for row in omega_matrix(state.perm))
+    # the Dirichlet exchange of 4 3 2 1 from seed 2 meets a relative tie at step 362
+    stopped = traces[3:4] + traces[-3:]
+    assert [trace.n_steps for trace in stopped] == [362, 0, 3, 12]
+    assert {trace.error for trace in stopped} == {"RauzyUndefined"}
+
+
+def test_each_stored_product_shares_its_unchanged_rows(reference):
+    trace = rauzy_iterate(reference.iet, 420)
+    for k, step in enumerate(trace.steps):
+        before, after = trace.cocycle[k], trace.cocycle[k + 1]
+        assert [after[s] is before[s] for s in range(trace.d)] == [
+            s != step.loser for s in range(trace.d)]
+    # the arrow cache, which now holds the catalog's class, keeps no reducible permutation
+    with pytest.raises(Reducible):
+        rauzy_step(build_iet_from("2 1 4 3", [0.2, 0.3, 0.1, 0.4]))
+    with pytest.raises(Reducible):
+        rauzy_iterate(build_iet_from("2 1 4 3", [0.2, 0.3, 0.1, 0.4]), 1)
 
 
 def test_golden_orbit_follows_subtractive_euclid(golden_iet):
@@ -243,6 +286,27 @@ def test_reduce_mod_tau_huge_argument():
     assert 0.0 <= r < tau
     # residue consistency: (x + 2*pi*k) reduces to the same value
     assert abs(reduce_mod_tau(huge) - reduce_mod_tau(huge)) == 0.0
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(-2**1200, 2**1200),
+       q=st.one_of(st.integers(1, 2**80), st.integers(0, 80).map(lambda k: 1 << k)),
+       shift=st.integers(0, 300), odd=st.integers(0, 2**40))
+@example(n=2**1200, q=3, shift=0, odd=0)
+@example(n=-(2**1200), q=2**80, shift=64, odd=7)
+@example(n=0, q=6, shift=5, odd=3)
+# each rounds differently with the 256 bits of pi that terms 64 bits apart
+# take than with the 128 bits its lowest terms, 63 bits apart, take; g = 9
+# puts the first one's terms 64 bits apart
+@example(n=9416104132555465394086799, q=861775, shift=0, odd=4)
+@example(n=2244240535825819564135075218124350205, q=2**57, shift=5, odd=0)
+def test_reduction_kernel_takes_the_fraction_in_any_terms(n, q, shift, odd):
+    # the kernel on (n*g, q*g) sizes its precision from the lowest terms,
+    # whether g is a power of two or odd, and rounds the same remainder
+    want = reduce_mod_tau(Fraction(n, q))
+    assert want == reduce_mod_tau_fraction(Fraction(n, q))
+    for g in (1 << shift, 2 * odd + 1):
+        assert _mod_tau(n * g, q * g) == want
 
 
 def test_trace_jsonl_roundtrip(golden_iet):
