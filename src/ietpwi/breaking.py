@@ -248,26 +248,26 @@ class IntervalSeq:
         return out
 
 
-def _shifts(values: np.ndarray, lo: int, hi: int, one_minus: complex,
+def _shifts(values: np.ndarray, first: int, one_minus: complex,
             carry: complex) -> np.ndarray:
-    """Entries ``lo..hi`` of the shift table ``[-0, upper_0, lower_0, upper_1, ...]``.
+    """Entries ``first..first + len(values)`` of the table ``[-0, upper_0, lower_0, upper_1, ...]``.
 
-    ``values[r]`` is the curve at the interleaved end ``r``: with ``v[2k]``
-    the value at the k-th interval's left end and ``v[2k+1]`` at its right
-    end, ``upper[k] = lower[k-1] + v[2k]*(1-rot)`` and ``lower[k] = upper[k]
-    - v[2k+1]*(1-rot)``: one running sum over the interleaved steps, added in
-    the same order.  ``carry`` is entry ``lo``, so ranges taken in turn, each
-    from the last entry of the one before, give the whole table bit for bit;
-    entry 0 is ``-0.0``, the shift of zone 0 and the identity of
-    floating-point addition.  Each step's product is rounded as the scalar
-    complex product rounds it (numpy's vectorized complex multiply can
-    differ from it in the last ulp), from separately rounded real multiplies
-    and adds.
+    ``values[r - first]`` is the curve at the interleaved end ``r``: with
+    ``v[2k]`` the value at the k-th interval's left end and ``v[2k+1]`` at
+    its right end, ``upper[k] = lower[k-1] + v[2k]*(1-rot)`` and ``lower[k]
+    = upper[k] - v[2k+1]*(1-rot)``: one running sum over the interleaved
+    steps, added in the same order.  ``carry`` is entry ``first``, so ranges
+    taken in turn, each from the last entry of the one before, give the
+    whole table bit for bit; entry 0 is ``-0.0``, the shift of zone 0 and
+    the identity of floating-point addition.  Each step's product is rounded
+    as the scalar complex product rounds it (numpy's vectorized complex
+    multiply can differ from it in the last ulp), from separately rounded
+    real multiplies and adds.
     """
-    table = np.empty(hi - lo + 1, dtype=complex)
+    table = np.empty(len(values) + 1, dtype=complex)
     table[0] = carry
     steps = table[1:]
-    steps[:] = values[lo:hi]
+    steps[:] = values
     re, im = steps.real, steps.imag
     im_w = im * one_minus.imag
     re_w = re * one_minus.imag
@@ -277,7 +277,7 @@ def _shifts(values: np.ndarray, lo: int, hi: int, one_minus: complex,
     np.add(re_w, im, out=im)
     del im_w, re_w
     # a right end, of odd interleaved index, steps down
-    down = steps[(lo + 1) % 2::2]
+    down = steps[(first + 1) % 2::2]
     np.negative(down, out=down)
     return np.cumsum(table, out=table)
 
@@ -294,15 +294,15 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     be sorted to the ulp).  The old breakpoints are then taken ``_BLOCK`` at
     a time with the ends that a search puts among them, and one stable sort
     of those two sorted runs merges them, an old breakpoint before an equal
-    end (``_merged_blocks``).  A first pass over the merge checks each
-    block's unit-speed defect from its chords and widths, and evaluates each
-    of its ends as ``evaluate()`` does, on the segment that starts at the
-    last old breakpoint up to it, with the tangent formed from that
-    segment's chord and width only.  The second pass places the parameters:
-    each reads its value from the old vertices or from its end's value, its
-    zone being the count of ends up to it.  No array but the ends' and the
-    output's is longer than a block, and old vertices are carried as they
-    are.
+    end (``_merged_blocks``).  Each block, merged once, is done in one pass:
+    it checks its unit-speed defect from its chords and widths, evaluates
+    its ends as ``evaluate()`` does, each on the segment of the last old
+    breakpoint up to it, and places its parameters, each reading its old
+    vertex or its end's value, its zone being the count of ends up to it.
+    The shift table steps over the ends in interleaved order; where an end
+    an ulp out of order leaves its place to a neighbour (which may sort into
+    a block beside), the curve is evaluated through ``evaluate()``.  No
+    array but the sorted ends' and the output's is longer than a block.
 
     Shifts: zone ``j`` is rotated by ``phi`` when ``j`` is odd and then
     moved by ``shifts[j]``, one lookup in the table ``[-0, upper_0, lower_0,
@@ -334,24 +334,13 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
 
     # each temporary is released once used, which keeps the peak memory down
     bounds = intervals.bounds()
-    by_end = np.argsort(bounds, kind="stable")
-    ends = bounds.take(by_end)
+    order = np.argsort(bounds, kind="stable")
+    ends = bounds.take(order)
     del bounds
-    by_end = by_end.astype(np.int32)
+    # the ends an ulp out of order: those not at their interleaved place
+    moved = np.flatnonzero(order != np.arange(len(order)))
+    del order
     right_zone = int(np.searchsorted(ends, length, side="right"))
-    # the curve at each end in interleaved order, once every block's speed
-    # defect passes: an end's segment is the count of old breakpoints before
-    # it in the merge, less one
-    at_ends = np.empty(len(ends), dtype=complex)
-    for start, first, olds, _, order in _merged_blocks(curve.x, ends):
-        chords, widths = curve._segments(start, start + olds)
-        _require_unit_speed(_speed_defect(chords, widths), length)
-        seg = (order >= olds).nonzero()[0]
-        last = first + len(seg)
-        seg -= np.arange(1, len(seg) + 1)
-        at_ends[by_end[first:last]] = _on_block(curve, start, chords, widths,
-                                                ends[first:last], seg)
-        del order, chords, widths, seg
 
     # merge numerically coincident breakpoints: a zero-length segment carries
     # no geometry but fabricates spurious self-contacts downstream
@@ -362,12 +351,27 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     previous = -np.inf      # the last distinct parameter placed so far
     increment = 0.0
     shifts = np.array([complex(-0.0, -0.0)])
-    for start, first, olds, merged, order in _merged_blocks(curve.x, ends):
-        params = merged.take(order)
-        is_end = order >= olds
-        del merged, order
+    for start, first, olds, params, is_end in _merged_blocks(curve.x, ends):
         last = first + int(np.count_nonzero(is_end))
-        shifts = _shifts(at_ends, first, last, one_minus, shifts[-1])
+        # the curve at the block's ends once its speed defect passes: an
+        # end's segment is the count of old breakpoints before it, less one
+        chords, widths = curve._segments(start, start + olds)
+        _require_unit_speed(_speed_defect(chords, widths), length)
+        seg = is_end.nonzero()[0]
+        seg -= np.arange(1, len(seg) + 1)
+        at_ends = _on_block(curve, start, chords, widths, ends[first:last], seg)
+        del chords, widths, seg
+        # the shift table steps over the ends in interleaved order; where an
+        # end out of order left its place, evaluate() gives the one that belongs
+        interleaved = at_ends
+        lo, hi = np.searchsorted(moved, (first, last))
+        if hi > lo:
+            r = moved[lo:hi]
+            end = y.take(r // 2)
+            end[r % 2 == 1] += intervals.delta
+            interleaved = at_ends.copy()
+            interleaved[r - first] = curve.evaluate(np.minimum(end, length))
+        shifts = _shifts(interleaved, first, one_minus, shifts[-1])
         # a parameter's zone (less ``first``) counts the block's ends up to
         # it; its position in the block, plus ``start``, less that is the
         # last old breakpoint up to it; zone ``j`` reads ``shifts[j - first]``
@@ -414,13 +418,13 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
         at_end = is_end.take(keep).nonzero()[0]
         del zone, is_end
         values = curve.z.take(keep + start - keep_zone)
-        values[at_end] = at_ends.take(by_end.take(keep_zone.take(at_end) + (first - 1)))
+        values[at_end] = at_ends.take(keep_zone.take(at_end) - 1)
         del at_end
         new_z.append(np.empty(len(keep), dtype=complex))
         increment = max(increment, _shift_block(values, keep_zone, first, rot, shifts,
                                                 new_z[-1]))
         kept += len(keep)
-    del ends, by_end, at_ends
+    del ends, moved
     # the right end is a limit of the last segment, evaluated as evaluate() does
     right = curve._on_segments(length, old - 1)
     new_z.append(np.empty(1, dtype=complex))
@@ -458,9 +462,9 @@ def _merged_blocks(x: np.ndarray, ends: np.ndarray
     of them but in the last block, and the ends from ``ends[first]`` on that
     lie below the next block's first breakpoint (every end in the first and
     the last block), so equal parameters share a block.  Yields ``start,
-    first, olds, merged, order``: ``merged`` holds the block's breakpoints
-    then its ends, and ``order`` is their stable sort, one linear merge of
-    two sorted runs, in which a breakpoint sorts before an equal end.
+    first, olds, params, is_end``: ``params`` is the block's breakpoints and
+    ends in one linear merge of two sorted runs, in which a breakpoint sorts
+    before an equal end, and ``is_end`` marks the ends.
     """
     n = len(x)
     for start in range(0, n, _BLOCK):
@@ -472,9 +476,10 @@ def _merged_blocks(x: np.ndarray, ends: np.ndarray
 
 
 def _merge(olds: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``olds`` then ``ends``, and their stable sort."""
+    """The stable sort of ``olds`` then ``ends``, and which of its entries are ends."""
     merged = np.concatenate([olds, ends])
-    return merged, merged.argsort(kind="stable")
+    order = merged.argsort(kind="stable")
+    return merged.take(order), order >= len(olds)
 
 
 def _on_block(curve: PLCurve, start: int, chords: np.ndarray, widths: np.ndarray,

@@ -326,7 +326,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.deep(2) < 2:
         raise InvalidInput(f"verify needs --deep-levels >= 2, got {cfg.deep_levels}")
     iet = cfg.build()
-    trace = rauzy.rauzy_iterate(iet, max(cfg.deep(0), 200))
+    # 200 levels, or the sampling depth where that is deeper
+    trace = rauzy.rauzy_iterate(iet, max(cfg.deep(cfg.levels), 200))
     _require_levels(trace, "verify", 2)
     deep = min(cfg.deep(max(2 * cfg.levels, 45)), trace.n_steps)
     depth = min(cfg.levels, deep)

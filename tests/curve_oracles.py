@@ -42,7 +42,7 @@ def breaking_offsets(curve: PLCurve, phi: float,
     ends = intervals.bounds()
     # a piece ending at the domain's right end may round above it
     ends[1::2] = np.minimum(ends[1::2], curve.length)
-    shifts = _shifts(curve.evaluate(ends), 0, len(ends), 1.0 - rot, complex(-0.0, -0.0))
+    shifts = _shifts(curve.evaluate(ends), 0, 1.0 - rot, complex(-0.0, -0.0))
     return shifts[1::2], shifts[2::2]
 
 

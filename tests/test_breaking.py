@@ -39,6 +39,10 @@ from rauzy_oracles import apply_array, piece_orbit
 #: sha256 over each level's ``y`` bytes then ``delta`` bytes of the catalog's
 #: rotation intervals of levels 1-56, recorded from towers of Python ints
 CATALOG_INTERVALS_DIGEST = "1b05ec401a6904549a3757a2c4b0be3cdb06b9621651ef94da2f10a9399f9565"
+#: sha256 over each level's ``x``, ``z`` and ``increment`` bytes of the curves of
+#: levels 1-70 of two Dirichlet exchanges of ``6 5 4 3 2 1`` (seeds 1 and 2),
+#: recorded from an operator that evaluated every interval end in its own block
+DIRICHLET_CURVES_DIGEST = "12997638094d6bb34c2fed694c347e1feaab04eb31717a7cb650f3a0fe675f9b"
 
 
 def random_unit_speed_curve(rng, length=None, pieces=6):
@@ -408,6 +412,49 @@ def test_operator_takes_ends_out_of_order_across_a_block_edge(monkeypatch):
     want = breaking_operator(curve, 0.7, intervals)
     monkeypatch.setattr(breaking, "_BLOCK", 8)
     assert _same_curve(breaking_operator(curve, 0.7, intervals), want)
+
+
+def test_operator_merges_each_block_once(reference, reference_trace, monkeypatch):
+    sample = sample_theta(reference.stable_frame_exact(), 0.5, 0,
+                          upsilon=reference.iet.upsilon, trace=reference_trace)
+    levels = list(_operator_levels(reference_trace, sample.v, 30))
+    monkeypatch.setattr(breaking, "_BLOCK", 97)
+    curve, phi, intervals = levels[-1]
+    blocks = len(list(breaking._merged_blocks(curve.x, np.sort(intervals.bounds()))))
+    assert blocks > 2
+    merges = []
+    merge = breaking._merge
+    monkeypatch.setattr(breaking, "_merge", lambda *args: merges.append(1) or merge(*args))
+    breaking_operator(curve, phi, intervals)
+    assert len(merges) == blocks
+
+
+def test_operator_takes_ends_out_of_order_at_block_edges_of_real_towers(monkeypatch):
+    # Dirichlet exchanges of 6 5 4 3 2 1 whose interval ends sort an ulp out
+    # of order: seed 1 at levels 36-38 and 53-54, seed 2 at level 59.  The
+    # later left end of each swapped pair is an old breakpoint, so a block
+    # may start at it, though no block edge falls between the two ends
+    theta = (0.1, -0.05, 0.03, 0.02, -0.04, 0.01)
+    perm = Permutation.from_monodromy([6, 5, 4, 3, 2, 1])
+    levels = []
+    for seed in (1, 2):
+        lengths = Lengths.from_values(list(np.random.default_rng(seed).dirichlet(np.ones(6))))
+        levels += _operator_levels(rauzy_iterate(build_iet(perm, lengths), 70), theta, 70)
+    want = [breaking_operator(*level) for level in levels]
+    digest = hashlib.sha256()
+    for curve in want:
+        digest.update(curve.x.tobytes() + curve.z.tobytes() + np.float64(curve.increment).tobytes())
+    assert digest.hexdigest() == DIRICHLET_CURVES_DIGEST
+    swapped = at_edge = 0
+    for size in (5, 8, 13):
+        monkeypatch.setattr(breaking, "_BLOCK", size)
+        for level, curve in zip(levels, want):
+            assert _same_curve(breaking_operator(*level), curve)
+            ends = level[2].bounds()
+            later = ends[1:][ends[1:] < ends[:-1]]
+            swapped += len(later)
+            at_edge += np.count_nonzero(np.isin(later, level[0].x[size::size]))
+    assert swapped == 3 * (22 + 29) and at_edge > 0
 
 
 @pytest.mark.parametrize("shift, nums, den", [

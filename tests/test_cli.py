@@ -224,7 +224,6 @@ def test_config_file_and_flag_override(tmp_path):
     ["curve", "--catalog", "--theta", "1,2", "--steps", "3"],
     ["verify", "--catalog", "--theta", "0,0,0,0,0", "--steps", "2"],
     ["sample-theta", "--catalog", "--seed", "-1"],
-    ["verify", "--catalog", "--steps", "300"],
     ["lyapunov", "--catalog", "--zorich-steps", "1"],
     ["curve", "--perm", "2 1", "--lambda", "0.618,0.382", "--theta", "nan,0.2",
      "--steps", "3"],
@@ -255,6 +254,8 @@ def test_malformed_input_exits_2(tmp_path, args):
     ["verify", "--catalog", "--deep-levels", "90"],
     ["verify", "--catalog", "--steps", "40"],  # deep level 80
     ["curve", "--catalog", "--steps", "5", "--deep-levels", "100"],  # sampled at level 100
+    ["verify", "--catalog", "--steps", "201"],  # sampled past the 200-step trace
+    ["verify", "--catalog", "--steps", "300"],
 ])
 def test_curves_beyond_the_segment_budget_exit_2(tmp_path, args):
     # the catalog's level-71 curve may hold more than 10**7 segments
