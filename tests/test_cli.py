@@ -224,6 +224,7 @@ def test_config_file_and_flag_override(tmp_path):
     ["curve", "--catalog", "--theta", "1,2", "--steps", "3"],
     ["verify", "--catalog", "--theta", "0,0,0,0,0", "--steps", "2"],
     ["sample-theta", "--catalog", "--seed", "-1"],
+    ["verify", "--catalog", "--steps", "-1"],
     ["lyapunov", "--catalog", "--zorich-steps", "1"],
     ["curve", "--perm", "2 1", "--lambda", "0.618,0.382", "--theta", "nan,0.2",
      "--steps", "3"],
