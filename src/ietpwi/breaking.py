@@ -13,17 +13,18 @@ The intervals of each level are the floors of one exact Rokhlin tower (Veech
 1982), kept in return-time order.  A floor is stored as the visit counts of
 a return-word prefix (int32, 16 bytes at ``d = 4``); its exact offset is
 those counts times the level-0 translation numerators.  The left ends are
-rounded once from exact int64 limb sums of each translation's top 94 bits
-(Brent and Zimmermann, *Modern Computer Arithmetic*, treat rounding from
-limbs); an end whose rounding the cut-off bits leave open, and every end
-over a denominator that is not a power of two, is converted exactly.  So
-every interval is the one exact arithmetic gives, bit for bit.  Floats then
-decide what they can and exact integers the rest, in the manner of
-Shewchuk's adaptive predicates: correct rounding is monotone, so one sort
-of the rounded ends orders the floors of the tower a level reads but for
-ends that round equal, which are ordered on Python ints; and the pieces
-are checked on those ends, every gap or edge within four spacings of the
-largest value compared being decided on Python ints.
+rounded once from exact int64 limb sums of each translation's top 94 bits,
+added as doubles by Dekker's Fast2Sum (Brent and Zimmermann, *Modern
+Computer Arithmetic*, treat rounding from limbs); an end whose rounding the
+cut-off bits leave open, and every end over a denominator that is not a
+power of two, is converted exactly.  So every interval is the one exact
+arithmetic gives, bit for bit.  Floats then decide what they can and exact
+integers the rest, in the manner of Shewchuk's adaptive predicates: correct
+rounding is monotone, so one sort of the rounded ends orders the floors of
+the tower a level reads but for ends that round equal, which are ordered on
+Python ints; and the pieces are checked on those ends against the edges the
+towers carry, every gap or edge within four spacings of the largest value
+compared being decided on Python ints, in one conversion.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, pi, tau
+from math import isfinite, lcm, ldexp, pi, tau, ulp
 from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
@@ -52,7 +53,7 @@ def _speed_defect(chords: np.ndarray, widths: np.ndarray) -> float:
     """Largest ``| |chord| - width |`` over the segments."""
     lengths = np.abs(chords)
     lengths -= widths
-    return float(np.abs(lengths, out=lengths).max())
+    return float(np.maximum.reduce(np.abs(lengths, out=lengths)))
 
 
 def _require_unit_speed(defect: float, length: float) -> None:
@@ -126,9 +127,10 @@ class PLCurve:
     def evaluate(self, params: Union[float, Sequence[float], np.ndarray]) -> np.ndarray:
         """Vectorized evaluation; accepts the right endpoint as a limit value."""
         q = np.atleast_1d(np.asarray(params, dtype=float))
-        if np.any(q < 0.0) or np.any(q > self.length):
+        if (q < 0.0).any() or (q > self.length).any():
             raise OutOfDomain("parameter outside [0, length]")
-        idx = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, self.n_segments - 1)
+        # x[0] is 0, so each parameter of the domain (and NaN, sorted last) has a segment
+        idx = self.x.searchsorted(q, side="right") - 1
         out = self._on_segments(q, idx)
         return out if np.ndim(params) else out[0]
 
@@ -227,14 +229,25 @@ class IntervalSeq:
         self.y = np.asarray(self.y, dtype=float)
         if not 0 < self.delta < np.inf:
             raise InvalidInput(f"interval width must be positive and finite, got {self.delta}")
-        if not np.all(np.isfinite(self.y)):
+        if not len(self.y):
+            return
+        first, last = float(self.y[0]), float(self.y[-1])
+        if not (isfinite(first) and isfinite(last)):
             raise InvalidInput("interval ends must be finite")
-        # touching ends, each correctly rounded, may sit up to two spacings
-        # of the largest end too close; never less than 1e-15
-        top = float(np.max(np.abs(self.y), initial=0.0)) + self.delta
-        slack = max(1e-15, 2.0 * float(np.spacing(top)))
-        if np.any(np.diff(self.y) < self.delta - slack):
-            raise InvalidInput("intervals must be ordered and disjoint")
+        # rounded touching ends may sit two spacings of the largest (outer) end
+        # too close; the slack is at least 1e-15, at most half of the width
+        top = max(abs(first), abs(last)) + self.delta
+        slack = min(max(1e-15, 2.0 * ulp(top)), 0.5 * self.delta)
+        if not (self.y[1:] - self.y[:-1] >= self.delta - slack).all():
+            raise InvalidInput("interval ends must be finite" if not np.isfinite(self.y).all()
+                               else "intervals must be ordered and disjoint")
+
+    @classmethod
+    def _proven(cls, y: np.ndarray, delta: float) -> "IntervalSeq":
+        """The family of the float ends ``y``, proven finite, ordered and disjoint on exact values."""
+        seq = cls.__new__(cls)
+        seq.y, seq.delta = y, delta
+        return seq
 
     @property
     def count(self) -> int:
@@ -266,20 +279,18 @@ def _shifts(values: np.ndarray, first: int, one_minus: complex,
     """
     table = np.empty(len(values) + 1, dtype=complex)
     table[0] = carry
+    re, im = values.real, values.imag
     steps = table[1:]
-    steps[:] = values
-    re, im = steps.real, steps.imag
-    im_w = im * one_minus.imag
-    re_w = re * one_minus.imag
-    re *= one_minus.real
-    re -= im_w
-    im *= one_minus.real
-    np.add(re_w, im, out=im)
-    del im_w, re_w
+    out = steps.real
+    np.multiply(re, one_minus.real, out=out)
+    out -= im * one_minus.imag
+    out = steps.imag
+    np.multiply(im, one_minus.real, out=out)
+    out += re * one_minus.imag
     # a right end, of odd interleaved index, steps down
     down = steps[(first + 1) % 2::2]
     np.negative(down, out=down)
-    return np.cumsum(table, out=table)
+    return np.add.accumulate(table, out=table)
 
 
 def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLCurve:
@@ -292,12 +303,13 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
 
     Merge: the ``2m`` interval ends are sorted once, stably (they need not
     be sorted to the ulp).  The old breakpoints are then taken ``_BLOCK`` at
-    a time with the ends that a search puts among them, and one stable sort
-    of those two sorted runs merges them, an old breakpoint before an equal
-    end (``_merged_blocks``).  Each block, merged once, is done in one pass:
-    it checks its unit-speed defect from its chords and widths, evaluates
-    its ends as ``evaluate()`` does, each on the segment of the last old
-    breakpoint up to it, and places its parameters, each reading its old
+    a time with the ends a search puts among them (all in the first and last
+    block), and one stable sort of those two sorted runs merges them, an old
+    breakpoint before an equal end (``_merge``).  Each block, merged once, is
+    done in one pass: it checks its unit-speed defect from its chords and
+    widths, evaluates its ends (the last block also the right end, a limit)
+    as ``evaluate()`` does, each on the segment of the last old breakpoint
+    up to it, and places its parameters in the output, each reading its old
     vertex or its end's value, its zone being the count of ends up to it.
     The shift table steps over the ends in interleaved order; where an end
     an ulp out of order leaves its place to a neighbour (which may sort into
@@ -315,9 +327,9 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     maximum of the modulus over both curves' breakpoints and the right end:
     the difference is affine in between.  At the kept parameters both curves
     are at hand; at the old breakpoints that the merge tolerance drops and at
-    the right end, where the output is a limit, both are evaluated.
+    the right end, where the output is a limit, it is evaluated once built.
     """
-    if not np.isfinite(phi):
+    if not isfinite(phi):
         raise InvalidInput(f"rotation angle must be finite, got {phi}")
     if not intervals.count:
         raise InvalidInput("no rotation intervals")
@@ -334,52 +346,64 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
 
     # each temporary is released once used, which keeps the peak memory down
     bounds = intervals.bounds()
-    order = np.argsort(bounds, kind="stable")
+    order = bounds.argsort(kind="stable")
     ends = bounds.take(order)
     del bounds
     # the ends an ulp out of order: those not at their interleaved place
-    moved = np.flatnonzero(order != np.arange(len(order)))
+    moved = (order != np.arange(len(order))).nonzero()[0]
     del order
-    right_zone = int(np.searchsorted(ends, length, side="right"))
+    right_zone = int(ends.searchsorted(length, side="right"))
 
     # merge numerically coincident breakpoints: a zero-length segment carries
     # no geometry but fabricates spurious self-contacts downstream
     merge_tol = 1e-13 * max(1.0, length)
+    # the output a block at a time: the merge drops a third of the
+    # parameters at depth, so room for all of them would raise the peak
     new_x, new_z = [], []
-    kinks = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
+    # the old breakpoints the merge drops: parameter, new segment, old vertex
+    kink_x, kink_at, kink_z = [], [], []
     kept = 0                # new breakpoints placed so far
     previous = -np.inf      # the last distinct parameter placed so far
     increment = 0.0
-    shifts = np.array([complex(-0.0, -0.0)])
-    for start, first, olds, params, is_end in _merged_blocks(curve.x, ends):
-        last = first + int(np.count_nonzero(is_end))
+    carry = complex(-0.0, -0.0)  # the shift of zone 0, then of each block's first zone
+    last = 0
+    for start in range(0, old, _BLOCK):
+        stop = min(start + _BLOCK, old)
+        first = last
+        last = len(ends) if stop == old else int(ends.searchsorted(curve.x[stop]))
+        params, is_end = _merge(curve.x[start:stop], ends[first:last])
         # the curve at the block's ends once its speed defect passes: an
         # end's segment is the count of old breakpoints before it, less one
-        chords, widths = curve._segments(start, start + olds)
+        chords, widths = curve._segments(start, stop)
         _require_unit_speed(_speed_defect(chords, widths), length)
-        seg = is_end.nonzero()[0]
+        q, seg = ends[first:last], is_end.nonzero()[0]
         seg -= np.arange(1, len(seg) + 1)
-        at_ends = _on_block(curve, start, chords, widths, ends[first:last], seg)
-        del chords, widths, seg
+        if stop == old:
+            q, seg = np.concatenate((q, [length])), np.concatenate((seg, [stop - start - 1]))
+        at_ends = _on_block(curve, start, chords, widths, q, seg)
+        del chords, widths, q, seg
+        if stop == old:
+            right, at_ends = at_ends[-1:], at_ends[:-1]
         # the shift table steps over the ends in interleaved order; where an
         # end out of order left its place, evaluate() gives the one that belongs
         interleaved = at_ends
-        lo, hi = np.searchsorted(moved, (first, last))
+        lo, hi = moved.searchsorted((first, last)) if len(moved) else (0, 0)
         if hi > lo:
             r = moved[lo:hi]
             end = y.take(r // 2)
             end[r % 2 == 1] += intervals.delta
             interleaved = at_ends.copy()
             interleaved[r - first] = curve.evaluate(np.minimum(end, length))
-        shifts = _shifts(interleaved, first, one_minus, shifts[-1])
+        shifts = _shifts(interleaved, first, one_minus, carry)
+        carry = shifts[-1]
         # a parameter's zone (less ``first``) counts the block's ends up to
         # it; its position in the block, plus ``start``, less that is the
         # last old breakpoint up to it; zone ``j`` reads ``shifts[j - first]``
-        zone = is_end.cumsum()
+        zone = np.add.accumulate(is_end, dtype=np.intp)
 
         # of equal parameters the last one below the right end is kept: its
         # zone counts every end equal to it; those below it are a prefix
-        below = int(np.searchsorted(params, length))
+        below = int(params.searchsorted(length))
         if not below:
             continue
         distinct = np.empty(below, dtype=bool)
@@ -408,7 +432,9 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
             slot = drop + start
             slot -= zone.take(drop)
             is_old = curve.x.take(slot) == dropped
-            kinks.append((dropped[is_old], slot[is_old], new_at[is_old]))
+            kink_x.append(dropped[is_old])
+            kink_at.append(new_at[is_old])
+            kink_z.append(curve.z.take(slot[is_old]))
             del drop, new_at, dropped, slot, is_old
         new_x.append(params.take(keep))
         del at, far, params
@@ -425,18 +451,33 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
                                                 new_z[-1]))
         kept += len(keep)
     del ends, moved
-    # the right end is a limit of the last segment, evaluated as evaluate() does
-    right = curve._on_segments(length, old - 1)
-    new_z.append(np.empty(1, dtype=complex))
-    _shift_block(np.array([right]), np.array([right_zone - first]), first, rot, shifts,
-                 new_z[-1])
+    # the right end is in zone right_zone, in the last block's table
+    new_z.append(np.add(right * rot if right_zone & 1 else right, shifts[right_zone - first]))
     del shifts
+    # one list at a time, so that one list's pieces are gone before the next
     new_z = np.concatenate(new_z)
-    rotated = PLCurve(length, np.concatenate(new_x), new_z)
+    new_x.append([length])
+    new_x = np.concatenate(new_x)
+    rotated = PLCurve(length, new_x[:kept], new_z)
+    # the output at the dropped kinks and the right end, on the segments
+    # ``evaluate`` picks, formed as ``_on_segments`` forms them with the right
+    # end read after the last breakpoint; at a kink ``curve`` is its vertex:
+    # evaluation adds ``0 * tangent``, which may change only the sign of a
+    # zero, and no modulus
+    kink_x.append([length])
+    kink_at.append([kept - 1])
+    kink_z.append(right)
+    seg = np.concatenate(kink_at)
+    x0, z0 = new_x.take(seg), new_z.take(seg)
+    seg += 1
+    apart = new_z.take(seg)
+    apart -= z0
+    apart /= new_x.take(seg) - x0
+    apart *= np.concatenate(kink_x) - x0
+    apart += z0
     del new_x, new_z
-    kink_x, kink_slot, kink_at = (np.concatenate(part) for part in zip(*kinks))
-    rotated.increment = max(increment, _kink_increment(curve, rotated, right, kink_x,
-                                                       kink_slot, kink_at))
+    apart -= np.concatenate(kink_z)
+    rotated.increment = max(increment, float(np.maximum.reduce(np.abs(apart))))
     return rotated
 
 
@@ -447,32 +488,11 @@ def _shift_block(values: np.ndarray, zone: np.ndarray, first: int, rot: complex,
     Zone ``first + j`` rotates by ``rot`` when it is odd and then adds
     ``shifts[j]``, for each ``j`` in ``zone``.  ``values`` is overwritten.
     """
-    moved = np.where((zone & 1) == (first & 1), values, values * rot)
+    moved = np.where((zone ^ first) & 1, values * rot, values)
     np.add(moved, shifts.take(zone), out=out)
     del moved
     values -= out
-    return float(np.abs(values).max(initial=0.0))
-
-
-def _merged_blocks(x: np.ndarray, ends: np.ndarray
-                   ) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray]]:
-    """The stable merge of the breakpoints ``x`` and the sorted ``ends``, a block at a time.
-
-    A block holds the ``olds`` breakpoints from ``x[start]`` on, ``_BLOCK``
-    of them but in the last block, and the ends from ``ends[first]`` on that
-    lie below the next block's first breakpoint (every end in the first and
-    the last block), so equal parameters share a block.  Yields ``start,
-    first, olds, params, is_end``: ``params`` is the block's breakpoints and
-    ends in one linear merge of two sorted runs, in which a breakpoint sorts
-    before an equal end, and ``is_end`` marks the ends.
-    """
-    n = len(x)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        first = 0 if start == 0 else int(np.searchsorted(ends, x[start]))
-        last = len(ends) if stop == n else int(np.searchsorted(ends, x[stop]))
-        # formed in a call, so that no block stays referenced between yields
-        yield (start, first, stop - start, *_merge(x[start:stop], ends[first:last]))
+    return float(np.maximum.reduce(np.abs(values), initial=0.0))
 
 
 def _merge(olds: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -497,23 +517,6 @@ def _on_block(curve: PLCurve, start: int, chords: np.ndarray, widths: np.ndarray
     value /= widths.take(seg)
     np.multiply(q, value, out=value)
     return np.add(curve.z[start:].take(seg), value, out=value)
-
-
-def _kink_increment(curve: PLCurve, rotated: PLCurve, right: complex, x: np.ndarray,
-                    slot: np.ndarray, new_at: np.ndarray) -> float:
-    """``|rotated - curve|`` at most at the right end and the kinks ``rotated`` lacks.
-
-    The kinks are the old breakpoints ``x = curve.x[slot]``, on the segments
-    ``new_at`` of ``rotated``; there and at the right end, where ``curve``
-    is ``right``, ``rotated`` is evaluated on the segments ``evaluate``
-    picks.  At a kink ``curve`` is its vertex: evaluation adds ``0 *
-    tangent``, which may change only the sign of a zero, and no modulus.
-    """
-    at = np.append(x, curve.length)
-    moved = rotated._on_segments(at, np.append(new_at, rotated.n_segments - 1))
-    moved[:-1] -= curve.z.take(slot)
-    moved[-1] -= right
-    return float(np.abs(moved).max())
 
 
 # ---------------------------------------------------------------------------
@@ -563,25 +566,32 @@ class Towers:
     visit counts of the first ``k`` letters of the return word, so the
     floor's exact offset ``T^k x - x`` (a numerator) is the row times
     ``ups``, the level-0 translation numerators.  ``scale`` is the level-0
-    length numerator, which bounds every offset.
+    length numerator, which bounds every offset.  ``edges`` holds the exact
+    edges the next level's pieces are checked against and ``edge_floats``
+    their correctly rounded values; ``rokhlin_towers`` fills both and each
+    induction step adds one.
     """
 
     def __init__(self, ups: Sequence[int], scale: int, counts: list[np.ndarray]) -> None:
         self.ups = tuple(ups)
         self.scale = scale
         self.counts = counts
-        # the translations' top _KEPT_BITS bits as limbs, one limb per row
+        self.edges: list[int] = []
+        self.edge_floats: list[float] = []
+        # the translations' top _KEPT_BITS bits as limbs, one limb per row,
+        # and a last row that counts one unit of 2**cut per visit where bits
+        # are cut off
         self.cut = max(0, scale.bit_length() - _KEPT_BITS)
-        self.limbs = np.array([_limbs(u >> self.cut) for u in self.ups], dtype=np.int64).T.copy()
+        self.limbs = np.array([(*_limbs(u >> self.cut), int(self.cut > 0)) for u in self.ups],
+                              dtype=np.int64).T.copy()
 
     def offsets(self, rows: np.ndarray) -> list[int]:
         """Exact offsets of the floors ``rows``."""
         return [sum(map(mul, row, self.ups)) for row in rows.tolist()]
 
-
-def _largest_counts(rows: np.ndarray) -> np.ndarray:
-    """The largest count of each symbol over ``rows`` (one reduction per column is faster)."""
-    return np.array([column.max() for column in rows.T], dtype=np.int64)
+    def add_edges(self, nums: Sequence[int], den: int) -> None:
+        self.edges.extend(nums)
+        self.edge_floats.extend(num / den for num in nums)
 
 
 def rokhlin_towers(trace: InductionTrace, n: int) -> Towers:
@@ -594,17 +604,19 @@ def rokhlin_towers(trace: InductionTrace, n: int) -> Towers:
     of its return-word prefix (see ``Towers``), 16 bytes a floor at ``d =
     4``.  Level 0 is one zero row for every symbol, and each induction step
     stacks two towers into the loser's (``_stack_towers``).  No tower is
-    sorted: ``breaking_intervals`` orders the one it reads.  The floor count
-    is the entry sum of ``trace.cocycle[n]``; above ``PIECE_BUDGET`` it
+    sorted: ``breaking_intervals`` orders the one it reads.  The edges are
+    the exchange's cuts and the total lengths of levels ``0..n``.  The floor
+    count is the entry sum of ``trace.cocycle[n]``; above ``PIECE_BUDGET`` it
     raises ``BudgetExceeded`` before anything is built.  A level outside
     ``0..trace.n_steps`` raises ``InvalidInput``.
     """
     if not 0 <= n <= trace.n_steps:
         raise InvalidInput(f"level {n} outside 0..{trace.n_steps}")
     _require_floors(trace, n)
-    d = trace.d
-    towers = Towers(trace.initial.upsilon_num, trace.initial.total_num,
+    d, initial = trace.d, trace.initial
+    towers = Towers(initial.upsilon_num, initial.total_num,
                     [np.zeros((1, d), dtype=np.int32) for _ in range(d)])
+    towers.add_edges([*initial.e0_num[1:-1], initial.total_num], initial.denominator)
     for k in range(n):
         _stack_towers(trace, towers, k)
     return towers
@@ -618,7 +630,8 @@ def _stack_towers(trace: InductionTrace, towers: Towers, k: int) -> None:
     whose visit counts are that symbol's row of ``trace.cocycle[k]``) in
     the other one and climbs that: the loser then the winner for type 0,
     the winner then the loser for type 1.  The new tower is the two in that
-    order, so it stays in return-time order.
+    order, so it stays in return-time order.  The level-``k + 1`` total
+    joins the edges.
     """
     step = trace.steps[k]
     first, second = ((step.loser, step.winner) if step.type_eps == 0
@@ -626,6 +639,7 @@ def _stack_towers(trace: InductionTrace, towers: Towers, k: int) -> None:
     shift = np.array(trace.cocycle[k][first], dtype=np.int32)
     towers.counts[step.loser] = np.concatenate([towers.counts[first],
                                                 towers.counts[second] + shift])
+    towers.add_edges([trace.states[k + 1].total_num], trace.initial.denominator)
 
 
 def breaking_intervals(trace: InductionTrace, n: int, towers: Towers) -> IntervalSeq:
@@ -639,25 +653,25 @@ def breaking_intervals(trace: InductionTrace, n: int, towers: Towers) -> Interva
     end.  Their left ends are correctly rounded (``_interval_floats``) and
     put in increasing order (``_sorted_ends``); this is the one tower a level
     reads sorted.  The pieces are checked exactly (``_check_pieces``):
-    pairwise disjoint, and none straddles a removed zone or a continuity
-    boundary of the exchange.  A level outside ``1..trace.n_steps`` raises
-    ``InvalidInput``.
+    pairwise disjoint, and none straddles a cut of the exchange or a removed
+    zone ``[total_m, total_m-1)`` of a level ``m < n``, whose ends the towers
+    carry; the level-``n`` zone is the piece itself, which disjointness
+    covers.  What the checks prove the family does not check again.  A
+    level outside ``1..trace.n_steps`` raises ``InvalidInput``.
     """
     if n < 1 or n > trace.n_steps:
         raise InvalidInput(f"level {n} outside 1..{trace.n_steps}")
     symbol = trace.states[n - 1].perm.top[-1]
     rows = towers.counts[symbol]
-    if len(rows) != sum(trace.cocycle[n - 1][symbol]):
+    if len(rows) != sum(trace.cocycle[n - 1][symbol]) or len(towers.edges) != trace.d + n - 1:
         raise InvalidInput(f"the towers given are not those of level {n - 1}")
     den = trace.initial.denominator
     total_next = trace.states[n].total_num
     delta_num = trace.states[n - 1].total_num - total_next
     ends, order = _sorted_ends(towers, rows, total_next, den)
-    # the removed zones [total_m, total_m-1) for m <= n, then the exchange's cuts
-    edges = ([state.total_num for state in trace.states[:n + 1]]
-             + list(trace.initial.e0_num[1:-1]))
-    _check_pieces(towers, rows, order, ends, total_next, delta_num, edges, den)
-    return IntervalSeq(ends, delta_num / den)
+    _check_pieces(towers, rows, order, ends, total_next, delta_num, towers.edges,
+                  np.array(towers.edge_floats), den)
+    return IntervalSeq._proven(ends, delta_num / den)
 
 
 def _sorted_ends(towers: Towers, rows: np.ndarray, shift: int,
@@ -672,9 +686,9 @@ def _sorted_ends(towers: Towers, rows: np.ndarray, shift: int,
     themselves.
     """
     ends = _interval_floats(towers, rows, shift, den)
-    order = np.argsort(ends)
+    order = ends.argsort()
     ends = ends.take(order)
-    equal = np.flatnonzero(ends[1:] == ends[:-1])
+    equal = (ends[1:] == ends[:-1]).nonzero()[0]
     if len(equal):
         tied = np.union1d(equal, equal + 1)
         part = order.take(tied)
@@ -684,41 +698,45 @@ def _sorted_ends(towers: Towers, rows: np.ndarray, shift: int,
 
 
 def _check_pieces(towers: Towers, rows: np.ndarray, order: np.ndarray, ends: np.ndarray,
-                  shift: int, width: int, edges: Sequence[int], den: int) -> None:
+                  shift: int, width: int, edges: Sequence[int], at: np.ndarray,
+                  den: int) -> None:
     """The pieces ``[shift + a, shift + a + width)`` are disjoint and no edge is inside one.
 
     ``a`` runs over the exact offsets of ``rows``, ``rows[order]`` sorts
     them and ``ends`` holds their ``float(Fraction(shift + a, den))`` in that
-    order (``_sorted_ends``).  Each float compared, an end, ``width / den``
-    or an edge over ``den``, is correctly rounded, so it errs by at most
-    ``s / 2``, with ``s`` the spacing of the largest of them, and so does
-    each rounded difference of two.  A gap less the width then errs by at
-    most ``2.5 s``; a piece holding an edge has its end within ``1.5 s`` of
+    order (``_sorted_ends``); ``at`` holds each edge over ``den``, correctly
+    rounded.  Each float compared, an end, ``width / den`` or an edge, is
+    correctly rounded, so it errs by at most ``s / 2``, with ``s`` the
+    spacing of the largest of them, and so does each rounded difference of
+    two.  A gap errs by at most ``1.5 s``, and so does the width plus
+    ``eps``, whose sum may round on the coarser spacing past a power of two;
+    a piece holding an edge has its end within ``1.5 s`` of
     ``[edge - width, edge]``, and the window ``eps`` wider on each side
     loses at most ``1.5 s`` to its own roundings.  So ``eps = 4 s`` covers
     every comparison: each gap that exceeds the width by more than ``eps``
     is certified, and only the pieces whose ends lie in the window can hold
-    an edge.  The other gaps and those pieces are decided on exact
-    offsets, the only rows read.  A piece partly overlaps a zone ``[lo,
-    hi)`` exactly when ``lo`` or ``hi`` is inside it, and crosses a
-    continuity boundary when that cut is; touching is allowed.
+    an edge.  The other gaps and those pieces are decided on exact offsets,
+    the only rows read, all in one conversion.  A piece partly overlaps a
+    zone ``[lo, hi)`` exactly when ``lo`` or ``hi`` is inside it, and
+    crosses a continuity boundary when that cut is; touching is allowed.
     """
     if not len(rows):
         return
     w = width / den
-    at = np.array([edge / den for edge in edges])
-    eps = 4 * np.spacing(max(ends[-1], w, at.max()))
-    for k in np.flatnonzero(np.diff(ends) - w <= eps):
-        a, b = towers.offsets(rows.take(order[k:k + 2], axis=0))
-        if b - a < width:
-            raise AssertionError("orbit pieces overlap")
-    lows = np.searchsorted(ends, at - w - eps, side="left")
-    highs = np.searchsorted(ends, at + eps, side="right")
-    for i in np.flatnonzero(highs > lows):
-        edge = edges[i] - shift
-        for a in towers.offsets(rows.take(order[lows[i]:highs[i]], axis=0)):
-            if a < edge < a + width:
-                raise AssertionError("orbit piece straddles a removed zone or a cut")
+    eps = 4 * ulp(max(ends[-1], w, at.max()))
+    gaps = (ends[1:] - ends[:-1] <= w + eps).nonzero()[0].tolist()
+    lows = ends.searchsorted(at - w - eps, side="left")
+    highs = ends.searchsorted(at + eps, side="right")
+    hits = (highs > lows).nonzero()[0].tolist()
+    if not (gaps or hits):
+        return
+    windows = [(edges[i] - shift, range(lows[i], highs[i])) for i in hits]
+    read = sorted({*gaps, *(k + 1 for k in gaps), *(j for _, run in windows for j in run)})
+    exact = dict(zip(read, towers.offsets(rows.take(order.take(read), axis=0))))
+    if any(exact[k + 1] - exact[k] < width for k in gaps):
+        raise AssertionError("orbit pieces overlap")
+    if any(exact[j] < edge < exact[j] + width for edge, run in windows for j in run):
+        raise AssertionError("orbit piece straddles a removed zone or a cut")
 
 
 def _interval_floats(towers: Towers, rows: np.ndarray, shift: int, den: int) -> np.ndarray:
@@ -730,12 +748,11 @@ def _interval_floats(towers: Towers, rows: np.ndarray, shift: int, den: int) -> 
     cut off, the shift's and each translation's times its count, are each
     below one unit of ``2**t`` per count, so ``(shift + a) / 2**t`` lies in
     ``[A, A + spread)`` with ``A`` the exact limb sum and ``spread`` one
-    more than the sum of the largest counts.  ``A`` is rounded once
-    (``_round_limbs``), and that rounding holds for the whole range unless
-    a rounding boundary lies within it: within ``spread`` units of ``2**t``
-    above ``A``, or ``A`` near zero.  Those entries and, when ``den`` is not
-    a power of two or the quotients could leave the normal doubles, all
-    entries are converted exactly by ``_to_floats``.
+    more than the floor's count of visits (the limbs' last row).  ``A`` is
+    rounded once (``_round_limbs``), and that rounding holds for the whole
+    range unless a rounding boundary lies within it.  Those entries and,
+    when ``den`` is not a power of two or the quotients could leave the
+    normal doubles, all entries are converted exactly by ``_to_floats``.
     """
     top = towers.scale
     d = len(towers.ups)
@@ -744,18 +761,16 @@ def _interval_floats(towers: Towers, rows: np.ndarray, shift: int, den: int) -> 
         return _to_floats(shift, towers.offsets(rows), den)
     cut = towers.cut
     # one limb per row, one floor per column, in blocks that stay in cache
-    base = np.array(_limbs(shift >> cut), dtype=np.int64)[:, None]
-    scale = cut - (den.bit_length() - 1)
+    base = np.array([*_limbs(shift >> cut), int(cut > 0)], dtype=np.int64)[:, None]
+    scale = ldexp(1.0, cut - (den.bit_length() - 1))
     out = np.empty(len(rows))
-    room = np.empty(len(rows), dtype=np.int64)
+    unsure = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), _BLOCK):
         block = slice(start, start + _BLOCK)
         sums = towers.limbs @ rows[block].T
         sums += base
-        out[block], room[block] = _round_limbs(sums, scale)
-    # with nothing cut off, A is exact and so is its rounding
-    spread = int(_largest_counts(rows).sum()) + 1 if cut else 0
-    unsure = np.flatnonzero(room < 2 * spread)
+        out[block], unsure[block] = _round_limbs(sums, scale)
+    unsure = unsure.nonzero()[0]
     if len(unsure):
         out[unsure] = _to_floats(shift, towers.offsets(rows[unsure]), den)
     return out
@@ -771,56 +786,38 @@ def _limbs(value: int) -> tuple[int, int, int]:
     return (value & _LIMB_MASK, (value >> _LIMB_BITS) & _LIMB_MASK, value >> 2 * _LIMB_BITS)
 
 
-def _round_limbs(sums: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
-    """``float(A * 2**scale)`` for the limb sums ``A``, one per column of ``sums``, and its room.
+def _round_limbs(sums: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """``float(A) * scale`` for the limb sums ``A``, one per column of ``sums``, and which are unsure.
 
-    After the carries, ``A = hi 2**64 + lo`` with ``lo`` an unsigned 64-bit
-    word.  The window is ``A`` shifted right by ``drop`` bits until it fits
-    in 62, with the bits shifted out ORed into its lowest bit: a shifted
-    window keeps at least 60 bits, so rounding it once rounds ``A``.  The
-    power of two is then applied exactly, the result being a normal double.
-
-    The room is twice the distance from ``A`` up to the next rounding
-    boundary, half a spacing above the rounded value: every value in ``[A,
-    A + r)`` rounds as ``A`` does when the room is at least ``2 r``.  Below
-    2**52, where ``A`` is a double itself, the room reads 1, which certifies
-    no ``r`` of 1 or more.  It is negative where ``hi`` is negative or 2**31
-    or more, entries that are left unconverted.
+    After the carries, ``A = hi 2**64 + mid 2**32 + low`` with ``0 <= mid,
+    low < 2**32`` and ``|hi| < 2**31``, three doubles that need no
+    rounding.  The sum of the first two errs by an exact double (Fast2Sum,
+    Dekker 1971): it is a multiple of ``2**32`` below ``2**42``, so adding
+    ``low`` to it rounds nothing, and one rounded addition then gives ``A``
+    correctly rounded, and, by Fast2Sum again, its exact residual ``A -
+    float(A)``.  An entry is unsure where ``A + spread``, the last row of
+    ``sums``, may lie past the rounding boundary half a spacing above: for
+    ``A`` below ``2**53``, which is a double, wherever ``spread`` is 1 or
+    more, and for ``A`` negative always.  ``scale`` is a power of two that
+    keeps the result a normal double, so the product is exact.
     """
-    s0, s1, s2 = sums
+    s0, s1, s2, spread = sums
     p1 = s1 + (s0 >> _LIMB_BITS)
-    hi = s2 + (p1 >> _LIMB_BITS)
-    valid = hi.view(np.uint64) < 1 << 31
-    lo = (p1.view(np.uint64) << np.uint64(_LIMB_BITS)) | (s0.view(np.uint64) & _LIMB_MASK)
-    hi = hi.view(np.uint64)
-    # A's float is within one bit of A's bit length; below 2**95 at most 35 bits drop
-    approx = hi * 2.0**64
-    approx += lo
-    drop = np.frexp(approx)[1].astype(np.int64)
-    drop -= 61
-    np.clip(drop, 0, 35, out=drop)
-    shift = drop.view(np.uint64)
-    # hi is 0 wherever nothing is dropped, so its shift may stop at 63
-    kept = hi << np.minimum(np.uint64(64) - shift, np.uint64(63))
-    kept |= lo >> shift
-    kept = kept.view(np.int64)
-    dropped = (lo & ((np.uint64(1) << shift) - np.uint64(1))).view(np.int64)
-    near = (kept | (dropped != 0)).astype(float)
-    # the spacing above the rounded window, read off its exponent bits; taken
-    # as 1 below 2**52, where the window is A itself and rounds exactly
-    spacing = np.int64(1) << np.maximum((near.view(np.int64) >> 52) - 1075, 0)
-    # the boundary lies (rounded - kept) units of 2**drop plus half a
-    # spacing above the window, less the dropped bits above A
-    room = near.astype(np.int64)
-    room -= kept
-    room *= 2
-    room += spacing
-    room <<= drop
-    room -= 2 * dropped
-    room = np.where(valid, room, -1)
-    # 2**(drop + scale) built from its exponent bits, a normal double
-    near *= ((drop + (scale + 1023)) << 52).view(float)
-    return near, room
+    high = s2 + (p1 >> _LIMB_BITS)
+    high = high * 2.0**64
+    mid = p1 & _LIMB_MASK
+    mid = mid * 2.0**32
+    near = high + mid
+    err = high - near
+    err += mid
+    err += s0 & _LIMB_MASK
+    value = near + err
+    room = near - value
+    room += err
+    room += spread
+    unsure = room > np.spacing(value) * 0.5
+    value *= scale
+    return value, unsure
 
 
 @dataclass

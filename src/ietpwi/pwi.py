@@ -13,6 +13,7 @@ the quantitative content checked by the verification layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import tau
 from typing import Optional, Sequence, Union
 
@@ -21,7 +22,7 @@ import numpy as np
 from .breaking import PLCurve, ThetaSeq
 from .errors import (AtomMissesCurve, AtomsOverlap, InvalidInput, LevelMismatch,
                      UnclassifiablePoint)
-from .iet import IETState, slot_at
+from .iet import IETState, Permutation, slot_at
 from .rauzy import InductionTrace
 
 
@@ -63,44 +64,78 @@ def map_distance(s: PlanarIsometry, t: PlanarIsometry,
 # the direct family
 # ---------------------------------------------------------------------------
 
-def hat_maps(curve: PLCurve, trace: InductionTrace, m: int,
-             theta_m: Sequence[float], n: int) -> list[PlanarIsometry]:
-    """Direct level-``m`` family of a level-``n`` curve: rotate each piece onto its slot.
+@lru_cache(maxsize=4096)
+def _chain_indices(perm: Permutation) -> np.ndarray:
+    """Indices of a direct family's chain on one ``d + 1`` point grid, one row each.
 
-    The curve is read on the level-``m`` top-row endpoint grid.  The chain
-    corner ``xi[j]`` is where the right endpoint of the ``j``-th rearranged
-    piece must land for the rearranged pieces to join into a continuous
-    curve; the chain is anchored at the rightmost point and built backwards.
-    Each map sends its piece's right endpoint to its corner, so its left
-    endpoint lands on the previous corner by construction; the assertion
-    guards index errors.
+    The bottom row's symbols from the right and the top-row right end of
+    each, then per symbol its top-row right end and its corner's place in
+    the chain, which runs from the right.
     """
-    if m > trace.n_steps:
-        raise LevelMismatch(f"trace holds {trace.n_steps} levels, need {m}")
-    if m > n:
-        raise LevelMismatch(f"grid level {m} exceeds curve level {n}")
-    state = trace.states[m]
-    if state.total > curve.length * (1 + 1e-12):
-        raise LevelMismatch("level grids extend past the curve domain")
-    theta_m = np.asarray(theta_m, dtype=float)
-    d = state.d
-    gamma0 = curve.evaluate(state.endpoints0)
-    xi = np.empty(d + 1, dtype=complex)
-    xi[d] = gamma0[d]
-    for j in range(d - 1, -1, -1):
-        symbol = state.perm.bottom[j]
-        hat = state.perm.position0(symbol) + 1
-        xi[j] = np.exp(1j * theta_m[symbol]) * (gamma0[hat - 1] - gamma0[hat]) + xi[j + 1]
-    scale = max(1.0, float(np.max(np.abs(gamma0))))
-    maps = []
-    for symbol in range(d):
-        p0 = state.perm.position0(symbol) + 1
-        p1 = state.perm.position1(symbol) + 1
-        iso = PlanarIsometry(float(theta_m[symbol]) % tau, complex(gamma0[p0]), complex(xi[p1]))
-        if abs(iso(complex(gamma0[p0 - 1])) - xi[p1 - 1]) > 1e-9 * scale:
-            raise AssertionError("rearranged pieces do not join continuously")
-        maps.append(iso)
-    return maps
+    pos0, pos1 = perm.positions
+    symbols = perm.bottom[::-1]
+    indices = np.array([symbols, [pos0[s] + 1 for s in symbols], [p + 1 for p in pos0],
+                        [perm.d - p - 1 for p in pos1]])
+    indices.setflags(write=False)
+    return indices
+
+
+def hat_maps(curve: PLCurve, trace: InductionTrace, levels: Sequence[int],
+             thetas: Sequence[Sequence[float]], n: int) -> list[list[PlanarIsometry]]:
+    """Direct families of a level-``n`` curve, one per grid level: rotate each piece onto its slot.
+
+    Entry ``k`` is the family of grid level ``levels[k]``, whose rotation
+    vector is ``thetas[k]``.  The curve is evaluated once, on the union of
+    the levels' top-row endpoint grids.  The chain corner ``xi[j]`` is where
+    the right endpoint of the ``j``-th rearranged piece must land for the
+    rearranged pieces to join into a continuous curve; each chain is
+    anchored at the rightmost point and built backwards, every level's at
+    once: each step's rotated piece is rounded as the scalar complex product
+    rounds it, from separately rounded real products, and the corners are
+    one running sum per level from the right.  Each map sends its piece's
+    right endpoint to its corner, so its left endpoint lands on the previous
+    corner by construction; the assertion guards index errors.
+    """
+    states = []
+    for m in levels:
+        if m > trace.n_steps:
+            raise LevelMismatch(f"trace holds {trace.n_steps} levels, need {m}")
+        if m > n:
+            raise LevelMismatch(f"grid level {m} exceeds curve level {n}")
+        state = trace.states[m]
+        if state.total > curve.length * (1 + 1e-12):
+            raise LevelMismatch("level grids extend past the curve domain")
+        states.append(state)
+    count, d = len(states), trace.d
+    gamma = curve.evaluate(np.concatenate([state.endpoints0 for state in states]))
+    theta = np.asarray(thetas, dtype=float).reshape(count, d)
+    # each level's indices, shifted to its row of gamma and of theta
+    symbols, hat, p0, p1 = np.array([_chain_indices(state.perm) for state in states]).swapaxes(0, 1)
+    level = np.arange(count)[:, None]
+    hat += level * (d + 1)
+    p0 += level * (d + 1)
+    p1 += level * (d + 1)
+    rot = np.exp(1j * theta.take(symbols + level * d))
+    piece = gamma.take(hat - 1)
+    piece -= gamma.take(hat)
+    chain = np.empty((count, d + 1), dtype=complex)
+    chain[:, 0] = gamma[d::d + 1]
+    step = chain[:, 1:]
+    step.real = rot.real * piece.real
+    step.real -= rot.imag * piece.imag
+    step.imag = rot.real * piece.imag
+    step.imag += rot.imag * piece.real
+    chain = np.add.accumulate(chain, axis=1).ravel()
+    anchors, images = gamma.take(p0), chain.take(p1)
+    angles = np.mod(theta, tau)
+    # the left end of each piece lands on the corner before its own
+    gap = np.exp(1j * angles) * (gamma.take(p0 - 1) - anchors) + images
+    gap -= chain.take(p1 + 1)
+    scale = np.maximum(np.abs(gamma).reshape(count, d + 1).max(axis=1, keepdims=True), 1.0)
+    if (np.abs(gap) > 1e-9 * scale).any():
+        raise AssertionError("rearranged pieces do not join continuously")
+    return [[PlanarIsometry(*map_) for map_ in zip(*row)]
+            for row in zip(angles.tolist(), anchors.tolist(), images.tolist())]
 
 
 def inductive_maps(trace: InductionTrace, curve_n: PLCurve, theta_seq: ThetaSeq,
@@ -108,14 +143,22 @@ def inductive_maps(trace: InductionTrace, curve_n: PLCurve, theta_seq: ThetaSeq,
     """Families at levels ``0..n`` built by reversing induction steps from level ``n``.
 
     Entry ``m`` is the level-``m`` family.  The base family is the direct one
-    at the deepest level; each backward step rewrites the loser's map alone,
-    composing it with the winner's inverse on the side the step type
-    decides, so one walk from ``n`` to 0 yields every level.
+    at the deepest level (``unwind_maps`` walks back from it).
     """
     if n > trace.n_steps or n > theta_seq.depth:
         raise LevelMismatch("trace or rotation data shallower than the curve level")
-    maps = hat_maps(curve_n, trace, n, theta_seq.entries[n], n)
-    families = [maps]
+    return unwind_maps(trace, hat_maps(curve_n, trace, [n], [theta_seq.entries[n]], n)[0], n)
+
+
+def unwind_maps(trace: InductionTrace, maps: Sequence[PlanarIsometry],
+                n: int) -> list[list[PlanarIsometry]]:
+    """Families at levels ``0..n``, walked back from the level-``n`` family ``maps``.
+
+    Each backward step rewrites the loser's map alone, composing it with the
+    winner's inverse on the side the step type decides, so one walk from
+    ``n`` to 0 yields every level.
+    """
+    families = [list(maps)]
     for step in reversed(trace.steps[:n]):
         winner, loser = maps[step.winner], maps[step.loser]
         maps = list(maps)

@@ -328,7 +328,10 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
     (``breaking.theta_sequence``) to some level 1 to ``N_CHECK`` of ``trace``
     hits zero on the torus (where it degenerates to line segments); the
     sample carries that push.  Exact rational frames are combined exactly so
-    deep pushes stay faithful.
+    deep pushes stay faithful.  After ``MAX_ATTEMPTS`` rejected draws it
+    raises ``ExhaustedResamples``; for a frame of fewer than two columns, the
+    contracting space of a genus-1 exchange, the message names the genus and
+    the paper's ``g >= 2``.
     """
     if not 0 < delta < np.pi:
         raise InvalidInput(f"delta must lie in (0, pi), got {delta!r}")
@@ -365,8 +368,14 @@ def sample_theta(frame: FrameLike, delta: float, seed: int, *,
             continue
         theta = np.array([float(x) % tau for x in v])
         return ThetaSample(list(v), theta, delta, attempt, report, pushed)
+    why = ""
+    if g < 2:
+        # the contracting space of a genus-g exchange has dimension g; at g = 1
+        # it is the strong stable direction, which every draw is rejected for
+        why = (f"; a {g}-column frame spans the contracting space of a genus-{g} exchange, "
+               f"the strong stable direction alone, and the paper's curves need genus g >= 2")
     raise ExhaustedResamples(
-        f"no admissible rotation vector in {MAX_ATTEMPTS} draws: {report}")
+        f"no admissible rotation vector in {MAX_ATTEMPTS} draws: {report}{why}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .breaking import _BLOCK, PLCurve, ThetaSeq
-from .errors import InvalidInput, OutOfDomain
+from .errors import InvalidInput, LevelMismatch, OutOfDomain
 from .iet import IETState, apply_exact
-from .pwi import AdaptedPWI, PlanarIsometry, hat_maps, inductive_maps
+from .pwi import AdaptedPWI, PlanarIsometry, hat_maps, unwind_maps
 from .rauzy import InductionTrace
 
 #: normalized residual above which a curve piece counts as neither a line
@@ -318,17 +318,21 @@ def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], thet
     the level-``n`` interval.  Two isometries differ by an affine map, whose
     modulus peaks at a corner of the compared box ``[-b, b]^2`` (``b`` the
     larger of 1 and the domain length); the conjugacy defect is a maximum
-    over its kink set.  Each curve level takes one pass of the conjugacy
-    kernel over the families of every grid level ``m``, and one array
-    expression for their map agreement.  Both defects carry tolerance
-    ``TOL_QUASI * (1 + n)``.
+    over its kink set.  Each curve level evaluates the curve once for the
+    direct families of every grid level ``m`` (``hat_maps``), walks the
+    inductive ones back from its own level's direct family, and takes one
+    pass of the conjugacy kernel over the families and one array expression
+    for their map agreement.  Both defects carry tolerance ``TOL_QUASI * (1
+    + n)``.
     """
+    if depth > trace.n_steps or depth > theta_seq.depth:
+        raise LevelMismatch("trace or rotation data shallower than the curve level")
     report = VerificationReport()
     corners = max(1.0, trace.initial.total) * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
     for n in range(depth + 1):
         curve = curves[n]
-        families = inductive_maps(trace, curve, theta_seq, n)
-        direct = [hat_maps(curve, trace, m, theta_seq.entries[m], n) for m in range(n + 1)]
+        direct = hat_maps(curve, trace, range(n + 1), theta_seq.entries[:n + 1], n)
+        families = unwind_maps(trace, direct[n], n)
         agree = np.max(np.abs(_corner_images(direct, corners)
                               - _corner_images(families, corners)), axis=1)
         floor = trace.states[n].total_num

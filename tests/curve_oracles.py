@@ -78,6 +78,9 @@ def list_intervals(trace: InductionTrace, n: int) -> IntervalSeq:
     """The level-``n`` rotation intervals from ``list_towers``, checked and converted exactly.
 
     The tower read is in return-time order, so its floors are sorted first.
+    The family is proven on the exact floors, so it is built as
+    ``breaking_intervals`` builds it: its float ends may round equal where
+    the width is below their spacing.
     """
     symbol = trace.states[n - 1].perm.top[-1]
     floors = sorted(list_towers(trace, n - 1)[symbol])
@@ -87,4 +90,4 @@ def list_intervals(trace: InductionTrace, n: int) -> IntervalSeq:
              + list(trace.initial.e0_num[1:-1]))
     check_lefts(floors, delta_num, [edge - total_next for edge in edges])
     den = trace.initial.denominator
-    return IntervalSeq(_to_floats(total_next, floors, den), delta_num / den)
+    return IntervalSeq._proven(_to_floats(total_next, floors, den), delta_num / den)

@@ -233,6 +233,16 @@ def test_intervals_admit_touching_ends_of_long_domains():
             IntervalSeq(np.array([0.1]), width)
 
 
+def test_intervals_a_few_ulps_wide_must_not_overlap():
+    # ends one ulp apart and four ulps wide overlap by three ulps: the slack
+    # for rounded ends is at most half the width
+    ulp = np.spacing(0.5)
+    with pytest.raises(InvalidInput, match="disjoint"):
+        IntervalSeq(0.5 + ulp * np.arange(6), 4 * ulp)
+    touching = IntervalSeq(0.5 + 4 * ulp * np.arange(6), 4 * ulp)
+    assert touching.count == 6
+
+
 def test_operator_keeps_the_bytes_of_a_negative_zero():
     # zone 0 adds the shift -0.0, which keeps -0.0 as it is; +0.0 would not
     curve = PLCurve(1.0, np.array([0.0, 0.25]),
@@ -420,7 +430,8 @@ def test_operator_merges_each_block_once(reference, reference_trace, monkeypatch
     levels = list(_operator_levels(reference_trace, sample.v, 30))
     monkeypatch.setattr(breaking, "_BLOCK", 97)
     curve, phi, intervals = levels[-1]
-    blocks = len(list(breaking._merged_blocks(curve.x, np.sort(intervals.bounds()))))
+    # a block per 97 old breakpoints, the last one shorter
+    blocks = -(-curve.n_segments // 97)
     assert blocks > 2
     merges = []
     merge = breaking._merge
@@ -628,7 +639,9 @@ def _check_lefts(lefts, width, edges, base):
     towers = Towers((1,), 2**81, [np.array(lefts[::-1], dtype=np.int32).reshape(-1, 1)])
     rows = towers.counts[0]
     ends, order = breaking._sorted_ends(towers, rows, base, den)
-    _check_pieces(towers, rows, order, ends, base, width, [base + edge for edge in edges], den)
+    edges = [base + edge for edge in edges]
+    _check_pieces(towers, rows, order, ends, base, width, edges,
+                  np.array([edge / den for edge in edges]), den)
 
 
 def test_removed_zone_check_fires_on_straddles():
@@ -735,6 +748,31 @@ def test_curve_levels_continue_a_prefix(reference_trace, reference_sample, refer
             assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
             assert got.increment == want.increment
     assert list(curve_levels(reference_trace, seq, reference_curves[9], 9, 9)) == []
+
+
+def _dirichlet_6_trace():
+    lengths = Lengths.from_values(list(np.random.default_rng(1).dirichlet(np.ones(6))))
+    return rauzy_iterate(build_iet(Permutation.from_monodromy([6, 5, 4, 3, 2, 1]), lengths), 45)
+
+
+@pytest.mark.parametrize("exchange", ["catalog", "dirichlet"])
+def test_curve_levels_continued_equal_a_fresh_build(reference_trace, reference_sample, exchange):
+    # what the levels carry (towers, their edges, the curve) gives the same
+    # curves whether the build starts at level 0 or continues from level k
+    if exchange == "catalog":
+        trace, theta = reference_trace, reference_sample.v
+    else:
+        trace, theta = _dirichlet_6_trace(), (0.1, -0.05, 0.03, 0.02, -0.04, 0.01)
+    depth = 40
+    seq = theta_sequence(trace, theta, depth)
+    start = PLCurve.identity(trace.initial.total)
+    fresh = [start, *curve_levels(trace, seq, start, 0, depth)]
+    for k in (1, 25):
+        continued = fresh[:k + 1] + list(curve_levels(trace, seq, fresh[k], k, depth))
+        assert len(continued) == depth + 1
+        for got, want in zip(continued[k + 1:], fresh[k + 1:]):
+            assert got.x.tobytes() == want.x.tobytes() and got.z.tobytes() == want.z.tobytes()
+            assert np.float64(got.increment).tobytes() == np.float64(want.increment).tobytes()
 
 
 def test_curve_levels_release_the_towers_before_the_last_operator(reference_trace,

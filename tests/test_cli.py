@@ -267,6 +267,21 @@ def test_curves_beyond_the_segment_budget_exit_2(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("perm, lengths", [
+    ("2 1", "0.618034,0.381966"),
+    ("3 2 1", "0.4317,0.3389,0.2294"),
+])
+def test_genus_one_sampling_exits_2_naming_the_genus(tmp_path, perm, lengths):
+    # the contracting frame of a genus-1 exchange is its one strong stable
+    # direction, so every draw is rejected; the error says why
+    proc = run_cli(["verify", "--perm", perm, "--lambda", lengths, "--steps", "4"], tmp_path)
+    assert proc.returncode == 2
+    assert "ExhaustedResamples" in proc.stderr and "'strong_stable_hits': 100" in proc.stderr
+    assert "genus-1 exchange" in proc.stderr and "need genus g >= 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curve_samples_deeper_than_it_draws(tmp_path):
     # the sampled theta is tested on the level-50 curve, so the trace must
     # reach level 50, not only level 3, where the curve is drawn

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import tau
+from math import pi, tau
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from ietpwi.pwi import (
 from ietpwi.rauzy import InductionTrace, torus_project
 
 from rauzy_oracles import apply_array, bottom_grid, return_word
+from verify_oracles import direct_family
 
 
 def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int) -> AdaptedPWI:
@@ -78,7 +79,7 @@ def test_hat_maps_zero_theta_is_grid(reference_trace):
     ident = PLCurve.identity(iet.total)
     for m in (0, 2, 5):
         state = reference_trace.states[m]
-        maps = hat_maps(ident, reference_trace, m, [0.0] * 4, 5)
+        maps = hat_maps(ident, reference_trace, [m], [[0.0] * 4], 5)[0]
         for symbol in range(4):
             p0 = state.perm.position0(symbol)
             p1 = state.perm.position1(symbol)
@@ -90,21 +91,21 @@ def test_hat_maps_zero_theta_is_grid(reference_trace):
 def test_hat_maps_chain_anchor(reference_trace, reference_curves, reference_theta_seq):
     # the bottom row's last piece ends where the curve ends on the level grid
     state = reference_trace.states[5]
-    maps = hat_maps(reference_curves[12], reference_trace, 5,
-                    reference_theta_seq.entries[5], 12)
+    maps = hat_maps(reference_curves[12], reference_trace, [5],
+                    [reference_theta_seq.entries[5]], 12)[0]
     assert maps[state.perm.bottom[-1]].b == reference_curves[12].evaluate(
         state.endpoints0[-1])
 
 
 def test_hat_maps_level_mismatch(reference_trace, reference_curves):
     with pytest.raises(LevelMismatch):
-        hat_maps(reference_curves[3], reference_trace, 7, [0.0] * 4, 3)
+        hat_maps(reference_curves[3], reference_trace, [7], [[0.0] * 4], 3)
 
 
 def test_hat_maps_zero_theta_translate_real(reference_trace):
     iet = reference_trace.initial
     ident = PLCurve.identity(iet.total)
-    maps = hat_maps(ident, reference_trace, 0, [0.0] * 4, 0)
+    maps = hat_maps(ident, reference_trace, [0], [[0.0] * 4], 0)[0]
     zs = np.array([0.2 + 0.5j, 0.9 - 0.1j])
     for symbol in range(4):
         expected = zs + iet.upsilon[symbol]
@@ -116,7 +117,7 @@ def test_hat_continuity_of_rearranged_pieces(reference_trace, reference_curves,
     # consecutive bottom-row pieces join: each starts where the one before ends
     for (n, m) in ((12, 5), (8, 8), (10, 0)):
         curve = reference_curves[n]
-        maps = hat_maps(curve, reference_trace, m, reference_theta_seq.entries[m], n)
+        maps = hat_maps(curve, reference_trace, [m], [reference_theta_seq.entries[m]], n)[0]
         state = reference_trace.states[m]
         gamma0 = curve.evaluate(state.endpoints0)
         for left, right in zip(state.perm.bottom[:-1], state.perm.bottom[1:]):
@@ -125,11 +126,34 @@ def test_hat_continuity_of_rearranged_pieces(reference_trace, reference_curves,
             assert abs(end - start) <= 1e-10
 
 
+def _family_bytes(maps):
+    """The bytes of each map's angle, anchor and image, so that a zero's sign counts."""
+    return np.array([(iso.angle, iso.a.real, iso.a.imag, iso.b.real, iso.b.imag)
+                     for iso in maps]).tobytes()
+
+
+@pytest.mark.parametrize("theta", ["sample", "zero", "random"])
+def test_direct_families_from_one_evaluation_equal_the_per_pair_ones(reference_trace,
+                                                                     reference_sample, theta):
+    # every grid level's family of a level-n curve comes from one evaluation
+    # of the curve, and equals the family built for that level alone
+    vector = {"sample": reference_sample.v, "zero": [0.0] * 4,
+              "random": list(np.random.default_rng(5).uniform(-pi, pi, 4))}[theta]
+    curves = breaking_sequence(reference_trace, vector, 12)
+    seq = theta_sequence(reference_trace, vector, 12)
+    for n, curve in enumerate(curves):
+        families = hat_maps(curve, reference_trace, range(n + 1), seq.entries[:n + 1], n)
+        assert len(families) == n + 1
+        for m, family in enumerate(families):
+            want = direct_family(curve, reference_trace, m, seq.entries[m], n)
+            assert _family_bytes(family) == _family_bytes(want)
+
+
 def test_inductive_base_case_equals_direct(reference_trace, reference_curves,
                                            reference_theta_seq):
     n = 9
-    direct = hat_maps(reference_curves[n], reference_trace, n,
-                      reference_theta_seq.entries[n], n)
+    direct = hat_maps(reference_curves[n], reference_trace, [n],
+                      [reference_theta_seq.entries[n]], n)[0]
     chained = inductive_maps(reference_trace, reference_curves[n],
                              reference_theta_seq, n)[n]
     zs = np.array([0.3 + 0.4j, -1 + 2j])
@@ -147,9 +171,9 @@ def test_map_agreement_random_theta(reference_trace):
     for n in range(depth + 1):
         families = inductive_maps(reference_trace, curves[n], seq, n)
         assert len(families) == n + 1
+        direct = hat_maps(curves[n], reference_trace, range(n + 1), seq.entries[:n + 1], n)
         for m in range(n + 1):
-            direct = hat_maps(curves[n], reference_trace, m, seq.entries[m], n)
-            worst = max(map_distance(a, b, zs) for a, b in zip(direct, families[m]))
+            worst = max(map_distance(a, b, zs) for a, b in zip(direct[m], families[m]))
             assert worst <= 1e-9 * (1 + n)
 
 

@@ -392,7 +392,7 @@ def test_stable_subspace_stops_driving_at_its_floor(monkeypatch):
 def test_sample_theta_exhausts_for_genus_one(golden_iet):
     frame = stable_subspace(golden_iet, 60)
     trace = rauzy_iterate(golden_iet, 30)
-    with pytest.raises(ExhaustedResamples):
+    with pytest.raises(ExhaustedResamples, match="genus-1 exchange.*genus g >= 2"):
         sample_theta(frame, 0.3, seed=1, upsilon=golden_iet.upsilon,
                      trace=trace)
 

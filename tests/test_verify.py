@@ -14,7 +14,7 @@ from hypothesis import Phase, assume, find, given, settings, strategies as st
 from ietpwi import verify
 from ietpwi.breaking import _BLOCK, PLCurve, breaking_sequence, curve_levels, theta_sequence
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
-from ietpwi.pwi import PlanarIsometry, adapted_pwi, hat_maps, inductive_maps, map_distance
+from ietpwi.pwi import PlanarIsometry, adapted_pwi, inductive_maps, map_distance
 from ietpwi.rauzy import rauzy_iterate
 from ietpwi.spectral import sample_theta
 from ietpwi.verify import (
@@ -33,7 +33,7 @@ from ietpwi.verify import (
     quasi_embedding_suite,
 )
 
-from verify_oracles import conjugacy_defect, is_nontrivial, max_defect
+from verify_oracles import conjugacy_defect, direct_family, is_nontrivial, max_defect
 
 
 def increments(curves):
@@ -389,7 +389,7 @@ def test_quasi_suite_equals_the_per_pair_oracles(case):
     defects = iter(c.defect for c in report.checks)
     for n, m in pairs:
         family = inductive_maps(trace, curves[n], seq, n)[m]
-        direct = hat_maps(curves[n], trace, m, seq.entries[m], n)
+        direct = direct_family(curves[n], trace, m, seq.entries[m], n)
         assert next(defects) == max(map_distance(a, b, corners) for a, b in zip(direct, family))
         assert next(defects) == conjugacy_defect(curves[n], family, trace.states[m],
                                                  trace.states[n].total_num)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from math import tau
 from typing import Sequence
 
 import numpy as np
 
 from ietpwi.breaking import _BLOCK, PLCurve
+from ietpwi.errors import LevelMismatch
 from ietpwi.iet import IETState
 from ietpwi.pwi import PlanarIsometry
+from ietpwi.rauzy import InductionTrace
 from ietpwi.verify import VerificationReport
 
 
@@ -50,3 +53,39 @@ def conjugacy_defect(curve: PLCurve, maps: Sequence[PlanarIsometry], state: IETS
             gaps.append(np.max(np.abs(gap)))
         worst = max(worst, float(np.max(gaps)))
     return worst
+
+
+def direct_family(curve: PLCurve, trace: InductionTrace, m: int,
+                  theta_m: Sequence[float], n: int) -> list[PlanarIsometry]:
+    """``pwi.hat_maps`` for the one grid level ``m``, built a symbol at a time.
+
+    The curve is read on the level-``m`` top-row endpoint grid through
+    ``evaluate``, and the chain of corners is built backwards with numpy
+    scalars, one rotated piece per bottom-row slot.
+    """
+    if m > trace.n_steps:
+        raise LevelMismatch(f"trace holds {trace.n_steps} levels, need {m}")
+    if m > n:
+        raise LevelMismatch(f"grid level {m} exceeds curve level {n}")
+    state = trace.states[m]
+    if state.total > curve.length * (1 + 1e-12):
+        raise LevelMismatch("level grids extend past the curve domain")
+    theta_m = np.asarray(theta_m, dtype=float)
+    d = state.d
+    gamma0 = curve.evaluate(state.endpoints0)
+    xi = np.empty(d + 1, dtype=complex)
+    xi[d] = gamma0[d]
+    for j in range(d - 1, -1, -1):
+        symbol = state.perm.bottom[j]
+        hat = state.perm.position0(symbol) + 1
+        xi[j] = np.exp(1j * theta_m[symbol]) * (gamma0[hat - 1] - gamma0[hat]) + xi[j + 1]
+    scale = max(1.0, float(np.max(np.abs(gamma0))))
+    maps = []
+    for symbol in range(d):
+        p0 = state.perm.position0(symbol) + 1
+        p1 = state.perm.position1(symbol) + 1
+        iso = PlanarIsometry(float(theta_m[symbol]) % tau, complex(gamma0[p0]), complex(xi[p1]))
+        if abs(iso(complex(gamma0[p0 - 1])) - xi[p1 - 1]) > 1e-9 * scale:
+            raise AssertionError("rearranged pieces do not join continuously")
+        maps.append(iso)
+    return maps
