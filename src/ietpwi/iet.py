@@ -300,8 +300,8 @@ def slot_at(grid: np.ndarray, x: Union[float, np.ndarray]) -> Union[np.intp, np.
 
 
 def symbol_at(iet: IETState, x: float) -> int:
-    """Symbol of the subinterval containing ``x`` (half-open convention)."""
-    if x < 0.0 or x >= iet.total:
+    """Symbol of the subinterval containing ``x`` (half-open convention); NaN is outside."""
+    if not 0.0 <= x < iet.total:
         raise OutOfDomain(f"x={x!r} outside [0, {iet.total!r})")
     return iet.perm.top[int(slot_at(iet.endpoints0, x))]
 

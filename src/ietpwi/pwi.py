@@ -2,7 +2,8 @@
 
 The per-symbol maps are rotations-with-offset ``z -> e^{i angle}(z - a) + b``
 kept in anchored form: ``a`` is a distinguished source point and ``b`` its
-image.  Two families are built from a curve and a renormalization trace:
+image; a family of them is one ``PlanarIsometry`` with array fields.  Two
+families are built from a curve and a renormalization trace:
 the direct family, which rearranges the curve pieces of one level according
 to the permutation there, and the inductive family, obtained from the
 deepest level by reversing one induction step at a time.  Their agreement,
@@ -32,14 +33,23 @@ from .rauzy import InductionTrace
 
 @dataclass(frozen=True)
 class PlanarIsometry:
-    """Orientation-preserving planar isometry ``z -> e^{i angle}(z - a) + b``."""
+    """Orientation-preserving planar isometry ``z -> e^{i angle}(z - a) + b``, or a family of them.
 
-    angle: float
-    a: complex
-    b: complex
+    With array fields, entry ``k`` is one map: indexing, ``len`` and calls act as numpy's do.
+    """
+
+    angle: Union[float, np.ndarray]
+    a: Union[complex, np.ndarray]
+    b: Union[complex, np.ndarray]
 
     def __call__(self, z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
         return np.exp(1j * self.angle) * (z - self.a) + self.b
+
+    def __len__(self) -> int:
+        return len(self.angle)
+
+    def __getitem__(self, key) -> "PlanarIsometry":
+        return PlanarIsometry(self.angle[key], self.a[key], self.b[key])
 
     def inverse(self) -> "PlanarIsometry":
         return PlanarIsometry(-self.angle % tau, self.b, self.a)
@@ -80,13 +90,26 @@ def _chain_indices(perm: Permutation) -> np.ndarray:
     return indices
 
 
+def _rotation_vectors(thetas: Sequence[Sequence[float]], d: int) -> np.ndarray:
+    """``thetas`` as a float array, a row per vector; ``InvalidInput`` unless each is ``d`` finite."""
+    for vector in thetas:
+        if len(vector) != d:
+            raise InvalidInput(f"rotation vector has {len(vector)} entries, "
+                               f"the exchange has {d} symbols")
+    theta = np.array(thetas, dtype=float)
+    if not np.isfinite(theta).all():
+        raise InvalidInput(f"rotation vector entries must be finite, got {theta.tolist()}")
+    return theta
+
+
 def hat_maps(curve: PLCurve, trace: InductionTrace, levels: Sequence[int],
-             thetas: Sequence[Sequence[float]], n: int) -> list[list[PlanarIsometry]]:
+             thetas: Sequence[Sequence[float]], n: int) -> PlanarIsometry:
     """Direct families of a level-``n`` curve, one per grid level: rotate each piece onto its slot.
 
     Entry ``k`` is the family of grid level ``levels[k]``, whose rotation
-    vector is ``thetas[k]``.  The curve is evaluated once, on the union of
-    the levels' top-row endpoint grids.  The chain corner ``xi[j]`` is where
+    vector is ``thetas[k]`` (``d`` finite numbers, else ``InvalidInput``).
+    The curve is evaluated once, on the union of the levels' top-row
+    endpoint grids.  The chain corner ``xi[j]`` is where
     the right endpoint of the ``j``-th rearranged piece must land for the
     rearranged pieces to join into a continuous curve; each chain is
     anchored at the rightmost point and built backwards, every level's at
@@ -107,8 +130,10 @@ def hat_maps(curve: PLCurve, trace: InductionTrace, levels: Sequence[int],
             raise LevelMismatch("level grids extend past the curve domain")
         states.append(state)
     count, d = len(states), trace.d
+    if len(thetas) != count:
+        raise InvalidInput(f"need one rotation vector per grid level, got {len(thetas)}")
+    theta = _rotation_vectors(thetas, d)
     gamma = curve.evaluate(np.concatenate([state.endpoints0 for state in states]))
-    theta = np.asarray(thetas, dtype=float).reshape(count, d)
     # each level's indices, shifted to its row of gamma and of theta
     symbols, hat, p0, p1 = np.array([_chain_indices(state.perm) for state in states]).swapaxes(0, 1)
     level = np.arange(count)[:, None]
@@ -126,20 +151,18 @@ def hat_maps(curve: PLCurve, trace: InductionTrace, levels: Sequence[int],
     step.imag = rot.real * piece.imag
     step.imag += rot.imag * piece.real
     chain = np.add.accumulate(chain, axis=1).ravel()
-    anchors, images = gamma.take(p0), chain.take(p1)
-    angles = np.mod(theta, tau)
+    maps = PlanarIsometry(np.mod(theta, tau), gamma.take(p0), chain.take(p1))
     # the left end of each piece lands on the corner before its own
-    gap = np.exp(1j * angles) * (gamma.take(p0 - 1) - anchors) + images
+    gap = maps(gamma.take(p0 - 1))
     gap -= chain.take(p1 + 1)
     scale = np.maximum(np.abs(gamma).reshape(count, d + 1).max(axis=1, keepdims=True), 1.0)
     if (np.abs(gap) > 1e-9 * scale).any():
         raise AssertionError("rearranged pieces do not join continuously")
-    return [[PlanarIsometry(*map_) for map_ in zip(*row)]
-            for row in zip(angles.tolist(), anchors.tolist(), images.tolist())]
+    return maps
 
 
 def inductive_maps(trace: InductionTrace, curve_n: PLCurve, theta_seq: ThetaSeq,
-                   n: int) -> list[list[PlanarIsometry]]:
+                   n: int) -> PlanarIsometry:
     """Families at levels ``0..n`` built by reversing induction steps from level ``n``.
 
     Entry ``m`` is the level-``m`` family.  The base family is the direct one
@@ -150,24 +173,27 @@ def inductive_maps(trace: InductionTrace, curve_n: PLCurve, theta_seq: ThetaSeq,
     return unwind_maps(trace, hat_maps(curve_n, trace, [n], [theta_seq.entries[n]], n)[0], n)
 
 
-def unwind_maps(trace: InductionTrace, maps: Sequence[PlanarIsometry],
-                n: int) -> list[list[PlanarIsometry]]:
+def unwind_maps(trace: InductionTrace, maps: PlanarIsometry, n: int) -> PlanarIsometry:
     """Families at levels ``0..n``, walked back from the level-``n`` family ``maps``.
 
-    Each backward step rewrites the loser's map alone, composing it with the
-    winner's inverse on the side the step type decides, so one walk from
-    ``n`` to 0 yields every level.
+    Entry ``m`` is the level-``m`` family.  Each backward step rewrites the
+    loser's map alone, composing it with the winner's inverse on the side
+    the step type decides (as ``compose`` forms it, on Python scalars), so
+    one walk from ``n`` to 0 yields every level.
     """
-    families = [list(maps)]
+    angle, a, b = maps.angle.tolist(), maps.a.tolist(), maps.b.tolist()
+    rows = [(angle, a, b)]
     for step in reversed(trace.steps[:n]):
-        winner, loser = maps[step.winner], maps[step.loser]
-        maps = list(maps)
-        if step.type_eps == 0:
-            maps[step.loser] = winner.inverse().compose(loser)
-        else:
-            maps[step.loser] = loser.compose(winner.inverse())
-        families.append(maps)
-    return families[::-1]
+        won, lost = step.winner, step.loser
+        angle, a, b = angle.copy(), a.copy(), b.copy()
+        inverse = -angle[won] % tau
+        if step.type_eps == 0:  # the winner's inverse after the loser
+            b[lost] = np.exp(1j * inverse) * (b[lost] - b[won]) + a[won]
+        else:  # the loser after the winner's inverse
+            a[lost], b[lost] = b[won], np.exp(1j * angle[lost]) * (a[won] - a[lost]) + b[lost]
+        angle[lost] = (inverse + angle[lost]) % tau
+        rows.append((angle, a, b))
+    return PlanarIsometry(*(np.array(column[::-1]) for column in zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +286,13 @@ def _polygons_disjoint(polygons: list[np.ndarray]) -> bool:
 class AdaptedPWI:
     """A piecewise isometry whose atoms carry the pieces of an invariant curve.
 
-    ``maps[s]`` is the isometry of symbol ``s``; the atoms are indexed by
-    top-row slot, so the atom in slot ``j`` carries symbol ``iet.perm.top[j]``.
+    ``maps`` is one family of ``d`` maps, ``maps[s]`` the isometry of symbol
+    ``s``; the atoms are indexed by top-row slot, so the atom in slot ``j``
+    carries symbol ``iet.perm.top[j]``.
     """
 
     theta: np.ndarray
-    maps: list[PlanarIsometry]
+    maps: PlanarIsometry
     iet: IETState
     curve: PLCurve
     atoms: Union[CurveParameterAtoms, PolygonAtoms]
@@ -299,22 +326,16 @@ def adapted_pwi(curve_limit: PLCurve, iet: IETState,
 
     ``curve_limit`` should be a deep member of the curve sequence; the maps
     send each atom's left curve point to the curve point of its exchange
-    image.  Default atoms classify by nearest curve parameter; convex
-    polygon atoms are validated for disjointness and curve containment.
+    image.  ``theta`` must be ``d`` finite numbers (``InvalidInput``).
+    Default atoms classify by nearest curve parameter; convex polygon atoms
+    are validated for disjointness and curve containment.
     """
-    theta_arr = np.mod(np.asarray([float(t) for t in theta], dtype=float), tau)
-    maps = []
-    for symbol in range(iet.d):
-        pos = iet.perm.position0(symbol)
-        x_left = float(iet.endpoints0[pos])
-        # the symbol's own translation: a lookup of x_left on the float grid
-        # finds another atom where this one is narrower than a spacing
-        image = x_left + float(iet.upsilon[symbol])
-        maps.append(PlanarIsometry(
-            float(theta_arr[symbol]),
-            complex(curve_limit.evaluate(x_left)),
-            complex(curve_limit.evaluate(image)),
-        ))
+    theta_arr = np.mod(_rotation_vectors([theta], iet.d)[0], tau)
+    lefts = iet.endpoints0.take(iet.perm.positions[0])
+    # each symbol's own translation: a lookup of its left end on the float
+    # grid finds another atom where this one is narrower than a spacing
+    ends = curve_limit.evaluate(np.concatenate([lefts, lefts + iet.upsilon]))
+    maps = PlanarIsometry(theta_arr, ends[:iet.d], ends[iet.d:])
     if polygons is None:
         return AdaptedPWI(theta_arr, maps, iet, curve_limit,
                           CurveParameterAtoms(curve_limit, iet.endpoints0.copy()))

@@ -101,12 +101,6 @@ class VerificationReport:
 # embedding defect
 # ---------------------------------------------------------------------------
 
-def _coefficients(maps: Sequence[PlanarIsometry]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``e^{i angle}``, ``a`` and ``b`` of each map, formed as ``PlanarIsometry`` forms them."""
-    rot = np.exp(1j * np.array([iso.angle for iso in maps]))
-    return rot, np.array([iso.a for iso in maps]), np.array([iso.b for iso in maps])
-
-
 def _locate(curve: PLCurve, q: np.ndarray) -> np.ndarray:
     """Segment of each parameter ``q[k]``, the one ``PLCurve.evaluate`` finds.
 
@@ -192,27 +186,28 @@ def _gaps(curve: PLCurve, gamma: np.ndarray, image: np.ndarray, idx: np.ndarray,
 
     ``rot``, ``a`` and ``b`` are the ``coefficients`` of region ``regions[r]``
     repeated ``repeats[r]`` times, gathered one at a time.  The map is
-    applied as ``PlanarIsometry`` applies it; ``gamma`` is overwritten.
+    applied as a family's call applies it; ``gamma`` is overwritten.
     """
     rot, a, b = coefficients
     image = curve._on_segments(image, idx)
     gamma -= a[regions].repeat(repeats)
     # not in place: numpy rounds an in-place product of one-element complex
-    # arrays differently from the out-of-place product the maps take
+    # arrays differently from the out-of-place product a family's call takes
     gamma = rot[regions].repeat(repeats) * gamma
     gamma += b[regions].repeat(repeats)
     gamma -= image
     return np.abs(gamma)
 
 
-def _conjugacy_defects(curve: PLCurve, families: Sequence[tuple]) -> np.ndarray:
-    """Largest conjugacy defect of each family ``(maps, state, floor)`` along ``curve``.
+def _conjugacy_defects(curve: PLCurve, maps: PlanarIsometry, states: Sequence[IETState],
+                       floor: int) -> np.ndarray:
+    """Largest conjugacy defect along ``curve`` of each row ``maps[f]`` of a family.
 
-    Entry ``f`` is the largest ``|maps[s](curve(x)) - curve(x + u_s)|`` over
-    the ``x`` whose image is ``>= floor``, where ``s`` is the symbol of the
-    atom holding ``x`` and ``u_s`` its translation under the exchange
-    ``state``; ``floor`` is a numerator over the state's denominator, so each
-    atom's kept region is decided on exact numerators.  On a region the
+    Entry ``f`` is the largest ``|maps[f, s](curve(x)) - curve(x + u_s)|``
+    over the ``x`` whose image is ``>= floor``, where ``s`` is the symbol of
+    the atom holding ``x`` and ``u_s`` its translation under the exchange
+    ``states[f]``; ``floor`` is a numerator over the state's denominator, so
+    each atom's kept region is decided on exact numerators.  On a region the
     defect is affine between kinks, so its supremum is the maximum over the
     region's two ends (the right one as a limit), the curve breakpoints
     inside it and their preimages ``curve.x - u_s``; 0 when no region of the
@@ -225,19 +220,19 @@ def _conjugacy_defects(curve: PLCurve, families: Sequence[tuple]) -> np.ndarray:
     temporary is longer than a block.
     """
     rows = []
-    for f, (maps, state, floor) in enumerate(families):
+    for f, state in enumerate(states):
         den = state.denominator
         for slot, symbol in enumerate(state.perm.top):
             lo = max(state.e0_num[slot], floor - state.upsilon_num[symbol])
             hi = state.e0_num[slot + 1]
             if lo < hi:
-                rows.append((f, lo / den, hi / den, state.upsilon[symbol], maps[symbol]))
-    out = np.zeros(len(families))
+                rows.append((f, symbol, lo / den, hi / den, state.upsilon[symbol]))
+    out = np.zeros(len(states))
     if not rows:
         return out
-    family, lo, hi, shift, maps = zip(*rows)
-    family, lo, hi, shift = np.array(family), np.array(lo), np.array(hi), np.array(shift)
-    coefficients = _coefficients(maps)
+    family, symbol, lo, hi, shift = (np.array(column) for column in zip(*rows))
+    region_maps = maps[family, symbol]
+    coefficients = np.exp(1j * region_maps.angle), region_maps.a, region_maps.b
     x = curve.x
 
     # the two ends of every region
@@ -278,15 +273,6 @@ def _conjugacy_defects(curve: PLCurve, families: Sequence[tuple]) -> np.ndarray:
     return out
 
 
-def _conjugacy_defect(curve: PLCurve, maps: Sequence[PlanarIsometry], state: IETState,
-                      floor: int = 0) -> float:
-    """Largest ``|maps[s](curve(x)) - curve(x + u_s)|`` over the ``x`` whose image is ``>= floor``.
-
-    The one-family case of ``_conjugacy_defects``.
-    """
-    return float(_conjugacy_defects(curve, [(maps, state, floor)])[0])
-
-
 def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState) -> float:
     """Supremum conjugacy defect of the curve between the exchange and the maps.
 
@@ -294,19 +280,12 @@ def embedding_defect(curve: PLCurve, pwi: AdaptedPWI, iet: IETState) -> float:
     whole domain: atom ends count as one-sided limits, so no neighbourhood
     of a discontinuity is left out.
     """
-    return _conjugacy_defect(curve, pwi.maps, iet)
+    return float(_conjugacy_defects(curve, pwi.maps[None], [iet], 0)[0])
 
 
 # ---------------------------------------------------------------------------
 # quasi-embedding suite
 # ---------------------------------------------------------------------------
-
-def _corner_images(families: Sequence[Sequence[PlanarIsometry]],
-                   corners: np.ndarray) -> np.ndarray:
-    """The image of every corner under every map, one row per family."""
-    rot, a, b = _coefficients([iso for maps in families for iso in maps])
-    return (rot[:, None] * (corners - a[:, None]) + b[:, None]).reshape(len(families), -1)
-
 
 def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], theta_seq: ThetaSeq,
                           depth: int) -> VerificationReport:
@@ -333,11 +312,10 @@ def quasi_embedding_suite(trace: InductionTrace, curves: Sequence[PLCurve], thet
         curve = curves[n]
         direct = hat_maps(curve, trace, range(n + 1), theta_seq.entries[:n + 1], n)
         families = unwind_maps(trace, direct[n], n)
-        agree = np.max(np.abs(_corner_images(direct, corners)
-                              - _corner_images(families, corners)), axis=1)
-        floor = trace.states[n].total_num
-        defects = _conjugacy_defects(curve, [(families[m], trace.states[m], floor)
-                                             for m in range(n + 1)])
+        agree = np.max(np.abs(direct[..., None](corners) - families[..., None](corners)),
+                       axis=(1, 2))
+        defects = _conjugacy_defects(curve, families, trace.states[:n + 1],
+                                     trace.states[n].total_num)
         tol = TOL_QUASI * (1 + n)
         for m in range(n + 1):
             report.add("map_agreement", agree[m], tol, n=n, m=m)

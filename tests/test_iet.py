@@ -15,6 +15,7 @@ from ietpwi.iet import (
     build_iet_from,
     is_irreducible,
     omega_matrix,
+    symbol_at,
 )
 
 from rauzy_oracles import apply_array, bottom_grid, piece_orbit
@@ -78,6 +79,14 @@ def test_apply_hand_values():
         apply(iet, 1.0)
     with pytest.raises(OutOfDomain):
         apply(iet, -0.1)
+
+
+def test_nan_lies_outside_the_domain():
+    # every comparison with NaN is false, so the domain test must ask for membership
+    iet = build_iet_from("4 3 2 1", [4, 3, 2, 1])
+    for evaluate in (symbol_at, apply):
+        with pytest.raises(OutOfDomain):
+            evaluate(iet, float("nan"))
 
 
 def test_images_tile_interval():

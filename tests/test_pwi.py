@@ -22,11 +22,12 @@ from ietpwi.pwi import (
     iterate,
     map_distance,
     orbit_to_csv,
+    unwind_maps,
 )
-from ietpwi.rauzy import InductionTrace, torus_project
+from ietpwi.rauzy import InductionTrace, rauzy_iterate, torus_project
 
 from rauzy_oracles import apply_array, bottom_grid, return_word
-from verify_oracles import direct_family
+from verify_oracles import adapted_maps, direct_family, inductive_families
 
 
 def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int) -> AdaptedPWI:
@@ -44,7 +45,8 @@ def induced_pwi(pwi: AdaptedPWI, trace: InductionTrace, n: int) -> AdaptedPWI:
         composed = pwi.maps[word[0]]
         for letter in word[1:]:
             composed = pwi.maps[letter].compose(composed)
-        maps.append(composed)
+        maps.append((composed.angle, composed.a, composed.b))
+    maps = PlanarIsometry(*(np.array(column) for column in zip(*maps)))
     theta_n = theta_sequence(trace, pwi.theta, n).entries[n]
     return AdaptedPWI(theta_n, maps, deep, pwi.curve,
                       CurveParameterAtoms(pwi.curve, deep.endpoints0.copy()))
@@ -132,13 +134,18 @@ def _family_bytes(maps):
                      for iso in maps]).tobytes()
 
 
+def _catalog_theta(name, sample):
+    """The sample's rotation vector, zero, or a fixed random one on the catalog exchange."""
+    return {"sample": sample.v, "zero": [0.0] * 4,
+            "random": list(np.random.default_rng(5).uniform(-pi, pi, 4))}[name]
+
+
 @pytest.mark.parametrize("theta", ["sample", "zero", "random"])
 def test_direct_families_from_one_evaluation_equal_the_per_pair_ones(reference_trace,
                                                                      reference_sample, theta):
     # every grid level's family of a level-n curve comes from one evaluation
     # of the curve, and equals the family built for that level alone
-    vector = {"sample": reference_sample.v, "zero": [0.0] * 4,
-              "random": list(np.random.default_rng(5).uniform(-pi, pi, 4))}[theta]
+    vector = _catalog_theta(theta, reference_sample)
     curves = breaking_sequence(reference_trace, vector, 12)
     seq = theta_sequence(reference_trace, vector, 12)
     for n, curve in enumerate(curves):
@@ -147,6 +154,39 @@ def test_direct_families_from_one_evaluation_equal_the_per_pair_ones(reference_t
         for m, family in enumerate(families):
             want = direct_family(curve, reference_trace, m, seq.entries[m], n)
             assert _family_bytes(family) == _family_bytes(want)
+
+
+def _assert_walks_agree(trace, vector, depth):
+    """Every level's walk on arrays equals the walk on map objects, bit for bit."""
+    curves = breaking_sequence(trace, vector, depth)
+    seq = theta_sequence(trace, vector, depth)
+    for n, curve in enumerate(curves):
+        direct = hat_maps(curve, trace, [n], [seq.entries[n]], n)[0]
+        families = unwind_maps(trace, direct, n)
+        want = inductive_families(trace, direct, n)
+        assert len(families) == len(want) == n + 1
+        for m in range(n + 1):
+            assert _family_bytes(families[m]) == _family_bytes(want[m])
+
+
+@pytest.mark.parametrize("theta", ["sample", "zero", "random"])
+def test_the_walk_on_arrays_equals_the_walk_on_objects(reference_trace, reference_sample, theta):
+    _assert_walks_agree(reference_trace, _catalog_theta(theta, reference_sample), 12)
+
+
+def test_the_walk_on_arrays_equals_the_walk_on_objects_on_six_symbols():
+    rng = np.random.default_rng(11)
+    trace = rauzy_iterate(build_iet_from("6 5 4 3 2 1", list(rng.dirichlet(np.ones(6)))), 12)
+    _assert_walks_agree(trace, list(rng.uniform(-pi, pi, 6)), trace.n_steps)
+
+
+def test_the_walk_from_level_zero_is_its_family(reference_trace, reference_curves,
+                                                reference_theta_seq):
+    direct = hat_maps(reference_curves[0], reference_trace, [0],
+                      [reference_theta_seq.entries[0]], 0)[0]
+    families = unwind_maps(reference_trace, direct, 0)
+    assert families.angle.shape == (1, 4)
+    assert _family_bytes(families[0]) == _family_bytes(direct)
 
 
 def test_inductive_base_case_equals_direct(reference_trace, reference_curves,
@@ -242,6 +282,43 @@ def test_adapted_pwi_maps_an_atom_narrower_than_a_spacing():
     pwi = adapted_pwi(PLCurve.identity(iet.total), iet, [0.1, 0.2])
     assert [m.a for m in pwi.maps] == [0j, 1 + 0j]
     assert [m.b for m in pwi.maps] == [complex(2.0**-80), 0j]
+
+
+@pytest.mark.parametrize("case", ["catalog", "narrow atom", "six symbols"])
+def test_adapted_maps_equal_the_per_symbol_construction(reference, reference_curves,
+                                                        reference_sample, case):
+    if case == "catalog":
+        curve, iet, theta = reference_curves[-1], reference.iet, reference_sample.v
+    elif case == "narrow atom":
+        iet = build_iet_from("2 1", [1, Fraction(1, 2**80)])
+        curve, theta = PLCurve.identity(iet.total), [0.1, -7.0]
+    else:
+        rng = np.random.default_rng(2)
+        trace = rauzy_iterate(build_iet_from("6 5 4 3 2 1", list(rng.dirichlet(np.ones(6)))), 10)
+        theta = list(rng.uniform(-pi, pi, 6))
+        iet, curve = trace.initial, breaking_sequence(trace, theta, 10)[-1]
+    pwi = adapted_pwi(curve, iet, theta)
+    assert len(pwi.maps) == pwi.d == iet.d
+    assert _family_bytes(pwi.maps) == _family_bytes(adapted_maps(curve, iet, theta))
+
+
+@pytest.mark.parametrize("theta", [[0.1] * 5, [0.1] * 3, [0.1, float("nan"), 0.2, 0.3],
+                                   [0.1, 0.2, float("-inf"), 0.3]])
+def test_adapted_pwi_checks_its_rotation_vector(reference, reference_curves, theta):
+    with pytest.raises(InvalidInput, match="rotation vector"):
+        adapted_pwi(reference_curves[-1], reference.iet, theta)
+
+
+@pytest.mark.parametrize("levels, thetas", [
+    ([0, 1], [[0.0] * 4]),                      # one vector for two levels
+    ([0], [[0.0] * 3]),                          # too few entries
+    ([0, 1], [[0.0] * 4, [0.0] * 5]),            # too many in one level
+    ([0], [[0.0, float("nan"), 0.0, 0.0]]),      # not finite
+])
+def test_hat_maps_checks_its_rotation_vectors(reference_trace, levels, thetas):
+    ident = PLCurve.identity(reference_trace.initial.total)
+    with pytest.raises(InvalidInput, match="rotation vector"):
+        hat_maps(ident, reference_trace, levels, thetas, 1)
 
 
 def test_orbit_matches_exchange_itinerary(reference, reference_curves,

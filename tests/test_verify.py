@@ -19,7 +19,7 @@ from ietpwi.rauzy import rauzy_iterate
 from ietpwi.spectral import sample_theta
 from ietpwi.verify import (
     _cell_keys,
-    _conjugacy_defect,
+    _conjugacy_defects,
     _pairs_from_cells,
     _preimage_runs,
     NARROW_BLOCK,
@@ -34,6 +34,16 @@ from ietpwi.verify import (
 )
 
 from verify_oracles import conjugacy_defect, direct_family, is_nontrivial, max_defect
+
+
+def _conjugacy_defect(curve, maps, state, floor=0):
+    """The conjugacy kernel on the one family ``maps`` under the exchange ``state``."""
+    return float(_conjugacy_defects(curve, maps[None], [state], floor)[0])
+
+
+def rotations(iet, angle):
+    """The family that rotates by ``angle`` about 0, then moves each symbol by its ``u_s``."""
+    return PlanarIsometry(np.full(iet.d, angle), np.zeros(iet.d, complex), iet.upsilon + 0j)
 
 
 def increments(curves):
@@ -256,7 +266,7 @@ def test_conjugacy_kink_at_a_block_edge(kink):
     # two bumps: the larger one, at the breakpoint that ends a block or
     # starts one, and its preimage hold the maximum
     iet = build_iet(Permutation.from_monodromy("2 1"), Lengths((3, 5), 8))
-    maps = [PlanarIsometry(0.0, 0j, complex(u)) for u in iet.upsilon]
+    maps = rotations(iet, 0.0)
     n = 2 * _BLOCK + 3
     x = np.arange(n) / n
     z = np.append(x, 1.0) + 0j
@@ -309,7 +319,8 @@ def test_conjugacy_preimages_within_ulps_of_a_region_end(ulps):
     for k in range(iet.d):
         inside = np.flatnonzero((curve.x - shift[k] >= lo[k]) & (curve.x - shift[k] <= hi[k]))
         assert np.array_equal(np.arange(first[k], stop[k]), inside)
-    maps = [PlanarIsometry(0.3 * s, 0.1j * s, complex(u)) for s, u in enumerate(iet.upsilon)]
+    symbols = np.arange(iet.d)
+    maps = PlanarIsometry(0.3 * symbols, 0.1j * symbols, iet.upsilon + 0j)
     assert _conjugacy_defect(curve, maps, iet) == conjugacy_defect(curve, maps, iet)
 
 
@@ -321,7 +332,7 @@ def test_conjugacy_floor_that_empties_regions(share):
     rng = np.random.default_rng(3)
     x = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 30))])
     curve = PLCurve(1.0, x, rng.normal(size=32) + 1j * rng.normal(size=32))
-    maps = [PlanarIsometry(0.5, 0j, complex(u)) for u in iet.upsilon]
+    maps = rotations(iet, 0.5)
     floor = round(share * iet.total_num)
     defect = _conjugacy_defect(curve, maps, iet, floor)
     assert defect == conjugacy_defect(curve, maps, iet, floor)
@@ -331,12 +342,13 @@ def test_conjugacy_floor_that_empties_regions(share):
 def test_conjugacy_of_a_one_kink_block_rounds_as_the_maps_do():
     # the preimage 1/62 of the only breakpoint is a block of one kink; numpy
     # rounds an in-place product of one-element arrays differently from the
-    # product PlanarIsometry takes, here in the last bit of the maximum
+    # product a family's call takes, here in the last bit of the maximum
     iet = build_iet(Permutation((0, 1, 2, 3, 4), (1, 4, 2, 3, 0)), Lengths((1, 1, 1, 1, 58), 62))
     curve = PLCurve(1.0, np.array([0.0]), np.array([0j, np.exp(2j)]))
-    maps = [PlanarIsometry(0.0, 0j, complex(u * np.exp(2j))) for u in iet.upsilon]
-    maps[1] = PlanarIsometry(1.0, -0.013424091501520722 + 0.02933217505889296j,
-                             -0.006712045750760398 + 0.014666087529446648j)
+    angle, a, b = np.zeros(iet.d), np.zeros(iet.d, complex), iet.upsilon * np.exp(2j)
+    angle[1], a[1], b[1] = (1.0, -0.013424091501520722 + 0.02933217505889296j,
+                            -0.006712045750760398 + 0.014666087529446648j)
+    maps = PlanarIsometry(angle, a, b)
     assert _conjugacy_defect(curve, maps, iet) == conjugacy_defect(curve, maps, iet)
 
 
@@ -351,7 +363,7 @@ def test_conjugacy_images_past_the_domain_end_read_its_limit():
     x = np.concatenate([[0.0], np.sort([end, *rng.uniform(0, iet.total, 20)])])
     steps = np.diff(np.append(x, iet.total)) * np.exp(1j * rng.uniform(-pi, pi, len(x)))
     curve = PLCurve(iet.total, x, np.concatenate([[0.0], np.cumsum(steps)]))
-    maps = [PlanarIsometry(0.2, 0j, complex(u)) for u in iet.upsilon]
+    maps = rotations(iet, 0.2)
     assert _conjugacy_defect(curve, maps, iet) == conjugacy_defect(curve, maps, iet)
 
 

@@ -25,9 +25,9 @@ def is_nontrivial(report: VerificationReport) -> bool:
     return report.checks[0].defect == 0.0
 
 
-def conjugacy_defect(curve: PLCurve, maps: Sequence[PlanarIsometry], state: IETState,
+def conjugacy_defect(curve: PLCurve, maps: PlanarIsometry, state: IETState,
                      floor: int = 0) -> float:
-    """``verify._conjugacy_defect`` evaluated atom by atom through ``PLCurve.evaluate``.
+    """``verify._conjugacy_defects`` on the one family ``maps``, atom by atom through ``evaluate``.
 
     Per atom, the kinks are the kept region's two ends, every breakpoint
     and every breakpoint's preimage ``curve.x - u_s``, filtered to the
@@ -88,4 +88,38 @@ def direct_family(curve: PLCurve, trace: InductionTrace, m: int,
         if abs(iso(complex(gamma0[p0 - 1])) - xi[p1 - 1]) > 1e-9 * scale:
             raise AssertionError("rearranged pieces do not join continuously")
         maps.append(iso)
+    return maps
+
+
+def inductive_families(trace: InductionTrace, maps: PlanarIsometry,
+                       n: int) -> list[list[PlanarIsometry]]:
+    """``pwi.unwind_maps`` walked back a map object at a time from the level-``n`` family ``maps``.
+
+    Entry ``m`` lists the level-``m`` maps, one ``PlanarIsometry`` per
+    symbol, starting from Python scalars; each backward step rewrites the
+    loser's map through ``inverse`` and ``compose``.
+    """
+    maps = [PlanarIsometry(*map_) for map_ in zip(maps.angle.tolist(), maps.a.tolist(),
+                                                  maps.b.tolist())]
+    families = [maps]
+    for step in reversed(trace.steps[:n]):
+        winner, loser = maps[step.winner], maps[step.loser]
+        maps = list(maps)
+        if step.type_eps == 0:
+            maps[step.loser] = winner.inverse().compose(loser)
+        else:
+            maps[step.loser] = loser.compose(winner.inverse())
+        families.append(maps)
+    return families[::-1]
+
+
+def adapted_maps(curve: PLCurve, iet: IETState, theta: Sequence[float]) -> list[PlanarIsometry]:
+    """``pwi.adapted_pwi``'s maps built a symbol at a time, each curve point evaluated alone."""
+    theta = np.mod(np.asarray(theta, dtype=float), tau)
+    maps = []
+    for symbol in range(iet.d):
+        x_left = float(iet.endpoints0[iet.perm.position0(symbol)])
+        image = x_left + float(iet.upsilon[symbol])
+        maps.append(PlanarIsometry(float(theta[symbol]), complex(curve.evaluate(x_left)),
+                                   complex(curve.evaluate(image))))
     return maps
