@@ -33,7 +33,6 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm, ldexp, pi, tau, ulp
-from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -568,8 +567,8 @@ class Towers:
     ``ups``, the level-0 translation numerators.  ``scale`` is the level-0
     length numerator, which bounds every offset.  ``edges`` holds the exact
     edges the next level's pieces are checked against and ``edge_floats``
-    their correctly rounded values; ``rokhlin_towers`` fills both and each
-    induction step adds one.
+    their correctly rounded values, as an array; ``rokhlin_towers`` fills
+    both and each induction step adds one.
     """
 
     def __init__(self, ups: Sequence[int], scale: int, counts: list[np.ndarray]) -> None:
@@ -577,7 +576,8 @@ class Towers:
         self.scale = scale
         self.counts = counts
         self.edges: list[int] = []
-        self.edge_floats: list[float] = []
+        self.edge_floats = np.empty(0)
+        self._ups = np.array(self.ups, dtype=object)
         # the translations' top _KEPT_BITS bits as limbs, one limb per row,
         # and a last row that counts one unit of 2**cut per visit where bits
         # are cut off
@@ -586,12 +586,12 @@ class Towers:
                               dtype=np.int64).T.copy()
 
     def offsets(self, rows: np.ndarray) -> list[int]:
-        """Exact offsets of the floors ``rows``."""
-        return [sum(map(mul, row, self.ups)) for row in rows.tolist()]
+        """Exact offsets of the floors ``rows``, in Python ints."""
+        return (rows.astype(object) @ self._ups).tolist()
 
     def add_edges(self, nums: Sequence[int], den: int) -> None:
         self.edges.extend(nums)
-        self.edge_floats.extend(num / den for num in nums)
+        self.edge_floats = np.concatenate([self.edge_floats, [num / den for num in nums]])
 
 
 def rokhlin_towers(trace: InductionTrace, n: int) -> Towers:
@@ -670,7 +670,7 @@ def breaking_intervals(trace: InductionTrace, n: int, towers: Towers) -> Interva
     delta_num = trace.states[n - 1].total_num - total_next
     ends, order = _sorted_ends(towers, rows, total_next, den)
     _check_pieces(towers, rows, order, ends, total_next, delta_num, towers.edges,
-                  np.array(towers.edge_floats), den)
+                  towers.edge_floats, den)
     return IntervalSeq._proven(ends, delta_num / den)
 
 
@@ -730,12 +730,15 @@ def _check_pieces(towers: Towers, rows: np.ndarray, order: np.ndarray, ends: np.
     hits = (highs > lows).nonzero()[0].tolist()
     if not (gaps or hits):
         return
-    windows = [(edges[i] - shift, range(lows[i], highs[i])) for i in hits]
-    read = sorted({*gaps, *(k + 1 for k in gaps), *(j for _, run in windows for j in run)})
-    exact = dict(zip(read, towers.offsets(rows.take(order.take(read), axis=0))))
-    if any(exact[k + 1] - exact[k] < width for k in gaps):
+    lows, highs = lows.tolist(), highs.tolist()
+    # each edge in a window against each piece there, after both pieces of each gap
+    tested = [(edges[i] - shift, j) for i in hits for j in range(lows[i], highs[i])]
+    g = len(gaps)
+    read = [*gaps, *(k + 1 for k in gaps), *(j for _, j in tested)]
+    exact = towers.offsets(rows.take(order.take(read), axis=0))
+    if any(b - a < width for a, b in zip(exact, exact[g:2 * g])):
         raise AssertionError("orbit pieces overlap")
-    if any(exact[j] < edge < exact[j] + width for edge, run in windows for j in run):
+    if any(a < edge < a + width for (edge, _), a in zip(tested, exact[2 * g:])):
         raise AssertionError("orbit piece straddles a removed zone or a cut")
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from math import pi, tau
 from typing import Optional, Sequence
 
@@ -391,7 +392,9 @@ COMMANDS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, a pure function of ``COMMANDS`` and ``OPTIONS``, built once."""
     parser = argparse.ArgumentParser(
         prog="ietpwi",
         description="interval exchange renormalization, invariant curves and "
@@ -402,8 +405,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         command = sub.add_parser(name)
         for option in options.split():
             command.add_argument(f"--{option}", **OPTIONS[option])
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         status = COMMANDS[args.command][0](RunConfig.from_args(args))
         # a reader that closed the pipe must show up here, not at exit

@@ -10,8 +10,8 @@ Lengths are stored once, as exact integer numerators over a common
 denominator.  Every float is a dyadic rational, so the exact form represents
 float input with no error; downstream orbit computations (visit counts,
 interval orbits) run on integers and are free of rounding decisions.  The
-float translations and left ends of an exchange are correctly rounded views
-of its numerators, formed on first read.
+translations and left ends of an exchange, as numerators and as their
+correctly rounded float views, are formed on first read.
 """
 
 from __future__ import annotations
@@ -229,21 +229,40 @@ def omega_matrix(perm: Permutation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IETState:
-    """Immutable exchange, kept exactly: the permutation, the lengths, and the
-    translations and top-row left ends as numerators over ``denominator``.
+    """Immutable exchange, kept exactly as its permutation and lengths.
 
-    ``upsilon`` and ``endpoints0`` are their float views, each numerator over
-    the denominator correctly rounded, formed on first read and kept.
+    The translations and top-row left ends, numerators over ``denominator``,
+    and their float views ``upsilon`` and ``endpoints0``, each numerator over
+    the denominator correctly rounded, are formed on first read and kept, so
+    an induction level that nothing reads holds only its lengths.  Symbol
+    ``s`` translates by the distance from its top-row left end to its
+    bottom-row left end, ``e1[pi1(s)] - e0[pi0(s)]``.
     """
 
     perm: Permutation
     lengths: Lengths
-    upsilon_num: tuple[int, ...]
-    e0_num: tuple[int, ...]
 
     @property
     def d(self) -> int:
         return self.perm.d
+
+    @cached_property
+    def e0_num(self) -> tuple[int, ...]:
+        """Top-row left ends, then the total."""
+        return tuple(accumulate(map(self.lengths.numerators.__getitem__, self.perm.top),
+                                initial=0))
+
+    @cached_property
+    def upsilon_num(self) -> tuple[int, ...]:
+        """Translations, in symbol order."""
+        length = self.lengths.numerators.__getitem__
+        e1 = tuple(accumulate(map(length, self.perm.bottom), initial=0))
+        pos0, pos1 = self.perm.positions
+        return tuple(map(sub, map(e1.__getitem__, pos1), map(self.e0_num.__getitem__, pos0)))
+
+    @cached_property
+    def total_num(self) -> int:
+        return sum(self.lengths.numerators)
 
     @cached_property
     def upsilon(self) -> np.ndarray:
@@ -255,11 +274,7 @@ class IETState:
 
     @property
     def total(self) -> float:
-        return float(self.endpoints0[-1])
-
-    @property
-    def total_num(self) -> int:
-        return self.e0_num[-1]
+        return self.total_num / self.denominator
 
     @property
     def denominator(self) -> int:
@@ -267,19 +282,10 @@ class IETState:
 
 
 def build_iet(perm: Permutation, lengths: Lengths) -> IETState:
-    """The exchange ``(lengths, perm)`` with its translations and top-row grid.
-
-    Symbol ``s`` translates by the distance from its top-row left end to its
-    bottom-row left end, ``e1[pi1(s)] - e0[pi0(s)]`` on exact numerators.
-    """
+    """The exchange ``(lengths, perm)``; its grids are formed when first read."""
     if lengths.d != perm.d:
         raise InvalidInput("lengths and permutation have different sizes")
-    length = lengths.numerators.__getitem__
-    e0 = tuple(accumulate(map(length, perm.top), initial=0))
-    e1 = tuple(accumulate(map(length, perm.bottom), initial=0))
-    pos0, pos1 = perm.positions
-    ups_num = tuple(map(sub, map(e1.__getitem__, pos1), map(e0.__getitem__, pos0)))
-    return IETState(perm, lengths, ups_num, e0)
+    return IETState(perm, lengths)
 
 
 def build_iet_from(perm: Union[Permutation, str, Sequence[int]],

@@ -138,7 +138,7 @@ def rauzy_step(iet: IETState) -> tuple[IETState, InductionStep]:
     nums = list(iet.lengths.numerators)
     # the type-0 step is won by the top row's final subinterval
     top_last, bottom_last = nums[arrows[0][0].winner], nums[arrows[0][0].loser]
-    if _tied(top_last, bottom_last, iet.total_num):
+    if _tied(top_last, bottom_last, sum(nums)):
         raise RauzyUndefined(
             f"final subintervals tie within {TOL_TIE_REL} * |lambda|"
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import atan, pi
+from math import atan, isfinite, pi
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -63,7 +63,7 @@ class CheckResult:
     def to_json(self) -> dict:
         return {"check": self.check, "defect": self.defect, "tol": self.tol,
                 "pass": bool(self.passed), "n": self.n, "m": self.m,
-                "meta": _jsonify(self.meta)}
+                "meta": _jsonify(self.meta) if self.meta else {}}
 
 
 @dataclass
@@ -75,7 +75,7 @@ class VerificationReport:
             meta: Optional[dict] = None) -> CheckResult:
         defect = float(defect)
         tol = float(tol)
-        if not np.isfinite(defect) or defect < 0:
+        if not isfinite(defect) or defect < 0:
             raise ValueError(f"defect must be a finite nonnegative real, got {defect}")
         result = CheckResult(check, defect, tol, defect <= tol, n, m, meta or {})
         self.checks.append(result)

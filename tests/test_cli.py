@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ietpwi import breaking, spectral, verify
+from ietpwi import breaking, cli, spectral, verify
 from ietpwi.cli import COMMANDS, RunConfig, main
 
 from conftest import SRC_DIR
@@ -518,6 +518,30 @@ def test_an_option_the_command_does_not_read_exits_2(command, option, tmp_path, 
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_runs(tmp_path, monkeypatch):
+    # each run twice in one process: a passing one, an InvalidInput exit 2 and
+    # an argparse rejection give the same exit, stdout bytes and stderr
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+        return code, out.getvalue().encode(), err.getvalue()
+
+    for argv, code in (
+            (["verify", "--catalog", "--steps", "8", "--delta", "0.05", "--seed", "0",
+              "--json"], 0),
+            (["verify", "--catalog", "--steps", "-1"], 2),
+            (["zorich", "--catalog", "--zorich-steps", "400"], ("SystemExit", 2))):
+        first = run(argv)
+        assert first[0] == code and run(argv) == first
+    assert cli._parser() is cli._parser()
 
 
 #: sha256 of ``verify --catalog --steps 8 --delta 0.05 --seed S --json`` on

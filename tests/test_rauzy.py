@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from itertools import accumulate
 from math import pi, tau
 
 import numpy as np
@@ -72,15 +73,31 @@ def test_cached_arrows_replay_the_uncached_steps(reference):
         want = replayed_iterate(iet, 420)
         assert got.states == want.states and got.steps == want.steps
         assert got.cocycle == want.cocycle and got.error == want.error
+        # states compare by permutation and lengths; the grids are formed when read
+        for mine, theirs in zip(got.states, want.states):
+            assert (mine.e0_num, mine.upsilon_num, mine.total_num) == (
+                theirs.e0_num, theirs.upsilon_num, theirs.total_num)
         for state in got.states:
-            # translations are the intersection form applied to the lengths
+            # translations are the intersection form applied to the lengths, and
+            # the left ends the top row's partial sums
             nums = state.lengths.numerators
             assert state.upsilon_num == tuple(sum(int(w) * n for w, n in zip(row, nums))
                                               for row in omega_matrix(state.perm))
+            assert state.e0_num == (0, *accumulate(nums[s] for s in state.perm.top))
+            assert state.total_num == sum(nums)
     # the Dirichlet exchange of 4 3 2 1 from seed 2 meets a relative tie at step 362
     stopped = traces[3:4] + traces[-3:]
     assert [trace.n_steps for trace in stopped] == [362, 0, 3, 12]
     assert {trace.error for trace in stopped} == {"RauzyUndefined"}
+
+
+def test_induction_forms_no_grid_past_the_start(reference):
+    # a step reads only the lengths, so no level it makes holds its left ends
+    # or translations until something reads them
+    trace = rauzy_iterate(reference.iet, 420)
+    assert trace.n_steps == 420
+    assert not any({"e0_num", "upsilon_num"} & vars(state).keys()
+                   for state in trace.states[1:])
 
 
 def test_each_stored_product_shares_its_unchanged_rows(reference):
