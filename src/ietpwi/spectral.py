@@ -13,9 +13,10 @@ subspace (spanned by the antisymmetric pairing matrix's columns), which the
 elementary factors map onto the corresponding subspace of the next
 permutation; projecting at every re-orthonormalization keeps rounding noise
 from leaking into the transverse zero modes.  Blocks are driven a chunk
-ahead of the QR: the Python driver records a chunk of blocks and their
-restricted matrices are formed in one numpy pass, while there is still one
-QR per block.
+ahead of the QR: per block the Python driver takes the block's steps and
+records its permutation state, winner and loser counts, and the chunk's
+restricted matrices are formed in one numpy pass.  What is left per block
+in the growth-rate loop is one matrix product and one QR.
 """
 
 from __future__ import annotations
@@ -116,8 +117,10 @@ class _FloatInduction:
         after it in the other row, which cycle.  Each full cycle subtracts
         their total from the winner and restores the row, so all but the
         last full cycle are one division; the rest runs stepwise, where
-        each step tests for a tie (within 1e-12 of the sum) and for a loser
-        below the winner's resolution.  ``counts[i]`` is how often
+        each step tests for a tie (within 1e-12 of the sum, formed only
+        where a bound from the sum at the tail's start cannot rule the tie
+        out) and for a loser below the winner's resolution.  The row is
+        rotated once, after the last step.  ``counts[i]`` is how often
         ``losers[i]`` lost, so the block has ``sum(counts)`` Rauzy steps.
         The lengths are renormalized to unit sum afterwards.
         """
@@ -126,30 +129,47 @@ class _FloatInduction:
         winner, row = (top[-1], bottom) if top_wins else (bottom[-1], top)
         start = row.index(winner) + 1
         losers = row[start:]
-        cycle = sum(lam[s] for s in losers)
-        if not lam[winner] <= 1e15 * cycle:
+        n = len(losers)
+        cycle = sum(map(lam.__getitem__, losers))
+        w = lam[winner]
+        if not w <= 1e15 * cycle:
             raise RauzyUndefined("Zorich block above 1e15 cycles in double precision")
-        cycles = max(int(lam[winner] // cycle) - 1, 0)
-        lam[winner] -= cycles * cycle
-        count = dict.fromkeys(losers, cycles)
+        cycles = max(int(w // cycle) - 1, 0)
+        w -= cycles * cycle
+        lam[winner] = w
+        # Only the winner's length changes in the tail, and it falls, so no
+        # later rounded sum exceeds this one; the factor covers the last bits
+        # by which Python 3.12's compensated sum may break that.  A remainder
+        # above the bound cannot tie, and only the others form the sum.
+        bound = 1e-12 * (1 + 1e-9) * sum(lam)
+        j = n - 1  # position in ``losers`` of the symbol at the row's end
+        b = lam[losers[j]]
+        steps = 0
         while True:
-            loser = row[-1]
-            w, b = lam[winner], lam[loser]
-            if abs(w - b) <= 1e-12 * sum(lam):
-                raise RauzyUndefined("final subintervals tie in double precision")
-            if w - b == w:
+            rest = w - b
+            if abs(rest) <= bound:
+                lam[winner] = w
+                if abs(rest) <= 1e-12 * sum(lam):
+                    raise RauzyUndefined("final subintervals tie in double precision")
+            if rest == w:
                 # the loser is below one ulp of the winner: the subtraction no
                 # longer makes progress and the orbit is numerically spent
                 raise RauzyUndefined("loser length below double-precision resolution")
-            lam[winner] = w - b
-            row.pop()
-            row.insert(start, loser)
-            count[loser] += 1
-            if (lam[top[-1]] > lam[bottom[-1]]) != top_wins:
+            w = rest
+            steps += 1
+            j = j - 1 if j else n - 1
+            b = lam[losers[j]]
+            # the block ends where the other type wins the next step
+            if (b >= w) if top_wins else (b > w):
                 break
+        lam[winner] = w
+        # each step moved the row's last loser to the front of the tail
+        row[start:] = losers[j + 1:] + losers[:j + 1]
+        rounds, extra = divmod(steps, n)
+        counts = [cycles + rounds] * (n - extra) + [cycles + rounds + 1] * extra
         total = sum(lam)
         self.lam = [v / total for v in lam]
-        return winner, losers, [count[s] for s in losers]
+        return winner, losers, counts
 
 
 #: blocks driven ahead of the QR by ``lyapunov_spectrum``, in one pass each
@@ -165,41 +185,55 @@ def _block_chunks(iet: IETState, m: int, size: int) -> Iterator[np.ndarray]:
     times the winner's row to the row of ``losers[i]``: a rank-one update
     of the carried frame.  Each matrix expresses it from the
     invariant-subspace coordinates at the block start to those at the block
-    end.  The Python driver records each block's permutation state, winner
-    and loser counts; the chunk's updates and basis changes then run as a
-    few numpy calls over the whole chunk.  A chunk is driven only when the
-    consumer asks for it.
+    end.  Per block, the Python driver records only its permutation state,
+    winner and loser counts, and finds the next state in a transition
+    table: within a block only the other row's tail rotates, so the state,
+    the winner and the step count modulo the losers fix it.  The chunk's
+    losers, updates and basis changes then run as a few numpy calls over
+    the whole chunk.  A chunk is driven only when the consumer asks for it.
     """
     driver = _FloatInduction(iet)
-    first = (tuple(driver.top), tuple(driver.bottom))
-    index = {first: 0}
-    bases = h_pi_basis(Permutation(*first))[None]  # stacked, one per state
+    block, d = driver.block, len(driver.lam)
+    index: dict[tuple, int] = {}  # permutation -> state
+    bases = np.empty((0, d, 2 * genus(iet.perm)))  # stacked, one per state
+    # row ``state * d + winner``: that block's losers in row order, then -1s
+    loser_rows = np.empty((0, d), dtype=int)
 
-    def state() -> int:
-        nonlocal bases
+    def visit() -> int:
+        nonlocal bases, loser_rows
         key = (tuple(driver.top), tuple(driver.bottom))
         if key not in index:
-            index[key] = len(bases)
+            index[key] = len(index)
+            rows = np.full((d, d), -1)
+            for winner, row in ((key[0][-1], key[1]), (key[1][-1], key[0])):
+                losers = row[row.index(winner) + 1:]
+                rows[winner, :len(losers)] = losers
             bases = np.concatenate([bases, h_pi_basis(Permutation(*key))[None]])
+            loser_rows = np.concatenate([loser_rows, rows])
         return index[key]
 
-    states = [0]
+    state = visit()
+    table: dict[int, int] = {}  # (state * d + winner) * d + steps mod losers -> next state
     for start in range(0, m, size):
-        n = min(size, m - start)
-        blocks, losers, winners, counts = [], [], [], []  # one entry per loser
-        for k in range(n):
-            winner, block_losers, block_counts = driver.block()
-            blocks += [k] * len(block_losers)
-            losers += block_losers
-            winners += [winner] * len(block_losers)
+        kinds, counts = [], []  # state * d + winner per block; counts per loser
+        for _ in range(min(size, m - start)):
+            winner, losers, block_counts = block()
+            kind = state * d + winner
+            kinds.append(kind)
             counts += block_counts
-            states.append(state())
-        q = bases[states]  # bases at the n + 1 block boundaries
+            key = kind * d + sum(block_counts) % len(losers)
+            state = table.get(key)
+            if state is None:
+                state = table[key] = visit()
+        kinds = np.array(kinds)
+        rows = loser_rows[kinds]
+        blocks, slots = np.nonzero(rows >= 0)  # block order, then row order
+        q = bases[np.append(kinds // d, state)]  # bases at the block boundaries
         old, new = q[:-1], q[1:]
-        carried = old.copy()  # n x d x 2g block images
-        carried[blocks, losers] += np.array(counts, dtype=float)[:, None] * old[blocks, winners]
+        carried = old.copy()  # block images; a count of 0 still adds 0 * row
+        carried[blocks, rows[blocks, slots]] += (np.array(counts, dtype=float)[:, None]
+                                                 * old[blocks, kinds[blocks] % d])
         yield np.matmul(new.transpose(0, 2, 1), carried)
-        states = states[-1:]
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +261,27 @@ def lyapunov_spectrum(iet: IETState, m: int) -> LyapunovEstimate:
     sorted diagonal logs average to the growth rates, and the means of
     ``min(BATCHES, m)`` batches of contiguous blocks give the error bars, so
     fewer than 2 blocks, which have no spread, raise ``InvalidInput``.
-    Blocks are driven ``_CHUNK`` at a time, ahead of the QR, and their logs
-    are added per chunk, in block order; there is still one QR per block.
+    Blocks are driven ``_CHUNK`` at a time, ahead of the QR.  Per block
+    there is one product with the frame and one QR, whose diagonal is
+    written into the chunk's array; the logs are added per chunk, in block
+    order.
     """
     if m < 2:
         raise InvalidInput(f"need at least 2 blocks for error bars, got {m}")
     batches = min(BATCHES, m)
     dim = 2 * genus(iet.perm)
     batch_sums = np.zeros((batches, dim))
+    qr = np.linalg.qr  # looked up per call, where a tracer may have rebound ``np``
     frame, done = None, 0
     for chunk in _block_chunks(iet, m, _CHUNK):
-        rs = []
-        for matrix in chunk:
-            frame, r = np.linalg.qr(matrix if frame is None else matrix @ frame)
-            rs.append(r)
-        logs = np.log(np.abs(np.array(rs).diagonal(axis1=1, axis2=2)))
+        diagonals = np.empty((len(chunk), dim))
+        for k, matrix in enumerate(chunk):
+            frame, r = qr(matrix if frame is None else matrix @ frame)
+            diagonals[k] = r.diagonal()
         # np.add.at adds repeated indices in order, as one += per block would
-        np.add.at(batch_sums, np.arange(done, done + len(rs)) * batches // m, logs)
-        done += len(rs)
+        np.add.at(batch_sums, np.arange(done, done + len(chunk)) * batches // m,
+                  np.log(np.abs(diagonals)))
+        done += len(chunk)
     exponents = batch_sums.sum(axis=0) / m
     order = np.argsort(-exponents)
     per_batch = batch_sums * (batches / m)

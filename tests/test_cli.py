@@ -577,6 +577,10 @@ RUN_DIGESTS = {
         (0, "5647869973e075cd60a3ef280320c94d50d69ad312fd574dc81edd5f046c762a"),
     "verify --catalog --steps 6 --deep-levels 30 --seed 1 --json":
         (1, "a96ef892aac34f6b0994ee888aa7b25cf658dba784902352fafc1fc01acc7f89"),
+    "lyapunov --zorich-steps 3000":
+        (0, "e9ac637d5602ba7265773b194865affcbee834975d8d04fddefa3f4d10a32637"),
+    "sample-theta --seed 0":
+        (0, "cb0150c4b5424d261096fc600d276719c90995a4ed6001fab53252cb27b05ff8"),
 }
 
 
