@@ -86,7 +86,9 @@ class PLCurve:
     len(x) + 1``.  Unit speed (chord length equals parameter length on every
     segment) is an invariant of every constructor in this module.
     ``increment`` is ``sup |self - previous|`` when ``breaking_operator``
-    made this curve from ``previous``, and ``None`` otherwise.
+    made this curve from ``previous`` and was asked to measure it
+    (``measure=True``, which only ``verify`` asks for), and ``None``
+    otherwise.
     """
 
     length: float
@@ -292,7 +294,8 @@ def _shifts(values: np.ndarray, first: int, one_minus: complex,
     return np.add.accumulate(table, out=table)
 
 
-def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLCurve:
+def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq, *,
+                      measure: bool = False) -> PLCurve:
     """Rotate the curve pieces over the intervals by ``phi``, keeping continuity.
 
     The output lives on the same domain, is continuous and keeps unit speed;
@@ -322,11 +325,14 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     is: ``v + (-0.0)`` is ``v`` bit for bit, ``-0.0`` included, where
     ``+0.0`` would turn a ``-0.0`` into ``+0.0``.
 
-    The output's ``increment`` is ``sup |output - curve|``, bit for bit the
-    maximum of the modulus over both curves' breakpoints and the right end:
-    the difference is affine in between.  At the kept parameters both curves
-    are at hand; at the old breakpoints that the merge tolerance drops and at
-    the right end, where the output is a limit, it is evaluated once built.
+    With ``measure`` the output's ``increment`` is ``sup |output - curve|``,
+    bit for bit the maximum of the modulus over both curves' breakpoints and
+    the right end: the difference is affine in between.  At the kept
+    parameters both curves are at hand; at the old breakpoints that the merge
+    tolerance drops and at the right end, where the output is a limit, it is
+    evaluated once built.  Without it the increment is ``None``, and none of
+    that work is done: the output's breakpoints and vertices are the same
+    bits either way.
     """
     if not isfinite(phi):
         raise InvalidInput(f"rotation angle must be finite, got {phi}")
@@ -359,11 +365,12 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     # the output a block at a time: the merge drops a third of the
     # parameters at depth, so room for all of them would raise the peak
     new_x, new_z = [], []
-    # the old breakpoints the merge drops: parameter, new segment, old vertex
+    # measured only: the old breakpoints the merge drops, as parameter, new
+    # segment and old vertex, and the largest distance moved at a kept one
     kink_x, kink_at, kink_z = [], [], []
+    increment = 0.0
     kept = 0                # new breakpoints placed so far
     previous = -np.inf      # the last distinct parameter placed so far
-    increment = 0.0
     carry = complex(-0.0, -0.0)  # the shift of zone 0, then of each block's first zone
     last = 0
     for start in range(0, old, _BLOCK):
@@ -421,7 +428,7 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
         if len(keep) and kept + len(keep) > 1 and params[keep[-1]] > length - merge_tol:
             far[np.searchsorted(at, keep[-1])] = False
             keep = keep[:-1]
-        if not far.all():
+        if measure and not far.all():
             # the increment needs the dropped parameters that are old
             # breakpoints, on the last new segment that starts before each
             new_at = (~far).nonzero()[0]
@@ -446,8 +453,10 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
         values[at_end] = at_ends.take(keep_zone.take(at_end) - 1)
         del at_end
         new_z.append(np.empty(len(keep), dtype=complex))
-        increment = max(increment, _shift_block(values, keep_zone, first, rot, shifts,
-                                                new_z[-1]))
+        _shift_block(values, keep_zone, first, rot, shifts, new_z[-1])
+        if measure:
+            values -= new_z[-1]
+            increment = max(increment, float(np.maximum.reduce(np.abs(values), initial=0.0)))
         kept += len(keep)
     del ends, moved
     # the right end is in zone right_zone, in the last block's table
@@ -455,6 +464,8 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
     del shifts
     # one list at a time, so that one list's pieces are gone before the next
     new_z = np.concatenate(new_z)
+    if not measure:
+        return PLCurve(length, np.concatenate(new_x), new_z)
     new_x.append([length])
     new_x = np.concatenate(new_x)
     rotated = PLCurve(length, new_x[:kept], new_z)
@@ -481,17 +492,14 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq) -> PLC
 
 
 def _shift_block(values: np.ndarray, zone: np.ndarray, first: int, rot: complex,
-                 shifts: np.ndarray, out: np.ndarray) -> float:
-    """Write the zones' images of ``values`` to ``out``; the largest distance moved.
+                 shifts: np.ndarray, out: np.ndarray) -> None:
+    """Write the zones' images of ``values`` to ``out``.
 
     Zone ``first + j`` rotates by ``rot`` when it is odd and then adds
-    ``shifts[j]``, for each ``j`` in ``zone``.  ``values`` is overwritten.
+    ``shifts[j]``, for each ``j`` in ``zone``.
     """
     moved = np.where((zone ^ first) & 1, values * rot, values)
     np.add(moved, shifts.take(zone), out=out)
-    del moved
-    values -= out
-    return float(np.maximum.reduce(np.abs(values), initial=0.0))
 
 
 def _merge(olds: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -923,17 +931,18 @@ def segment_bound(trace: InductionTrace, depth: int) -> int:
 
 
 def curve_levels(trace: InductionTrace, seq: ThetaSeq, curve: PLCurve, level: int,
-                 depth: int) -> Iterator[PLCurve]:
+                 depth: int, *, measure: bool = False) -> Iterator[PLCurve]:
     """Yield the curves of levels ``level+1..depth``, continuing ``curve`` of level ``level``.
 
     Each is the one before it with its level's rotation, at the angle ``seq``
     holds, over the intervals read off the Rokhlin towers, which are carried
-    one induction step per level.  Each carries its increment over the one
-    before (``PLCurve.increment``), so a caller may keep only the curves it
-    reads.  Before any level is built, a depth beyond the trace raises
-    ``InvalidInput``, and one whose curve could hold more than
-    ``PIECE_BUDGET`` segments, or whose towers more than ``PIECE_BUDGET``
-    floors, raises ``BudgetExceeded``.
+    one induction step per level.  With ``measure`` each carries its
+    increment over the one before (``PLCurve.increment``), so a caller may
+    keep only the curves it reads; without it each increment is ``None``,
+    and the curves are the same bits.  Before any level is built, a depth
+    beyond the trace raises ``InvalidInput``, and one whose curve could hold
+    more than ``PIECE_BUDGET`` segments, or whose towers more than
+    ``PIECE_BUDGET`` floors, raises ``BudgetExceeded``.
     """
     if depth > trace.n_steps:
         raise InvalidInput(f"level {depth} outside 1..{trace.n_steps}")
@@ -947,14 +956,17 @@ def curve_levels(trace: InductionTrace, seq: ThetaSeq, curve: PLCurve, level: in
         if n == depth:
             # the last operator runs without the towers, which nothing reads after it
             del towers
-        curve = breaking_operator(curve, seq.breaking_angle(n - 1), intervals)
+        curve = breaking_operator(curve, seq.breaking_angle(n - 1), intervals, measure=measure)
         yield curve
         if n < depth:
             _stack_towers(trace, towers, n - 1)
 
 
 def breaking_sequence(trace: InductionTrace, theta: ThetaLike, depth: int) -> list[PLCurve]:
-    """The curve sequence: identity parametrization, then one rotation per level."""
+    """The curve sequence: identity parametrization, then one rotation per level.
+
+    No increment is measured: every curve's ``increment`` is ``None``.
+    """
     curves = [PLCurve.identity(trace.initial.total)]
     curves.extend(curve_levels(trace, theta_sequence(trace, theta, depth), curves[0], 0, depth))
     return curves

@@ -229,7 +229,7 @@ def _require_levels(trace: rauzy.InductionTrace, command: str, levels: int) -> N
 
 
 def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, depth: int,
-                    keep: int = 0):
+                    keep: int = 0, *, measure: bool = False):
     """Rotation vector, its origin, its push over the trace, curves and increments to ``depth``.
 
     The vector is the configured one, or is sampled with the halving policy:
@@ -242,7 +242,10 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
     levels are built one at a time and only some curves are kept:
     ``curves[n]`` is the level-``n`` curve for ``n <= keep`` and
     ``curves[-1]`` the level-``depth`` one; ``increments[n]`` is
-    ``sup |curve_{n+1} - curve_n|`` for every ``n < depth``.
+    ``sup |curve_{n+1} - curve_n|`` for every ``n < depth`` when ``measure``
+    is set, and ``None`` otherwise.  Only ``verify`` reads the increments and
+    sets it, also while it samples: the vector kept keeps the levels it was
+    tried on.
     """
     if cfg.theta is not None:
         theta, origin = list(cfg.theta), {"source": "config"}
@@ -260,7 +263,7 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
             curves, increments = [breaking.PLCurve.identity(iet.total)], []
             # a sampling depth beyond ``depth`` keeps every level up to ``depth``
             _continue(trace, seq, curves, increments, sampling,
-                      keep if sampling <= depth else depth)
+                      keep if sampling <= depth else depth, measure)
             if verify.injectivity(curves[-1])[0]:
                 break
             delta /= 2.0
@@ -269,18 +272,19 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
         theta = sample.v
         origin = {"source": "sampled", "delta": delta, "attempts": sample.attempts}
         del curves[depth + 1:], increments[depth:]
-    _continue(trace, seq, curves, increments, depth, keep)
+    _continue(trace, seq, curves, increments, depth, keep, measure)
     return theta, origin, seq, curves, increments
 
 
 def _continue(trace: rauzy.InductionTrace, seq: breaking.ThetaSeq, curves: list,
-              increments: list, depth: int, keep: int) -> None:
+              increments: list, depth: int, keep: int, measure: bool) -> None:
     """Continue ``curves`` to level ``depth``, keeping levels ``0..keep`` and the last.
 
     ``curves[-1]`` is the level-``len(increments)`` curve; each new level's
-    increment is appended to ``increments``.
+    increment, measured only with ``measure``, is appended to ``increments``.
     """
-    for curve in breaking.curve_levels(trace, seq, curves[-1], len(increments), depth):
+    for curve in breaking.curve_levels(trace, seq, curves[-1], len(increments), depth,
+                                       measure=measure):
         if len(increments) > keep:
             curves.pop()
         curves.append(curve)
@@ -333,7 +337,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     deep = min(cfg.deep(max(2 * cfg.levels, 45)), trace.n_steps)
     depth = min(cfg.levels, deep)
     # the quasi suite reads levels 0 to depth, the rest only the deepest
-    theta, origin, seq, curves, increments = _sampled_curves(cfg, iet, trace, deep, depth)
+    theta, origin, seq, curves, increments = _sampled_curves(cfg, iet, trace, deep, depth,
+                                                             measure=True)
 
     report = verify.quasi_embedding_suite(trace, curves, seq, depth)
     conv = verify.convergence_report(increments, curves[-1], seq, trace)

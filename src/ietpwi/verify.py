@@ -348,14 +348,16 @@ def convergence_report(increments: Sequence[float], curve: PLCurve, theta_seq: T
     """Per-level increment bounds and cone control for the curve sequence.
 
     ``increments[n]`` is ``sup |curve_{n+1} - curve_n|``, as
-    ``breaking_operator`` reports it on ``curve_{n+1}``, and ``curve`` is the
-    last level.  Each increment must stay under ``4 |lambda| sin(|angle|/2)``
-    for the angle applied at that level; the report also carries the
-    empirical telescoping constant and the divergence flag used by negative
-    controls.  While the summed angles stay under ``0.49 pi``, the last
-    curve's steepest slope angle must stay under their sum (the Lipschitz
-    cone); a curve that is no graph over its first coordinate has slope
-    angle ``pi/2`` and fails.
+    ``breaking_operator`` reports it on ``curve_{n+1}`` when asked to measure
+    it (``measure=True``), and ``curve`` is the last level; an increment
+    that is ``None`` (an unmeasured build) or not finite raises
+    ``InvalidInput`` naming its level.  Each increment must stay under ``4
+    |lambda| sin(|angle|/2)`` for the angle applied at that level; the report
+    also carries the empirical telescoping constant and the divergence flag
+    used by negative controls.  While the summed angles stay under ``0.49
+    pi``, the last curve's steepest slope angle must stay under their sum
+    (the Lipschitz cone); a curve that is no graph over its first coordinate
+    has slope angle ``pi/2`` and fails.
     """
     if len(increments) < 2:
         raise InvalidInput(f"need at least 2 increments, got {len(increments)}")
@@ -364,6 +366,9 @@ def convergence_report(increments: Sequence[float], curve: PLCurve, theta_seq: T
     bounds = []
     dists = theta_seq.distances()[:len(increments)]
     for n, inc in enumerate(increments):
+        if inc is None or not isfinite(inc):
+            raise InvalidInput(f"the level-{n + 1} increment is {inc}, not a measured "
+                               "finite one (build the curves with measure=True)")
         bound = 4.0 * total * abs(np.sin(theta_seq.breaking_angle(n) / 2.0))
         bounds.append(float(bound))
         report.add("increment_bound", inc, bound + 1e-12, n=n,

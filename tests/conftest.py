@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from ietpwi.breaking import breaking_sequence, theta_sequence
+from ietpwi.breaking import theta_sequence
 from ietpwi.catalog import symmetric4_self_inducing
 from ietpwi.iet import build_iet_from
 from ietpwi.rauzy import rauzy_iterate
 from ietpwi.spectral import sample_theta
+
+from curve_oracles import measured_sequence
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -38,7 +40,8 @@ def reference_sample(reference, reference_trace):
 
 @pytest.fixture(scope="session")
 def reference_curves(reference_trace, reference_sample):
-    return breaking_sequence(reference_trace, reference_sample.v, 45)
+    # measured: the convergence tests read the increments
+    return measured_sequence(reference_trace, reference_sample.v, 45)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ietpwi.breaking import IntervalSeq, PLCurve, _shifts, _to_floats
+from ietpwi.breaking import (IntervalSeq, PLCurve, _shifts, _to_floats, curve_levels,
+                             theta_sequence)
 from ietpwi.rauzy import InductionTrace
 
 
@@ -23,6 +24,13 @@ def sup_distance(a: PLCurve, b: PLCurve) -> float:
     merged = np.union1d(a.segment_bounds(), b.segment_bounds())
     merged = merged[merged <= min(a.length, b.length)]
     return float(np.max(np.abs(a.evaluate(merged) - b.evaluate(merged))))
+
+
+def measured_sequence(trace: InductionTrace, theta, depth: int) -> list[PLCurve]:
+    """The curves of ``breaking_sequence``, each with its increment measured."""
+    start = PLCurve.identity(trace.initial.total)
+    return [start, *curve_levels(trace, theta_sequence(trace, theta, depth), start, 0, depth,
+                                 measure=True)]
 
 
 def arc_length(curve: PLCurve) -> float:

