@@ -74,6 +74,7 @@ from .spectral import (
 )
 from .verify import (
     VerificationReport,
+    certify,
     convergence_report,
     discontinuity_orbit,
     embedding_defect,

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from math import pi, tau
+from math import pi
 from typing import Optional, Sequence
 
 from . import breaking, catalog, pwi as pwi_mod, rauzy, spectral, verify
@@ -228,8 +228,8 @@ def _require_levels(trace: rauzy.InductionTrace, command: str, levels: int) -> N
                              f"{command} needs {levels} levels")
 
 
-def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, depth: int,
-                    keep: int = 0, *, measure: bool = False):
+def _sampled_curves(cfg: RunConfig, command: str, iet: IETState, trace: rauzy.InductionTrace,
+                    depth: int, keep: int = 0, *, measure: bool = False):
     """Rotation vector, its origin, its push over the trace, curves and increments to ``depth``.
 
     The vector is the configured one, or is sampled with the halving policy:
@@ -238,8 +238,9 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
     the injectivity test (double-precision orientation, 1e-14 relative
     collinearity tolerance).  Each vector tried is pushed once over the whole
     trace (a sampled one continues the push that admitted it), and the
-    curves of the one kept are continued from that push.  The
-    levels are built one at a time and only some curves are kept:
+    curves of the one kept are continued from that push.  A trace short of the
+    sampling depth (before a draw) or of ``depth`` raises ``RauzyUndefined``
+    naming ``command``.  The levels are built one at a time, keeping some:
     ``curves[n]`` is the level-``n`` curve for ``n <= keep`` and
     ``curves[-1]`` the level-``depth`` one; ``increments[n]`` is
     ``sup |curve_{n+1} - curve_n|`` for every ``n < depth`` when ``measure``
@@ -252,9 +253,10 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
         seq = breaking.theta_sequence(trace, theta, trace.n_steps)
         curves, increments = [breaking.PLCurve.identity(iet.total)], []
     else:
+        sampling = cfg.deep(max(cfg.levels, 25))
+        _require_levels(trace, command, sampling)
         frame = _stable_frame(cfg, iet)
         delta = cfg.delta
-        sampling = cfg.deep(max(cfg.levels, 25))
         for _ in range(10):
             sample = spectral.sample_theta(frame, delta, cfg.seed,
                                            upsilon=iet.upsilon, trace=trace)
@@ -272,6 +274,7 @@ def _sampled_curves(cfg: RunConfig, iet: IETState, trace: rauzy.InductionTrace, 
         theta = sample.v
         origin = {"source": "sampled", "delta": delta, "attempts": sample.attempts}
         del curves[depth + 1:], increments[depth:]
+    _require_levels(trace, command, depth)
     _continue(trace, seq, curves, increments, depth, keep, measure)
     return theta, origin, seq, curves, increments
 
@@ -296,8 +299,7 @@ def cmd_curve(cfg: RunConfig) -> int:
     depth = cfg.levels
     sampling = depth if cfg.theta is not None else cfg.deep(max(depth, 25))
     trace = rauzy.rauzy_iterate(iet, max(sampling, depth, spectral.N_CHECK))
-    _require_levels(trace, "curve", max(sampling, depth))
-    _, origin, _, curves, _ = _sampled_curves(cfg, iet, trace, depth)
+    _, origin, _, curves, _ = _sampled_curves(cfg, "curve", iet, trace, depth)
     curve = curves[-1]
     base = cfg.out or "curve"
     svg_path = _write(None, f"{base}_level{depth}.svg", curve.to_svg())
@@ -313,11 +315,9 @@ def cmd_pwi(cfg: RunConfig) -> int:
     iet = cfg.build()
     depth = cfg.deep(max(cfg.levels, 25))
     trace = rauzy.rauzy_iterate(iet, max(depth, spectral.N_CHECK))
-    _require_levels(trace, "pwi", depth)
-    theta, origin, _, curves, _ = _sampled_curves(cfg, iet, trace, depth)
+    theta, origin, _, curves, _ = _sampled_curves(cfg, "pwi", iet, trace, depth)
     curve = curves[-1]
-    theta_float = [float(t) % tau for t in theta]
-    adapted = pwi_mod.adapted_pwi(curve, iet, theta_float)
+    adapted = pwi_mod.adapted_pwi(curve, iet, theta)
     start = complex(curve.evaluate(iet.total / 3.0))
     orbit, itinerary = pwi_mod.iterate(adapted, start, cfg.levels * 10)
     csv_path = _write(cfg.out, "orbit.csv", pwi_mod.orbit_to_csv(orbit, itinerary))
@@ -327,43 +327,20 @@ def cmd_pwi(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    deep = cfg.deep(max(2 * cfg.levels, 45))
     # the convergence checks compare at least two increments: levels 0 to 2
-    if cfg.deep(2) < 2:
+    if deep < 2:
         raise InvalidInput(f"verify needs --deep-levels >= 2, got {cfg.deep_levels}")
     iet = cfg.build()
-    # 200 levels, or the sampling depth where that is deeper
-    trace = rauzy.rauzy_iterate(iet, max(cfg.deep(cfg.levels), 200))
-    _require_levels(trace, "verify", 2)
-    deep = min(cfg.deep(max(2 * cfg.levels, 45)), trace.n_steps)
+    # 200 levels, or the deep level where that is deeper; no sampling depth exceeds it
+    trace = rauzy.rauzy_iterate(iet, max(deep, 200))
     depth = min(cfg.levels, deep)
     # the quasi suite reads levels 0 to depth, the rest only the deepest
-    theta, origin, seq, curves, increments = _sampled_curves(cfg, iet, trace, deep, depth,
-                                                             measure=True)
-
-    report = verify.quasi_embedding_suite(trace, curves, seq, depth)
-    conv = verify.convergence_report(increments, curves[-1], seq, trace)
-    report.checks.extend(conv.checks)
-
-    injective, witness = verify.injectivity(curves[-1])
-    report.add("injectivity", 0.0 if injective else 1.0, 0.5,
-               meta={"witness": list(witness) if witness else None})
-
-    summ = spectral.summability_check(seq)
-    report.add("summability", 0.0 if summ.summable else 1.0, 0.5,
-               meta={"horizon": summ.horizon, "final_term": summ.final_term,
-                     "total": summ.total, "strict_decays": summ.decays,
-                     "ratio_to_initial": summ.ratio_to_initial})
-
-    theta_float = [float(t) % tau for t in theta]
-    adapted = pwi_mod.adapted_pwi(curves[-1], iet, theta_float)
-    defect = verify.embedding_defect(curves[-1], adapted, iet)
-    report.add("embedding_defect", defect, 1e-6, n=deep)
-
-    if cfg.json_output:
-        print(report.to_json())
-    else:
-        print(report.summary())
-        print(f"theta source: {origin}")
+    theta, origin, seq, curves, increments = _sampled_curves(cfg, "verify", iet, trace, deep,
+                                                             depth, measure=True)
+    report = verify.certify(trace, seq, curves, increments, theta, depth)
+    print(report.to_json() if cfg.json_output
+          else f"{report.summary()}\ntheta source: {origin}")
     return 0 if report.all_pass else 1
 
 

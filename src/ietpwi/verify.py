@@ -22,8 +22,9 @@ import numpy as np
 from .breaking import _BLOCK, PLCurve, ThetaSeq
 from .errors import InvalidInput, LevelMismatch, OutOfDomain
 from .iet import IETState, apply_exact
-from .pwi import AdaptedPWI, PlanarIsometry, hat_maps, unwind_maps
+from .pwi import AdaptedPWI, PlanarIsometry, adapted_pwi, hat_maps, unwind_maps
 from .rauzy import InductionTrace
+from .spectral import summability_check
 
 #: normalized residual above which a curve piece counts as neither a line
 #: segment nor a circle arc; fit noise sits near 1e-8, curved pieces orders
@@ -35,6 +36,12 @@ PIECE_SAMPLES = 512
 
 #: the quasi-embedding suite holds each pair ``m <= n`` to ``TOL_QUASI * (1 + n)``
 TOL_QUASI = 1e-9
+
+#: a yes/no check reports the defect 0 (pass) or 1 (fail) against this
+TOL_FLAG = 0.5
+
+#: the deepest curve's embedding defect is held to this in ``certify``
+TOL_EMBEDDING = 1e-6
 
 
 def _jsonify(value):
@@ -95,6 +102,35 @@ class VerificationReport:
             loc = "" if c.n is None else f" (n={c.n}" + ("" if c.m is None else f", m={c.m}") + ")"
             lines.append(f"[{tag}] {c.check}{loc}: defect={c.defect:.3e} tol={c.tol:.3e}")
         return "\n".join(lines)
+
+
+def certify(trace: InductionTrace, seq: ThetaSeq, curves: Sequence[PLCurve],
+            increments: Sequence[float], theta: Sequence[float], depth: int) -> VerificationReport:
+    """The paper's verdict: the curves of ``theta`` embed ``trace.initial`` isometrically.
+
+    ``seq`` is the push of ``theta`` over ``trace``; ``curves`` holds levels 0
+    to ``depth``, then the deepest, of level ``N = len(increments)``, each
+    built with ``measure=True``.  The checks, in report order, held to:
+    - ``map_agreement`` and ``quasi_embedding``, ``m <= n <= depth``: ``TOL_QUASI * (1 + n)``;
+    - ``increment_bound``, each level ``n < N``: ``4 |lambda| sin(|angle_n|/2) + 1e-12``;
+    - ``increments_summable``: 0 or 1 against ``TOL_FLAG``;
+    - ``lipschitz_cone``: the summed angles ``+ 1e-9``, or skipped (0 against 1) from ``0.49 pi``;
+    - ``injectivity`` of the deepest curve and ``summability`` of ``seq``: 0 or 1, ``TOL_FLAG``;
+    - ``embedding_defect`` of the deepest curve under ``adapted_pwi``, ``n = N``: ``TOL_EMBEDDING``.
+    """
+    iet, deepest = trace.initial, curves[-1]
+    report = quasi_embedding_suite(trace, curves, seq, depth)
+    report.checks.extend(convergence_report(increments, deepest, seq, trace).checks)
+    injective, witness = injectivity(deepest)
+    report.add("injectivity", 0.0 if injective else 1.0, TOL_FLAG,
+               meta={"witness": list(witness) if witness else None})
+    summ = summability_check(seq)
+    report.add("summability", 0.0 if summ.summable else 1.0, TOL_FLAG,
+               meta={"horizon": summ.horizon, "final_term": summ.final_term, "total": summ.total,
+                     "strict_decays": summ.decays, "ratio_to_initial": summ.ratio_to_initial})
+    defect = embedding_defect(deepest, adapted_pwi(deepest, iet, theta), iet)
+    report.add("embedding_defect", defect, TOL_EMBEDDING, n=len(increments))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +422,7 @@ def convergence_report(increments: Sequence[float], curve: PLCurve, theta_seq: T
     tail = float(np.mean(bounds_arr[-quarter:]))
     divergent = bool(head > 0 and tail > 0.5 * head
                      and bounds_arr[-1] > 1e-8 * total)
-    report.add("increments_summable", float(divergent), 0.5,
+    report.add("increments_summable", float(divergent), TOL_FLAG,
                meta={"sum": float(np.sum(incs_arr)),
                      "bound_sum": float(np.sum(bounds_arr)),
                      "bound_tail_quarter_mean": tail,

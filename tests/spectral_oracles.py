@@ -26,9 +26,18 @@ from ietpwi.spectral import (BATCHES, MAX_ATTEMPTS, N_CHECK, TOL_STRONG_STABLE_A
 def block_matrices(iet: IETState, m: int) -> Iterator[np.ndarray]:
     """Each of up to ``m`` blocks' restricted matrices, one block at a time.
 
-    The carried frame is copied, each loser's row gains ``count`` times the
-    winner's row, and the result is expressed in the next permutation's
-    invariant-subspace basis.
+    The block's image of the carried frame (``block_images``) is expressed
+    in the next permutation's invariant-subspace basis.
+    """
+    for q, carried in block_images(iet, m):
+        yield q.T @ carried
+
+
+def block_images(iet: IETState, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each of up to ``m`` blocks' next basis and image of the carried frame.
+
+    The carried frame is copied and each loser's row gains ``count`` times
+    the winner's row, a count of 0 included.
     """
 
     @lru_cache(maxsize=None)
@@ -44,7 +53,7 @@ def block_matrices(iet: IETState, m: int) -> Iterator[np.ndarray]:
         for loser, count in zip(losers, counts):
             carried[loser] += count * row
         q = basis(tuple(driver.top), tuple(driver.bottom))
-        yield q.T @ carried
+        yield q, carried
 
 
 def lyapunov_spectrum(iet: IETState, m: int) -> LyapunovEstimate:

@@ -391,6 +391,8 @@ def test_verify_needs_two_levels_of_the_trace(tmp_path):
     ("curve", "3.14159,3.14159,3.14159,3.14159", "30", "curve needs 30 levels"),
     # pwi builds its curve at the sampling depth, max(--steps, 25)
     ("pwi", "0.1,0.1,0.1,0.1", "3", "pwi needs 25 levels"),
+    # verify certifies at the deep level, max(2·--steps, 45)
+    ("verify", "0.1,0.1,0.1,0.1", "8", "verify needs 45 levels"),
 ])
 def test_curve_commands_name_the_step_where_the_induction_stops(tmp_path, command, theta,
                                                                  steps, needed):

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ietpwi import spectral
 from ietpwi.breaking import breaking_sequence, theta_sequence
+from ietpwi.catalog import SYMMETRIC4_LOOP
 from ietpwi.cli import RunConfig
 from ietpwi.errors import ExhaustedResamples, InvalidInput, RauzyUndefined, Reducible
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
@@ -311,6 +313,67 @@ def test_chunked_matrices_match_the_per_block_oracle(iet):
         for matrix, oracle in zip(got, expected):
             assert matrix.shape == oracle.shape
             assert matrix.tobytes() == oracle.tobytes()
+
+
+def test_chunks_add_zero_counts_as_the_oracle_does(monkeypatch):
+    # a basis whose first column holds -0.0 in the rows of symbols 0 and 2 and
+    # +0.0 in those of 1 and 3: a loser of count 0 among 0 and 2 under a
+    # winner among 1 and 3 keeps -0.0 unless 0 * row is added to it.  The
+    # block matrices cannot show that sign (a matmul sums from +0.0), so the
+    # chunks' block images, the matmul's right operand, are compared
+    basis = h_pi_basis
+
+    def signed_zeros(perm):
+        q = basis(perm)
+        q[:, 0] = [-0.0, 0.0, -0.0, 0.0]
+        return q
+
+    class RecordingNumpy:
+        """``numpy``, except that ``matmul`` keeps its right operand."""
+
+        def __init__(self):
+            self.images = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b):
+            self.images.extend(b.copy())
+            return np.matmul(a, b)
+
+    monkeypatch.setattr(spectral, "h_pi_basis", signed_zeros)
+    monkeypatch.setattr(spectral_oracles, "h_pi_basis", signed_zeros)
+    recording = RecordingNumpy()
+    monkeypatch.setattr(spectral, "np", recording)
+    iet, m = RunConfig().build(), _CHUNK + 4
+    matrices = [matrix for chunk in _block_chunks(iet, m, _CHUNK) for matrix in chunk]
+    oracle = list(spectral_oracles.block_images(iet, m))
+    assert len(matrices) == len(recording.images) == len(oracle) == m
+    for matrix, image, (q, carried) in zip(matrices, recording.images, oracle):
+        assert image.tobytes() == carried.tobytes()
+        assert matrix.tobytes() == (q.T @ carried).tobytes()
+
+
+#: blocks per period of ``SYMMETRIC4_LOOP``: one per run of equal step types,
+#: counted around the loop, so its first two steps (both type 1) share one
+LOOP_BLOCKS = sum(a != b for a, b in zip(SYMMETRIC4_LOOP, SYMMETRIC4_LOOP[-1:] + SYMMETRIC4_LOOP))
+
+#: the first 0-based block ``k >= LOOP_BLOCKS`` of the float driver on the
+#: catalog lengths whose ``(winner, losers, counts)`` differs from block ``k
+#: - LOOP_BLOCKS``'s
+CATALOG_LOOP_EXIT = 81
+
+
+def test_float_driver_leaves_the_catalog_loop(reference):
+    # the catalog exchange repeats its loop forever, but the float driver
+    # starts from its lengths rounded to doubles and leaves the loop within
+    # ten periods, so `lyapunov --catalog` measures a generic exchange near it
+    driver = _FloatInduction(reference.iet)
+    blocks = [driver.block() for _ in range(CATALOG_LOOP_EXIT + 1)]
+    assert LOOP_BLOCKS == 10
+    assert sum(sum(counts) for _, _, counts in blocks[:LOOP_BLOCKS]) == len(SYMMETRIC4_LOOP)
+    repeats = [blocks[k] == blocks[k - LOOP_BLOCKS] for k in range(LOOP_BLOCKS, len(blocks))]
+    assert repeats == [True] * (CATALOG_LOOP_EXIT - LOOP_BLOCKS) + [False]
 
 
 @pytest.mark.parametrize("m", [2, 19, 20, 47, 255, 256, 257, 3 * 256 + 7])

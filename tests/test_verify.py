@@ -13,6 +13,7 @@ from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 from ietpwi import verify
 from ietpwi.breaking import _BLOCK, PLCurve, breaking_sequence, curve_levels, theta_sequence
+from ietpwi.cli import main
 from ietpwi.errors import InvalidInput
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.pwi import PlanarIsometry, adapted_pwi, inductive_maps, map_distance
@@ -25,6 +26,7 @@ from ietpwi.verify import (
     _preimage_runs,
     NARROW_BLOCK,
     VerificationReport,
+    certify,
     convergence_report,
     discontinuity_orbit,
     embedding_defect,
@@ -166,6 +168,25 @@ def test_report_determinism(reference_trace, reference_curves, reference_theta_s
                               reference_theta_seq, 4)
     assert a.to_json() == b.to_json()
     json.loads(a.to_json())
+
+
+@pytest.mark.parametrize("theta", ["0,0,0,0", "0.01,0.02,-0.01,0.005"])
+def test_certify_is_the_report_verify_prints(reference, theta, capsys):
+    # verify pushes theta over a 200-level trace and measures the curves to
+    # its deep level; certify's report on those is the one it prints
+    trace = rauzy_iterate(reference.iet, 200)
+    values = [float(t) for t in theta.split(",")]
+    seq = theta_sequence(trace, values, trace.n_steps)
+    curves = [PLCurve.identity(reference.iet.total)]
+    curves += curve_levels(trace, seq, curves[0], 0, 12, measure=True)
+    report = certify(trace, seq, curves, [c.increment for c in curves[1:]], values, 5)
+    code = main(["verify", "--catalog", "--theta", theta, "--steps", "5", "--deep-levels", "12",
+                 "--json"])
+    assert capsys.readouterr().out == report.to_json() + "\n"
+    assert code == (0 if report.all_pass else 1)
+    assert [c.check for c in report.checks[-3:]] == ["injectivity", "summability",
+                                                     "embedding_defect"]
+    assert report.checks[-1].n == 12
 
 
 KINK_CLASSES = ("ends", "breakpoints", "preimages")
