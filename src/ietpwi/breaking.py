@@ -116,24 +116,37 @@ class PLCurve:
         return np.append(self.x, self.length)
 
     def segment_lengths(self) -> np.ndarray:
-        widths = np.empty(len(self.x))
-        np.subtract(self.x[1:], self.x[:-1], out=widths[:-1])
-        widths[-1] = self.length - self.x[-1]
-        return widths
+        return np.diff(self.segment_bounds())
 
     def tangents(self) -> np.ndarray:
         """Unit tangent of each segment."""
-        return np.diff(self.z) / self.segment_lengths()
+        chords, widths = self._segments(0, self.n_segments)
+        return np.divide(chords, widths, out=chords)
 
     def evaluate(self, params: Union[float, Sequence[float], np.ndarray]) -> np.ndarray:
         """Vectorized evaluation; accepts the right endpoint as a limit value."""
         q = np.atleast_1d(np.asarray(params, dtype=float))
-        if (q < 0.0).any() or (q > self.length).any():
-            raise OutOfDomain("parameter outside [0, length]")
-        # x[0] is 0, so each parameter of the domain (and NaN, sorted last) has a segment
-        idx = self.x.searchsorted(q, side="right") - 1
-        out = self._on_segments(q, idx)
+        out = self._on_segments(q, self._locate(q))
         return out if np.ndim(params) else out[0]
+
+    def _locate(self, q: np.ndarray) -> np.ndarray:
+        """Segment of each parameter ``q[k]``, the one whose breakpoint is the last up to it.
+
+        The search covers only the breakpoints between the smallest and the
+        largest query, so it finds what a search of them all finds; a query
+        outside ``[0, length]`` raises ``OutOfDomain``.
+        """
+        # NaN is skipped here, lands past the window and evaluates to NaN; an
+        # empty query leaves an empty window
+        first = np.fmin.reduce(q, axis=None, initial=np.inf)
+        last = np.fmax.reduce(q, axis=None, initial=-np.inf)
+        if first < 0.0 or last > self.length:
+            raise OutOfDomain("parameter outside [0, length]")
+        start, stop = self.x.searchsorted((first, last), side="right")
+        idx = self.x[start:stop].searchsorted(q, side="right")
+        # x[0] is 0, so each parameter of the domain has a segment
+        idx += start - 1
+        return idx
 
     def _on_segments(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Value at each parameter ``q[k]`` on the affine piece of segment ``idx[k]``."""
@@ -262,6 +275,20 @@ class IntervalSeq:
         return out
 
 
+def _product(u: np.ndarray, v: Union[complex, np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``u * v`` written to ``out``, rounded as the scalar complex product rounds it.
+
+    Each part is one rounded sum of two separately rounded real products;
+    numpy's vectorized complex multiply can differ from that in the last ulp.
+    """
+    re, im = out.real, out.imag
+    np.multiply(u.real, v.real, out=re)
+    re -= u.imag * v.imag
+    np.multiply(u.real, v.imag, out=im)
+    im += u.imag * v.real
+    return out
+
+
 def _shifts(values: np.ndarray, first: int, one_minus: complex,
             carry: complex) -> np.ndarray:
     """Entries ``first..first + len(values)`` of the table ``[-0, upper_0, lower_0, upper_1, ...]``.
@@ -274,20 +301,11 @@ def _shifts(values: np.ndarray, first: int, one_minus: complex,
     taken in turn, each from the last entry of the one before, give the
     whole table bit for bit; entry 0 is ``-0.0``, the shift of zone 0 and
     the identity of floating-point addition.  Each step's product is rounded
-    as the scalar complex product rounds it (numpy's vectorized complex
-    multiply can differ from it in the last ulp), from separately rounded
-    real multiplies and adds.
+    as the scalar complex product rounds it (``_product``).
     """
     table = np.empty(len(values) + 1, dtype=complex)
     table[0] = carry
-    re, im = values.real, values.imag
-    steps = table[1:]
-    out = steps.real
-    np.multiply(re, one_minus.real, out=out)
-    out -= im * one_minus.imag
-    out = steps.imag
-    np.multiply(im, one_minus.real, out=out)
-    out += re * one_minus.imag
+    steps = _product(values, one_minus, table[1:])
     # a right end, of odd interleaved index, steps down
     down = steps[(first + 1) % 2::2]
     np.negative(down, out=down)
@@ -365,9 +383,9 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq, *,
     # the output a block at a time: the merge drops a third of the
     # parameters at depth, so room for all of them would raise the peak
     new_x, new_z = [], []
-    # measured only: the old breakpoints the merge drops, as parameter, new
-    # segment and old vertex, and the largest distance moved at a kept one
-    kink_x, kink_at, kink_z = [], [], []
+    # measured only: the old breakpoints the merge drops, as parameter and
+    # old vertex, and the largest distance moved at a kept one
+    kink_x, kink_z = [], []
     increment = 0.0
     kept = 0                # new breakpoints placed so far
     previous = -np.inf      # the last distinct parameter placed so far
@@ -380,14 +398,13 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq, *,
         params, is_end = _merge(curve.x[start:stop], ends[first:last])
         # the curve at the block's ends once its speed defect passes: an
         # end's segment is the count of old breakpoints before it, less one
-        chords, widths = curve._segments(start, stop)
-        _require_unit_speed(_speed_defect(chords, widths), length)
+        _require_unit_speed(_speed_defect(*curve._segments(start, stop)), length)
         q, seg = ends[first:last], is_end.nonzero()[0]
-        seg -= np.arange(1, len(seg) + 1)
+        seg -= np.arange(1 - start, len(seg) + 1 - start)
         if stop == old:
-            q, seg = np.concatenate((q, [length])), np.concatenate((seg, [stop - start - 1]))
-        at_ends = _on_block(curve, start, chords, widths, q, seg)
-        del chords, widths, q, seg
+            q, seg = np.concatenate((q, [length])), np.concatenate((seg, [stop - 1]))
+        at_ends = curve._on_segments(np.minimum(q, length), seg)
+        del q, seg
         if stop == old:
             right, at_ends = at_ends[-1:], at_ends[:-1]
         # the shift table steps over the ends in interleaved order; where an
@@ -429,19 +446,15 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq, *,
             far[np.searchsorted(at, keep[-1])] = False
             keep = keep[:-1]
         if measure and not far.all():
-            # the increment needs the dropped parameters that are old
-            # breakpoints, on the last new segment that starts before each
-            new_at = (~far).nonzero()[0]
-            drop = at.take(new_at)
-            new_at -= np.arange(1 - kept, len(new_at) + 1 - kept)
+            # the increment needs the dropped parameters that are old breakpoints
+            drop = at[~far]
             dropped = params.take(drop)
             slot = drop + start
             slot -= zone.take(drop)
             is_old = curve.x.take(slot) == dropped
             kink_x.append(dropped[is_old])
-            kink_at.append(new_at[is_old])
             kink_z.append(curve.z.take(slot[is_old]))
-            del drop, new_at, dropped, slot, is_old
+            del drop, dropped, slot, is_old
         new_x.append(params.take(keep))
         del at, far, params
 
@@ -464,30 +477,14 @@ def breaking_operator(curve: PLCurve, phi: float, intervals: IntervalSeq, *,
     del shifts
     # one list at a time, so that one list's pieces are gone before the next
     new_z = np.concatenate(new_z)
-    if not measure:
-        return PLCurve(length, np.concatenate(new_x), new_z)
-    new_x.append([length])
-    new_x = np.concatenate(new_x)
-    rotated = PLCurve(length, new_x[:kept], new_z)
-    # the output at the dropped kinks and the right end, on the segments
-    # ``evaluate`` picks, formed as ``_on_segments`` forms them with the right
-    # end read after the last breakpoint; at a kink ``curve`` is its vertex:
-    # evaluation adds ``0 * tangent``, which may change only the sign of a
-    # zero, and no modulus
-    kink_x.append([length])
-    kink_at.append([kept - 1])
-    kink_z.append(right)
-    seg = np.concatenate(kink_at)
-    x0, z0 = new_x.take(seg), new_z.take(seg)
-    seg += 1
-    apart = new_z.take(seg)
-    apart -= z0
-    apart /= new_x.take(seg) - x0
-    apart *= np.concatenate(kink_x) - x0
-    apart += z0
-    del new_x, new_z
-    apart -= np.concatenate(kink_z)
-    rotated.increment = max(increment, float(np.maximum.reduce(np.abs(apart))))
+    rotated = PLCurve(length, np.concatenate(new_x), new_z)
+    if measure:
+        # the output at the dropped kinks and the right end; at a kink
+        # ``curve`` is its vertex: evaluation adds ``0 * tangent``, which may
+        # change only the sign of a zero, and no modulus
+        apart = rotated.evaluate(np.concatenate([*kink_x, [length]]))
+        apart -= np.concatenate([*kink_z, right])
+        rotated.increment = max(increment, float(np.maximum.reduce(np.abs(apart))))
     return rotated
 
 
@@ -507,23 +504,6 @@ def _merge(olds: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     merged = np.concatenate([olds, ends])
     order = merged.argsort(kind="stable")
     return merged.take(order), order >= len(olds)
-
-
-def _on_block(curve: PLCurve, start: int, chords: np.ndarray, widths: np.ndarray,
-              q: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """The curve at each ``q[k]`` on segment ``start + seg[k]``, bit for bit as ``evaluate`` gives it.
-
-    ``chords`` and ``widths`` are those of the segments from ``start`` on;
-    the tangents are formed on the indexed segments only, as ``tangents()``
-    forms them.  A parameter above the domain's right end (a piece ending
-    there may round above it) is taken at the right end.
-    """
-    q = np.minimum(q, curve.length)
-    q -= curve.x[start:].take(seg)
-    value = chords.take(seg)
-    value /= widths.take(seg)
-    np.multiply(q, value, out=value)
-    return np.add(curve.z[start:].take(seg), value, out=value)
 
 
 # ---------------------------------------------------------------------------

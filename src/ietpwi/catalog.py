@@ -29,6 +29,11 @@ SYMMETRIC4_LOOP = (1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)
 #: bits the weak-stable iteration keeps beyond the precision it is asked for
 GUARD_BITS = 128
 
+#: steps of the Perron vector's power iteration
+_PERRON_ITERATIONS = 260
+#: steps of the weak-stable iteration, and of its dual's
+_WEAK_ITERATIONS = 160
+
 
 @dataclass(frozen=True)
 class SelfInducingIET:
@@ -84,18 +89,18 @@ def _reduce_int_vector(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec if g in (0, 1) else tuple(v // g for v in vec)
 
 
-def perron_vector(matrix: IntMatrix, iterations: int = 260) -> tuple[Fraction, ...]:
+def perron_vector(matrix: IntMatrix) -> tuple[Fraction, ...]:
     """Dominant eigenvector by integer power iteration, normalized to sum 1."""
     vec = tuple(1 for _ in matrix)
-    for _ in range(iterations):
+    for _ in range(_PERRON_ITERATIONS):
         vec = _mat_vec(matrix, vec)
         vec = _reduce_int_vector(vec)
     total = sum(vec)
     return tuple(Fraction(v, total) for v in vec)
 
 
-def _weak_stable_vector(inv: IntMatrix, strong_int: tuple[int, ...], precision: int,
-                        iterations: int = 160) -> tuple[Fraction, ...]:
+def _weak_stable_vector(inv: IntMatrix, strong_int: tuple[int, ...],
+                        precision: int) -> tuple[Fraction, ...]:
     """Second most contracted eigendirection by deflated iteration of the inverse ``inv``.
 
     The dominant direction of the inverse is the strong one; its component
@@ -108,11 +113,11 @@ def _weak_stable_vector(inv: IntMatrix, strong_int: tuple[int, ...], precision: 
     """
     inv_t = _transpose(inv)
     dual = tuple(1 for _ in inv)
-    for _ in range(iterations):
+    for _ in range(_WEAK_ITERATIONS):
         dual = _reduce_int_vector(_mat_vec(inv_t, dual))
     ds = sum(a * b for a, b in zip(dual, strong_int))
     vec = tuple(range(1, len(inv) + 1))
-    for _ in range(iterations):
+    for _ in range(_WEAK_ITERATIONS):
         vec = _mat_vec(inv, vec)
         dw = sum(a * b for a, b in zip(dual, vec))
         vec = tuple(ds * w - dw * s for w, s in zip(vec, strong_int))

@@ -207,6 +207,7 @@ def _stable_frame(cfg: RunConfig, iet: IETState):
 def cmd_sample_theta(cfg: RunConfig) -> int:
     iet = cfg.build()
     trace = rauzy.rauzy_iterate(iet, spectral.N_CHECK)
+    _require_levels(trace, "sample-theta", spectral.N_CHECK)
     frame = _stable_frame(cfg, iet)
     sample = spectral.sample_theta(frame, cfg.delta, cfg.seed,
                                    upsilon=iet.upsilon, trace=trace)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .breaking import PLCurve, ThetaSeq
+from .breaking import PLCurve, ThetaSeq, _product
 from .errors import (AtomMissesCurve, AtomsOverlap, InvalidInput, LevelMismatch,
                      UnclassifiablePoint)
 from .iet import IETState, Permutation, slot_at
@@ -114,10 +114,10 @@ def hat_maps(curve: PLCurve, trace: InductionTrace, levels: Sequence[int],
     rearranged pieces to join into a continuous curve; each chain is
     anchored at the rightmost point and built backwards, every level's at
     once: each step's rotated piece is rounded as the scalar complex product
-    rounds it, from separately rounded real products, and the corners are
-    one running sum per level from the right.  Each map sends its piece's
-    right endpoint to its corner, so its left endpoint lands on the previous
-    corner by construction; the assertion guards index errors.
+    rounds it (``breaking._product``), and the corners are one running sum
+    per level from the right.  Each map sends its piece's right endpoint to
+    its corner, so its left endpoint lands on the previous corner by
+    construction; the assertion guards index errors.
     """
     states = []
     for m in levels:
@@ -145,11 +145,7 @@ def hat_maps(curve: PLCurve, trace: InductionTrace, levels: Sequence[int],
     piece -= gamma.take(hat)
     chain = np.empty((count, d + 1), dtype=complex)
     chain[:, 0] = gamma[d::d + 1]
-    step = chain[:, 1:]
-    step.real = rot.real * piece.real
-    step.real -= rot.imag * piece.imag
-    step.imag = rot.real * piece.imag
-    step.imag += rot.imag * piece.real
+    _product(rot, piece, chain[:, 1:])
     chain = np.add.accumulate(chain, axis=1).ravel()
     maps = PlanarIsometry(np.mod(theta, tau), gamma.take(p0), chain.take(p1))
     # the left end of each piece lands on the corner before its own

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .breaking import _BLOCK, PLCurve, ThetaSeq
-from .errors import InvalidInput, LevelMismatch, OutOfDomain
+from .errors import InvalidInput, LevelMismatch
 from .iet import IETState, apply_exact
 from .pwi import AdaptedPWI, PlanarIsometry, adapted_pwi, hat_maps, unwind_maps
 from .rauzy import InductionTrace
@@ -137,21 +137,6 @@ def certify(trace: InductionTrace, seq: ThetaSeq, curves: Sequence[PLCurve],
 # embedding defect
 # ---------------------------------------------------------------------------
 
-def _locate(curve: PLCurve, q: np.ndarray) -> np.ndarray:
-    """Segment of each parameter ``q[k]``, the one ``PLCurve.evaluate`` finds.
-
-    The search covers only the breakpoints between the smallest and the
-    largest query; a query outside ``[0, length]`` raises ``OutOfDomain``.
-    """
-    first, last = q.min(), q.max()
-    if first < 0.0 or last > curve.length:
-        raise OutOfDomain("parameter outside [0, length]")
-    start, stop = np.searchsorted(curve.x, (first, last), side="right")
-    idx = np.searchsorted(curve.x[start:stop], q, side="right")
-    idx += start - 1
-    return idx
-
-
 def _first_past(past: Callable[[np.ndarray], np.ndarray], guess: np.ndarray,
                 n: int) -> np.ndarray:
     """Smallest index in ``0..n`` at which the monotone predicate ``past`` holds, per entry.
@@ -203,13 +188,13 @@ def _kinks(curve: PLCurve, j: np.ndarray, shift: np.ndarray,
     q = x.take(j)
     if preimage:
         q -= shift
-        gamma = curve._on_segments(q, _locate(curve, q))
+        gamma = curve.evaluate(q)
     else:
         gamma = curve.z.take(j)
     q += shift
     np.minimum(q, curve.length, out=q)
     if not preimage:
-        return gamma, q, _locate(curve, q)
+        return gamma, q, curve._locate(q)
     # the image of a preimage lies within rounding of its breakpoint, so the
     # first breakpoint past it is found from the next one
     return gamma, q, _first_past(lambda i: x.take(i) > q, j + 1, len(x)) - 1
@@ -250,8 +235,9 @@ def _conjugacy_defects(curve: PLCurve, maps: PlanarIsometry, states: Sequence[IE
     family is kept.  Every value is the one ``PLCurve.evaluate`` gives, up
     to the sign of a zero: a breakpoint's vertex is read by its own index,
     a preimage's image is settled from its breakpoint's index, and every
-    other point is found by a search covering only the breakpoints its
-    block spans.  The breakpoints of every region form one run, and so do
+    other point is read through ``evaluate`` or located by its search
+    (``PLCurve._locate``), which covers only the breakpoints its block
+    spans.  The breakpoints of every region form one run, and so do
     its preimages; the runs are taken ``_BLOCK`` kinks at a time, so no
     temporary is longer than a block.
     """
@@ -273,10 +259,10 @@ def _conjugacy_defects(curve: PLCurve, maps: PlanarIsometry, states: Sequence[IE
 
     # the two ends of every region
     ends = np.stack([lo, hi], axis=1).ravel()
-    gamma = curve._on_segments(ends, _locate(curve, ends))
+    gamma = curve.evaluate(ends)
     ends += shift.repeat(2)
     np.minimum(ends, curve.length, out=ends)
-    gaps = _gaps(curve, gamma, ends, _locate(curve, ends), coefficients,
+    gaps = _gaps(curve, gamma, ends, curve._locate(ends), coefficients,
                  np.arange(len(rows)), 2)
     np.maximum.at(out, family.repeat(2), gaps)
 
@@ -645,14 +631,13 @@ def _circle_residual(pts: np.ndarray) -> float:
         return float("inf")
     radius = float(np.sqrt(rr))
     # one geometric refinement step on (cx, cy, radius)
-    for _ in range(1):
-        dx, dy = x - cx, y - cy
-        dist = np.hypot(dx, dy)
-        dist[dist == 0] = 1e-300
-        res = dist - radius
-        jac = np.stack([-dx / dist, -dy / dist, -np.ones_like(dist)], axis=1)
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        cx, cy, radius = cx + step[0], cy + step[1], radius + step[2]
+    dx, dy = x - cx, y - cy
+    dist = np.hypot(dx, dy)
+    dist[dist == 0] = 1e-300
+    res = dist - radius
+    jac = np.stack([-dx / dist, -dy / dist, -np.ones_like(dist)], axis=1)
+    step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+    cx, cy, radius = cx + step[0], cy + step[1], radius + step[2]
     dist = np.hypot(x - cx, y - cy)
     return float(np.sqrt(np.mean((dist - radius) ** 2)))
 

@@ -406,6 +406,17 @@ def test_curve_commands_name_the_step_where_the_induction_stops(tmp_path, comman
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sample_theta_names_the_step_where_the_induction_stops(tmp_path):
+    # sampling checks each draw over N_CHECK = 40 levels; the exact induction
+    # of these lengths ties at step 4, before the float frame is built
+    proc = run_cli(["sample-theta", "--perm", "4 3 2 1", "--lambda", "0.4,0.3,0.2,0.1"], tmp_path)
+    assert proc.returncode == 2
+    assert "RauzyUndefined" in proc.stderr and "step 4" in proc.stderr
+    assert "sample-theta needs 40 levels" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_deep_levels_zero_is_honored(tmp_path):
     # level 0 is the identity curve on the real axis, unlike the default level 25
     args = ["pwi", "--catalog", "--theta", "0.01,0,0,0", "--steps", "2", "--json"]

@@ -1,7 +1,8 @@
 """Property tests: the step rule and the exact inverse of the cocycle, the
 first-return orbits, the lengths and the running lift of rotation vectors
 against the exact cocycle, the rotation operator along random traces, the
-float views of exact lengths, and the JSON round trip of the permutation.
+float views of exact lengths, the JSON round trip of the permutation, and
+curve evaluation against one search over every breakpoint.
 
 Random irreducible exchanges on 2 to 6 symbols with exact integer lengths
 (or, for the curves' domain end, Dirichlet float lengths), followed for up
@@ -17,13 +18,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import pi, sin
+from math import nan, pi, sin
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ietpwi.breaking import (TOL_UNIT_SPEED, breaking_intervals, breaking_sequence,
+from ietpwi.breaking import (TOL_UNIT_SPEED, PLCurve, breaking_intervals, breaking_sequence,
                              rokhlin_towers, segment_bound, theta_sequence)
+from ietpwi.errors import OutOfDomain
 from ietpwi.iet import Lengths, Permutation, build_iet, is_irreducible
 from ietpwi.rauzy import (InductionStep, identity_matrix, rauzy_iterate, torus_project,
                           undo_update)
@@ -213,6 +216,45 @@ def test_curves_of_float_lengths_build_to_the_domain_end(run, angles):
     for curve in curves:
         assert curve.length == iet.total
         assert curve.unit_speed_defect() <= TOL_UNIT_SPEED
+
+
+@st.composite
+def curves_and_queries(draw):
+    """A random unit-speed curve of 1 to 30 segments and unsorted queries on its closed domain.
+
+    The queries mix breakpoints, 0, the right end, NaN and uniform draws.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = rng.uniform(0.01, draw(st.sampled_from([1.0, 1000.0])), draw(st.integers(1, 30)))
+    ends = np.cumsum(widths)
+    z = np.cumsum(widths * np.exp(1j * rng.uniform(-pi, pi, len(widths))))
+    curve = PLCurve(float(ends[-1]), np.concatenate([[0.0], ends[:-1]]), np.append(0.0, z))
+    picks = st.one_of(st.sampled_from([*curve.x, curve.length, nan]),
+                      st.floats(0.0, curve.length))
+    return curve, np.array(draw(st.lists(picks, max_size=20)), dtype=float)
+
+
+@PROPERTY
+@given(curves_and_queries())
+def test_evaluate_is_the_whole_array_search(case):
+    curve, q = case
+    # the oracle searches every breakpoint; NaN sorts last
+    want = curve._on_segments(q, curve.x.searchsorted(q, side="right") - 1)
+    got = curve.evaluate(q)
+    nan_at = np.isnan(q)
+    assert got.dtype == complex and got.shape == q.shape
+    assert np.isnan(got[nan_at]).all()
+    assert got[~nan_at].tobytes() == want[~nan_at].tobytes()
+    if len(q):
+        one = curve.evaluate(q[0])
+        assert np.ndim(one) == 0 and np.isnan(one) == nan_at[0]
+        assert nan_at[0] or one.tobytes() == want[0].tobytes()
+    empty = curve.evaluate([])
+    assert empty.dtype == complex and empty.shape == (0,)
+    for outside in (np.nextafter(0.0, -1.0), np.nextafter(curve.length, np.inf)):
+        for params in (outside, np.append(q, outside)):
+            with pytest.raises(OutOfDomain):
+                curve.evaluate(params)
 
 
 @st.composite
